@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -128,6 +129,11 @@ def _get_floats(cfg, key, default=None) -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {cfg[key]!r}") from None
 
 
+def _require(key, value, ok, expected: str) -> None:
+    if not ok:
+        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}")
+
+
 def _outdir(cfg) -> Path:
     out = cfg.get("outdir") or os.environ.get(OUTDIR_ENV) or "out"
     return Path(out)
@@ -144,16 +150,30 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         raise ConfigError(f"variant must be hb, nesterov, or general, got {variant!r}")
     stride = _get_int(cfg, "stride", 0)
     max_train = _get_int(cfg, "max_train", 0)
+    steps = _get_floats(cfg, "steps", (0.001, 0.005, 0.025, 0.1))
+    betas = _get_floats(cfg, "betas", (0.9,))
+    reps = _get_int(cfg, "reps", 100)
+    epochs = _get_int(cfg, "epochs", 5)
+    fraction = _get_float(cfg, "fraction", 0.8)
+    seed = _get_int(cfg, "seed", 0)
+    _require("reps", reps, reps >= 1, ">= 1")
+    _require("epochs", epochs, epochs >= 1, ">= 1")
+    _require("stride", stride, stride >= 0, ">= 0 (0 means once per epoch)")
+    _require("max_train", max_train, max_train >= 0, ">= 0 (0 means no cap)")
+    _require("steps", cfg.get("steps"), steps and all(0 < v < math.inf for v in steps), "finite and > 0")
+    _require("betas", cfg.get("betas"), betas and all(0 <= v < 1 for v in betas), "in [0, 1)")
+    _require("seed", seed, seed >= 0, ">= 0")
+    _require("fraction", fraction, 0 < fraction < 1, "in (0, 1)")
     return ExperimentConfig(
         dataset=cfg["dataset"],
         loss=loss,
         variant=variant,
-        steps=_get_floats(cfg, "steps", (0.001, 0.005, 0.025, 0.1)),
-        betas=_get_floats(cfg, "betas", (0.9,)),
-        repetitions=_get_int(cfg, "reps", 100),
-        epochs=_get_int(cfg, "epochs", 5),
-        fraction=_get_float(cfg, "fraction", 0.8),
-        seed=_get_int(cfg, "seed", 0),
+        steps=steps,
+        betas=betas,
+        repetitions=reps,
+        epochs=epochs,
+        fraction=fraction,
+        seed=seed,
         stride=stride or None,
         outdir=str(_outdir(cfg)),
         synth_n=_get_int(cfg, "synth_n", 1000),
@@ -206,6 +226,7 @@ def _cmd_check_bounds(cfg: dict) -> int:
     train, held = split_dataset(data, exp.fraction, exp.seed)
     alpha = smoothness(train, exp.loss).alpha
     samples = _get_int(cfg, "samples", 50)
+    _require("samples", samples, samples >= 1, ">= 1")
     t_raw = cfg.get("t", "5n")
     if t_raw.endswith("n"):
         factor = t_raw[:-1] or "1"
@@ -218,18 +239,21 @@ def _cmd_check_bounds(cfg: dict) -> int:
             t = int(t_raw)
         except ValueError:
             raise ConfigError(f"key 't': expected an integer or '<k>n', got {t_raw!r}") from None
+    _require("t", t_raw, t >= 1, "at least one step")
     variant = exp.variant
     reports = []
     failed = False
     for beta in exp.betas:
         if "step" in cfg:
             step = _get_float(cfg, "step")
+            _require("step", step, 0 < step < math.inf, "finite and > 0")
         else:
             frac = _get_float(cfg, "step_fraction", 0.5)
+            _require("step_fraction", frac, 0 < frac < math.inf, "finite and > 0")
             cap = max_eta_hb(beta, alpha) if variant == "hb" else max_gamma_nesterov(beta, alpha)
             step = frac * cap
         hp = variant_params(variant, step, beta, t)
-        bound_variant = variant if variant != "general" else "general"
+        bound_variant = variant
         if variant == "nesterov" and beta == 0.0:
             bound_variant = "general"
         result = run_bound_check(

@@ -257,20 +257,25 @@ def binarize(d: Dataset) -> Dataset:
     )
 
 
-def split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded random partition into (train, held) with floor(fraction*n) train examples.
+def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded random partition of row positions 0..n-1 into sorted (train,
+    held) arrays with floor(fraction*n) train positions.
 
-    Both parts keep the original example order.  Raises DataError when either
-    side would be empty.
+    Raises DataError when either side would be empty.
     """
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0, 1), got {fraction}")
-    n_train = math.floor(fraction * d.n)
-    if n_train < 1 or n_train >= d.n:
-        raise DataError(f"degenerate split: {n_train} train of {d.n} total")
-    perm = np.random.default_rng(seed).permutation(d.n)
-    train_pos = np.sort(perm[:n_train])
-    held_pos = np.sort(perm[n_train:])
+    n_train = math.floor(fraction * n)
+    if n_train < 1 or n_train >= n:
+        raise DataError(f"degenerate split: {n_train} train of {n} total")
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """The partition of `split_positions` as (train, held) datasets, both in
+    the original example order."""
+    train_pos, held_pos = split_positions(d.n, fraction, seed)
     train = Dataset(tuple(d.examples[i] for i in train_pos), d.dim)
     held = Dataset(tuple(d.examples[i] for i in held_pos), d.dim)
     return train, held

@@ -18,16 +18,16 @@ from .dataset import (
     NeighborSpec,
     binarize,
     load_libsvm,
-    split,
+    split_positions,
     synthetic_binary_dataset,
 )
 from .losses import empirical_risk_many, smoothness
 from .optimizer import (
-    DivergenceError,
     HyperParams,
     SampleStream,
-    coupled_distance_series,
+    coupled_distance_batch,
     coupled_run,
+    padded_rows,
 )
 from .theory import ConditionReport, check_opt_condition, check_stab_condition, stability_bound
 
@@ -65,6 +65,8 @@ class GridPointResult:
     censored: int
     stab_condition: ConditionReport
     opt_condition: ConditionReport
+    # one {rep, step, which} record per censored repetition, by repetition
+    censored_reps: tuple[dict, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,17 @@ def aggregate(series_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
-def _rep_draws(cfg: ExperimentConfig, data: Dataset, rep: int):
+@dataclass(frozen=True)
+class RepDraw:
+    """One repetition's randomness, as positions into the loaded data."""
+
+    train_rows: np.ndarray  # data positions of the train rows, in order
+    perturbed: int  # 1-based position among train_rows of the replaced row
+    replacement: int  # data position of the held-out row replacing it
+    stream_seed: int
+
+
+def _rep_draws(cfg: ExperimentConfig, n: int, rep: int) -> RepDraw:
     """Per-repetition randomness: split, perturbed index, replacement, stream seed.
 
     All draws come from one generator keyed by (master seed, repetition), in a
@@ -126,73 +138,77 @@ def _rep_draws(cfg: ExperimentConfig, data: Dataset, rep: int):
     """
     rng = np.random.default_rng([cfg.seed, rep])
     split_seed = int(rng.integers(2**63))
-    train, held = split(data, cfg.fraction, split_seed)
-    if cfg.max_train is not None and train.n > cfg.max_train:
-        keep = np.sort(rng.choice(train.n, size=cfg.max_train, replace=False))
-        train = Dataset(tuple(train.examples[i] for i in keep), train.dim)
-    perturbed = int(rng.integers(1, train.n + 1))
-    replacement = held.examples[int(rng.integers(0, held.n))]
+    train, held = split_positions(n, cfg.fraction, split_seed)
+    if cfg.max_train is not None and train.size > cfg.max_train:
+        keep = np.sort(rng.choice(train.size, size=cfg.max_train, replace=False))
+        train = train[keep]
+    perturbed = int(rng.integers(1, train.size + 1))
+    replacement = int(held[int(rng.integers(0, held.size))])
     stream_seed = int(rng.integers(2**63))
-    return train, NeighborSpec(index=perturbed, replacement=replacement), stream_seed
-
-
-def run_repetition(
-    train: Dataset,
-    spec: NeighborSpec,
-    kind: str,
-    hp: HyperParams,
-    stream_seed: int,
-    stride: int,
-) -> np.ndarray:
-    """Distance series of one coupled run, sampled every `stride` steps."""
-    stream = SampleStream(stream_seed, train.n)
-    return coupled_distance_series(train, spec, kind, hp, np.zeros(train.dim), stream, stride)
+    return RepDraw(train, perturbed, replacement, stream_seed)
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
     started = time.perf_counter()
+    if cfg.repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {cfg.repetitions}")
     data = load_experiment_data(cfg)
     alpha = smoothness(data, cfg.loss).alpha
 
     # Pre-draw the per-repetition material once; it is shared by every grid
     # point so step/beta comparisons use common random numbers.
-    reps = [_rep_draws(cfg, data, r) for r in range(cfg.repetitions)]
-    n_train = reps[0][0].n
+    draws = [_rep_draws(cfg, data.n, r) for r in range(cfg.repetitions)]
+    n_train = draws[0].train_rows.size
     stride = cfg.stride if cfg.stride is not None else n_train
     iterations = cfg.epochs * n_train
+    grid = [
+        (beta, step, variant_params(cfg.variant, step, beta, iterations))
+        for beta in cfg.betas
+        for step in cfg.steps
+    ]
+    batch = coupled_distance_batch(
+        padded_rows(data.examples, data.dim),
+        np.stack([d.train_rows for d in draws]),
+        [d.perturbed for d in draws],
+        [d.replacement for d in draws],
+        [SampleStream(d.stream_seed, n_train) for d in draws],
+        cfg.loss,
+        [hp for _, _, hp in grid],
+        np.zeros(data.dim),
+        stride,
+    )
 
     points: list[GridPointResult] = []
-    for beta in cfg.betas:
-        for step in cfg.steps:
-            hp = variant_params(cfg.variant, step, beta, iterations)
-            series = []
-            censored = 0
-            for train, spec, stream_seed in reps:
-                try:
-                    series.append(
-                        run_repetition(train, spec, cfg.loss, hp, stream_seed, stride)
-                    )
-                except DivergenceError:
-                    censored += 1
-            if series:
-                means, stds = aggregate(series)
-            else:
-                length = iterations // stride
-                means = np.full(length, np.nan)
-                stds = np.full(length, np.nan)
-            points.append(
-                GridPointResult(
-                    beta=beta,
-                    step=step,
-                    gamma=hp.gamma,
-                    eta=hp.eta,
-                    means=means,
-                    stds=stds,
-                    censored=censored,
-                    stab_condition=check_stab_condition(hp, alpha),
-                    opt_condition=check_opt_condition(hp, alpha),
-                )
+    for g, (beta, step, hp) in enumerate(grid):
+        done = batch.diverged_step[:, g] == 0
+        series = list(batch.distances[done, g])
+        if series:
+            means, stds = aggregate(series)
+        else:
+            length = iterations // stride
+            means = np.full(length, np.nan)
+            stds = np.full(length, np.nan)
+        points.append(
+            GridPointResult(
+                beta=beta,
+                step=step,
+                gamma=hp.gamma,
+                eta=hp.eta,
+                means=means,
+                stds=stds,
+                censored=int((~done).sum()),
+                stab_condition=check_stab_condition(hp, alpha),
+                opt_condition=check_opt_condition(hp, alpha),
+                censored_reps=tuple(
+                    {
+                        "rep": int(r),
+                        "step": int(batch.diverged_step[r, g]),
+                        "which": str(batch.diverged_which[r, g]),
+                    }
+                    for r in np.flatnonzero(~done)
+                ),
             )
+        )
     return StabilityResult(
         points=points,
         config=cfg,
@@ -240,6 +256,7 @@ def save_stability_result(result: StabilityResult, outdir, extra: dict | None = 
                 "gamma": point.gamma,
                 "eta": point.eta,
                 "censored": point.censored,
+                "censored_reps": list(point.censored_reps),
                 "stab_condition": point.stab_condition.to_dict(),
                 "opt_condition": point.opt_condition.to_dict(),
             }

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Dataset, NeighborSpec, make_neighbor
+from .dataset import Dataset, Example, NeighborSpec, make_neighbor
 from .losses import empirical_risk_many, loss_grad
 
 TRAJ_MAGIC = b"SGDMTRAJ"
@@ -146,6 +148,16 @@ class SampleStream:
         """Indices i_1..i_count as an int64 array."""
         self._ensure(count)
         return self._cache[:count].copy()
+
+    def chunks(self, count: int, size: int) -> Iterator[np.ndarray]:
+        """Indices i_1..i_count as consecutive int64 blocks of at most `size`.
+
+        The blocks concatenate to prefix(count) exactly, but only one of them
+        is held at a time: the generator's draws continue across blocks.
+        """
+        rng = np.random.default_rng(self.seed)
+        for start in range(0, count, size):
+            yield rng.integers(1, self.n + 1, size=min(size, count - start), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -319,6 +331,245 @@ def coupled_run(
     )
 
 
+# Index-stream steps each repetition draws at a time in the batched kernel, so
+# its memory does not grow with the number of iterations.
+STREAM_CHUNK = 1024
+# Examples copied into the padded row table at a time.
+TABLE_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class PaddedRows:
+    """Examples as fixed-width rows for the batched kernel.
+
+    Row r holds the 0-based feature indices and the values of example r in
+    its first nnz[r] slots.  The other slots point at column `dim`, the zero
+    padding column of the kernel's state, with value 0.  The extra last row,
+    `blank`, is all padding, so a step on it leaves the state unchanged.
+    """
+
+    indices: np.ndarray  # (n + 1, width) intp
+    values: np.ndarray  # (n + 1, width) float64
+    labels: np.ndarray  # (n + 1,)
+    nnz: np.ndarray  # (n + 1,)
+    dim: int
+
+    @property
+    def blank(self) -> int:
+        return self.labels.shape[0] - 1
+
+    def features(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unpadded (idx0, values) of one row."""
+        k = self.nnz[row]
+        return self.indices[row, :k], self.values[row, :k]
+
+
+def padded_rows(examples: Sequence[Example], dim: int) -> PaddedRows:
+    """Padded row table of `examples`, filled straight from their features."""
+    n = len(examples)
+    nnz = np.zeros(n + 1, dtype=np.intp)
+    nnz[:n] = [len(ex.features.indices) for ex in examples]
+    width = max(int(nnz.max()), 1)
+    indices = np.full((n + 1, width), dim, dtype=np.intp)
+    values = np.zeros((n + 1, width))
+    # a block of rows at a time, so the flat feature lists stay small
+    for lo in range(0, n, TABLE_BLOCK):
+        part = examples[lo : lo + TABLE_BLOCK]
+        counts = nnz[lo : lo + len(part)]
+        total = int(counts.sum())
+        flat = np.fromiter(chain.from_iterable(ex.features.indices for ex in part), np.intp, total)
+        if total and flat.max() > dim:
+            raise ValueError(f"feature index {int(flat.max())} exceeds dim {dim}")
+        filled = np.arange(width) < counts[:, None]
+        flat -= 1
+        indices[lo : lo + len(part)][filled] = flat
+        values[lo : lo + len(part)][filled] = np.fromiter(
+            chain.from_iterable(ex.features.values for ex in part), np.float64, total
+        )
+    labels = np.zeros(n + 1)
+    labels[:n] = [ex.label for ex in examples]
+    return PaddedRows(indices=indices, values=values, labels=labels, nnz=nnz, dim=dim)
+
+
+@dataclass(frozen=True)
+class CoupledBatch:
+    """Distance series of R repetitions x G grid points of coupled runs.
+
+    distances[r, g, j] is ||w_t - w'_t|| after t = (j+1)*stride steps, NaN
+    for a censored pair.  diverged_step[r, g] is the step at which the pair
+    hit a non-finite value (0 when it ran to the end), and diverged_which
+    names the side that did: "base", "neighbor" or "both" ("" when none).
+    """
+
+    distances: np.ndarray
+    diverged_step: np.ndarray
+    diverged_which: np.ndarray
+
+
+def coupled_distance_batch(
+    rows: PaddedRows,
+    train_rows: np.ndarray,
+    perturbed: Sequence[int],
+    replacements: Sequence[int],
+    streams: Sequence[SampleStream],
+    kind: str,
+    points: Sequence[HyperParams],
+    w1: np.ndarray,
+    stride: int,
+) -> CoupledBatch:
+    """Coupled distance series of every (repetition, grid point) pair at once.
+
+    Repetition r trains on the table rows train_rows[r] (shape (R, n)) in the
+    order of its own index stream streams[r] over 1..n; its neighbor replaces
+    the train row at 1-based position perturbed[r] by table row
+    replacements[r].  Every grid point replays the repetition's draws.
+
+    All P = R*G pairs advance together on a stacked (P, dim+1, 2) state whose
+    last axis is (base, neighbor) and whose column `dim` stays zero.  Each
+    step repeats the arithmetic of a lone pair operation for operation, so a
+    pair's series does not depend on what it is batched with.  A pair that
+    hits a non-finite margin, iterate or distance is censored and dropped.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if kind not in ("logistic", "squared"):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    train_rows = np.asarray(train_rows, dtype=np.intp)
+    perturbed = np.asarray(perturbed, dtype=np.int64)
+    replacements = np.asarray(replacements, dtype=np.intp)
+    R, n = train_rows.shape
+    G = len(points)
+    if R < 1 or G < 1:
+        raise ValueError(f"need at least one repetition and grid point, got {R} and {G}")
+    if len(streams) != R or perturbed.shape != (R,) or replacements.shape != (R,):
+        raise ValueError("need one stream, perturbed index and replacement per repetition")
+    if any(s.n != n for s in streams):
+        raise ValueError(f"every stream must cover 1..{n}")
+    if ((perturbed < 1) | (perturbed > n)).any():
+        raise ValueError(f"neighbor index out of range 1..{n}")
+    T = points[0].iterations
+    if any(hp.iterations != T for hp in points):
+        raise ValueError("grid points must share the number of iterations")
+    dim = rows.dim
+    w1 = np.asarray(w1, dtype=np.float64)
+    if w1.shape != (dim,):
+        raise ValueError(f"w1 must have shape ({dim},), got {w1.shape}")
+
+    betas = np.array([hp.beta for hp in points])
+    etas = np.array([hp.eta for hp in points])
+    gammas = np.array([hp.gamma for hp in points])
+
+    def per_pair(pair):
+        g = pair % G
+        zero_beta = betas[g] == 0.0
+        return (
+            pair // G, np.arange(pair.size)[:, None], betas[g][:, None, None],
+            zero_beta if zero_beta.any() else None, etas[g][:, None, None], gammas[g][:, None],
+        )
+
+    # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
+    pair = np.arange(R * G)
+    rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+    L = T // stride
+    distances = np.full((R * G, L), np.nan)
+    diverged_step = np.zeros(R * G, dtype=np.int64)
+    diverged_which = np.full(R * G, "", dtype="<U8")
+    W = np.zeros((R * G, dim + 1, 2))
+    W[:, :dim] = w1[:, None]
+    M = np.zeros_like(W)
+    neg_labels = -rows.labels
+    logistic = kind == "logistic"
+    any_gamma = bool(gammas.any())
+    k = pos = 0
+    # overflow is expected on divergent runs; the margin and distance checks
+    # turn it into censoring instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in zip(*(s.chunks(T, STREAM_CHUNK) for s in streams)):
+            block = np.stack(block)
+            base_rows = np.take_along_axis(train_rows, block - 1, axis=1)
+            hit = block == perturbed[:, None]
+            # a pair on its perturbed index takes that step outside the
+            # batched update, which sees the blank row for it instead
+            live_rows = np.where(hit, rows.blank, base_rows)[rep].T.copy()
+            for j, hit_step in enumerate(hit.any(axis=0).tolist()):
+                r = live_rows[j]
+                ix = rows.indices[r]
+                vx = rows.values[r][:, :, None]
+                margins = np.matmul(W[at, ix].transpose(0, 2, 1), vx)[:, :, 0]
+                finite = np.isfinite(margins)
+                bad = None if finite.all() else ~finite  # (P, 2) non-finite sides
+                if logistic:
+                    ny = neg_labels[r][:, None]
+                    scales = ny * expit(ny * margins)
+                else:
+                    scales = margins - rows.labels[r][:, None]
+                M *= beta
+                if zero_beta is not None:
+                    M[zero_beta] = 0.0
+                M[at, ix] += scales[:, None, :] * vx
+                if hit_step:
+                    for a in np.flatnonzero(hit[rep, j]):
+                        sides = (base_rows[rep[a], j], replacements[rep[a]])
+                        feats = [rows.features(row) for row in sides]
+                        mrows = [
+                            float(W[a, jx, side] @ jv) if jx.size else 0.0
+                            for side, (jx, jv) in enumerate(feats)
+                        ]
+                        if not all(map(math.isfinite, mrows)):
+                            if bad is None:
+                                bad = np.zeros_like(finite)
+                            bad[a] = [not math.isfinite(m) for m in mrows]
+                            continue
+                        g_a = float(gammas[pair[a] % G])
+                        for side, (row, (jx, jv), mrow) in enumerate(zip(sides, feats, mrows)):
+                            jy = float(rows.labels[row])
+                            if logistic:
+                                sc = -jy * float(expit(-jy * mrow))
+                            else:
+                                sc = mrow - jy
+                            M[a, jx, side] += sc * jv
+                            if g_a:
+                                W[a, jx, side] -= g_a * sc * jv
+                W -= eta * M
+                if any_gamma:
+                    W[at, ix] -= (gamma * scales)[:, None, :] * vx
+                k += 1
+                if k % stride == 0:
+                    diff = W[:, :dim, 0] - W[:, :dim, 1]
+                    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+                    distances[pair, pos] = dist
+                    pos += 1
+                    # a non-finite distance with finite sides is a gap that
+                    # left float range; it counts against both
+                    side_bad = ~np.isfinite(W).all(axis=1)
+                    side_bad[~np.isfinite(dist) & ~side_bad.any(axis=1)] = True
+                    if side_bad.any():
+                        if bad is None:
+                            bad = side_bad
+                        else:
+                            fresh = ~bad.any(axis=1)
+                            bad[fresh] = side_bad[fresh]
+                if bad is not None:
+                    dead = bad.any(axis=1)
+                    diverged_step[pair[dead]] = k
+                    diverged_which[pair[dead]] = np.where(
+                        bad[dead].all(axis=1), "both", np.where(bad[dead, 0], "base", "neighbor")
+                    )
+                    keep = ~dead
+                    pair, W, M, live_rows = pair[keep], W[keep], M[keep], live_rows[:, keep]
+                    if not pair.size:
+                        break
+                    rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+            if not pair.size:
+                break
+    distances[diverged_step > 0] = np.nan
+    return CoupledBatch(
+        distances=distances.reshape(R, G, L),
+        diverged_step=diverged_step.reshape(R, G),
+        diverged_which=diverged_which.reshape(R, G),
+    )
+
+
 def coupled_distance_series(
     d: Dataset,
     spec: NeighborSpec,
@@ -332,79 +583,24 @@ def coupled_distance_series(
     full trajectories.
 
     Entry j is the distance after (j+1)*stride steps; the series has
-    floor(T / stride) entries.  Both runs advance in lockstep on a stacked
-    (2, dim) state, sharing the index stream.
+    floor(T / stride) entries.  This is the one-pair case of
+    `coupled_distance_batch`; a censored pair raises DivergenceError.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if stream.n != d.n:
-        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
-    if kind not in ("logistic", "squared"):
-        raise ValueError(f"unknown loss kind {kind!r}")
-    w1 = np.asarray(w1, dtype=np.float64)
-    T = hp.iterations
-    idx = stream.prefix(T)
-    rows = d.rows
-    repl = spec.replacement
-    repl_row = (repl.features.idx0, repl.features.vals, repl.label)
-    if not 1 <= spec.index <= d.n:
-        raise ValueError(f"neighbor index {spec.index} out of range 1..{d.n}")
-
-    W = np.tile(w1, (2, 1))
-    M = np.zeros((2, d.dim))
-    beta, gamma, eta = hp.beta, hp.gamma, hp.eta
-    logistic = kind == "logistic"
-    out = np.empty(T // stride)
-    pos = 0
-    # overflow is expected on divergent runs; the margin and distance checks
-    # below turn it into DivergenceError instead of a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            i = idx[k]
-            ix, vx, y = rows[i - 1]
-            if i != spec.index:
-                sub = W[:, ix]
-                margins = sub @ vx
-                if not np.isfinite(margins).all():
-                    raise DivergenceError(k + 1)
-                if logistic:
-                    scales = -y * expit(-y * margins)
-                else:
-                    scales = margins - y
-                if beta:
-                    M *= beta
-                else:
-                    M[:] = 0.0
-                M[:, ix] += scales[:, None] * vx
-                W -= eta * M
-                if gamma:
-                    W[:, ix] -= (gamma * scales)[:, None] * vx
-            else:
-                if beta:
-                    M *= beta
-                else:
-                    M[:] = 0.0
-                for row, (jx, jv, jy) in ((0, rows[i - 1]), (1, repl_row)):
-                    mrow = float(W[row, jx] @ jv) if jx.size else 0.0
-                    if not np.isfinite(mrow):
-                        raise DivergenceError(k + 1, "base" if row == 0 else "neighbor")
-                    if logistic:
-                        s = -jy * float(expit(-jy * mrow))
-                    else:
-                        s = mrow - jy
-                    M[row, jx] += s * jv
-                    if gamma:
-                        W[row, jx] -= gamma * s * jv
-                W -= eta * M
-            if (k + 1) % stride == 0:
-                dist = float(np.linalg.norm(W[0] - W[1]))
-                # a non-finite value here means an iterate blew up or the
-                # squared gap left float range; either way the run diverged
-                if not math.isfinite(dist) or not np.isfinite(W).all():
-                    raise DivergenceError(k + 1)
-                out[pos] = dist
-                pos += 1
-    return out
+    batch = coupled_distance_batch(
+        padded_rows(d.examples + (spec.replacement,), d.dim),
+        np.arange(d.n)[None, :],
+        [spec.index],
+        [d.n],
+        [stream],
+        kind,
+        [hp],
+        w1,
+        stride,
+    )
+    step = int(batch.diverged_step[0, 0])
+    if step:
+        raise DivergenceError(step, str(batch.diverged_which[0, 0]))
+    return batch.distances[0, 0]
 
 
 def write_trajectory_csv(traj: Trajectory, path, distances: np.ndarray | None = None) -> None:

@@ -182,6 +182,43 @@ class TestCheckBounds:
         assert not (out / "bound_check.json").exists()
 
 
+class TestNumericConfigErrors:
+    """Out-of-range numbers exit 2 with a one-line message, before any work."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "reps=0",
+            "epochs=0",
+            "stride=-1",
+            "max_train=-5",
+            "steps=-0.1",
+            "betas=1.0",
+            "seed=-1",
+            "fraction=1.0",
+        ],
+        ids=lambda item: item.split("=")[0],
+    )
+    def test_run_stability(self, bad, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run-stability", "--overrides", *RUN_OVERRIDES, bad, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key {bad.split('=')[0]!r}:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad", ["samples=0", "t=0", "step=0"], ids=lambda item: item.split("=")[0]
+    )
+    def test_check_bounds(self, bad, tmp_path, capsys):
+        out = tmp_path / "bc"
+        assert main(["check-bounds", "--overrides", *TestCheckBounds.BASE, bad, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key {bad.split('=')[0]!r}:")
+        assert err.count("\n") == 1
+        assert not (out / "bound_check.json").exists()
+
+
 class TestVerifyInvariants:
     def test_clean_pass(self, tmp_path, capsys):
         out = tmp_path / "inv"

@@ -5,21 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_stability.dataset import NeighborSpec, parse_libsvm, synthetic_binary_dataset
+from sgdm_stability.dataset import Dataset, NeighborSpec, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ExperimentConfig,
+    _rep_draws,
     PreconditionError,
     aggregate,
     grid_point_filename,
     load_experiment_data,
     run_bound_check,
-    run_repetition,
     run_stability_experiment,
     save_stability_result,
     variant_params,
 )
 from sgdm_stability.losses import smoothness
-from sgdm_stability.optimizer import SampleStream, hb_params
+from sgdm_stability.optimizer import (
+    DivergenceError,
+    SampleStream,
+    coupled_distance_batch,
+    coupled_distance_series,
+    hb_params,
+    padded_rows,
+)
 from sgdm_stability.theory import max_eta_hb
 
 
@@ -77,7 +84,26 @@ class TestLoadExperimentData:
         assert sorted(set(e.label for e in data.examples)) == [-1.0, 1.0]
 
 
+def run_repetition(train, spec, kind, hp, stream_seed, stride):
+    """Distance series of one repetition at one grid point, from a batched call."""
+    batch = coupled_distance_batch(
+        padded_rows(train.examples + (spec.replacement,), train.dim),
+        np.arange(train.n)[None, :],
+        [spec.index],
+        [train.n],
+        [SampleStream(stream_seed, train.n)],
+        kind,
+        [hp],
+        np.zeros(train.dim),
+        stride,
+    )
+    assert batch.diverged_step[0, 0] == 0
+    return batch.distances[0, 0]
+
+
 class TestRunRepetition:
+    """One repetition of the coupled protocol, run through the batched kernel."""
+
     def test_identity_replacement_gives_zero_series(self):
         train = synthetic_binary_dataset(20, 4, seed=0)
         spec = NeighborSpec(index=7, replacement=train.examples[6])
@@ -149,6 +175,42 @@ class TestStabilityExperiment:
         assert np.all(np.isnan(point.means))
         assert not point.stab_condition.satisfied
 
+    def test_partial_censoring_matches_per_pair_calls(self):
+        # squared loss: step 10 at beta 0.5 loses some repetitions, larger
+        # steps lose all of them, small ones none
+        cfg = tiny_config(
+            loss="squared", steps=(0.05, 10.0, 20.0), betas=(0.0, 0.5), repetitions=4,
+            epochs=10, stride=8,
+        )
+        result = run_stability_experiment(cfg)
+        counts = [p.censored for p in result.points]
+        assert 0 in counts and cfg.repetitions in counts
+        assert any(0 < c < cfg.repetitions for c in counts)
+
+        data = load_experiment_data(cfg)
+        draws = [_rep_draws(cfg, data.n, r) for r in range(cfg.repetitions)]
+        for point in result.points:
+            hp = variant_params(cfg.variant, point.step, point.beta, cfg.epochs * result.n_train)
+            expected, series = [], []
+            for r, d in enumerate(draws):
+                train = Dataset(tuple(data.examples[i] for i in d.train_rows), data.dim)
+                spec = NeighborSpec(d.perturbed, data.examples[d.replacement])
+                stream = SampleStream(d.stream_seed, train.n)
+                try:
+                    series.append(
+                        coupled_distance_series(
+                            train, spec, cfg.loss, hp, np.zeros(data.dim), stream, result.stride
+                        )
+                    )
+                except DivergenceError as e:
+                    expected.append({"rep": r, "step": e.step, "which": e.which})
+            assert point.censored == len(expected)
+            assert list(point.censored_reps) == expected
+            if series:
+                means, stds = aggregate(series)
+                np.testing.assert_allclose(point.means, means, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(point.stds, stds, rtol=1e-9, atol=1e-12)
+
     def test_max_train_caps_split(self):
         result = run_stability_experiment(tiny_config(max_train=10))
         assert result.n_train == 10
@@ -188,6 +250,26 @@ class TestSaveResult:
         assert entry["csv"] == name
         assert "stab_condition" in entry and "opt_condition" in entry
         assert entry["stab_condition"]["satisfied"] is True
+
+    def test_manifest_records_censored_reps(self, tmp_path):
+        cfg = tiny_config(loss="squared", steps=(0.05, 10.0), betas=(0.5,), repetitions=4, epochs=10, stride=8)
+        result = run_stability_experiment(cfg)
+        manifest = save_stability_result(result, tmp_path)
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk == json.loads(json.dumps(manifest))
+        calm, wild = on_disk["grid"]
+        assert calm["censored"] == 0 and calm["censored_reps"] == []
+        assert 0 < wild["censored"] < 4
+        assert len(wild["censored_reps"]) == wild["censored"]
+        for record in wild["censored_reps"]:
+            assert set(record) == {"rep", "step", "which"}
+            assert 0 <= record["rep"] < 4
+            assert 1 <= record["step"] <= cfg.epochs * result.n_train
+            assert record["which"] in ("base", "neighbor", "both")
+        with open(tmp_path / wild["csv"]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["epoch", "mean_dist", "std_dist", "censored_count"]
+        assert rows[0]["censored_count"] == str(wild["censored"])
 
     def test_nan_means_serialize_for_censored_grid(self, tmp_path):
         cfg = tiny_config(loss="squared", steps=(1e12,), betas=(0.9,), repetitions=2)

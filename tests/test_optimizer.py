@@ -1,8 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sgdm_stability.dataset import Example, NeighborSpec, SparseVector, parse_libsvm, synthetic_binary_dataset
-from sgdm_stability.losses import empirical_risk, loss_grad
+from sgdm_stability import optimizer
+from sgdm_stability.dataset import (
+    Dataset,
+    Example,
+    NeighborSpec,
+    SparseVector,
+    parse_libsvm,
+    synthetic_binary_dataset,
+)
+from sgdm_stability.losses import empirical_risk, loss_grad, smoothness
+from sgdm_stability.theory import check_stab_condition
 from sgdm_stability.optimizer import (
     DivergenceError,
     HyperParams,
@@ -11,12 +24,14 @@ from sgdm_stability.optimizer import (
     SgdmState,
     Trajectory,
     average_iterate,
+    coupled_distance_batch,
     coupled_distance_series,
     coupled_run,
     hb_params,
     lookahead_step,
     momentum_buffers,
     nesterov_params,
+    padded_rows,
     read_iterates_bin,
     replay_matches,
     run,
@@ -187,6 +202,13 @@ class TestSampleStream:
         with pytest.raises(ValueError):
             SampleStream(0, 5).index(0)
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 2**31 + 11])
+    @pytest.mark.parametrize("size", [1, 3, 1000, 5000])
+    def test_chunks_concatenate_to_prefix(self, n, size):
+        blocks = list(SampleStream(9, n).chunks(4321, size))
+        assert all(0 < b.shape[0] <= size for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), SampleStream(9, n).prefix(4321))
+
 
 class TestRun:
     def test_single_step_shapes(self):
@@ -326,6 +348,183 @@ class TestCoupledDistanceSeries:
         hits = np.flatnonzero(idx == 9)
         assert hits.size > 0
         assert np.all(series[: hits[0]] == 0.0)
+
+
+def _rep_dataset(examples, dim, train_rows):
+    return Dataset(tuple(examples[i] for i in train_rows), dim)
+
+
+class TestCoupledBatch:
+    """One batched call against per-pair references, every (rep, point)."""
+
+    DIM = 6
+    N_TRAIN = 24
+    T = 96
+
+    def _setup(self):
+        data = synthetic_binary_dataset(30, self.DIM, seed=21)
+        pool = synthetic_binary_dataset(8, self.DIM, seed=22)
+        examples = data.examples + pool.examples
+        nnz = [len(ex.features.indices) for ex in examples]
+        assert len(set(nnz)) > 2, "rows should have unequal nnz"
+        rng = np.random.default_rng(5)
+        train_rows = np.stack([np.sort(rng.choice(30, self.N_TRAIN, replace=False)) for _ in range(3)])
+        perturbed = np.array([4, 11, 20])
+        # each replacement comes from the pool and differs in nnz from the
+        # train row it replaces
+        replacements = []
+        for r, pos in enumerate(perturbed):
+            replaced = nnz[train_rows[r, pos - 1]]
+            replacements.append(next(30 + i for i in range(8) if nnz[30 + i] != replaced))
+        seeds = [3, 4, 5]
+        return examples, train_rows, perturbed, np.array(replacements), seeds
+
+    def _grid(self):
+        T = self.T
+        return [
+            HyperParams(beta=0.0, gamma=0.0, eta=0.05, iterations=T),
+            hb_params(0.04, 0.9, T),
+            nesterov_params(0.05, 0.5, T),
+            HyperParams(beta=0.5, gamma=0.03, eta=0.03, iterations=T),
+        ]
+
+    def _batch(self, kind, points, stride, w1):
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
+        batch = coupled_distance_batch(
+            padded_rows(examples, self.DIM), train_rows, perturbed, replacements,
+            streams, kind, points, w1, stride,
+        )
+        return batch, (examples, train_rows, perturbed, replacements, seeds)
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_every_pair_matches_coupled_run(self, kind, monkeypatch):
+        # small stream chunks put perturbed hits and strides across chunk ends
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 7)
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        points = self._grid()
+        stride = 3
+        batch, (examples, train_rows, perturbed, replacements, seeds) = self._batch(
+            kind, points, stride, w1
+        )
+        assert batch.distances.shape == (3, 4, self.T // stride)
+        assert not batch.diverged_step.any()
+        for r in range(3):
+            train = _rep_dataset(examples, self.DIM, train_rows[r])
+            spec = NeighborSpec(int(perturbed[r]), examples[replacements[r]])
+            for g, hp in enumerate(points):
+                trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+                np.testing.assert_allclose(
+                    batch.distances[r, g], trace.distances[stride::stride], rtol=1e-9, atol=1e-12
+                )
+            assert batch.distances[r, :, -1].min() > 0.0, "perturbed index never sampled"
+
+    def test_pair_does_not_depend_on_its_batch(self):
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        points = self._grid()
+        batch, (examples, train_rows, perturbed, replacements, seeds) = self._batch(
+            "logistic", points, 1, w1
+        )
+        rows = padded_rows(examples, self.DIM)
+        for r in range(3):
+            for g, hp in enumerate(points):
+                alone = coupled_distance_batch(
+                    rows, train_rows[r : r + 1], perturbed[r : r + 1], replacements[r : r + 1],
+                    [SampleStream(seeds[r], self.N_TRAIN)], "logistic", [hp], w1, 1,
+                )
+                np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
+
+    def test_neighbor_divergence_is_labeled(self):
+        # the enormous replacement feature blows up only the neighbor run
+        data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
+        repl = Example(SparseVector((1,), (1e155,), 1), 1.0)
+        rows = padded_rows(data.examples + (repl,), 1)
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
+        batch = coupled_distance_batch(
+            rows, np.array([[0, 1, 2]]), [1], [3], [SampleStream(0, 3)], "squared", [hp],
+            np.zeros(1), 10,
+        )
+        assert batch.diverged_step[0, 0] > 0
+        assert batch.diverged_which[0, 0] == "neighbor"
+        assert np.isnan(batch.distances[0, 0]).all()
+
+    def test_rejects_mismatched_inputs(self):
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        rows = padded_rows(examples, self.DIM)
+        streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
+        hp = hb_params(0.01, 0.5, 10)
+        w1 = np.zeros(self.DIM)
+        with pytest.raises(ValueError, match="out of range"):
+            coupled_distance_batch(rows, train_rows, [0, 1, 1], replacements, streams, "logistic", [hp], w1, 1)
+        with pytest.raises(ValueError, match="iterations"):
+            coupled_distance_batch(
+                rows, train_rows, perturbed, replacements, streams, "logistic",
+                [hp, hb_params(0.01, 0.5, 11)], w1, 1,
+            )
+        with pytest.raises(ValueError, match="stream"):
+            coupled_distance_batch(rows, train_rows, perturbed, replacements, streams[:2], "logistic", [hp], w1, 1)
+        with pytest.raises(ValueError, match="repetition"):
+            coupled_distance_batch(rows, train_rows, perturbed, replacements, streams, "logistic", [], w1, 1)
+
+    def test_memory_does_not_grow_with_iterations(self, monkeypatch):
+        # index draws come STREAM_CHUNK steps per repetition at a time, so the
+        # kernel's peak is the same at one and twenty times the horizon, and
+        # far below a single (reps, T) index array of the longer run
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
+        data = synthetic_binary_dataset(400, 5, seed=0)
+        rows = padded_rows(data.examples, 5)
+        rng = np.random.default_rng(1)
+        R, n = 10, 320
+        train_rows = np.stack([np.sort(rng.choice(400, n, replace=False)) for _ in range(R)])
+        peaks = {}
+        for epochs in (1, 20):
+            T = epochs * n
+            args = (
+                rows, train_rows, rng.integers(1, n + 1, R), rng.integers(0, 400, R),
+                [SampleStream(s, n) for s in range(R)], "logistic", [hb_params(0.01, 0.5, T)],
+                np.zeros(5), T // 4,
+            )
+            tracemalloc.start()
+            try:
+                batch = coupled_distance_batch(*args)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert batch.distances.shape == (R, 1, 4)
+        one_index_array = 8 * R * 20 * n
+        assert peaks[20] < one_index_array / 5
+        assert peaks[20] < 1.1 * peaks[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        beta=st.floats(0.0, 0.95),
+        share=st.floats(0.05, 1.0),
+        scale=st.floats(0.05, 1.0),
+        kind=st.sampled_from(["logistic", "squared"]),
+    )
+    def test_property_matches_coupled_run_within_stab_condition(self, beta, share, scale, kind):
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        train0 = _rep_dataset(examples, self.DIM, train_rows[0])
+        alpha = smoothness(train0, kind).alpha
+        # split the condition's budget 1/alpha between the eta and gamma terms
+        a = (1 + beta) * (3 - beta) / (1 - beta) ** 2
+        b = (beta * beta + 3) / (2 * (1 - beta) ** 2)
+        hp = HyperParams(
+            beta=beta, gamma=scale * (1 - share) / (b * alpha), eta=scale * share / (a * alpha),
+            iterations=2 * self.N_TRAIN,
+        )
+        assume(check_stab_condition(hp, alpha).satisfied)
+        w1 = np.full(self.DIM, 0.1)
+        streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
+        batch = coupled_distance_batch(
+            padded_rows(examples, self.DIM), train_rows, perturbed, replacements, streams,
+            kind, [hp], w1, 1,
+        )
+        for r in range(3):
+            train = _rep_dataset(examples, self.DIM, train_rows[r])
+            spec = NeighborSpec(int(perturbed[r]), examples[replacements[r]])
+            trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+            np.testing.assert_allclose(batch.distances[r, 0], trace.distances[1:], rtol=1e-9, atol=1e-12)
 
 
 class TestAverageIterate:

@@ -3,10 +3,8 @@
 from .dataset import (
     DataError,
     Dataset,
-    Example,
     NeighborSpec,
     ParseError,
-    SparseVector,
     binarize,
     binarize_labels,
     load_libsvm,
@@ -14,6 +12,7 @@ from .dataset import (
     parse_libsvm,
     serialize_libsvm,
     split,
+    stack,
     synthetic_binary_dataset,
 )
 from .harness import (
@@ -42,6 +41,8 @@ from .optimizer import (
     SgdmState,
     Trajectory,
     average_iterate,
+    coupled_distance_batch,
+    coupled_distance_series,
     coupled_run,
     hb_params,
     lookahead_step,
@@ -60,11 +61,13 @@ from .theory import (
     epr_recipe,
     max_eta_hb,
     max_gamma_nesterov,
+    max_step,
     optimization_bound,
     stability_bound,
     verify_dist_identity,
     verify_m_recursion_bound,
     verify_y_identity,
 )
+from .verification import CheckOutcome, run_invariant_suite
 
 __version__ = "0.1.0"

@@ -16,10 +16,11 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import DataError, KNOWN_DATASET_SHAPES, ParseError, load_libsvm
+from .dataset import DataError, KNOWN_DATASET_SHAPES, ParseError, binarize, load_libsvm
 from .harness import (
     ExperimentConfig,
     PreconditionError,
@@ -33,7 +34,7 @@ from .losses import LOSS_KINDS, smoothness
 from .optimizer import DivergenceError
 from .dataset import split as split_dataset
 from .plotting import PlotError, PlotSpec, emit_plot
-from .theory import epr_recipe, max_eta_hb, max_gamma_nesterov
+from .theory import epr_recipe, max_step
 from .verification import run_invariant_suite
 
 OUTDIR_ENV = "SGDM_STABILITY_OUTDIR"
@@ -156,6 +157,8 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     epochs = _get_int(cfg, "epochs", 5)
     fraction = _get_float(cfg, "fraction", 0.8)
     seed = _get_int(cfg, "seed", 0)
+    synth_n = _get_int(cfg, "synth_n", 1000)
+    synth_dim = _get_int(cfg, "synth_dim", 20)
     _require("reps", reps, reps >= 1, ">= 1")
     _require("epochs", epochs, epochs >= 1, ">= 1")
     _require("stride", stride, stride >= 0, ">= 0 (0 means once per epoch)")
@@ -164,6 +167,8 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     _require("betas", cfg.get("betas"), betas and all(0 <= v < 1 for v in betas), "in [0, 1)")
     _require("seed", seed, seed >= 0, ">= 0")
     _require("fraction", fraction, 0 < fraction < 1, "in (0, 1)")
+    _require("synth_n", synth_n, synth_n >= 1, ">= 1")
+    _require("synth_dim", synth_dim, synth_dim >= 1, ">= 1")
     return ExperimentConfig(
         dataset=cfg["dataset"],
         loss=loss,
@@ -176,8 +181,8 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         seed=seed,
         stride=stride or None,
         outdir=str(_outdir(cfg)),
-        synth_n=_get_int(cfg, "synth_n", 1000),
-        synth_dim=_get_int(cfg, "synth_dim", 20),
+        synth_n=synth_n,
+        synth_dim=synth_dim,
         max_train=max_train or None,
     )
 
@@ -188,10 +193,7 @@ def _cmd_parse_data(cfg: dict) -> int:
     path = cfg["dataset"]
     dim_override = _get_int(cfg, "dim", 0) or None
     data = load_libsvm(path, dim=dim_override)
-    labels: dict[str, int] = {}
-    for ex in data.examples:
-        key = f"{ex.label:g}"
-        labels[key] = labels.get(key, 0) + 1
+    labels = dict(Counter(f"{y:g}" for y in data.labels.tolist()))
     meta = {"path": str(path), "n": data.n, "dim": data.dim, "labels": labels}
     name = Path(path).name
     if name in KNOWN_DATASET_SHAPES:
@@ -250,8 +252,7 @@ def _cmd_check_bounds(cfg: dict) -> int:
         else:
             frac = _get_float(cfg, "step_fraction", 0.5)
             _require("step_fraction", frac, 0 < frac < math.inf, "finite and > 0")
-            cap = max_eta_hb(beta, alpha) if variant == "hb" else max_gamma_nesterov(beta, alpha)
-            step = frac * cap
+            step = frac * max_step(variant, beta, alpha)
         hp = variant_params(variant, step, beta, t)
         bound_variant = variant
         if variant == "nesterov" and beta == 0.0:
@@ -279,6 +280,12 @@ def _cmd_check_bounds(cfg: dict) -> int:
 def _cmd_verify_invariants(cfg: dict) -> int:
     betas = _get_floats(cfg, "betas", (0.0, 0.5, 0.9, 0.99))
     steps = _get_int(cfg, "check_steps", 1000)
+    step_fraction = _get_float(cfg, "step_fraction", 0.5)
+    seed = _get_int(cfg, "seed", 3)
+    _require("betas", cfg.get("betas"), betas and all(0 <= v < 1 for v in betas), "in [0, 1)")
+    _require("check_steps", steps, steps >= 1, ">= 1")
+    _require("step_fraction", step_fraction, 0 < step_fraction < math.inf, "finite and > 0")
+    _require("seed", seed, seed >= 0, ">= 0")
     force_bug = cfg.get("force_bug", "")
     if force_bug not in ("", "y_identity"):
         raise ConfigError(f"force_bug must be empty or 'y_identity', got {force_bug!r}")
@@ -289,15 +296,13 @@ def _cmd_verify_invariants(cfg: dict) -> int:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {k!r}")
     data = None
     if cfg.get("dataset", "synthetic") != "synthetic":
-        from .dataset import binarize
-
         data = binarize(load_libsvm(cfg["dataset"]))
     outcomes = run_invariant_suite(
         betas=betas,
         kinds=kinds,
         steps=steps,
-        step_fraction=_get_float(cfg, "step_fraction", 0.5),
-        seed=_get_int(cfg, "seed", 3),
+        step_fraction=step_fraction,
+        seed=seed,
         data=data,
         force_bug=force_bug,
     )

@@ -1,8 +1,11 @@
 """Sparse datasets in LIBSVM format: parsing, label binarization, splits, neighbors.
 
-A dataset is an immutable tuple of examples.  Each example carries a sparse
-feature vector with 1-based indices and a real label.  Labels stay raw at
-parse time; `binarize` maps them onto {-1, +1} for binary classification.
+A dataset is one CSR record: `indptr`, 0-based feature `indices`, `values`,
+one real `labels` entry per row, and the feature count `dim`.  Every other
+module reads rows by position (`Dataset.row`), through the sparse matrix view
+(`Dataset.matrix`), or through the per-row summaries defined here, so this
+module is the only one that knows the layout.  Labels stay raw at parse time;
+`binarize` maps them onto {-1, +1} for binary classification.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, TextIO
 
@@ -44,139 +48,159 @@ KNOWN_DATASET_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse feature vector with strictly increasing 1-based indices."""
+# the CSR fields of a Dataset and their dtypes
+_ARRAYS = {"indptr": np.intp, "indices": np.intp, "values": np.float64, "labels": np.float64}
 
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+
+def _frozen(a, dtype) -> np.ndarray:
+    """Read-only 1-D view of `a` as `dtype`; copies only to convert."""
+    out = np.asarray(a, dtype=dtype).view()
+    if out.ndim != 1:
+        raise DataError(f"dataset arrays must be 1-D, got shape {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """n rows of sparse features with one real label each, in CSR form.
+
+    Row i holds the entries indptr[i]:indptr[i+1] of `indices` (0-based
+    feature numbers, strictly increasing, below `dim`) and of `values`
+    (finite).  The arrays are validated here, so every dataset obeys these
+    invariants whichever way it was made.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
     dim: int
 
     def __post_init__(self):
+        for name, dtype in _ARRAYS.items():
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        indptr, indices, values, labels = self.indptr, self.indices, self.values, self.labels
+        if labels.size < 1:
+            raise DataError("dataset must contain at least one example")
         if self.dim < 1:
             raise DataError(f"dim must be positive, got {self.dim}")
-        if len(self.indices) != len(self.values):
-            raise DataError("indices and values length mismatch")
-        prev = 0
-        for i in self.indices:
-            if i <= prev:
-                raise DataError(f"indices must be strictly increasing and >= 1, got {self.indices}")
-            prev = i
-        if prev > self.dim:
-            raise DataError(f"index {prev} exceeds dim {self.dim}")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DataError(f"non-finite feature value {v}")
+        nnz = indices.size
+        if (
+            indptr.size != labels.size + 1
+            or indptr[0] != 0
+            or indptr[-1] != nnz
+            or values.size != nnz
+            or (np.diff(indptr) < 0).any()
+        ):
+            raise DataError("indptr must rise from 0 to the entry count, one step per label")
+        if nnz:
+            if indices.min() < 0:
+                raise DataError("feature indices must be >= 1")
+            if indices.max() >= self.dim:
+                raise DataError(f"feature index {int(indices.max()) + 1} exceeds dim {self.dim}")
+            rising = np.diff(indices) > 0
+            starts = indptr[1:-1]
+            rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
+            if not rising.all():
+                raise DataError("feature indices must be strictly increasing within a row")
+            if not np.isfinite(values).all():
+                raise DataError("non-finite feature value")
+        if not np.isfinite(labels).all():
+            raise DataError("non-finite label")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.dim == other.dim and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
+        )
+
+    __hash__ = None
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[0]
 
     @cached_property
-    def idx0(self) -> np.ndarray:
-        """0-based index array for numpy work."""
-        return np.asarray(self.indices, dtype=np.intp) - 1
+    def nnz(self) -> np.ndarray:
+        """Stored entries of every row."""
+        return np.diff(self.indptr)
 
     @cached_property
-    def vals(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+    def norm_sq(self) -> np.ndarray:
+        """Squared Euclidean norm of every row."""
+        rows = np.repeat(np.arange(self.n), self.nnz)
+        return np.bincount(rows, weights=self.values * self.values, minlength=self.n)
 
     @cached_property
-    def norm_sq(self) -> float:
-        return float(np.dot(self.vals, self.vals))
+    def matrix(self) -> sp.csr_matrix:
+        """The rows as a scipy CSR matrix of shape (n, dim), sharing `values`
+        (scipy keeps its own int32 copy of the index arrays when they fit)."""
+        return sp.csr_matrix(
+            (self.values, self.indices, self.indptr), shape=(self.n, self.dim), copy=False
+        )
+
+    @cached_property
+    def _row_bounds(self) -> tuple[list[int], list[float]]:
+        # plain lists: slicing with Python ints keeps per-step row access cheap
+        return self.indptr.tolist(), self.labels.tolist()
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """0-based feature indices, values and label of row i (0-based)."""
+        bounds, labels = self._row_bounds
+        lo, hi = bounds[i], bounds[i + 1]
+        return self.indices[lo:hi], self.values[lo:hi], labels[i]
+
+    def take(self, positions) -> Dataset:
+        """The rows at 0-based `positions`, in that order."""
+        positions = np.asarray(positions, dtype=np.intp)
+        if positions.size and (positions.min() < 0 or positions.max() >= self.n):
+            raise DataError(f"row positions must be in 0..{self.n - 1}")
+        counts = self.nnz[positions]
+        indptr = np.zeros(positions.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(self.indptr[positions] - indptr[:-1], counts)
+        return Dataset(
+            indptr, self.indices[entries], self.values[entries], self.labels[positions], self.dim
+        )
+
+    def padded(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, width) tables of every row's indices and values: the row's
+        entries first, then index `dim` with value 0."""
+        filled = np.arange(width) < self.nnz[:, None]
+        indices = np.full((self.n, width), self.dim, dtype=np.intp)
+        values = np.zeros((self.n, width))
+        indices[filled] = self.indices
+        values[filled] = self.values
+        return indices, values
 
 
-@dataclass(frozen=True)
-class Example:
-    features: SparseVector
-    label: float
+def stack(parts: Sequence[Dataset], dim: int) -> Dataset:
+    """The rows of every part, in order, as one dataset with `dim` features."""
+    ends = np.cumsum([p.indptr[-1] for p in parts])
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.intp)] + [p.indptr[1:] + end - p.indptr[-1] for p, end in zip(parts, ends)]
+    )
+    return Dataset(
+        indptr,
+        np.concatenate([p.indices for p in parts]),
+        np.concatenate([p.values for p in parts]),
+        np.concatenate([p.labels for p in parts]),
+        dim,
+    )
 
 
 @dataclass(frozen=True)
 class NeighborSpec:
-    """Replace the example at 1-based position `index` with `replacement`."""
+    """Replace the row at 1-based position `index` by row `row` (0-based) of `pool`."""
 
     index: int
-    replacement: Example
-
-
-@dataclass(frozen=True)
-class Dataset:
-    examples: tuple[Example, ...]
-    dim: int
-
-    def __post_init__(self):
-        if len(self.examples) < 1:
-            raise DataError("dataset must contain at least one example")
-        if self.dim < 1:
-            raise DataError(f"dim must be positive, got {self.dim}")
-        for ex in self.examples:
-            if ex.features.indices and ex.features.indices[-1] > self.dim:
-                raise DataError(
-                    f"feature index {ex.features.indices[-1]} exceeds dataset dim {self.dim}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.examples)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.asarray([ex.label for ex in self.examples], dtype=np.float64)
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """CSR feature matrix of shape (n, dim)."""
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        for row, ex in enumerate(self.examples):
-            indptr[row + 1] = indptr[row] + len(ex.features.indices)
-        indices = np.empty(indptr[-1], dtype=np.intp)
-        data = np.empty(indptr[-1], dtype=np.float64)
-        for row, ex in enumerate(self.examples):
-            lo, hi = indptr[row], indptr[row + 1]
-            indices[lo:hi] = ex.features.idx0
-            data[lo:hi] = ex.features.vals
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.dim))
-
-    @cached_property
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        """Per-example (idx0, values, label) triples for fast row access."""
-        return [(ex.features.idx0, ex.features.vals, ex.label) for ex in self.examples]
+    pool: Dataset
+    row: int
 
 
 _FEATURE_RE = re.compile(r"^(-?\d+):(\S+)$")
-
-
-def _parse_line(line_no: int, line: str) -> Example | None:
-    body = line.split("#", 1)[0].strip()
-    if not body:
-        return None
-    tokens = body.split()
-    try:
-        label = float(tokens[0])
-    except ValueError:
-        raise ParseError(line_no, f"malformed label {tokens[0]!r}") from None
-    if not math.isfinite(label):
-        raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
-    indices: list[int] = []
-    values: list[float] = []
-    prev = 0
-    for tok in tokens[1:]:
-        m = _FEATURE_RE.match(tok)
-        if m is None:
-            raise ParseError(line_no, f"malformed feature token {tok!r}")
-        idx = int(m.group(1))
-        if idx < 1:
-            raise ParseError(line_no, f"feature index must be >= 1, got {idx}")
-        if idx <= prev:
-            raise ParseError(line_no, f"feature indices must be strictly increasing, got {idx} after {prev}")
-        try:
-            val = float(m.group(2))
-        except ValueError:
-            raise ParseError(line_no, f"malformed feature value {m.group(2)!r}") from None
-        if not math.isfinite(val):
-            raise ParseError(line_no, f"non-finite feature value {m.group(2)!r}")
-        indices.append(idx)
-        values.append(val)
-        prev = idx
-    # dim is finalized by the caller; use the line-local max for now.
-    return Example(SparseVector(tuple(indices), tuple(values), max(prev, 1)), label)
 
 
 def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
@@ -189,31 +213,55 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Raises ParseError (with the offending 1-based line number) on malformed
     input and DataError if no examples remain.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source)
-    else:
-        lines = source
-    examples: list[Example] = []
-    max_idx = 0
+    lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
+    labels: list[float] = []
+    ends: list[int] = [0]
+    indices: list[int] = []
+    values: list[float] = []
     for line_no, line in enumerate(lines, start=1):
-        ex = _parse_line(line_no, line)
-        if ex is None:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        if ex.features.indices:
-            max_idx = max(max_idx, ex.features.indices[-1])
-        examples.append(ex)
-    if not examples:
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"malformed label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
+        prev = 0
+        for tok in tokens[1:]:
+            m = _FEATURE_RE.match(tok)
+            if m is None:
+                raise ParseError(line_no, f"malformed feature token {tok!r}")
+            idx = int(m.group(1))
+            if idx < 1:
+                raise ParseError(line_no, f"feature index must be >= 1, got {idx}")
+            if idx <= prev:
+                raise ParseError(line_no, f"feature indices must be strictly increasing, got {idx} after {prev}")
+            try:
+                val = float(m.group(2))
+            except ValueError:
+                raise ParseError(line_no, f"malformed feature value {m.group(2)!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite feature value {m.group(2)!r}")
+            indices.append(idx)
+            values.append(val)
+            prev = idx
+        labels.append(label)
+        ends.append(len(indices))
+    if not labels:
         raise DataError("no examples in input")
+    try:
+        idx0 = np.array(indices, dtype=np.intp) - 1
+    except OverflowError:
+        raise DataError(f"feature index {max(indices)} is too large") from None
+    max_idx = int(idx0.max()) + 1 if idx0.size else 0
     final_dim = max(max_idx, 1)
     if dim is not None:
         if dim < max_idx:
             raise DataError(f"dim override {dim} is below max feature index {max_idx}")
         final_dim = max(dim, 1)
-    fixed = tuple(
-        Example(SparseVector(ex.features.indices, ex.features.values, final_dim), ex.label)
-        for ex in examples
-    )
-    return Dataset(fixed, final_dim)
+    return Dataset(np.array(ends, dtype=np.intp), idx0, np.array(values), np.array(labels), final_dim)
 
 
 def load_libsvm(path, dim: int | None = None) -> Dataset:
@@ -224,9 +272,10 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
 def serialize_libsvm(d: Dataset) -> str:
     """Render a dataset back to LIBSVM text with round-trip float precision."""
     out: list[str] = []
-    for ex in d.examples:
-        parts = [f"{ex.label:.17g}"]
-        parts.extend(f"{i}:{v:.17g}" for i, v in zip(ex.features.indices, ex.features.values))
+    for i in range(d.n):
+        idx, vals, label = d.row(i)
+        parts = [f"{label:.17g}"]
+        parts.extend(f"{j}:{v:.17g}" for j, v in zip((idx + 1).tolist(), vals.tolist()))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 
@@ -238,23 +287,19 @@ def binarize_labels(raw: Iterable[float]) -> list[float]:
     distinct labels are sorted ascending and the first ceil(k/2) classes
     map to +1, the rest to -1.  Fewer than two distinct labels is an error.
     """
-    raw = [float(v) for v in raw]
-    distinct = sorted(set(raw))
-    if len(distinct) < 2:
-        raise DataError(f"need at least two distinct labels, got {distinct}")
-    if distinct == [-1.0, 1.0]:
-        return raw
-    cut = math.ceil(len(distinct) / 2)
-    positive = set(distinct[:cut])
-    return [1.0 if v in positive else -1.0 for v in raw]
+    raw = np.fromiter(raw, dtype=np.float64)
+    distinct = np.unique(raw)
+    if distinct.size < 2:
+        raise DataError(f"need at least two distinct labels, got {distinct.tolist()}")
+    if distinct.tolist() == [-1.0, 1.0]:
+        return raw.tolist()
+    cut = math.ceil(distinct.size / 2)
+    return np.where(raw <= distinct[cut - 1], 1.0, -1.0).tolist()
 
 
 def binarize(d: Dataset) -> Dataset:
-    new_labels = binarize_labels(d.labels)
-    return Dataset(
-        tuple(Example(ex.features, lab) for ex, lab in zip(d.examples, new_labels)),
-        d.dim,
-    )
+    """`d` with its labels mapped by `binarize_labels`."""
+    return replace(d, labels=binarize_labels(d.labels))
 
 
 def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,30 +319,18 @@ def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.
 
 def split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """The partition of `split_positions` as (train, held) datasets, both in
-    the original example order."""
+    the original row order."""
     train_pos, held_pos = split_positions(d.n, fraction, seed)
-    train = Dataset(tuple(d.examples[i] for i in train_pos), d.dim)
-    held = Dataset(tuple(d.examples[i] for i in held_pos), d.dim)
-    return train, held
+    return d.take(train_pos), d.take(held_pos)
 
 
 def make_neighbor(d: Dataset, spec: NeighborSpec) -> Dataset:
-    """Copy of `d` with the example at spec.index (1-based) replaced."""
+    """Copy of `d` with row spec.index (1-based) replaced by row spec.row of spec.pool."""
     if not 1 <= spec.index <= d.n:
         raise DataError(f"neighbor index {spec.index} out of range 1..{d.n}")
-    if spec.replacement.features.indices:
-        if spec.replacement.features.indices[-1] > d.dim:
-            raise DataError("replacement example exceeds dataset dim")
-    examples = list(d.examples)
-    examples[spec.index - 1] = Example(
-        SparseVector(
-            spec.replacement.features.indices,
-            spec.replacement.features.values,
-            d.dim,
-        ),
-        spec.replacement.label,
-    )
-    return Dataset(tuple(examples), d.dim)
+    order = np.arange(d.n)
+    order[spec.index - 1] = d.n
+    return stack([d, spec.pool.take([spec.row])], d.dim).take(order)
 
 
 def synthetic_binary_dataset(
@@ -315,26 +348,25 @@ def synthetic_binary_dataset(
     labels follow sign(<u, x>) for a hidden u, with a `flip` fraction of
     label noise so the problem is not separable.
     """
+    if n < 1 or dim < 1:
+        raise DataError(f"need n >= 1 and dim >= 1, got n = {n}, dim = {dim}")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
-    examples = []
-    labels_seen = set()
-    for _ in range(n):
+    indices, values = [], []
+    labels = np.empty(n)
+    for i in range(n):
         k = max(1, rng.binomial(dim, density))
-        idx = np.sort(rng.choice(dim, size=k, replace=False)) + 1
+        idx = np.sort(rng.choice(dim, size=k, replace=False))
         vals = rng.standard_normal(k)
         vals *= scale / np.linalg.norm(vals)
-        margin = float(np.dot(vals, u[idx - 1]))
-        y = 1.0 if margin >= 0 else -1.0
-        if rng.random() < flip:
-            y = -y
-        labels_seen.add(y)
-        examples.append(
-            Example(SparseVector(tuple(int(i) for i in idx), tuple(float(v) for v in vals), dim), y)
-        )
-    if len(labels_seen) < 2:
+        y = 1.0 if float(np.dot(vals, u[idx])) >= 0 else -1.0
+        labels[i] = -y if rng.random() < flip else y
+        indices.append(idx)
+        values.append(vals)
+    if (labels == labels[0]).all():
         # Extremely unlikely for the sizes used here; force the last label over.
-        ex = examples[-1]
-        examples[-1] = Example(ex.features, -ex.label)
-    return Dataset(tuple(examples), dim)
+        labels[-1] = -labels[-1]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([v.size for v in values], out=indptr[1:])
+    return Dataset(indptr, np.concatenate(indices), np.concatenate(values), labels, dim)

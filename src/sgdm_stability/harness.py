@@ -167,7 +167,7 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
         for step in cfg.steps
     ]
     batch = coupled_distance_batch(
-        padded_rows(data.examples, data.dim),
+        padded_rows(data),
         np.stack([d.train_rows for d in draws]),
         [d.perturbed for d in draws],
         [d.replacement for d in draws],
@@ -331,9 +331,9 @@ def run_bound_check(
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
         idx = int(rng.integers(1, train.n + 1))
-        repl = replacement_pool.examples[int(rng.integers(0, replacement_pool.n))]
+        spec = NeighborSpec(idx, replacement_pool, int(rng.integers(0, replacement_pool.n)))
         stream = SampleStream(int(rng.integers(2**63)), train.n)
-        trace = coupled_run(train, NeighborSpec(idx, repl), kind, hp, np.zeros(train.dim), stream)
+        trace = coupled_run(train, spec, kind, hp, np.zeros(train.dim), stream)
         final_sq[s] = trace.distances[-1] ** 2
         risks = empirical_risk_many(trace.base.iterates[:t], train, kind)
         sum_risks[s] = risks.sum()

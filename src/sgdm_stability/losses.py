@@ -8,7 +8,9 @@ Two loss kinds are supported:
   smoothness ||x||^2.
 
 Both gradients are a scalar multiple of the feature vector, which the
-optimizer exploits for sparse updates.
+optimizer exploits for sparse updates.  `losses` and `grad_scales` hold the
+two formulas as functions of the margin <w, x> and the label; every other
+loss computation in the package goes through them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Dataset, Example
+from .dataset import Dataset
 
 LOSS_KINDS = ("logistic", "squared")
 
@@ -29,55 +31,52 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _check_dim(w: np.ndarray, z: Example) -> None:
-    if z.features.indices and z.features.indices[-1] > w.shape[-1]:
-        raise ValueError(
-            f"weight vector of length {w.shape[-1]} cannot cover feature index "
-            f"{z.features.indices[-1]}"
-        )
-
-
-def margin(w: np.ndarray, z: Example) -> float:
-    """Sparse inner product <w, x>."""
-    _check_dim(w, z)
-    if len(z.features.indices) == 0:
-        return 0.0
-    return float(np.dot(w[z.features.idx0], z.features.vals))
-
-
-def loss_value(w: np.ndarray, z: Example, kind: str) -> float:
-    _check_kind(kind)
-    m = margin(w, z)
-    if kind == "logistic":
+def losses(margins, y, kind: str):
+    """Loss at margin <w, x> and label y, elementwise."""
+    if _check_kind(kind) == "logistic":
         # log(1 + exp(-y m)) without overflow for large |m|.
-        return float(np.logaddexp(0.0, -z.label * m))
-    return 0.5 * (m - z.label) ** 2
+        return np.logaddexp(0.0, -y * margins)
+    return 0.5 * (margins - y) ** 2
 
 
-def grad_scale(w: np.ndarray, z: Example, kind: str) -> float:
-    """Scalar s such that the gradient equals s * x."""
-    _check_kind(kind)
-    m = margin(w, z)
-    if kind == "logistic":
-        return float(-z.label * expit(-z.label * m))
-    return m - z.label
+def grad_scales(margins, y, kind: str):
+    """Scalar s with gradient s * x at margin <w, x> and label y, elementwise."""
+    if _check_kind(kind) == "logistic":
+        ny = -y
+        return ny * expit(ny * margins)
+    return margins - y
 
 
-def loss_grad(w: np.ndarray, z: Example, kind: str) -> np.ndarray:
-    """Dense gradient vector, supported on the example's feature indices."""
+def _row_margin(w: np.ndarray, d: Dataset, i: int):
+    """(indices, values, label, <w, x>) of row i (0-based) of `d`."""
+    if w.shape[-1] < d.dim:
+        raise ValueError(f"weight vector of length {w.shape[-1]} cannot cover dataset dim {d.dim}")
+    idx, vals, y = d.row(i)
+    return idx, vals, y, float(np.dot(w[idx], vals))
+
+
+def loss_value(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:
+    """Loss of row i (0-based) of `d` at `w`."""
+    _, _, y, m = _row_margin(w, d, i)
+    return float(losses(m, y, kind))
+
+
+def grad_scale(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:
+    """Scalar s such that the gradient of row i's loss equals s * x_i."""
+    _, _, y, m = _row_margin(w, d, i)
+    return float(grad_scales(m, y, kind))
+
+
+def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
+    """Dense gradient of row i's loss, supported on the row's feature indices."""
+    idx, vals, y, m = _row_margin(w, d, i)
+    s = float(grad_scales(m, y, kind))
     g = np.zeros_like(w)
-    s = grad_scale(w, z, kind)
-    if len(z.features.indices):
-        # overflow here means the iterate already blew up; the optimizer
-        # detects the resulting non-finite gradient and raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            g[z.features.idx0] = s * z.features.vals
+    # overflow here means the iterate already blew up; the optimizer
+    # detects the resulting non-finite gradient and raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        g[idx] = s * vals
     return g
-
-
-def _margins_matrix(w_rows: np.ndarray, d: Dataset) -> np.ndarray:
-    """Margins <w_j, x_i> for every example i and weight row j, shape (n, rows)."""
-    return d.matrix @ w_rows.T
 
 
 def empirical_risk(w: np.ndarray, d: Dataset, kind: str) -> float:
@@ -86,17 +85,10 @@ def empirical_risk(w: np.ndarray, d: Dataset, kind: str) -> float:
 
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
     """Empirical risk of each weight row, in one sparse matrix product."""
-    _check_kind(kind)
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
-    margins = _margins_matrix(w_rows, d)
-    y = d.labels[:, None]
-    if kind == "logistic":
-        losses = np.logaddexp(0.0, -y * margins)
-    else:
-        losses = 0.5 * (margins - y) ** 2
-    return losses.mean(axis=0)
+    return losses(d.matrix @ w_rows.T, d.labels[:, None], kind).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -113,6 +105,5 @@ class SmoothnessReport:
 
 def smoothness(d: Dataset, kind: str) -> SmoothnessReport:
     _check_kind(kind)
-    sq = np.asarray([ex.features.norm_sq for ex in d.examples], dtype=np.float64)
-    per_example = sq / 4.0 if kind == "logistic" else sq
+    per_example = d.norm_sq / 4.0 if kind == "logistic" else d.norm_sq
     return SmoothnessReport(alpha=float(per_example.max()), per_example=per_example)

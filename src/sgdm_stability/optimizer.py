@@ -16,18 +16,13 @@ with beta in [0, 1), gamma >= 0, eta > 0.  Special cases:
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.special import expit
 
-from .dataset import Dataset, Example, NeighborSpec, make_neighbor
-from .losses import empirical_risk_many, loss_grad
-
-TRAJ_MAGIC = b"SGDMTRAJ"
+from .dataset import Dataset, NeighborSpec, make_neighbor, stack
+from .losses import LOSS_KINDS, grad_scales, loss_grad
 
 
 class DivergenceError(RuntimeError):
@@ -121,7 +116,7 @@ class SampleStream:
 
     The k-th index (1-based k) is a pure function of (seed, k): it is the
     k-th draw of a freshly seeded PCG64 generator, so any prefix can be
-    regenerated exactly regardless of query order.
+    regenerated exactly.
     """
 
     def __init__(self, seed: int, n: int):
@@ -129,25 +124,11 @@ class SampleStream:
             raise ValueError(f"n must be >= 1, got {n}")
         self.seed = seed
         self.n = n
-        self._cache = np.empty(0, dtype=np.int64)
-
-    def _ensure(self, count: int) -> None:
-        if count > self._cache.shape[0]:
-            size = max(count, 2 * self._cache.shape[0], 1024)
-            rng = np.random.default_rng(self.seed)
-            self._cache = rng.integers(1, self.n + 1, size=size, dtype=np.int64)
-
-    def index(self, k: int) -> int:
-        """1-based index of the k-th sample, k >= 1."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self._ensure(k)
-        return int(self._cache[k - 1])
 
     def prefix(self, count: int) -> np.ndarray:
         """Indices i_1..i_count as an int64 array."""
-        self._ensure(count)
-        return self._cache[:count].copy()
+        rng = np.random.default_rng(self.seed)
+        return rng.integers(1, self.n + 1, size=count, dtype=np.int64)
 
     def chunks(self, count: int, size: int) -> Iterator[np.ndarray]:
         """Indices i_1..i_count as consecutive int64 blocks of at most `size`.
@@ -162,18 +143,12 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: iterates w_1..w_{T+1}, gradients g_1..g_T, indices i_1..i_T.
-
-    `risks` holds the empirical risk of every `risk_stride`-th iterate
-    (starting at w_1) when risk recording was requested.
-    """
+    """Recorded run: iterates w_1..w_{T+1}, gradients g_1..g_T, indices i_1..i_T."""
 
     iterates: np.ndarray
     gradients: np.ndarray
     indices: np.ndarray
     hp: HyperParams
-    risks: np.ndarray | None = None
-    risk_stride: int = 1
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.gradients.shape[0] + 1:
@@ -207,26 +182,7 @@ def momentum_buffers(traj: Trajectory) -> np.ndarray:
     return m
 
 
-def replay_matches(traj: Trajectory) -> bool:
-    """True when re-applying sgdm_step to the recorded gradients reproduces
-    every recorded iterate bit for bit."""
-    state = SgdmState(w=traj.iterates[0].copy(), m=np.zeros_like(traj.iterates[0]), step=0)
-    for k in range(traj.steps):
-        state = sgdm_step(state, traj.gradients[k], traj.hp)
-        if not np.array_equal(state.w, traj.iterates[k + 1]):
-            return False
-    return True
-
-
-def run(
-    d: Dataset,
-    kind: str,
-    hp: HyperParams,
-    w1: np.ndarray,
-    stream: SampleStream,
-    record_risk: bool = False,
-    risk_stride: int = 1,
-) -> Trajectory:
+def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
     """Run T = hp.iterations steps of generalized momentum SGD on `d`."""
     if stream.n != d.n:
         raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
@@ -239,26 +195,12 @@ def run(
     gradients = np.empty((T, d.dim))
     iterates[0] = w1
     state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
-    for k in range(T):
-        z = d.examples[idx[k] - 1]
-        g = loss_grad(state.w, z, kind)
+    for k, i in enumerate((idx - 1).tolist()):
+        g = loss_grad(state.w, d, i, kind)
         state = sgdm_step(state, g, hp)
         gradients[k] = g
         iterates[k + 1] = state.w
-    risks = None
-    if record_risk:
-        if risk_stride < 1:
-            raise ValueError(f"risk_stride must be >= 1, got {risk_stride}")
-        rows = iterates[::risk_stride]
-        risks = empirical_risk_many(rows, d, kind)
-    return Trajectory(
-        iterates=iterates,
-        gradients=gradients,
-        indices=idx,
-        hp=hp,
-        risks=risks,
-        risk_stride=risk_stride,
-    )
+    return Trajectory(iterates=iterates, gradients=gradients, indices=idx, hp=hp)
 
 
 def run_lookahead(
@@ -283,9 +225,8 @@ def run_lookahead(
     iterates = np.empty((iterations + 1, d.dim))
     iterates[0] = w1
     state = LookaheadState(u_prev=w1.copy(), u_curr=w1.copy(), w=w1.copy(), step=0)
-    for k in range(iterations):
-        z = d.examples[idx[k] - 1]
-        g = loss_grad(state.w, z, kind)
+    for k, i in enumerate((idx - 1).tolist()):
+        g = loss_grad(state.w, d, i, kind)
         state = lookahead_step(state, g, beta, gamma)
         iterates[k + 1] = state.w
     return iterates
@@ -334,13 +275,11 @@ def coupled_run(
 # Index-stream steps each repetition draws at a time in the batched kernel, so
 # its memory does not grow with the number of iterations.
 STREAM_CHUNK = 1024
-# Examples copied into the padded row table at a time.
-TABLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class PaddedRows:
-    """Examples as fixed-width rows for the batched kernel.
+    """Dataset rows as fixed-width rows for the batched kernel.
 
     Row r holds the 0-based feature indices and the values of example r in
     its first nnz[r] slots.  The other slots point at column `dim`, the zero
@@ -364,31 +303,18 @@ class PaddedRows:
         return self.indices[row, :k], self.values[row, :k]
 
 
-def padded_rows(examples: Sequence[Example], dim: int) -> PaddedRows:
-    """Padded row table of `examples`, filled straight from their features."""
-    n = len(examples)
-    nnz = np.zeros(n + 1, dtype=np.intp)
-    nnz[:n] = [len(ex.features.indices) for ex in examples]
+def padded_rows(d: Dataset) -> PaddedRows:
+    """Padded row table of the rows of `d`, plus the blank row."""
+    nnz = np.append(d.nnz, 0)
     width = max(int(nnz.max()), 1)
-    indices = np.full((n + 1, width), dim, dtype=np.intp)
-    values = np.zeros((n + 1, width))
-    # a block of rows at a time, so the flat feature lists stay small
-    for lo in range(0, n, TABLE_BLOCK):
-        part = examples[lo : lo + TABLE_BLOCK]
-        counts = nnz[lo : lo + len(part)]
-        total = int(counts.sum())
-        flat = np.fromiter(chain.from_iterable(ex.features.indices for ex in part), np.intp, total)
-        if total and flat.max() > dim:
-            raise ValueError(f"feature index {int(flat.max())} exceeds dim {dim}")
-        filled = np.arange(width) < counts[:, None]
-        flat -= 1
-        indices[lo : lo + len(part)][filled] = flat
-        values[lo : lo + len(part)][filled] = np.fromiter(
-            chain.from_iterable(ex.features.values for ex in part), np.float64, total
-        )
-    labels = np.zeros(n + 1)
-    labels[:n] = [ex.label for ex in examples]
-    return PaddedRows(indices=indices, values=values, labels=labels, nnz=nnz, dim=dim)
+    indices, values = d.padded(width)
+    return PaddedRows(
+        indices=np.vstack([indices, np.full((1, width), d.dim)]),
+        values=np.vstack([values, np.zeros((1, width))]),
+        labels=np.append(d.labels, 0.0),
+        nnz=nnz,
+        dim=d.dim,
+    )
 
 
 @dataclass(frozen=True)
@@ -432,7 +358,7 @@ def coupled_distance_batch(
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if kind not in ("logistic", "squared"):
+    if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     train_rows = np.asarray(train_rows, dtype=np.intp)
     perturbed = np.asarray(perturbed, dtype=np.int64)
@@ -477,8 +403,6 @@ def coupled_distance_batch(
     W = np.zeros((R * G, dim + 1, 2))
     W[:, :dim] = w1[:, None]
     M = np.zeros_like(W)
-    neg_labels = -rows.labels
-    logistic = kind == "logistic"
     any_gamma = bool(gammas.any())
     k = pos = 0
     # overflow is expected on divergent runs; the margin and distance checks
@@ -498,11 +422,7 @@ def coupled_distance_batch(
                 margins = np.matmul(W[at, ix].transpose(0, 2, 1), vx)[:, :, 0]
                 finite = np.isfinite(margins)
                 bad = None if finite.all() else ~finite  # (P, 2) non-finite sides
-                if logistic:
-                    ny = neg_labels[r][:, None]
-                    scales = ny * expit(ny * margins)
-                else:
-                    scales = margins - rows.labels[r][:, None]
+                scales = grad_scales(margins, rows.labels[r][:, None], kind)
                 M *= beta
                 if zero_beta is not None:
                     M[zero_beta] = 0.0
@@ -522,11 +442,7 @@ def coupled_distance_batch(
                             continue
                         g_a = float(gammas[pair[a] % G])
                         for side, (row, (jx, jv), mrow) in enumerate(zip(sides, feats, mrows)):
-                            jy = float(rows.labels[row])
-                            if logistic:
-                                sc = -jy * float(expit(-jy * mrow))
-                            else:
-                                sc = mrow - jy
+                            sc = float(grad_scales(mrow, float(rows.labels[row]), kind))
                             M[a, jx, side] += sc * jv
                             if g_a:
                                 W[a, jx, side] -= g_a * sc * jv
@@ -587,7 +503,7 @@ def coupled_distance_series(
     `coupled_distance_batch`; a censored pair raises DivergenceError.
     """
     batch = coupled_distance_batch(
-        padded_rows(d.examples + (spec.replacement,), d.dim),
+        padded_rows(stack([d, spec.pool.take([spec.row])], d.dim)),
         np.arange(d.n)[None, :],
         [spec.index],
         [d.n],
@@ -602,49 +518,3 @@ def coupled_distance_series(
         raise DivergenceError(step, str(batch.diverged_which[0, 0]))
     return batch.distances[0, 0]
 
-
-def write_trajectory_csv(traj: Trajectory, path, distances: np.ndarray | None = None) -> None:
-    """One row per iterate: step, sampled index, risk (blank unless recorded at
-    that step), iterate norm, and the coupled distance when given."""
-    import csv
-
-    header = ["step", "index", "risk", "iterate_norm"]
-    if distances is not None:
-        header.append("distance")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.iterates.shape[0]):
-            index = int(traj.indices[k]) if k < traj.steps else ""
-            risk = ""
-            if traj.risks is not None and k % traj.risk_stride == 0:
-                j = k // traj.risk_stride
-                if j < traj.risks.shape[0]:
-                    risk = repr(float(traj.risks[j]))
-            row = [k + 1, index, risk, repr(float(np.linalg.norm(traj.iterates[k])))]
-            if distances is not None:
-                row.append(repr(float(distances[k])))
-            writer.writerow(row)
-
-
-def write_iterates_bin(iterates: np.ndarray, path) -> None:
-    """Binary dump: magic, dim, count as a 16-byte header, then little-endian
-    float64 iterates in row order."""
-    arr = np.ascontiguousarray(iterates, dtype="<f8")
-    count, dim = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(TRAJ_MAGIC)
-        fh.write(struct.pack("<II", dim, count))
-        fh.write(arr.tobytes())
-
-
-def read_iterates_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TRAJ_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {TRAJ_MAGIC!r}")
-        dim, count = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.shape[0] != dim * count:
-        raise ValueError(f"expected {dim * count} float64 values, got {data.shape[0]}")
-    return data.reshape(count, dim).astype(np.float64)

@@ -81,32 +81,51 @@ def check_opt_condition(hp: HyperParams, alpha: float) -> ConditionReport:
     lhs = gamma^2 + 2*gamma*eta/(1-b) + (1+b)*eta^2/(1-b)^2
     rhs = (2(1-b)*gamma + 2*eta) / (3*alpha).
     """
-    b = hp.beta
-    lhs = hp.gamma**2 + 2 * hp.gamma * hp.eta / (1 - b) + (1 + b) * hp.eta**2 / (1 - b) ** 2
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    rhs = math.inf if alpha == 0.0 else (2 * (1 - b) * hp.gamma + 2 * hp.eta) / (3 * alpha)
+    b, g, e = hp.beta, hp.gamma, hp.eta
+    # squares as products, so a huge step gives lhs = inf (unsatisfied)
+    # instead of an OverflowError
+    lhs = g * g + 2 * g * e / (1 - b) + (1 + b) * (e * e) / (1 - b) ** 2
+    rhs = (2 * (1 - b) * g + 2 * e) / 3 * _inv_alpha(alpha)
     return ConditionReport("optimization", lhs, rhs, lhs <= rhs, rhs - lhs)
+
+
+def _check_cap_inputs(beta: float, alpha: float) -> None:
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
 
 
 def max_eta_hb(beta: float, alpha: float) -> float:
     """Largest heavy-ball step eta admitted by the stability condition:
     (1-b)^2 / (alpha (1+b)(3-b))."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_cap_inputs(beta, alpha)
     return (1 - beta) ** 2 / (alpha * (1 + beta) * (3 - beta))
 
 
 def max_gamma_nesterov(beta: float, alpha: float) -> float:
     """Largest Nesterov step gamma admitted by the stability condition:
     2(1-b)^2 / (alpha (3 + 6b + 5b^2 - 2b^3))."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_cap_inputs(beta, alpha)
     return 2 * (1 - beta) ** 2 / (alpha * (3 + 6 * beta + 5 * beta**2 - 2 * beta**3))
+
+
+def max_step(variant: str, beta: float, alpha: float) -> float:
+    """Largest scalar step the stability condition admits for `variant`,
+    with the step mapped onto (gamma, eta) as `harness.variant_params` does.
+
+    hb: eta = step.  nesterov: gamma = step, eta = beta * step, and at
+    beta = 0 the plain-SGD form eta = step.  general: gamma = eta = step,
+    which admits 2(1-b)^2 / (alpha (9 + 4b - b^2)).
+    """
+    if variant == "hb" or (variant == "nesterov" and beta == 0.0):
+        return max_eta_hb(beta, alpha)
+    if variant == "nesterov":
+        return max_gamma_nesterov(beta, alpha)
+    if variant == "general":
+        _check_cap_inputs(beta, alpha)
+        return 2 * (1 - beta) ** 2 / (alpha * (9 + 4 * beta - beta * beta))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _require_variant_shape(hp: HyperParams, variant: str) -> None:
@@ -371,8 +390,7 @@ def epr_recipe(n: int, beta: float, l_star: float, variant: str, alpha: float) -
         raise ValueError(f"l_star must be >= 0, got {l_star}")
     if variant not in ("hb", "nesterov"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
+    cap = max_step(variant, beta, alpha)
     t = max(1, int(round(n / (1 - beta))))
     if l_star >= 1.0 / n:
         regime = "high_noise"
@@ -382,7 +400,6 @@ def epr_recipe(n: int, beta: float, l_star: float, variant: str, alpha: float) -
         regime = "low_noise"
         rho = 1.0
         step = (1 - beta) ** 2
-    cap = max_eta_hb(beta, alpha) if variant == "hb" else max_gamma_nesterov(beta, alpha)
     return EprRecipe(
         regime=regime,
         t=t,

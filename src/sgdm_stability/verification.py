@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NeighborSpec, synthetic_binary_dataset
-from .losses import LOSS_KINDS, loss_grad, loss_value, smoothness
+from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
 from .optimizer import (
     HyperParams,
     SampleStream,
@@ -69,98 +69,53 @@ def _skip(name, params, note) -> CheckOutcome:
 
 
 def _probe_pairs(kind: str, seed: int, probes: int):
-    """Random (weights, margins, labels, norms) for lemma probing.
+    """Margins of a pool of sparse rows under two sets of random weight rows.
 
-    Builds a pool of sparse examples and dense weight rows whose cross
-    margins give `probes` evaluation points in a couple of matrix products.
+    Returns (M1, M2, y, norms_sq, alpha_z): the (rows, side) margin matrices
+    of about `probes` evaluation points each, and the rows' labels, squared
+    norms and smoothness constants as columns.
     """
     rng = np.random.default_rng(seed)
     side = max(4, int(math.ceil(math.sqrt(probes))))
     data = synthetic_binary_dataset(side, 12, seed, density=0.6, flip=0.2, scale=1.5)
-    W = rng.standard_normal((side, 12)) * 3.0
-    margins = np.asarray((data.matrix @ W.T))  # (n, side)
-    labels = data.labels
-    norms_sq = np.asarray([ex.features.norm_sq for ex in data.examples])
-    return data, W, margins, labels, norms_sq
+    W1 = rng.standard_normal((side, 12)) * 3.0
+    W2 = rng.standard_normal((side, 12)) * 3.0
+    return (
+        data.matrix @ W1.T,
+        data.matrix @ W2.T,
+        data.labels[:, None],
+        data.norm_sq[:, None],
+        smoothness(data, kind).per_example[:, None],
+    )
 
 
 def check_self_bounding(kind: str, probes: int = 10_000, seed: int = 7) -> CheckOutcome:
     """||grad l(w; z)||^2 <= 2 alpha_z l(w; z) at random (w, z)."""
-    _, _, margins, labels, norms_sq = _probe_pairs(kind, seed, probes)
-    y = labels[:, None]
-    m = margins
-    if kind == "logistic":
-        from scipy.special import expit
-
-        grad_sq = (expit(-y * m)) ** 2 * norms_sq[:, None]
-        loss = np.logaddexp(0.0, -y * m)
-        alpha_z = norms_sq[:, None] / 4.0
-    else:
-        grad_sq = (m - y) ** 2 * norms_sq[:, None]
-        loss = 0.5 * (m - y) ** 2
-        alpha_z = norms_sq[:, None]
-    gap = (grad_sq - 2.0 * alpha_z * loss).max()
-    return _outcome_max(
-        "self_bounding", {"kind": kind, "probes": int(margins.size)}, gap, 1e-12
-    )
+    M, _, y, norms_sq, alpha_z = _probe_pairs(kind, seed, probes)
+    # ||grad||^2 = s^2 ||x||^2 for the gradient scale s
+    grad_sq = grad_scales(M, y, kind) ** 2 * norms_sq
+    gap = (grad_sq - 2.0 * alpha_z * losses(M, y, kind)).max()
+    return _outcome_max("self_bounding", {"kind": kind, "probes": int(M.size)}, gap, 1e-12)
 
 
 def check_co_coercivity(kind: str, probes: int = 10_000, seed: int = 11) -> CheckOutcome:
     """<w - w', grad(w) - grad(w')> >= ||grad(w) - grad(w')||^2 / alpha_z."""
-    rng = np.random.default_rng(seed)
-    side = max(4, int(math.ceil(math.sqrt(probes))))
-    data = synthetic_binary_dataset(side, 12, seed, density=0.6, flip=0.2, scale=1.5)
-    W1 = rng.standard_normal((side, 12)) * 3.0
-    W2 = rng.standard_normal((side, 12)) * 3.0
-    M1 = np.asarray(data.matrix @ W1.T)
-    M2 = np.asarray(data.matrix @ W2.T)
-    y = data.labels[:, None]
-    norms_sq = np.asarray([ex.features.norm_sq for ex in data.examples])[:, None]
-    if kind == "logistic":
-        from scipy.special import expit
-
-        s1 = -y * expit(-y * M1)
-        s2 = -y * expit(-y * M2)
-        alpha_z = norms_sq / 4.0
-    else:
-        s1 = M1 - y
-        s2 = M2 - y
-        alpha_z = norms_sq
+    M1, M2, y, norms_sq, alpha_z = _probe_pairs(kind, seed, probes)
+    ds = grad_scales(M1, y, kind) - grad_scales(M2, y, kind)
     # <w - w', g - g'> = (s - s') (m - m') and ||g - g'||^2 = (s - s')^2 ||x||^2.
-    inner = (s1 - s2) * (M1 - M2)
-    grad_diff_sq = (s1 - s2) ** 2 * norms_sq
     with np.errstate(divide="ignore", invalid="ignore"):
-        margin_arr = inner - grad_diff_sq / alpha_z
+        margin_arr = ds * (M1 - M2) - ds**2 * norms_sq / alpha_z
     margin_arr = margin_arr[alpha_z[:, 0] > 0]
     worst = margin_arr.min() if margin_arr.size else 0.0
-    return _outcome_min(
-        "co_coercivity", {"kind": kind, "probes": int(M1.size)}, worst, -1e-10
-    )
+    return _outcome_min("co_coercivity", {"kind": kind, "probes": int(M1.size)}, worst, -1e-10)
 
 
 def check_convexity(kind: str, probes: int = 10_000, seed: int = 13) -> CheckOutcome:
     """l(w) >= l(w') + <grad(w'), w - w'> at random pairs."""
-    rng = np.random.default_rng(seed)
-    side = max(4, int(math.ceil(math.sqrt(probes))))
-    data = synthetic_binary_dataset(side, 12, seed, density=0.6, flip=0.2, scale=1.5)
-    W1 = rng.standard_normal((side, 12)) * 3.0
-    W2 = rng.standard_normal((side, 12)) * 3.0
-    M1 = np.asarray(data.matrix @ W1.T)
-    M2 = np.asarray(data.matrix @ W2.T)
-    y = data.labels[:, None]
-    if kind == "logistic":
-        from scipy.special import expit
-
-        l1 = np.logaddexp(0.0, -y * M1)
-        l2 = np.logaddexp(0.0, -y * M2)
-        s2 = -y * expit(-y * M2)
-    else:
-        l1 = 0.5 * (M1 - y) ** 2
-        l2 = 0.5 * (M2 - y) ** 2
-        s2 = M2 - y
+    M1, M2, y, _, _ = _probe_pairs(kind, seed, probes)
     # <grad(w'), w - w'> = s' (m - m').
-    worst = (l1 - l2 - s2 * (M1 - M2)).min()
-    return _outcome_min("convexity", {"kind": kind, "probes": int(M1.size)}, worst, -1e-10)
+    gap = losses(M1, y, kind) - losses(M2, y, kind) - grad_scales(M2, y, kind) * (M1 - M2)
+    return _outcome_min("convexity", {"kind": kind, "probes": int(M1.size)}, gap.min(), -1e-10)
 
 
 def check_gradient_fd(kind: str, probes: int = 60, seed: int = 17, h: float = 1e-6) -> CheckOutcome:
@@ -168,16 +123,16 @@ def check_gradient_fd(kind: str, probes: int = 60, seed: int = 17, h: float = 1e
     rng = np.random.default_rng(seed)
     data = synthetic_binary_dataset(probes, 10, seed, density=0.7, flip=0.2)
     worst = 0.0
-    for ex in data.examples:
+    for i in range(data.n):
         w = rng.standard_normal(data.dim)
-        g = loss_grad(w, ex, kind)
+        g = loss_grad(w, data, i, kind)
         fd = np.zeros_like(w)
         for j in range(data.dim):
             wp = w.copy()
             wm = w.copy()
             wp[j] += h
             wm[j] -= h
-            fd[j] = (loss_value(wp, ex, kind) - loss_value(wm, ex, kind)) / (2 * h)
+            fd[j] = (loss_value(wp, data, i, kind) - loss_value(wm, data, i, kind)) / (2 * h)
         denom = max(1.0, float(np.linalg.norm(g)))
         worst = max(worst, float(np.linalg.norm(fd - g)) / denom)
     return _outcome_max("gradient_fd", {"kind": kind, "probes": probes, "h": h}, worst, 1e-5)
@@ -231,8 +186,7 @@ def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> C
         return _skip("m_recursion", params, "requires beta > 0")
     rng = np.random.default_rng(seed)
     idx = int(rng.integers(1, data.n + 1))
-    repl = data.examples[int(rng.integers(0, data.n))]
-    spec = NeighborSpec(index=idx, replacement=repl)
+    spec = NeighborSpec(idx, data, int(rng.integers(0, data.n)))
     stream = SampleStream(seed + 1, data.n)
     trace = coupled_run(data, spec, kind, hp, np.zeros(data.dim), stream)
     margins = verify_m_recursion_bound(trace)
@@ -248,9 +202,8 @@ def check_beta_zero_reduction(data: Dataset, kind: str, gamma: float, eta: float
     w = np.zeros(data.dim)
     step_size = gamma + eta
     worst = 0.0
-    for k in range(steps):
-        z = data.examples[idx[k] - 1]
-        w = w - step_size * loss_grad(w, z, kind)
+    for k, i in enumerate((idx - 1).tolist()):
+        w = w - step_size * loss_grad(w, data, i, kind)
         worst = max(worst, float(np.abs(w - traj.iterates[k + 1]).max()))
     return _outcome_max(
         "beta_zero_reduction",

@@ -144,11 +144,11 @@ def test_c04_loss_lemma_suite():
 def test_c05_momentum_recursion_inequality():
     data = synthetic_binary_dataset(100, 8, seed=21)
     alpha = smoothness(data, "logistic").alpha
-    repl = synthetic_binary_dataset(5, 8, seed=22).examples[0]
+    pool = synthetic_binary_dataset(5, 8, seed=22)
     for beta in (0.5, 0.9):
         hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, 500)
         trace = coupled_run(
-            data, NeighborSpec(7, repl), "logistic", hp, np.zeros(8), SampleStream(23, 100)
+            data, NeighborSpec(7, pool, 0), "logistic", hp, np.zeros(8), SampleStream(23, 100)
         )
         margins = verify_m_recursion_bound(trace)
         assert margins.shape == (500,)
@@ -336,7 +336,7 @@ def test_c10_pipeline_round_trip():
     data = synthetic_binary_dataset(200, 15, seed=31, density=0.4)
     text = serialize_libsvm(data)
     back = parse_libsvm(text, dim=data.dim)
-    assert back.examples == data.examples
+    assert back == data
     assert serialize_libsvm(back) == text
 
     # real-data halves, when files are present locally
@@ -347,7 +347,7 @@ def test_c10_pipeline_round_trip():
         first = parse_libsvm(head)
         out = serialize_libsvm(first)
         again = parse_libsvm(out, dim=first.dim)
-        assert again.examples == first.examples
+        assert again == first
         assert serialize_libsvm(again) == out
 
     found = {
@@ -363,4 +363,4 @@ def test_c10_pipeline_round_trip():
         assert loaded.n == known_n, f"{name}: n {loaded.n} != {known_n}"
         assert loaded.dim == known_d, f"{name}: dim {loaded.dim} != {known_d}"
         binarized = binarize(loaded)
-        assert set(e.label for e in binarized.examples) <= {-1.0, 1.0}
+        assert set(binarized.labels.tolist()) <= {-1.0, 1.0}

@@ -174,6 +174,20 @@ class TestCheckBounds:
         assert len(reports) == 2
         assert all(r["holds"] for r in reports)
 
+    @pytest.mark.parametrize(
+        "variant,fraction", [("nesterov", 0.5), ("nesterov", 0.999), ("general", 0.97), ("hb", 0.999)]
+    )
+    def test_step_fraction_sized_against_the_run_variant(self, variant, fraction, tmp_path, capsys):
+        # the step is a fraction of the cap of the hyperparameters the variant
+        # actually runs, beta = 0 included, so any fraction below 1 is admitted
+        out = tmp_path / "bc"
+        rc = main(
+            ["check-bounds", "--overrides", *self.BASE, f"outdir={out}",
+             f"variant={variant}", f"step_fraction={fraction}", "samples=1"]
+        )
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert len(json.loads((out / "bound_check.json").read_text())) == 2
+
     def test_step_above_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "bc2"
         rc = main(["check-bounds", "--overrides", *self.BASE, f"outdir={out}", "step=50.0"])
@@ -196,6 +210,8 @@ class TestNumericConfigErrors:
             "betas=1.0",
             "seed=-1",
             "fraction=1.0",
+            "synth_n=0",
+            "synth_dim=0",
         ],
         ids=lambda item: item.split("=")[0],
     )
@@ -217,6 +233,30 @@ class TestNumericConfigErrors:
         assert err.startswith(f"error: config: key {bad.split('=')[0]!r}:")
         assert err.count("\n") == 1
         assert not (out / "bound_check.json").exists()
+
+    @pytest.mark.parametrize(
+        "bad", ["check_steps=0", "step_fraction=-1", "betas=1", "seed=-1"],
+        ids=lambda item: item.split("=")[0],
+    )
+    def test_verify_invariants(self, bad, tmp_path, capsys):
+        out = tmp_path / "inv"
+        assert main(["verify-invariants", "--overrides", bad, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key {bad.split('=')[0]!r}:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_step_runs_instead_of_overflowing(self, tmp_path, capsys):
+        # the squared step overflows to inf: the condition reports unsatisfied
+        # and the sweep runs, censoring the pairs that leave float range
+        out = tmp_path / "o"
+        rc = main(["run-stability", "--overrides", *RUN_OVERRIDES, "steps=1e300", f"outdir={out}"])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["grid"]:
+            assert entry["opt_condition"]["lhs"] == float("inf")
+            assert entry["opt_condition"]["satisfied"] is False
+            assert entry["censored"] >= 1
 
 
 class TestVerifyInvariants:

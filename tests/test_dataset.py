@@ -1,21 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgdm_stability.dataset import (
     DataError,
     Dataset,
-    Example,
     NeighborSpec,
     ParseError,
-    SparseVector,
     binarize,
     binarize_labels,
     make_neighbor,
     parse_libsvm,
     serialize_libsvm,
     split,
+    stack,
     synthetic_binary_dataset,
 )
+
+
+def rows_dataset(rows, dim):
+    """Dataset from (1-based indices, values, label) rows."""
+    ends = np.cumsum([0] + [len(idx) for idx, _, _ in rows])
+    indices = [i - 1 for idx, _, _ in rows for i in idx]
+    values = [v for _, vals, _ in rows for v in vals]
+    return Dataset(ends, indices, values, [label for _, _, label in rows], dim)
+
+
+def features(d, i):
+    """(1-based indices, values) of row i as tuples."""
+    idx, vals, _ = d.row(i)
+    return tuple((idx + 1).tolist()), tuple(vals.tolist())
 
 
 class TestParse:
@@ -23,26 +38,24 @@ class TestParse:
         d = parse_libsvm("+1 1:0.5 3:-2.0\n")
         assert d.n == 1
         assert d.dim == 3
-        ex = d.examples[0]
-        assert ex.label == 1.0
-        assert ex.features.indices == (1, 3)
-        assert ex.features.values == (0.5, -2.0)
+        assert d.labels[0] == 1.0
+        assert features(d, 0) == ((1, 3), (0.5, -2.0))
 
     def test_label_only_line(self):
         d = parse_libsvm("-1\n")
-        assert d.examples[0].label == -1.0
-        assert d.examples[0].features.indices == ()
+        assert d.labels[0] == -1.0
+        assert features(d, 0)[0] == ()
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n\n+1 1:1.0  # trailing\n\n-1 2:3.5\n"
         d = parse_libsvm(text)
         assert d.n == 2
         assert d.dim == 2
-        assert d.examples[1].features.values == (3.5,)
+        assert features(d, 1)[1] == (3.5,)
 
     def test_tabs_and_multiple_spaces(self):
         d = parse_libsvm("1\t1:2.0   4:1.5\n")
-        assert d.examples[0].features.indices == (1, 4)
+        assert features(d, 0)[0] == (1, 4)
 
     def test_dim_is_max_index(self):
         d = parse_libsvm("1 7:1\n-1 2:1\n")
@@ -86,6 +99,38 @@ class TestParse:
             parse_libsvm("# nothing here\n")
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_datasets(draw):
+    """Random CSR content: empty rows, spare columns past the largest index
+    (a dim override on parse) and finite values of any magnitude."""
+    dim = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        idx = sorted(draw(st.sets(st.integers(1, dim), max_size=8)))
+        vals = draw(st.lists(finite, min_size=len(idx), max_size=len(idx)))
+        rows.append((idx, vals, draw(finite)))
+    return rows_dataset(rows, dim)
+
+
+def seeded_datasets(seed, trials):
+    """`trials` seeded random datasets stacked into one, the fixed round-trip case."""
+    rng = np.random.default_rng(seed)
+    rows, dims = [], []
+    for _ in range(trials):
+        n = int(rng.integers(1, 30))
+        dim = int(rng.integers(1, 40))
+        dims.append(dim)
+        for _ in range(n):
+            k = int(rng.integers(0, min(dim, 8) + 1))
+            idx = tuple(int(i) for i in np.sort(rng.choice(dim, size=k, replace=False)) + 1)
+            vals = tuple(float(v) for v in rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8))
+            rows.append((idx, vals, float(rng.standard_normal())))
+    return rows_dataset(rows, max(dims))
+
+
 class TestRoundTrip:
     def test_simple_round_trip(self):
         text = "1 1:0.5 3:-2\n-1\n3 2:1e-09\n"
@@ -93,24 +138,15 @@ class TestRoundTrip:
         d2 = parse_libsvm(serialize_libsvm(d1))
         assert d1 == d2
 
-    def test_random_round_trip_exact(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            n = int(rng.integers(1, 30))
-            dim = int(rng.integers(1, 40))
-            examples = []
-            for _ in range(n):
-                k = int(rng.integers(0, min(dim, 8) + 1))
-                idx = tuple(int(i) for i in np.sort(rng.choice(dim, size=k, replace=False)) + 1)
-                vals = tuple(float(v) for v in rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8))
-                examples.append(Example(SparseVector(idx, vals, dim), float(rng.standard_normal())))
-            d1 = Dataset(tuple(examples), dim)
-            d2 = parse_libsvm(serialize_libsvm(d1), dim=dim)
-            assert d1 == d2, f"trial {trial} failed round trip"
+    @settings(max_examples=60, deadline=None)
+    @given(d=random_datasets())
+    @example(d=seeded_datasets(42, 20))
+    def test_random_round_trip_exact(self, d):
+        assert parse_libsvm(serialize_libsvm(d), dim=d.dim) == d
 
     def test_serializer_uses_full_precision(self):
         v = 0.1 + 0.2  # not representable in few digits
-        d = Dataset((Example(SparseVector((1,), (v,), 1), 1.0),), 1)
+        d = rows_dataset([((1,), (v,), 1.0)], 1)
         text = serialize_libsvm(d)
         assert float(text.split(":")[1]) == v
 
@@ -135,8 +171,8 @@ class TestBinarize:
     def test_binarize_dataset_keeps_features(self):
         d = parse_libsvm("3 1:1\n5 2:1\n7 1:2\n")
         b = binarize(d)
-        assert [ex.label for ex in b.examples] == [1.0, 1.0, -1.0]
-        assert b.examples[2].features == d.examples[2].features
+        assert b.labels.tolist() == [1.0, 1.0, -1.0]
+        assert features(b, 2) == features(d, 2)
 
 
 class TestSplit:
@@ -158,10 +194,10 @@ class TestSplit:
         d = self._data(23)
         train, held = split(d, 0.6, seed=5)
         merged = sorted(
-            [ex.features.values[0] for ex in train.examples]
-            + [ex.features.values[0] for ex in held.examples]
+            [features(train, i)[1][0] for i in range(train.n)]
+            + [features(held, i)[1][0] for i in range(held.n)]
         )
-        assert merged == [ex.features.values[0] for ex in d.examples]
+        assert merged == [features(d, i)[1][0] for i in range(d.n)]
 
     def test_deterministic(self):
         d = self._data(40)
@@ -186,33 +222,74 @@ class TestSplit:
 class TestNeighbor:
     def test_replaces_exactly_one(self):
         d = parse_libsvm("1 1:1\n-1 2:1\n1 3:1\n")
-        repl = Example(SparseVector((1, 2), (9.0, 9.0), 3), -1.0)
-        nb = make_neighbor(d, NeighborSpec(index=2, replacement=repl))
-        assert nb.examples[0] == d.examples[0]
-        assert nb.examples[2] == d.examples[2]
-        assert nb.examples[1].features.values == (9.0, 9.0)
-        assert d.examples[1].features.values == (1.0,)  # original untouched
+        repl = rows_dataset([((1, 2), (9.0, 9.0), -1.0)], 3)
+        nb = make_neighbor(d, NeighborSpec(index=2, pool=repl, row=0))
+        assert nb.take([0]) == d.take([0])
+        assert nb.take([2]) == d.take([2])
+        assert features(nb, 1)[1] == (9.0, 9.0)
+        assert features(d, 1)[1] == (1.0,)  # original untouched
 
     def test_identity_replacement(self):
         d = parse_libsvm("1 1:1\n-1 2:1\n")
-        nb = make_neighbor(d, NeighborSpec(index=1, replacement=d.examples[0]))
+        nb = make_neighbor(d, NeighborSpec(index=1, pool=d, row=0))
         assert nb == d
 
     @pytest.mark.parametrize("index", [0, 4, -1])
     def test_bad_index(self, index):
         d = parse_libsvm("1 1:1\n-1 2:1\n1 1:2\n")
         with pytest.raises(DataError):
-            make_neighbor(d, NeighborSpec(index=index, replacement=d.examples[0]))
+            make_neighbor(d, NeighborSpec(index=index, pool=d, row=0))
 
 
 class TestSparseVectorInvariants:
+    """Row invariants, enforced on every Dataset and, with line numbers, by the parser."""
+
     def test_indices_must_increase(self):
         with pytest.raises(DataError):
-            SparseVector((2, 2), (1.0, 1.0), 3)
+            rows_dataset([((2, 2), (1.0, 1.0), 1.0)], 3)
+        with pytest.raises(ParseError, match="line 1: .*increasing"):
+            parse_libsvm("1 2:1 2:1\n")
 
     def test_index_within_dim(self):
         with pytest.raises(DataError):
-            SparseVector((4,), (1.0,), 3)
+            rows_dataset([((4,), (1.0,), 1.0)], 3)
+        with pytest.raises(DataError):
+            parse_libsvm("1 4:1\n", dim=3)
+
+    def test_index_at_least_one(self):
+        with pytest.raises(DataError):
+            Dataset([0, 1], [-1], [1.0], [1.0], 3)
+        with pytest.raises(ParseError, match="line 1: .*index"):
+            parse_libsvm("1 0:1\n")
+
+    def test_values_must_be_finite(self):
+        with pytest.raises(DataError):
+            rows_dataset([((1,), (float("inf"),), 1.0)], 3)
+        with pytest.raises(DataError):
+            rows_dataset([((1,), (1.0,), float("nan"))], 3)
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_libsvm("1 1:1\n1 1:nan\n")
+
+    @pytest.mark.parametrize(
+        "indptr,labels", [([0, 2], [1.0]), ([1, 1], [1.0]), ([0, 1], [1.0, 2.0]), ([0], [])]
+    )
+    def test_indptr_must_match_entries_and_labels(self, indptr, labels):
+        with pytest.raises(DataError):
+            Dataset(indptr, [0], [1.0], labels, 3)
+
+    def test_increasing_check_spans_rows_only(self):
+        # a row may start below where the previous one ended
+        d = rows_dataset([((2, 3), (1.0, 1.0), 1.0), ((), (), 1.0), ((1, 3), (1.0, 1.0), -1.0)], 3)
+        assert d.nnz.tolist() == [2, 0, 2]
+
+    def test_arrays_are_read_only_views(self):
+        values = np.array([1.0, 2.0])
+        d = Dataset([0, 1, 2], [0, 1], values, [1.0, -1.0], 2)
+        with pytest.raises(ValueError):
+            d.values[0] = 5.0
+        values[0] = 3.0  # the caller's array stays writable
+        assert d.values[0] == 3.0
+        assert np.shares_memory(d.matrix.data, d.values)
 
     def test_matrix_matches_entries(self):
         d = parse_libsvm("1 1:2 3:4\n-1 2:-1\n")
@@ -229,3 +306,64 @@ class TestSynthetic:
 
     def test_deterministic(self):
         assert synthetic_binary_dataset(20, 5, seed=3) == synthetic_binary_dataset(20, 5, seed=3)
+
+
+class TestRowOperations:
+    """take, stack, make_neighbor, padded and norm_sq against per-row reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=random_datasets(), data=st.data())
+    def test_take_reads_the_chosen_rows(self, d, data):
+        positions = data.draw(st.lists(st.integers(0, d.n - 1), min_size=1, max_size=10))
+        taken = d.take(positions)
+        assert taken.dim == d.dim
+        for k, i in enumerate(positions):
+            assert features(taken, k) == features(d, i)
+            assert taken.labels[k] == d.labels[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=random_datasets(), pool=random_datasets(), data=st.data())
+    def test_neighbor_replaces_one_row(self, d, pool, data):
+        index = data.draw(st.integers(1, d.n))
+        row = data.draw(st.integers(0, pool.n - 1))
+        spec = NeighborSpec(index, pool, row)
+        if features(pool, row)[0] and features(pool, row)[0][-1] > d.dim:
+            with pytest.raises(DataError):
+                make_neighbor(d, spec)
+            return
+        nb = make_neighbor(d, spec)
+        assert nb.n == d.n and nb.dim == d.dim
+        for i in range(d.n):
+            src, j = (pool, row) if i == index - 1 else (d, i)
+            assert features(nb, i) == features(src, j)
+            assert nb.labels[i] == src.labels[j]
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=random_datasets(), b=random_datasets())
+    def test_stack_then_take_gives_the_parts_back(self, a, b):
+        dim = max(a.dim, b.dim)
+        both = stack([a, b], dim)
+        assert both.take(range(a.n)) == stack([a], dim)
+        assert both.take(range(a.n, a.n + b.n)) == stack([b], dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=random_datasets())
+    def test_padded_and_norms_match_rows(self, d):
+        width = max(int(d.nnz.max()), 1) + 1
+        indices, values = d.padded(width)
+        dense = d.matrix.toarray()
+        for i in range(d.n):
+            idx, vals, _ = d.row(i)
+            k = idx.size
+            assert indices[i, :k].tolist() == idx.tolist()
+            assert values[i, :k].tolist() == vals.tolist()
+            assert (indices[i, k:] == d.dim).all() and (values[i, k:] == 0.0).all()
+            assert dense[i, idx].tolist() == vals.tolist()
+            with np.errstate(over="ignore"):
+                np.testing.assert_allclose(d.norm_sq[i], float(vals @ vals), rtol=1e-14)
+
+    def test_take_rejects_positions_out_of_range(self):
+        d = parse_libsvm("1 1:1\n-1 2:1\n")
+        for bad in ([2], [-1]):
+            with pytest.raises(DataError):
+                d.take(bad)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_stability.dataset import Dataset, NeighborSpec, parse_libsvm, synthetic_binary_dataset
+from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ExperimentConfig,
     _rep_draws,
@@ -81,13 +81,13 @@ class TestLoadExperimentData:
         p.write_text("0 1:1\n1 1:2\n2 1:3\n3 1:4\n")
         cfg = ExperimentConfig(dataset=str(p))
         data = load_experiment_data(cfg)
-        assert sorted(set(e.label for e in data.examples)) == [-1.0, 1.0]
+        assert sorted(set(data.labels.tolist())) == [-1.0, 1.0]
 
 
 def run_repetition(train, spec, kind, hp, stream_seed, stride):
     """Distance series of one repetition at one grid point, from a batched call."""
     batch = coupled_distance_batch(
-        padded_rows(train.examples + (spec.replacement,), train.dim),
+        padded_rows(stack([train, spec.pool.take([spec.row])], train.dim)),
         np.arange(train.n)[None, :],
         [spec.index],
         [train.n],
@@ -106,7 +106,7 @@ class TestRunRepetition:
 
     def test_identity_replacement_gives_zero_series(self):
         train = synthetic_binary_dataset(20, 4, seed=0)
-        spec = NeighborSpec(index=7, replacement=train.examples[6])
+        spec = NeighborSpec(index=7, pool=train, row=6)
         hp = hb_params(0.05, 0.5, 100)
         series = run_repetition(train, spec, "logistic", hp, stream_seed=3, stride=20)
         assert series.shape == (5,)
@@ -114,8 +114,7 @@ class TestRunRepetition:
 
     def test_onset_matches_first_stream_hit(self):
         train = synthetic_binary_dataset(25, 4, seed=1)
-        repl = synthetic_binary_dataset(3, 4, seed=2).examples[0]
-        spec = NeighborSpec(index=11, replacement=repl)
+        spec = NeighborSpec(index=11, pool=synthetic_binary_dataset(3, 4, seed=2), row=0)
         hp = hb_params(0.05, 0.5, 150)
         series = run_repetition(train, spec, "logistic", hp, stream_seed=9, stride=1)
         idx = SampleStream(9, 25).prefix(150)
@@ -193,8 +192,8 @@ class TestStabilityExperiment:
             hp = variant_params(cfg.variant, point.step, point.beta, cfg.epochs * result.n_train)
             expected, series = [], []
             for r, d in enumerate(draws):
-                train = Dataset(tuple(data.examples[i] for i in d.train_rows), data.dim)
-                spec = NeighborSpec(d.perturbed, data.examples[d.replacement])
+                train = data.take(d.train_rows)
+                spec = NeighborSpec(d.perturbed, data, d.replacement)
                 stream = SampleStream(d.stream_seed, train.n)
                 try:
                     series.append(

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sgdm_stability.dataset import Example, SparseVector, parse_libsvm, synthetic_binary_dataset
+from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import (
     empirical_risk,
     empirical_risk_many,
     grad_scale,
+    grad_scales,
     loss_grad,
     loss_value,
+    losses,
     smoothness,
 )
 from sgdm_stability.verification import (
@@ -21,32 +23,33 @@ from sgdm_stability.verification import (
 
 
 def ex(indices, values, label, dim=None):
+    """One-row dataset; the loss functions below read its row 0."""
     dim = dim or (max(indices) if indices else 1)
-    return Example(SparseVector(tuple(indices), tuple(values), dim), float(label))
+    return Dataset([0, len(indices)], [i - 1 for i in indices], values, [float(label)], dim)
 
 
 class TestLossValues:
     def test_logistic_at_zero_weights(self):
         z = ex([1, 2], [1.0, -1.0], 1.0)
-        assert loss_value(np.zeros(2), z, "logistic") == pytest.approx(math.log(2.0), rel=1e-15)
+        assert loss_value(np.zeros(2), z, 0, "logistic") == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_logistic_unit_margin(self):
         # closed form log(1 + exp(-1)) evaluated independently
         z = ex([1], [1.0], 1.0)
         w = np.array([1.0])
         expected = math.log(1.0 + math.exp(-1.0))
-        assert loss_value(w, z, "logistic") == pytest.approx(expected, rel=1e-15)
+        assert loss_value(w, z, 0, "logistic") == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.31326168751822286, rel=1e-15)
 
     def test_squared_zero_at_perfect_fit(self):
         z = ex([1, 3], [2.0, 1.0], 5.0)
         w = np.array([2.0, 0.0, 1.0])  # margin = 5
-        assert loss_value(w, z, "squared") == 0.0
+        assert loss_value(w, z, 0, "squared") == 0.0
 
     def test_squared_hand_value(self):
         z = ex([1], [2.0], 1.0)
         w = np.array([2.0])  # margin 4, residual 3
-        assert loss_value(w, z, "squared") == pytest.approx(4.5, rel=1e-15)
+        assert loss_value(w, z, 0, "squared") == pytest.approx(4.5, rel=1e-15)
 
     @pytest.mark.parametrize("m", [-1000.0, -50.0, 50.0, 1000.0])
     def test_logistic_stable_at_extreme_margins(self, m):
@@ -54,8 +57,8 @@ class TestLossValues:
         w = np.array([m])
         # benign underflow to 0 is fine; overflow or nan is not
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            v = loss_value(w, z, "logistic")
-            s = grad_scale(w, z, "logistic")
+            v = loss_value(w, z, 0, "logistic")
+            s = grad_scale(w, z, 0, "logistic")
         assert math.isfinite(v) and math.isfinite(s)
         if m <= -50:
             # softplus(-m) ~ -m for large -m
@@ -67,27 +70,27 @@ class TestLossValues:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            loss_value(np.zeros(1), ex([1], [1.0], 1.0), "hinge")
+            loss_value(np.zeros(1), ex([1], [1.0], 1.0), 0, "hinge")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss_value(np.zeros(2), ex([1, 5], [1.0, 1.0], 1.0, dim=5), "logistic")
+            loss_value(np.zeros(2), ex([1, 5], [1.0, 1.0], 1.0, dim=5), 0, "logistic")
 
 
 class TestGradients:
     def test_logistic_grad_at_zero(self):
         z = ex([1, 2], [1.0, 2.0], 1.0)
-        g = loss_grad(np.zeros(2), z, "logistic")
+        g = loss_grad(np.zeros(2), z, 0, "logistic")
         np.testing.assert_allclose(g, [-0.5, -1.0], rtol=1e-15)
 
     def test_squared_grad_zero_at_fit(self):
         z = ex([1], [2.0], 6.0)
-        g = loss_grad(np.array([3.0]), z, "squared")
+        g = loss_grad(np.array([3.0]), z, 0, "squared")
         np.testing.assert_allclose(g, [0.0])
 
     def test_grad_supported_on_example_indices(self):
         z = ex([2, 4], [1.0, 1.0], -1.0, dim=5)
-        g = loss_grad(np.ones(5), z, "logistic")
+        g = loss_grad(np.ones(5), z, 0, "logistic")
         assert g[0] == g[2] == g[4] == 0.0
         assert g[1] != 0.0 and g[3] != 0.0
 
@@ -97,12 +100,43 @@ class TestGradients:
         assert outcome.status == "pass", outcome
 
 
+class TestFormulas:
+    """`losses` / `grad_scales` are the one home of both formulas."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_elementwise_equals_per_row(self, kind):
+        rng = np.random.default_rng(3)
+        d = synthetic_binary_dataset(30, 6, seed=5)
+        w = rng.standard_normal(6) * 4.0
+        # per-row sparse dots, the margins the per-row functions compute
+        m = np.array([float(np.dot(w[idx], vals)) for idx, vals, _ in map(d.row, range(d.n))])
+        np.testing.assert_array_equal(
+            losses(m, d.labels, kind), [loss_value(w, d, i, kind) for i in range(d.n)]
+        )
+        np.testing.assert_array_equal(
+            grad_scales(m, d.labels, kind), [grad_scale(w, d, i, kind) for i in range(d.n)]
+        )
+
+    def test_logistic_scale_is_the_textbook_form(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal(1000) * 30.0
+        y = rng.choice([-1.0, 1.0], size=1000)
+        from scipy.special import expit
+
+        np.testing.assert_array_equal(grad_scales(m, y, "logistic"), -y * expit(-y * m))
+
+    @pytest.mark.parametrize("fn", [losses, grad_scales])
+    def test_unknown_kind_rejected(self, fn):
+        with pytest.raises(ValueError, match="hinge"):
+            fn(np.zeros(2), np.ones(2), "hinge")
+
+
 class TestEmpiricalRisk:
     def test_mean_of_losses(self):
         d = parse_libsvm("1 1:1\n-1 1:2\n")
         w = np.array([0.5])
         expected = 0.5 * (
-            loss_value(w, d.examples[0], "logistic") + loss_value(w, d.examples[1], "logistic")
+            loss_value(w, d, 0, "logistic") + loss_value(w, d, 1, "logistic")
         )
         assert empirical_risk(w, d, "logistic") == pytest.approx(expected, rel=1e-15)
 
@@ -118,7 +152,7 @@ class TestEmpiricalRisk:
         W = rng.standard_normal((6, 9))
         fast = empirical_risk_many(W, d, kind)
         slow = np.array(
-            [np.mean([loss_value(w, z, kind) for z in d.examples]) for w in W]
+            [np.mean([loss_value(w, d, i, kind) for i in range(d.n)]) for w in W]
         )
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 

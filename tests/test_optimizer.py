@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import (
-    Dataset,
-    Example,
     NeighborSpec,
-    SparseVector,
     parse_libsvm,
+    stack,
     synthetic_binary_dataset,
 )
 from sgdm_stability.losses import empirical_risk, loss_grad, smoothness
@@ -32,13 +30,9 @@ from sgdm_stability.optimizer import (
     momentum_buffers,
     nesterov_params,
     padded_rows,
-    read_iterates_bin,
-    replay_matches,
     run,
     run_lookahead,
     sgdm_step,
-    write_iterates_bin,
-    write_trajectory_csv,
 )
 
 
@@ -119,7 +113,7 @@ class TestBetaZeroReduction:
         idx = SampleStream(11, 40).prefix(1000)
         worst = 0.0
         for k in range(1000):
-            w = w - (gamma + eta) * loss_grad(w, data.examples[idx[k] - 1], kind)
+            w = w - (gamma + eta) * loss_grad(w, data, int(idx[k]) - 1, kind)
             worst = max(worst, float(np.abs(w - traj.iterates[k + 1]).max()))
         assert worst <= 1e-12
 
@@ -171,14 +165,11 @@ class TestSampleStream:
     def test_deterministic_and_order_independent(self):
         a = SampleStream(3, 17)
         b = SampleStream(3, 17)
-        # query b out of order, a in order
-        vals_b = [b.index(k) for k in (500, 3, 42, 1)]
-        vals_a = [a.index(k) for k in range(1, 501)]
-        assert vals_b[0] == vals_a[499]
-        assert vals_b[1] == vals_a[2]
-        assert vals_b[2] == vals_a[41]
-        assert vals_b[3] == vals_a[0]
-        np.testing.assert_array_equal(a.prefix(500), b.prefix(500))
+        # query b's prefixes longest first, a's once
+        vals_b = [b.prefix(k) for k in (500, 3, 42, 1)]
+        vals_a = a.prefix(500)
+        for v in vals_b:
+            np.testing.assert_array_equal(v, vals_a[: v.size])
 
     def test_single_example_dataset(self):
         s = SampleStream(0, 1)
@@ -199,8 +190,6 @@ class TestSampleStream:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             SampleStream(0, 0)
-        with pytest.raises(ValueError):
-            SampleStream(0, 5).index(0)
 
     @pytest.mark.parametrize("n", [1, 7, 40, 2**31 + 11])
     @pytest.mark.parametrize("size", [1, 3, 1000, 5000])
@@ -238,7 +227,10 @@ class TestRun:
         data = synthetic_binary_dataset(25, 5, seed=6)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.02, iterations=300)
         traj = run(data, "logistic", hp, np.zeros(5), SampleStream(8, 25))
-        assert replay_matches(traj)
+        state = SgdmState(w=traj.iterates[0].copy(), m=np.zeros(5), step=0)
+        for k in range(traj.steps):
+            state = sgdm_step(state, traj.gradients[k], traj.hp)
+            assert np.array_equal(state.w, traj.iterates[k + 1])
 
     def test_momentum_unrolls_to_geometric_sum(self):
         data = synthetic_binary_dataset(25, 5, seed=7)
@@ -250,15 +242,6 @@ class TestRun:
             expected = powers @ traj.gradients[:t]
             scale = 1.0 + np.linalg.norm(m[t])
             assert np.linalg.norm(m[t] - expected) / scale <= 1e-10
-
-    def test_risk_recording_stride(self):
-        data = synthetic_binary_dataset(10, 3, seed=9)
-        hp = HyperParams(beta=0.0, gamma=0.0, eta=0.01, iterations=10)
-        traj = run(data, "logistic", hp, np.zeros(3), SampleStream(0, 10), record_risk=True, risk_stride=5)
-        assert traj.risks is not None
-        assert traj.risks.shape == (3,)  # iterates 1, 6, 11
-        direct = empirical_risk(traj.iterates[5], data, "logistic")
-        assert traj.risks[1] == pytest.approx(direct, rel=1e-12)
 
     def test_divergence_on_squared_loss_big_step(self):
         data = parse_libsvm("100 1:10\n-100 1:10\n")
@@ -273,8 +256,7 @@ class TestCoupledRun:
         rng = np.random.default_rng(seed + 100)
         idx = int(rng.integers(1, n + 1))
         repl_src = synthetic_binary_dataset(n, dim, seed=seed + 1)
-        repl = repl_src.examples[0]
-        spec = NeighborSpec(index=idx, replacement=repl)
+        spec = NeighborSpec(index=idx, pool=repl_src, row=0)
         hp = HyperParams(beta=0.5, gamma=0.01, eta=0.02, iterations=steps)
         return data, spec, hp
 
@@ -297,7 +279,7 @@ class TestCoupledRun:
 
     def test_identical_replacement_keeps_distance_zero(self):
         data, spec, hp = self._setup(seed=5)
-        same = NeighborSpec(index=spec.index, replacement=data.examples[spec.index - 1])
+        same = NeighborSpec(index=spec.index, pool=data, row=spec.index - 1)
         trace = coupled_run(data, same, "logistic", hp, np.zeros(5), SampleStream(2, 30))
         assert np.all(trace.distances == 0.0)
 
@@ -310,8 +292,7 @@ class TestCoupledRun:
         # squared loss with an enormous replacement feature blows up only
         # the neighbor run
         data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
-        repl = Example(SparseVector((1,), (1e155,), 1), 1.0)
-        spec = NeighborSpec(index=1, replacement=repl)
+        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
         hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
         with pytest.raises(DivergenceError) as exc:
             coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(0, 3))
@@ -321,7 +302,7 @@ class TestCoupledRun:
 class TestCoupledDistanceSeries:
     def test_matches_full_coupled_run(self):
         data = synthetic_binary_dataset(40, 6, seed=11)
-        spec = NeighborSpec(index=5, replacement=synthetic_binary_dataset(4, 6, seed=12).examples[0])
+        spec = NeighborSpec(index=5, pool=synthetic_binary_dataset(4, 6, seed=12), row=0)
         for beta, gamma, eta in [(0.0, 0.02, 0.03), (0.9, 0.0, 0.01), (0.5, 0.04, 0.02)]:
             hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=200)
             trace = coupled_run(data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40))
@@ -333,7 +314,7 @@ class TestCoupledDistanceSeries:
 
     def test_stride_subsamples(self):
         data = synthetic_binary_dataset(40, 6, seed=13)
-        spec = NeighborSpec(index=2, replacement=data.examples[10])
+        spec = NeighborSpec(index=2, pool=data, row=10)
         hp = HyperParams(beta=0.5, gamma=0.0, eta=0.05, iterations=100)
         full = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=1)
         strided = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=25)
@@ -341,17 +322,13 @@ class TestCoupledDistanceSeries:
 
     def test_pre_hit_zero_is_exact(self):
         data = synthetic_binary_dataset(40, 6, seed=14)
-        spec = NeighborSpec(index=9, replacement=synthetic_binary_dataset(4, 6, seed=15).examples[1])
+        spec = NeighborSpec(index=9, pool=synthetic_binary_dataset(4, 6, seed=15), row=1)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=300)
         series = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(21, 40), stride=1)
         idx = SampleStream(21, 40).prefix(300)
         hits = np.flatnonzero(idx == 9)
         assert hits.size > 0
         assert np.all(series[: hits[0]] == 0.0)
-
-
-def _rep_dataset(examples, dim, train_rows):
-    return Dataset(tuple(examples[i] for i in train_rows), dim)
 
 
 class TestCoupledBatch:
@@ -364,8 +341,8 @@ class TestCoupledBatch:
     def _setup(self):
         data = synthetic_binary_dataset(30, self.DIM, seed=21)
         pool = synthetic_binary_dataset(8, self.DIM, seed=22)
-        examples = data.examples + pool.examples
-        nnz = [len(ex.features.indices) for ex in examples]
+        examples = stack([data, pool], self.DIM)
+        nnz = examples.nnz.tolist()
         assert len(set(nnz)) > 2, "rows should have unequal nnz"
         rng = np.random.default_rng(5)
         train_rows = np.stack([np.sort(rng.choice(30, self.N_TRAIN, replace=False)) for _ in range(3)])
@@ -392,7 +369,7 @@ class TestCoupledBatch:
         examples, train_rows, perturbed, replacements, seeds = self._setup()
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         batch = coupled_distance_batch(
-            padded_rows(examples, self.DIM), train_rows, perturbed, replacements,
+            padded_rows(examples), train_rows, perturbed, replacements,
             streams, kind, points, w1, stride,
         )
         return batch, (examples, train_rows, perturbed, replacements, seeds)
@@ -410,8 +387,8 @@ class TestCoupledBatch:
         assert batch.distances.shape == (3, 4, self.T // stride)
         assert not batch.diverged_step.any()
         for r in range(3):
-            train = _rep_dataset(examples, self.DIM, train_rows[r])
-            spec = NeighborSpec(int(perturbed[r]), examples[replacements[r]])
+            train = examples.take(train_rows[r])
+            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
             for g, hp in enumerate(points):
                 trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
                 np.testing.assert_allclose(
@@ -425,7 +402,7 @@ class TestCoupledBatch:
         batch, (examples, train_rows, perturbed, replacements, seeds) = self._batch(
             "logistic", points, 1, w1
         )
-        rows = padded_rows(examples, self.DIM)
+        rows = padded_rows(examples)
         for r in range(3):
             for g, hp in enumerate(points):
                 alone = coupled_distance_batch(
@@ -437,8 +414,7 @@ class TestCoupledBatch:
     def test_neighbor_divergence_is_labeled(self):
         # the enormous replacement feature blows up only the neighbor run
         data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
-        repl = Example(SparseVector((1,), (1e155,), 1), 1.0)
-        rows = padded_rows(data.examples + (repl,), 1)
+        rows = padded_rows(stack([data, parse_libsvm("1 1:1e155\n")], 1))
         hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
         batch = coupled_distance_batch(
             rows, np.array([[0, 1, 2]]), [1], [3], [SampleStream(0, 3)], "squared", [hp],
@@ -450,7 +426,7 @@ class TestCoupledBatch:
 
     def test_rejects_mismatched_inputs(self):
         examples, train_rows, perturbed, replacements, seeds = self._setup()
-        rows = padded_rows(examples, self.DIM)
+        rows = padded_rows(examples)
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         hp = hb_params(0.01, 0.5, 10)
         w1 = np.zeros(self.DIM)
@@ -472,7 +448,7 @@ class TestCoupledBatch:
         # far below a single (reps, T) index array of the longer run
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         data = synthetic_binary_dataset(400, 5, seed=0)
-        rows = padded_rows(data.examples, 5)
+        rows = padded_rows(data)
         rng = np.random.default_rng(1)
         R, n = 10, 320
         train_rows = np.stack([np.sort(rng.choice(400, n, replace=False)) for _ in range(R)])
@@ -504,7 +480,7 @@ class TestCoupledBatch:
     )
     def test_property_matches_coupled_run_within_stab_condition(self, beta, share, scale, kind):
         examples, train_rows, perturbed, replacements, seeds = self._setup()
-        train0 = _rep_dataset(examples, self.DIM, train_rows[0])
+        train0 = examples.take(train_rows[0])
         alpha = smoothness(train0, kind).alpha
         # split the condition's budget 1/alpha between the eta and gamma terms
         a = (1 + beta) * (3 - beta) / (1 - beta) ** 2
@@ -517,12 +493,12 @@ class TestCoupledBatch:
         w1 = np.full(self.DIM, 0.1)
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         batch = coupled_distance_batch(
-            padded_rows(examples, self.DIM), train_rows, perturbed, replacements, streams,
+            padded_rows(examples), train_rows, perturbed, replacements, streams,
             kind, [hp], w1, 1,
         )
         for r in range(3):
-            train = _rep_dataset(examples, self.DIM, train_rows[r])
-            spec = NeighborSpec(int(perturbed[r]), examples[replacements[r]])
+            train = examples.take(train_rows[r])
+            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
             trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
             np.testing.assert_allclose(batch.distances[r, 0], trace.distances[1:], rtol=1e-9, atol=1e-12)
 
@@ -557,51 +533,3 @@ class TestAverageIterate:
             average_iterate(traj, 0)
         with pytest.raises(ValueError):
             average_iterate(traj, 4)
-
-
-class TestExports:
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        iterates = rng.standard_normal((17, 4))
-        path = tmp_path / "traj.bin"
-        write_iterates_bin(iterates, path)
-        back = read_iterates_bin(path)
-        np.testing.assert_array_equal(back, iterates)
-        raw = path.read_bytes()
-        assert raw[:8] == b"SGDMTRAJ"
-        assert len(raw) == 16 + 17 * 4 * 8
-
-    def test_binary_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            read_iterates_bin(path)
-
-    def test_csv_export_columns(self, tmp_path):
-        import csv
-
-        data = synthetic_binary_dataset(10, 3, seed=1)
-        hp = HyperParams(beta=0.5, gamma=0.0, eta=0.05, iterations=4)
-        traj = run(data, "logistic", hp, np.zeros(3), SampleStream(0, 10), record_risk=True)
-        trace_path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, trace_path)
-        with open(trace_path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        assert set(rows[0]) == {"step", "index", "risk", "iterate_norm"}
-        assert rows[-1]["index"] == ""  # no step taken from the final iterate
-        assert float(rows[0]["risk"]) == pytest.approx(np.log(2.0), rel=1e-12)
-
-    def test_csv_with_distances(self, tmp_path):
-        import csv
-
-        data = synthetic_binary_dataset(10, 3, seed=2)
-        spec = NeighborSpec(index=1, replacement=data.examples[2])
-        hp = HyperParams(beta=0.5, gamma=0.0, eta=0.05, iterations=4)
-        trace = coupled_run(data, spec, "logistic", hp, np.zeros(3), SampleStream(0, 10))
-        path = tmp_path / "coupled.csv"
-        write_trajectory_csv(trace.base, path, distances=trace.distances)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert "distance" in rows[0]
-        assert float(rows[0]["distance"]) == 0.0

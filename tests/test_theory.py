@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgdm_stability.dataset import NeighborSpec, synthetic_binary_dataset
+from sgdm_stability.harness import variant_params
 from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
@@ -20,6 +21,7 @@ from sgdm_stability.theory import (
     epr_recipe,
     max_eta_hb,
     max_gamma_nesterov,
+    max_step,
     optimization_bound,
     stability_bound,
     verify_dist_identity,
@@ -115,6 +117,34 @@ class TestStepCaps:
                 opt = check_opt_condition(hp, 1.0)
                 assert stab.slack >= -1e-12 * stab.rhs
                 assert opt.satisfied
+
+    @pytest.mark.parametrize("variant", ["hb", "nesterov", "general"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("alpha", [0.25, 5.5])
+    def test_max_step_sizes_the_variant_that_runs(self, variant, beta, alpha):
+        # the step the variant's own hyperparameters admit: just below the cap
+        # satisfies the condition, just above it does not
+        cap = max_step(variant, beta, alpha)
+        below = check_stab_condition(variant_params(variant, 0.999 * cap, beta, 1), alpha)
+        above = check_stab_condition(variant_params(variant, 1.001 * cap, beta, 1), alpha)
+        assert below.satisfied
+        assert not above.satisfied
+
+    def test_max_step_closed_forms(self):
+        assert max_step("hb", 0.5, 2.0) == max_eta_hb(0.5, 2.0)
+        assert max_step("nesterov", 0.5, 2.0) == max_gamma_nesterov(0.5, 2.0)
+        assert max_step("nesterov", 0.0, 2.0) == max_eta_hb(0.0, 2.0)
+        assert max_step("general", 0.0, 1.0) == pytest.approx(2 / 9, rel=1e-15)
+        with pytest.raises(ValueError):
+            max_step("adam", 0.5, 1.0)
+        with pytest.raises(ValueError):
+            max_step("general", 1.0, 1.0)
+
+    def test_huge_step_is_unsatisfied_not_an_overflow(self):
+        hp = HyperParams(beta=0.5, gamma=1e300, eta=1e300, iterations=1)
+        rep = check_opt_condition(hp, 1.0)
+        assert rep.lhs == math.inf
+        assert not rep.satisfied
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -293,8 +323,7 @@ class TestDistIdentity:
 class TestMomentumRecursionBound:
     def _trace(self, beta, steps=200, seed=4):
         data = synthetic_binary_dataset(30, 5, seed=seed)
-        repl = synthetic_binary_dataset(5, 5, seed=seed + 1).examples[0]
-        spec = NeighborSpec(index=3, replacement=repl)
+        spec = NeighborSpec(index=3, pool=synthetic_binary_dataset(5, 5, seed=seed + 1), row=0)
         hp = HyperParams(beta=beta, gamma=0.01, eta=0.02, iterations=steps)
         return coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(seed, 30))
 
@@ -349,6 +378,10 @@ class TestEprRecipe:
     def test_nesterov_uses_its_own_cap(self):
         r = epr_recipe(100, 0.5, 1e-9, "nesterov", alpha=100.0)
         assert r.cap == pytest.approx(max_gamma_nesterov(0.5, 100.0), rel=1e-15)
+
+    def test_nesterov_beta_zero_uses_the_plain_sgd_cap(self):
+        r = epr_recipe(100, 0.0, 1e-9, "nesterov", alpha=100.0)
+        assert r.cap == max_eta_hb(0.0, 100.0)
 
     def test_round_trip_dict(self):
         d = epr_recipe(50, 0.0, 0.5, "hb", alpha=1.0).to_dict()

@@ -44,11 +44,13 @@ from .optimizer import (
     coupled_distance_batch,
     coupled_distance_series,
     coupled_run,
+    coupled_steps,
     hb_params,
     lookahead_step,
     nesterov_params,
     run,
     sgdm_step,
+    steps,
 )
 from .theory import (
     AuxiliaryTrace,

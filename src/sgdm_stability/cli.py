@@ -230,18 +230,17 @@ def _cmd_check_bounds(cfg: dict) -> int:
     samples = _get_int(cfg, "samples", 50)
     _require("samples", samples, samples >= 1, ">= 1")
     t_raw = cfg.get("t", "5n")
-    if t_raw.endswith("n"):
-        factor = t_raw[:-1] or "1"
-        try:
-            t = int(float(factor) * train.n)
-        except ValueError:
-            raise ConfigError(f"key 't': expected an integer or '<k>n', got {t_raw!r}") from None
-    else:
-        try:
+    try:
+        if t_raw.endswith("n"):
+            scaled = float(t_raw[:-1] or "1") * train.n
+            if not math.isfinite(scaled):
+                raise ValueError(t_raw)
+            t = int(scaled)
+        else:
             t = int(t_raw)
-        except ValueError:
-            raise ConfigError(f"key 't': expected an integer or '<k>n', got {t_raw!r}") from None
-    _require("t", t_raw, t >= 1, "at least one step")
+    except ValueError:
+        raise ConfigError(f"key 't': expected an integer or '<k>n' with a finite k, got {t_raw!r}") from None
+    _require("t", t_raw, 1 <= t < 2**63, "at least one step and fewer than 2**63")
     variant = exp.variant
     reports = []
     failed = False
@@ -327,13 +326,15 @@ def _cmd_recipe(cfg: dict) -> int:
     variant = cfg.get("variant", "hb")
     if variant not in ("hb", "nesterov"):
         raise ConfigError(f"recipe variant must be hb or nesterov, got {variant!r}")
-    recipe = epr_recipe(
-        n=_get_int(cfg, "n"),
-        beta=_get_float(cfg, "beta"),
-        l_star=_get_float(cfg, "l_star"),
-        variant=variant,
-        alpha=_get_float(cfg, "alpha"),
-    )
+    n = _get_int(cfg, "n")
+    beta = _get_float(cfg, "beta")
+    l_star = _get_float(cfg, "l_star")
+    alpha = _get_float(cfg, "alpha")
+    _require("n", n, n >= 1, ">= 1")
+    _require("beta", beta, 0 <= beta < 1, "in [0, 1)")
+    _require("l_star", l_star, 0 <= l_star < math.inf, "finite and >= 0")
+    _require("alpha", alpha, 0 < alpha < math.inf, "finite and > 0")
+    recipe = epr_recipe(n=n, beta=beta, l_star=l_star, variant=variant, alpha=alpha)
     print(json.dumps(recipe.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

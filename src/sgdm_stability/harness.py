@@ -21,12 +21,13 @@ from .dataset import (
     split_positions,
     synthetic_binary_dataset,
 )
-from .losses import empirical_risk_many, smoothness
+from .losses import empirical_risk_many, risk_blocks, smoothness
 from .optimizer import (
+    STREAM_CHUNK,
     HyperParams,
     SampleStream,
     coupled_distance_batch,
-    coupled_run,
+    coupled_steps,
     padded_rows,
 )
 from .theory import ConditionReport, check_opt_condition, check_stab_condition, stability_bound
@@ -283,6 +284,13 @@ def save_stability_result(result: StabilityResult, outdir, extra: dict | None = 
     return manifest
 
 
+def _standard_error(values: np.ndarray) -> float | None:
+    """Sample standard deviation / sqrt(count); None for a single value."""
+    if values.size < 2:
+        return None
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
 @dataclass(frozen=True)
 class BoundCheckResult:
     empirical: float
@@ -291,14 +299,20 @@ class BoundCheckResult:
     margin_ratio: float
     samples: int
     inputs: dict
+    empirical_se: float | None
+    sum_risk: float
+    sum_risk_se: float | None
 
     def to_dict(self) -> dict:
         return {
             "empirical": self.empirical,
+            "empirical_se": self.empirical_se,
             "theoretical": self.theoretical,
             "holds": self.holds,
             "margin_ratio": self.margin_ratio,
             "samples": self.samples,
+            "sum_risk": self.sum_risk,
+            "sum_risk_se": self.sum_risk_se,
             "estimator": "dataset fixed; Monte Carlo over (perturbed index, stream seed, replacement)",
             "inputs": dict(self.inputs),
         }
@@ -318,7 +332,10 @@ def run_bound_check(
 
     Refuses to run (PreconditionError) when the stability step-size condition
     fails, since the bound does not apply there.  The accumulated-risk input
-    of the bound is estimated from the base runs of the same samples.
+    of the bound, sum_k R_S(w_k) over the base iterates w_1..w_t, is estimated
+    from the base runs of the same samples.  Both runs of a sample are
+    streamed: only the current block of base iterates is held, so memory
+    grows with t only through the (t,) vector of per-iterate risks.
     """
     cond = check_stab_condition(hp, alpha)
     if not cond.satisfied:
@@ -328,17 +345,26 @@ def run_bound_check(
     t = hp.iterations
     final_sq = np.empty(samples)
     sum_risks = np.empty(samples)
+    risks = np.empty(t)
+    block = np.empty((min(t, STREAM_CHUNK), train.dim))
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
         idx = int(rng.integers(1, train.n + 1))
         spec = NeighborSpec(idx, replacement_pool, int(rng.integers(0, replacement_pool.n)))
         stream = SampleStream(int(rng.integers(2**63)), train.n)
-        trace = coupled_run(train, spec, kind, hp, np.zeros(train.dim), stream)
-        final_sq[s] = trace.distances[-1] ** 2
-        risks = empirical_risk_many(trace.base.iterates[:t], train, kind)
+        w = np.zeros(train.dim)  # w_1
+        pairs = coupled_steps(train, spec, kind, hp, w, stream)
+        # blocks cut by risk_blocks give the bits of one call on all t iterates
+        for lo, hi in risk_blocks(t, STREAM_CHUNK):
+            for j in range(hi - lo):
+                block[j] = w
+                (_, w), _, distance = next(pairs)
+            risks[lo:hi] = empirical_risk_many(block[: hi - lo], train, kind)
+        final_sq[s] = distance**2
         sum_risks[s] = risks.sum()
     empirical = float(final_sq.mean())
-    report = stability_bound(hp, alpha, train.n, t, float(sum_risks.mean()), variant)
+    sum_risk = float(sum_risks.mean())
+    report = stability_bound(hp, alpha, train.n, t, sum_risk, variant)
     theoretical = report.value
     ratio = float("inf") if empirical == 0.0 else theoretical / empirical
     return BoundCheckResult(
@@ -348,4 +374,7 @@ def run_bound_check(
         margin_ratio=ratio,
         samples=samples,
         inputs=report.inputs,
+        empirical_se=_standard_error(final_sq),
+        sum_risk=sum_risk,
+        sum_risk_se=_standard_error(sum_risks),
     )

@@ -15,6 +15,8 @@ loss computation in the package goes through them.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,12 @@ from scipy.special import expit
 from .dataset import Dataset
 
 LOSS_KINDS = ("logistic", "squared")
+
+# Weight rows `empirical_risk_many` evaluates per task, and its thread count:
+# one per CPU this process may run on.  numpy and scipy release the GIL in the
+# matrix product and the loss ufuncs, so the blocks run in parallel.
+RISK_COLUMNS = 256
+RISK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _check_kind(kind: str) -> str:
@@ -83,12 +91,44 @@ def empirical_risk(w: np.ndarray, d: Dataset, kind: str) -> float:
     return float(empirical_risk_many(w[None, :], d, kind)[0])
 
 
+def risk_blocks(count: int, width: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of consecutive blocks of at most `width` weight rows
+    that cover rows 0..count, for `width` >= 3.
+
+    numpy sums a lone column of losses pairwise but each column of a wider
+    block in row order, so no block holds exactly one row unless `count` is 1.
+    Evaluated block by block over these bounds, `empirical_risk_many` gives
+    the same bits as one call on all `count` rows.
+    """
+    bounds = [[lo, min(lo + width, count)] for lo in range(0, count, width)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2][1] -= 1
+        bounds[-1][0] -= 1
+    return [(lo, hi) for lo, hi in bounds]
+
+
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
-    """Empirical risk of each weight row, in one sparse matrix product."""
+    """Empirical risk of each weight row.
+
+    The rows go through the sparse matrix product in blocks of RISK_COLUMNS,
+    one block per task on RISK_WORKERS threads, so the (n, block) margins
+    and losses are all that is held at once.  A row's risk does not depend on
+    the thread count or, within the blocks `risk_blocks` cuts, on the block it
+    falls in: the product and the mean accumulate each column on its own.
+    """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
-    return losses(d.matrix @ w_rows.T, d.labels[:, None], kind).mean(axis=0)
+    # resolved here: the workers touch no Dataset attribute
+    matrix, labels = d.matrix, d.labels[:, None]
+
+    def block(bounds: tuple[int, int]) -> np.ndarray:
+        lo, hi = bounds
+        return losses(matrix @ w_rows[lo:hi].T, labels, kind).mean(axis=0)
+
+    blocks = risk_blocks(w_rows.shape[0], RISK_COLUMNS)
+    with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(blocks))) as pool:
+        return np.concatenate(list(pool.map(block, blocks)))
 
 
 @dataclass(frozen=True)

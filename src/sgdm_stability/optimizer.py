@@ -182,25 +182,45 @@ def momentum_buffers(traj: Trajectory) -> np.ndarray:
     return m
 
 
-def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
-    """Run T = hp.iterations steps of generalized momentum SGD on `d`."""
+# Index-stream steps a run draws at a time, so the stream's memory does not
+# grow with the number of iterations.
+STREAM_CHUNK = 1024
+
+
+def steps(
+    d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Generalized momentum SGD on `d`, one step at a time.
+
+    Yields (g_k, w_{k+1}) for k = 1..hp.iterations; only the current state is
+    held.  This is the reference update loop: `run` records it and
+    `coupled_steps` advances two of them in lockstep.  A non-finite gradient
+    or iterate raises DivergenceError at its step.
+    """
     if stream.n != d.n:
         raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape != (d.dim,):
         raise ValueError(f"w1 must have shape ({d.dim},), got {w1.shape}")
+    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
+    for block in stream.chunks(hp.iterations, STREAM_CHUNK):
+        for i in (block - 1).tolist():
+            g = loss_grad(state.w, d, i, kind)
+            state = sgdm_step(state, g, hp)
+            yield g, state.w
+
+
+def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
+    """Run T = hp.iterations steps of generalized momentum SGD on `d`."""
     T = hp.iterations
-    idx = stream.prefix(T)
     iterates = np.empty((T + 1, d.dim))
     gradients = np.empty((T, d.dim))
-    iterates[0] = w1
-    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
-    for k, i in enumerate((idx - 1).tolist()):
-        g = loss_grad(state.w, d, i, kind)
-        state = sgdm_step(state, g, hp)
+    for k, (g, w) in enumerate(steps(d, kind, hp, w1, stream)):
         gradients[k] = g
-        iterates[k + 1] = state.w
-    return Trajectory(iterates=iterates, gradients=gradients, indices=idx, hp=hp)
+        iterates[k + 1] = w
+    # after the loop, which has checked w1 against the dataset
+    iterates[0] = w1
+    return Trajectory(iterates=iterates, gradients=gradients, indices=stream.prefix(T), hp=hp)
 
 
 def run_lookahead(
@@ -239,6 +259,43 @@ def average_iterate(traj: Trajectory, upto: int) -> np.ndarray:
     return traj.iterates[:upto].mean(axis=0)
 
 
+def coupled_steps(
+    d: Dataset,
+    spec: NeighborSpec,
+    kind: str,
+    hp: HyperParams,
+    w1: np.ndarray,
+    stream: SampleStream,
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.float64]]:
+    """The same seeded algorithm on `d` and on its neighbor, in lockstep.
+
+    Yields ((g_k, w_{k+1}), (g'_k, w'_{k+1}), ||w_{k+1} - w'_{k+1}||) for
+    k = 1..hp.iterations.  Both runs consume the identical index sequence, so
+    they agree exactly until the perturbed index is first sampled.  A
+    non-finite value raises DivergenceError labelled with the side that hit
+    it first ("base" on a tie); a distance that leaves float range while both
+    sides are finite raises DivergenceError at its step.
+    """
+    base = steps(d, kind, hp, w1, stream)
+    neighbor = steps(make_neighbor(d, spec), kind, hp, w1, stream)
+    for k in range(1, hp.iterations + 1):
+        try:
+            base_step = next(base)
+        except DivergenceError as e:
+            raise DivergenceError(e.step, "base") from None
+        try:
+            neighbor_step = next(neighbor)
+        except DivergenceError as e:
+            raise DivergenceError(e.step, "neighbor") from None
+        # the row-wise norm of a one-row matrix: the same reduction, bit for
+        # bit, as the norm of row k of a whole trajectory's differences
+        with np.errstate(over="ignore"):
+            distance = np.linalg.norm((base_step[1] - neighbor_step[1])[None, :], axis=1)[0]
+        if not math.isfinite(distance):
+            raise DivergenceError(k)
+        yield base_step, neighbor_step, distance
+
+
 def coupled_run(
     d: Dataset,
     spec: NeighborSpec,
@@ -247,34 +304,20 @@ def coupled_run(
     w1: np.ndarray,
     stream: SampleStream,
 ) -> CoupledTrace:
-    """Run the same seeded algorithm on `d` and on its neighbor.
-
-    Both runs consume the identical index sequence, so the trajectories agree
-    exactly until the perturbed index is first sampled.
-    """
-    neighbor_data = make_neighbor(d, spec)
-    try:
-        base = run(d, kind, hp, w1, stream)
-    except DivergenceError as e:
-        raise DivergenceError(e.step, "base") from None
-    try:
-        neighbor = run(neighbor_data, kind, hp, w1, stream)
-    except DivergenceError as e:
-        raise DivergenceError(e.step, "neighbor") from None
-    with np.errstate(over="ignore"):
-        distances = np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
-    if not np.isfinite(distances).all():
-        # both runs are finite but the squared gap exceeds float range
-        step = int(np.flatnonzero(~np.isfinite(distances))[0])
-        raise DivergenceError(step)
-    return CoupledTrace(
-        base=base, neighbor=neighbor, distances=distances, perturbed_index=spec.index
-    )
-
-
-# Index-stream steps each repetition draws at a time in the batched kernel, so
-# its memory does not grow with the number of iterations.
-STREAM_CHUNK = 1024
+    """Record `coupled_steps`: both trajectories and every distance."""
+    T = hp.iterations
+    iterates = np.empty((2, T + 1, d.dim))
+    gradients = np.empty((2, T, d.dim))
+    distances = np.zeros(T + 1)
+    for k, (*sides, distance) in enumerate(coupled_steps(d, spec, kind, hp, w1, stream)):
+        for side, (g, w) in enumerate(sides):
+            gradients[side, k] = g
+            iterates[side, k + 1] = w
+        distances[k + 1] = distance
+    iterates[:, 0] = w1
+    indices = stream.prefix(T)
+    base, neighbor = (Trajectory(iterates[s], gradients[s], indices, hp) for s in (0, 1))
+    return CoupledTrace(base=base, neighbor=neighbor, distances=distances, perturbed_index=spec.index)
 
 
 @dataclass(frozen=True)

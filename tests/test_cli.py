@@ -224,7 +224,16 @@ class TestNumericConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "bad", ["samples=0", "t=0", "step=0"], ids=lambda item: item.split("=")[0]
+        "bad",
+        [
+            "samples=0",
+            "t=0",
+            "step=0",
+            pytest.param("t=infn", id="t-infinite-factor"),
+            pytest.param("t=1e30n", id="t-beyond-int64"),
+            pytest.param("t=1e307n", id="t-beyond-float-range"),
+        ],
+        ids=lambda item: item.split("=")[0],
     )
     def test_check_bounds(self, bad, tmp_path, capsys):
         out = tmp_path / "bc"
@@ -245,6 +254,20 @@ class TestNumericConfigErrors:
         assert err.startswith(f"error: config: key {bad.split('=')[0]!r}:")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad", ["n=0", "beta=1", "beta=-0.1", "l_star=-1", "alpha=0", "alpha=inf"],
+        ids=lambda item: item.replace("=", "-"),
+    )
+    def test_recipe(self, bad, capsys):
+        good = {"n": "100", "beta": "0.5", "l_star": "0.1", "alpha": "1"}
+        key, value = bad.split("=")
+        overrides = [f"{k}={value if k == key else v}" for k, v in good.items()]
+        assert main(["recipe", "--overrides", *overrides]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: config: key {key!r}:")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_huge_step_runs_instead_of_overflowing(self, tmp_path, capsys):
         # the squared step overflows to inf: the condition reports unsatisfied

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sgdm_stability import harness, losses, optimizer
 from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ExperimentConfig,
@@ -18,16 +20,17 @@ from sgdm_stability.harness import (
     save_stability_result,
     variant_params,
 )
-from sgdm_stability.losses import smoothness
+from sgdm_stability.losses import empirical_risk_many, smoothness
 from sgdm_stability.optimizer import (
     DivergenceError,
     SampleStream,
     coupled_distance_batch,
     coupled_distance_series,
+    coupled_run,
     hb_params,
     padded_rows,
 )
-from sgdm_stability.theory import max_eta_hb
+from sgdm_stability.theory import max_eta_hb, stability_bound
 
 
 class TestAggregate:
@@ -339,3 +342,81 @@ class TestBoundCheck:
         d = run_bound_check(train, train, "logistic", hp, alpha, 2, 0, "hb").to_dict()
         assert "Monte Carlo" in d["estimator"]
         assert d["inputs"]["n"] == 30
+
+    @pytest.mark.parametrize(
+        "t, kind, beta",
+        [
+            # every loss and beta at a lone iterate, a lone trailing risk
+            # column and a lone trailing stream block
+            *[(t, kind, beta) for t in (1, 257, 1025) for kind in ("logistic", "squared") for beta in (0.0, 0.9)],
+            # the other block edges once each
+            (255, "logistic", 0.9),
+            (256, "squared", 0.0),
+            (1023, "squared", 0.9),
+            (1024, "logistic", 0.0),
+            (3000, "logistic", 0.9),
+        ],
+    )
+    def test_streamed_equals_one_shot_oracle(self, t, kind, beta):
+        # the one-shot evaluation the stream replaced: both whole trajectories,
+        # the risks of all base iterates w_1..w_t in one call, the last distance
+        train = synthetic_binary_dataset(30, 5, seed=12)
+        pool = synthetic_binary_dataset(10, 5, seed=13)
+        alpha = smoothness(train, kind).alpha
+        hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, t)
+        final_sq, sum_risks = np.empty(3), np.empty(3)
+        for s in range(3):
+            rng = np.random.default_rng([7, s])
+            spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
+            stream = SampleStream(int(rng.integers(2**63)), train.n)
+            trace = coupled_run(train, spec, kind, hp, np.zeros(train.dim), stream)
+            final_sq[s] = trace.distances[-1] ** 2
+            sum_risks[s] = empirical_risk_many(trace.base.iterates[:t], train, kind).sum()
+        for samples in (1, 3):
+            res = run_bound_check(train, pool, kind, hp, alpha, samples, seed=7, variant="hb")
+            sum_risk = float(sum_risks[:samples].mean())
+            assert res.empirical == float(final_sq[:samples].mean())
+            assert res.sum_risk == sum_risk
+            assert res.theoretical == stability_bound(hp, alpha, train.n, t, sum_risk, "hb").value
+            if samples == 1:
+                assert res.empirical_se is None and res.sum_risk_se is None
+            else:
+                assert res.empirical_se == float(final_sq.std(ddof=1) / np.sqrt(3))
+                assert res.sum_risk_se == float(sum_risks.std(ddof=1) / np.sqrt(3))
+
+    def test_to_dict_carries_standard_errors(self):
+        train = synthetic_binary_dataset(30, 4, seed=10)
+        alpha = smoothness(train, "logistic").alpha
+        hp = hb_params(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
+        one = run_bound_check(train, train, "logistic", hp, alpha, 1, 0, "hb").to_dict()
+        assert one["empirical_se"] is None and one["sum_risk_se"] is None
+        assert one["sum_risk"] == one["inputs"]["sum_risk"] > 0
+        four = run_bound_check(train, train, "logistic", hp, alpha, 4, 0, "hb").to_dict()
+        assert four["empirical_se"] >= 0 and four["sum_risk_se"] > 0
+        json.dumps(four, allow_nan=False)
+
+    def test_memory_does_not_grow_with_t(self, monkeypatch):
+        # small blocks so both horizons fill them; beyond that, only the (t,)
+        # risk vector may grow, and the peak stays far below one (n, t) matrix.
+        # One worker, so the peak does not depend on how threads overlap.
+        monkeypatch.setattr(harness, "STREAM_CHUNK", 64)
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
+        monkeypatch.setattr(losses, "RISK_COLUMNS", 16)
+        monkeypatch.setattr(losses, "RISK_WORKERS", 1)
+        train = synthetic_binary_dataset(100, 5, seed=14)
+        pool = synthetic_binary_dataset(10, 5, seed=15)
+        alpha = smoothness(train, "logistic").alpha
+        train.matrix  # built once, outside the traced runs
+        peaks = {}
+        for factor in (2, 20):
+            hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
+            tracemalloc.start()
+            try:
+                run_bound_check(train, pool, "logistic", hp, alpha, 1, 0, "hb")
+                peaks[factor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        t = 20 * train.n
+        risk_vector_growth = 8 * (t - 2 * train.n)
+        assert peaks[20] < peaks[2] + risk_vector_growth + 16_000
+        assert peaks[20] < 8 * train.n * t / 10

@@ -1,10 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sgdm_stability import losses as losses_module
 from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import (
+    RISK_COLUMNS,
     empirical_risk,
     empirical_risk_many,
     grad_scale,
@@ -12,6 +17,7 @@ from sgdm_stability.losses import (
     loss_grad,
     loss_value,
     losses,
+    risk_blocks,
     smoothness,
 )
 from sgdm_stability.verification import (
@@ -155,6 +161,38 @@ class TestEmpiricalRisk:
             [np.mean([loss_value(w, d, i, kind) for i in range(d.n)]) for w in W]
         )
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
+
+
+class TestBlockedRisk:
+    DATA = synthetic_binary_dataset(50, 7, seed=9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from(
+            [k * RISK_COLUMNS + off for k in (1, 2, 3) for off in (-1, 0, 1, 2)] + [1, 2, 3]
+        )
+        | st.integers(1, 3 * RISK_COLUMNS + 3),
+        workers=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["logistic", "squared"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=RISK_COLUMNS + 1, workers=3, kind="logistic", seed=0)
+    def test_equals_unblocked_formula_bitwise(self, rows, workers, kind, seed):
+        d = self.DATA
+        W = np.random.default_rng(seed).standard_normal((rows, d.dim))
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers):
+            got = empirical_risk_many(W, d, kind)
+        want = losses(d.matrix @ W.T, d.labels[:, None], kind).mean(axis=0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 258, 512, 513, 1000])
+    def test_blocks_cover_rows_without_a_lone_row(self, count):
+        bounds = risk_blocks(count, 256)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == count
+        widths = [hi - lo for lo, hi in bounds]
+        assert max(widths) <= 256
+        assert min(widths) >= min(count, 2)
 
 
 class TestSmoothness:

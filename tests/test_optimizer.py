@@ -25,6 +25,7 @@ from sgdm_stability.optimizer import (
     coupled_distance_batch,
     coupled_distance_series,
     coupled_run,
+    coupled_steps,
     hb_params,
     lookahead_step,
     momentum_buffers,
@@ -297,6 +298,65 @@ class TestCoupledRun:
         with pytest.raises(DivergenceError) as exc:
             coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(0, 3))
         assert exc.value.which == "neighbor"
+
+
+class TestCoupledSteps:
+    # squared loss, plain SGD at step 3 on rows x = 1: |w| doubles every step,
+    # so a run on these rows alone leaves float range after about 1000 steps
+    ROWS = "1 1:1\n-1 1:1\n1 1:1\n"
+    HP = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=5000)
+
+    def _first_error(self, data, spec):
+        with pytest.raises(DivergenceError) as exc:
+            for _ in coupled_steps(data, spec, "squared", self.HP, np.zeros(1), SampleStream(0, 3)):
+                pass
+        return exc.value
+
+    def test_side_that_diverges_first_is_labeled(self):
+        # the neighbor's 1e155 feature overflows at its first hit, long before
+        # the base leaves float range; the base with that row, the other way round
+        early = self._first_error(
+            parse_libsvm(self.ROWS), NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
+        )
+        assert early.which == "neighbor"
+        assert early.step < 100
+        swapped = self._first_error(
+            parse_libsvm("1 1:1e155\n" + self.ROWS.split("\n", 1)[1]),
+            NeighborSpec(index=1, pool=parse_libsvm("1 1:1\n"), row=0),
+        )
+        assert (swapped.which, swapped.step) == ("base", early.step)
+
+    def test_tie_is_labeled_base(self):
+        data = parse_libsvm(self.ROWS)
+        same = self._first_error(data, NeighborSpec(index=1, pool=data, row=0))
+        assert same.which == "base"
+        with pytest.raises(DivergenceError) as exc:
+            run(data, "squared", self.HP, np.zeros(1), SampleStream(0, 3))
+        assert same.step == exc.value.step
+
+    def test_distance_leaving_float_range_raises_at_its_step(self):
+        # w stays 0 on the zero-label rows; one step at eta = 1 on row 2 lands
+        # on its label, so the sides reach +-1e308: both finite, their gap not
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=50)
+        data = parse_libsvm("0 1:1\n1e308 1:1\n0 1:1\n")
+        spec = NeighborSpec(index=2, pool=parse_libsvm("-1e308 1:1\n"), row=0)
+        with pytest.raises(DivergenceError) as exc:
+            coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(4, 3))
+        first_hit = int(np.flatnonzero(SampleStream(4, 3).prefix(50) == 2)[0]) + 1
+        assert (exc.value.which, exc.value.step) == ("run", first_hit)
+
+    def test_yields_what_coupled_run_records(self):
+        data = synthetic_binary_dataset(30, 5, seed=2)
+        spec = NeighborSpec(index=4, pool=synthetic_binary_dataset(3, 5, seed=3), row=1)
+        hp = HyperParams(beta=0.5, gamma=0.01, eta=0.02, iterations=300)
+        trace = coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(6, 30))
+        walk = list(coupled_steps(data, spec, "logistic", hp, np.zeros(5), SampleStream(6, 30)))
+        assert len(walk) == 300
+        for k, ((g, w), (g2, w2), distance) in enumerate(walk):
+            assert np.array_equal(g, trace.base.gradients[k]) and np.array_equal(w, trace.base.iterates[k + 1])
+            assert np.array_equal(g2, trace.neighbor.gradients[k])
+            assert np.array_equal(w2, trace.neighbor.iterates[k + 1])
+            assert distance == trace.distances[k + 1]
 
 
 class TestCoupledDistanceSeries:

@@ -5,8 +5,9 @@ plot.  All of them read a flat key=value config file (``#`` comments allowed)
 whose entries can be overridden on the command line with
 ``--overrides key=value ...``.
 
-Exit codes: 0 success, 1 usage error, 2 data or config error, 3 divergence,
-refused theorem precondition, or failed verification.
+Exit codes: 0 success, 1 usage error, 2 data or config error (including a
+size that cannot be allocated), 3 divergence, refused theorem precondition, or
+failed verification.
 """
 
 from __future__ import annotations
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         return dispatch(Command(verb=args.verb, config=cfg))
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        print(f"error: config: a size that cannot be allocated: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ParseError, DataError, OSError) as e:
         print(f"error: data: {e}", file=sys.stderr)

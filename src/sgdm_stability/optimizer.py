@@ -287,10 +287,12 @@ def coupled_steps(
             neighbor_step = next(neighbor)
         except DivergenceError as e:
             raise DivergenceError(e.step, "neighbor") from None
-        # the row-wise norm of a one-row matrix: the same reduction, bit for
-        # bit, as the norm of row k of a whole trajectory's differences
+        # the sum of squares np.linalg.norm takes along a row, without its
+        # wrapper: bit for bit the norm of row k of a whole trajectory's
+        # differences
         with np.errstate(over="ignore"):
-            distance = np.linalg.norm((base_step[1] - neighbor_step[1])[None, :], axis=1)[0]
+            diff = base_step[1] - neighbor_step[1]
+            distance = np.float64(math.sqrt(np.add.reduce(diff * diff)))
         if not math.isfinite(distance):
             raise DivergenceError(k)
         yield base_step, neighbor_step, distance

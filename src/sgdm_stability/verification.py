@@ -17,6 +17,7 @@ from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoo
 from .optimizer import (
     HyperParams,
     SampleStream,
+    Trajectory,
     coupled_run,
     hb_params,
     momentum_buffers,
@@ -138,21 +139,22 @@ def check_gradient_fd(kind: str, probes: int = 60, seed: int = 17, h: float = 1e
     return _outcome_max("gradient_fd", {"kind": kind, "probes": probes, "h": h}, worst, 1e-5)
 
 
-def _identity_run(data: Dataset, kind: str, hp: HyperParams, seed: int):
+def _identity_run(data: Dataset, kind: str, hp: HyperParams, seed: int) -> Trajectory:
     stream = SampleStream(seed, data.n)
     w1 = np.zeros(data.dim)
     return run(data, kind, hp, w1, stream)
 
 
-def check_y_identity(
-    data: Dataset, kind: str, hp: HyperParams, seed: int, wrong_effective_step: bool = False
-) -> CheckOutcome:
+def _run_params(kind: str, hp: HyperParams) -> dict:
+    return {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations}
+
+
+def check_y_identity(kind: str, traj: Trajectory, wrong_effective_step: bool = False) -> CheckOutcome:
     """Auxiliary sequence advances by plain gradient steps of the effective size.
 
     `wrong_effective_step` is a negative-control hook: it perturbs the
     effective step by 0.1 percent, which must make the check fail.
     """
-    traj = _identity_run(data, kind, hp, seed)
     aux = auxiliary_sequence(traj)
     if wrong_effective_step:
         bad = aux.effective_step * 1.001
@@ -161,19 +163,13 @@ def check_y_identity(
     else:
         observed = verify_y_identity(aux, traj)
     scale = 1.0 + float(np.linalg.norm(aux.y, axis=1).max())
-    return _outcome_max(
-        "y_identity",
-        {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations},
-        observed / scale,
-        1e-10,
-    )
+    return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
 
 
-def check_dist_identity(data: Dataset, kind: str, hp: HyperParams, seed: int) -> list[CheckOutcome]:
-    traj = _identity_run(data, kind, hp, seed)
+def check_dist_identity(kind: str, traj: Trajectory) -> list[CheckOutcome]:
     aux = auxiliary_sequence(traj)
     rep = verify_dist_identity(aux, traj)
-    params = {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations}
+    params = _run_params(kind, traj.hp)
     return [
         _outcome_max("dist_identity", params, rep.max_residual, 1e-10),
         _outcome_min("dist_bound_margin", params, rep.min_margin, -1e-10),
@@ -181,7 +177,7 @@ def check_dist_identity(data: Dataset, kind: str, hp: HyperParams, seed: int) ->
 
 
 def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> CheckOutcome:
-    params = {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations}
+    params = _run_params(kind, hp)
     if hp.beta == 0.0:
         return _skip("m_recursion", params, "requires beta > 0")
     rng = np.random.default_rng(seed)
@@ -213,32 +209,36 @@ def check_beta_zero_reduction(data: Dataset, kind: str, gamma: float, eta: float
     )
 
 
-def check_nesterov_equivalence(data: Dataset, kind: str, gamma: float, beta: float, steps: int, seed: int) -> CheckOutcome:
-    """Momentum form with eta = beta * gamma matches the look-ahead form."""
-    params = {"kind": kind, "beta": beta, "gamma": gamma, "steps": steps}
-    if beta <= 0.0:
-        return _skip("nesterov_equivalence", params, "requires beta > 0")
-    hp = nesterov_params(gamma, beta, steps)
-    traj = _identity_run(data, kind, hp, seed)
-    la = run_lookahead(data, kind, beta, gamma, steps, np.zeros(data.dim), SampleStream(seed, data.n))
+def _nesterov_params(kind: str, beta: float, gamma: float, steps: int) -> dict:
+    return {"kind": kind, "beta": beta, "gamma": gamma, "steps": steps}
+
+
+def check_nesterov_equivalence(data: Dataset, kind: str, traj: Trajectory, seed: int) -> CheckOutcome:
+    """Momentum-form run `traj` with eta = beta * gamma matches the look-ahead form.
+
+    `seed` seeds the stream `traj` was drawn from; the look-ahead run replays it.
+    """
+    hp = traj.hp
+    params = _nesterov_params(kind, hp.beta, hp.gamma, hp.iterations)
+    la = run_lookahead(data, kind, hp.beta, hp.gamma, hp.iterations, traj.iterates[0], SampleStream(seed, data.n))
     worst = float(np.abs(traj.iterates - la).max())
     return _outcome_max("nesterov_equivalence", params, worst, 1e-9)
 
 
-def check_momentum_unrolling(data: Dataset, kind: str, hp: HyperParams, seed: int) -> CheckOutcome:
+def check_momentum_unrolling(kind: str, traj: Trajectory) -> CheckOutcome:
     """m_t equals sum_j beta^(t-j) g_j up to 1e-10 relative."""
-    traj = _identity_run(data, kind, hp, seed)
     m = momentum_buffers(traj)
     T, d = traj.gradients.shape
+    # beta^(T-1), ..., beta^0: the last t of them weigh g_1..g_t
+    powers = traj.hp.beta ** np.arange(T - 1, -1, -1.0)
     unrolled = np.zeros((T + 1, d))
     for t in range(1, T + 1):
-        powers = hp.beta ** np.arange(t - 1, -1, -1.0)
-        unrolled[t] = powers @ traj.gradients[:t]
+        unrolled[t] = powers[T - t :] @ traj.gradients[:t]
     scale = 1.0 + float(np.linalg.norm(m, axis=1).max())
     worst = float(np.linalg.norm(m - unrolled, axis=1).max()) / scale
     return _outcome_max(
         "momentum_unrolling",
-        {"kind": kind, "beta": hp.beta, "steps": hp.iterations},
+        {"kind": kind, "beta": traj.hp.beta, "steps": traj.hp.iterations},
         worst,
         1e-10,
     )
@@ -258,6 +258,12 @@ def run_invariant_suite(
     Step sizes are `step_fraction` times each variant's admissible maximum
     for the dataset's smoothness.  `force_bug` = "y_identity" flips the
     negative-control hook so exactly that check must fail.
+
+    At each (kind, beta) one heavy-ball run feeds the y, dist and unrolling
+    checks, and for beta > 0 one Nesterov run feeds the look-ahead
+    equivalence, y and dist.  The coupled run of m_recursion, the look-ahead
+    run and the beta = 0 reduction stay separate: their agreement with these
+    runs is what they check.  No two runs are held at once.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)
@@ -270,25 +276,23 @@ def run_invariant_suite(
         outcomes.append(check_gradient_fd(kind))
         for beta in betas:
             eta_cap = max_eta_hb(beta, alpha)
-            hb = hb_params(step_fraction * eta_cap, beta, steps)
-            outcomes.append(
-                check_y_identity(data, kind, hb, seed, wrong_effective_step=force_bug == "y_identity")
-            )
-            outcomes.extend(check_dist_identity(data, kind, hb, seed))
-            outcomes.append(check_m_recursion(data, kind, hb, seed))
-            outcomes.append(check_momentum_unrolling(data, kind, hb, seed))
-            gamma_cap = max_gamma_nesterov(beta, alpha)
-            outcomes.append(
-                check_nesterov_equivalence(data, kind, step_fraction * gamma_cap, beta, steps, seed)
-            )
-            if beta > 0:
-                nest = nesterov_params(step_fraction * gamma_cap, beta, steps)
-                outcomes.append(check_y_identity(data, kind, nest, seed))
-                outcomes.extend(check_dist_identity(data, kind, nest, seed))
-            if beta == 0.0:
-                outcomes.append(
-                    check_beta_zero_reduction(
-                        data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed
-                    )
-                )
+            hb_hp = hb_params(step_fraction * eta_cap, beta, steps)
+            m_recursion = check_m_recursion(data, kind, hb_hp, seed)
+            hb = _identity_run(data, kind, hb_hp, seed)
+            outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
+            outcomes.extend(check_dist_identity(kind, hb))
+            outcomes.append(m_recursion)
+            outcomes.append(check_momentum_unrolling(kind, hb))
+            del hb
+            gamma = step_fraction * max_gamma_nesterov(beta, alpha)
+            if beta > 0.0:
+                nest = _identity_run(data, kind, nesterov_params(gamma, beta, steps), seed)
+                outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
+                outcomes.append(check_y_identity(kind, nest))
+                outcomes.extend(check_dist_identity(kind, nest))
+                del nest
+            else:
+                params = _nesterov_params(kind, beta, gamma, steps)
+                outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
+                outcomes.append(check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed))
     return outcomes

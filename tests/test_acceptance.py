@@ -116,7 +116,8 @@ def test_c02_nesterov_two_form_equivalence():
 
     # and through the shared data path
     data = synthetic_binary_dataset(60, 8, seed=3)
-    out = check_nesterov_equivalence(data, "logistic", 0.02, 0.9, 1000, seed=3)
+    traj = run(data, "logistic", nesterov_params(0.02, 0.9, 1000), np.zeros(data.dim), SampleStream(3, data.n))
+    out = check_nesterov_equivalence(data, "logistic", traj, seed=3)
     assert out.status == "pass"
 
 

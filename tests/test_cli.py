@@ -255,6 +255,29 @@ class TestNumericConfigErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # sizes far beyond any address space: the first allocation fails at once
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
+                 "samples=1", "t=100000000000000000"],
+                id="check-bounds-t",
+            ),
+            pytest.param(
+                ["verify-invariants", "--overrides", "check_steps=100000000000000"],
+                id="verify-invariants-check_steps",
+            ),
+        ],
+    )
+    def test_unallocatable_size(self, argv, tmp_path, capsys):
+        out = tmp_path / "big"
+        assert main([*argv, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: a size that cannot be allocated: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad", ["n=0", "beta=1", "beta=-0.1", "l_star=-1", "alpha=0", "alpha=inf"],
         ids=lambda item: item.replace("=", "-"),

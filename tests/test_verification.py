@@ -1,15 +1,36 @@
-import pytest
+import json
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sgdm_stability import verification
+from sgdm_stability.cli import EXIT_OK, main
 from sgdm_stability.dataset import synthetic_binary_dataset
-from sgdm_stability.losses import smoothness
-from sgdm_stability.optimizer import hb_params
-from sgdm_stability.theory import max_eta_hb
+from sgdm_stability.losses import LOSS_KINDS, smoothness
+from sgdm_stability.optimizer import (
+    HyperParams,
+    SampleStream,
+    Trajectory,
+    coupled_run,
+    hb_params,
+    nesterov_params,
+    run,
+    run_lookahead,
+)
+from sgdm_stability.theory import check_stab_condition, max_eta_hb, max_gamma_nesterov
 from sgdm_stability.verification import (
     CheckOutcome,
     check_beta_zero_reduction,
+    check_co_coercivity,
+    check_convexity,
     check_dist_identity,
+    check_gradient_fd,
     check_m_recursion,
+    check_momentum_unrolling,
     check_nesterov_equivalence,
+    check_self_bounding,
     check_y_identity,
     run_invariant_suite,
 )
@@ -20,12 +41,24 @@ def small_data():
     return synthetic_binary_dataset(40, 6, seed=5, density=0.6, flip=0.15)
 
 
+def fresh_run(data, kind, hp, seed):
+    """A momentum-form run from w_1 = 0 on the stream seeded `seed`."""
+    return run(data, kind, hp, np.zeros(data.dim), SampleStream(seed, data.n))
+
+
+def with_gradient_row_scaled(traj, row, factor):
+    gradients = traj.gradients.copy()
+    gradients[row] *= factor
+    return Trajectory(traj.iterates, gradients, traj.indices, traj.hp)
+
+
 class TestNegativeControl:
     def test_wrong_effective_step_fails_y_identity(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
         hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 400)
-        good = check_y_identity(small_data, "logistic", hp, seed=1)
-        bad = check_y_identity(small_data, "logistic", hp, seed=1, wrong_effective_step=True)
+        traj = fresh_run(small_data, "logistic", hp, seed=1)
+        good = check_y_identity("logistic", traj)
+        bad = check_y_identity("logistic", traj, wrong_effective_step=True)
         assert good.status == "pass"
         assert bad.status == "fail"
         assert bad.observed > good.observed * 1e3
@@ -38,6 +71,48 @@ class TestNegativeControl:
         assert failed
         assert {o.name for o in failed} == {"y_identity"}
 
+    def test_scaled_gradient_row_fails_momentum_unrolling(self, small_data, monkeypatch):
+        # Both sides of the check read the trajectory's gradients, so the
+        # buffers are replayed from a copy with g_k scaled by 1.001 while the
+        # unrolled sums (the beta-power slices) read the true gradients.
+        alpha = smoothness(small_data, "logistic").alpha
+        hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
+        traj = fresh_run(small_data, "logistic", hp, seed=4)
+        assert check_momentum_unrolling("logistic", traj).status == "pass"
+        scaled = with_gradient_row_scaled(traj, 150, 1.001)
+        replay = verification.momentum_buffers
+        monkeypatch.setattr(verification, "momentum_buffers", lambda _: replay(scaled))
+        assert check_momentum_unrolling("logistic", traj).status == "fail"
+
+    def test_scaled_gradient_row_fails_the_identities(self, small_data):
+        # the checks read the trajectory they are handed, not a rerun
+        alpha = smoothness(small_data, "squared").alpha
+        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 300)
+        traj = fresh_run(small_data, "squared", hp, seed=4)
+        scaled = with_gradient_row_scaled(traj, 150, 1.001)
+        assert check_y_identity("squared", traj).status == "pass"
+        assert check_y_identity("squared", scaled).status == "fail"
+        assert check_dist_identity("squared", scaled)[0].status == "fail"
+
+    def test_shifted_lookahead_fails_nesterov_equivalence(self, small_data, monkeypatch):
+        alpha = smoothness(small_data, "logistic").alpha
+        hp = nesterov_params(0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
+        traj = fresh_run(small_data, "logistic", hp, seed=2)
+        assert check_nesterov_equivalence(small_data, "logistic", traj, seed=2).status == "pass"
+
+        def shifted(*args):
+            la = run_lookahead(*args)
+            return np.vstack([la[1:], la[-1:]])
+
+        monkeypatch.setattr(verification, "run_lookahead", shifted)
+        assert check_nesterov_equivalence(small_data, "logistic", traj, seed=2).status == "fail"
+
+    def test_lookahead_on_another_stream_fails_nesterov_equivalence(self, small_data):
+        alpha = smoothness(small_data, "logistic").alpha
+        hp = nesterov_params(0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
+        traj = fresh_run(small_data, "logistic", hp, seed=2)
+        assert check_nesterov_equivalence(small_data, "logistic", traj, seed=3).status == "fail"
+
 
 class TestSkips:
     def test_m_recursion_skips_at_beta_zero(self, small_data):
@@ -47,8 +122,12 @@ class TestSkips:
         assert "beta" in out.note
 
     def test_nesterov_equivalence_skips_at_beta_zero(self, small_data):
-        out = check_nesterov_equivalence(small_data, "logistic", 0.1, 0.0, 100, seed=2)
+        # there is no Nesterov run at beta = 0; the suite reports the skip
+        outcomes = run_invariant_suite(betas=(0.0,), kinds=("logistic",), steps=100, seed=2, data=small_data)
+        (out,) = [o for o in outcomes if o.name == "nesterov_equivalence"]
         assert out.status == "skip"
+        gamma = 0.5 * max_gamma_nesterov(0.0, smoothness(small_data, "logistic").alpha)
+        assert out.params == {"kind": "logistic", "beta": 0.0, "gamma": gamma, "steps": 100}
 
 
 class TestSuiteComposition:
@@ -93,6 +172,115 @@ class TestExplicitChecks:
     def test_dist_identity_pair(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
         hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, 500)
-        pair = check_dist_identity(small_data, "logistic", hp, seed=6)
+        pair = check_dist_identity("logistic", fresh_run(small_data, "logistic", hp, seed=6))
         assert [o.name for o in pair] == ["dist_identity", "dist_bound_margin"]
         assert all(o.status == "pass" for o in pair)
+
+
+def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
+    """The suite's report, with every trajectory check fed its own fresh run."""
+    rows = []
+    for kind in kinds:
+        alpha = smoothness(data, kind).alpha
+        outcomes = [check_self_bounding(kind), check_co_coercivity(kind), check_convexity(kind), check_gradient_fd(kind)]
+        for beta in betas:
+            eta_cap = max_eta_hb(beta, alpha)
+            hb = hb_params(step_fraction * eta_cap, beta, steps)
+            outcomes.append(check_y_identity(kind, fresh_run(data, kind, hb, seed)))
+            outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, hb, seed)))
+            outcomes.append(check_m_recursion(data, kind, hb, seed))
+            outcomes.append(check_momentum_unrolling(kind, fresh_run(data, kind, hb, seed)))
+            gamma = step_fraction * max_gamma_nesterov(beta, alpha)
+            if beta > 0:
+                nest = nesterov_params(gamma, beta, steps)
+                outcomes.append(check_nesterov_equivalence(data, kind, fresh_run(data, kind, nest, seed), seed))
+                outcomes.append(check_y_identity(kind, fresh_run(data, kind, nest, seed)))
+                outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, nest, seed)))
+            else:
+                outcomes.append(CheckOutcome(
+                    "nesterov_equivalence", {"kind": kind, "beta": beta, "gamma": gamma, "steps": steps},
+                    0.0, 0.0, "skip", "requires beta > 0",
+                ))
+                outcomes.append(check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed))
+        rows.extend(o.to_dict() for o in outcomes)
+    return rows
+
+
+class TestSharedTrajectories:
+    def _counted(self, monkeypatch):
+        calls = {"run": 0, "run_lookahead": 0, "coupled_run": 0}
+        steps = {"total": 0}
+
+        def counter(name, fn, count_steps):
+            def wrapped(*args):
+                calls[name] += 1
+                steps["total"] += count_steps(*args)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(verification, "run", counter("run", run, lambda d, k, hp, *_: hp.iterations))
+        monkeypatch.setattr(verification, "run_lookahead", counter("run_lookahead", run_lookahead, lambda *a: a[4]))
+        monkeypatch.setattr(
+            verification, "coupled_run", counter("coupled_run", coupled_run, lambda d, s, k, hp, *_: 2 * hp.iterations)
+        )
+        return calls, steps
+
+    def test_call_counts_at_the_default_grid(self, monkeypatch):
+        # the counts depend on the betas and losses only, so a short horizon
+        # stands in for the verb's check_steps
+        calls, steps = self._counted(monkeypatch)
+        run_invariant_suite(steps=20)
+        assert calls == {"run": 16, "run_lookahead": 6, "coupled_run": 6}
+        # 68000 reference-loop steps at check_steps = 2000
+        assert steps["total"] == 34 * 20
+
+    def test_one_run_per_distinct_trajectory(self, monkeypatch):
+        calls, _ = self._counted(monkeypatch)
+        run_invariant_suite(betas=(0.0,), kinds=("logistic",), steps=20)
+        # the heavy-ball run and the reduction's own beta = 0 run
+        assert calls == {"run": 2, "run_lookahead": 0, "coupled_run": 0}
+
+    def test_suite_equals_checks_fed_fresh_runs(self):
+        data = synthetic_binary_dataset(30, 5, seed=9, density=0.6, flip=0.15)
+        kwargs = dict(kinds=LOSS_KINDS, betas=(0.0, 0.5, 0.9), steps=150, step_fraction=0.4, seed=8)
+        suite = [o.to_dict() for o in run_invariant_suite(data=data, **kwargs)]
+        assert suite == oracle_suite(data, **kwargs)
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        beta=st.floats(0.0, 0.99),
+        share=st.floats(0.05, 1.0),
+        scale=st.floats(0.05, 1.0),
+        kind=st.sampled_from(LOSS_KINDS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_identities_hold_on_one_shared_run(self, small_data, beta, share, scale, kind, seed):
+        alpha = smoothness(small_data, kind).alpha
+        # split the condition's budget 1/alpha between the eta and gamma terms
+        a = (1 + beta) * (3 - beta) / (1 - beta) ** 2
+        b = (beta * beta + 3) / (2 * (1 - beta) ** 2)
+        hp = HyperParams(
+            beta=beta, gamma=scale * (1 - share) / (b * alpha), eta=scale * share / (a * alpha), iterations=120
+        )
+        assume(check_stab_condition(hp, alpha).satisfied)
+        traj = fresh_run(small_data, kind, hp, seed)
+        outcomes = [check_y_identity(kind, traj), *check_dist_identity(kind, traj), check_momentum_unrolling(kind, traj)]
+        assert [o.status for o in outcomes] == ["pass"] * 4, [o.to_dict() for o in outcomes]
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        betas=st.lists(st.sampled_from([0.0, 0.3, 0.9]), min_size=1, max_size=2, unique=True),
+        kind=st.sampled_from(LOSS_KINDS),
+        seed=st.integers(0, 1000),
+    )
+    def test_equal_config_writes_identical_report(self, tmp_path_factory, betas, kind, seed):
+        overrides = [f"betas={','.join(map(str, betas))}", f"losses={kind}", "check_steps=60", f"seed={seed}"]
+        reports = []
+        for _ in range(2):
+            out = tmp_path_factory.mktemp("inv")
+            assert main(["verify-invariants", "--overrides", *overrides, f"outdir={out}"]) == EXIT_OK
+            reports.append((out / "invariants.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[0])) > 0

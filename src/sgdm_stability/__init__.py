@@ -42,7 +42,6 @@ from .optimizer import (
     Trajectory,
     average_iterate,
     coupled_distance_batch,
-    coupled_distance_series,
     coupled_run,
     coupled_steps,
     hb_params,

@@ -224,6 +224,9 @@ def _cmd_run_stability(cfg: dict) -> int:
 
 
 def _cmd_check_bounds(cfg: dict) -> int:
+    for key in ("reps", "epochs", "stride", "steps", "max_train"):
+        if key in cfg:
+            raise ConfigError(f"key {key!r}: not read by check-bounds, which runs `samples` pairs of `t` steps")
     exp = _experiment_config(cfg)
     data = load_experiment_data(exp)
     train, held = split_dataset(data, exp.fraction, exp.seed)
@@ -252,6 +255,11 @@ def _cmd_check_bounds(cfg: dict) -> int:
         else:
             frac = _get_float(cfg, "step_fraction", 0.5)
             _require("step_fraction", frac, 0 < frac < math.inf, "finite and > 0")
+            if alpha == 0.0:
+                raise ConfigError(
+                    "key 'step_fraction': alpha = 0 (the train rows have no nonzero values), "
+                    "so there is no step cap to scale; give 'step' instead"
+                )
             step = frac * max_step(variant, beta, alpha)
         hp = variant_params(variant, step, beta, t)
         bound_variant = variant
@@ -291,6 +299,7 @@ def _cmd_verify_invariants(cfg: dict) -> int:
         raise ConfigError(f"force_bug must be empty or 'y_identity', got {force_bug!r}")
     kinds_raw = cfg.get("losses", ",".join(LOSS_KINDS))
     kinds = tuple(k.strip() for k in kinds_raw.split(",") if k.strip())
+    _require("losses", kinds_raw, kinds, f"a comma list from {LOSS_KINDS}")
     for k in kinds:
         if k not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {k!r}")

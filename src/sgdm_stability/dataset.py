@@ -165,9 +165,12 @@ class Dataset:
             indptr, self.indices[entries], self.values[entries], self.labels[positions], self.dim
         )
 
-    def padded(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """(n, width) tables of every row's indices and values: the row's
-        entries first, then index `dim` with value 0."""
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, width) tables of every row's indices and values, at the widest
+        row's width (at least 1): the row's entries first, then index `dim`
+        with value 0."""
+        width = max(int(self.nnz.max()), 1)
         filled = np.arange(width) < self.nnz[:, None]
         indices = np.full((self.n, width), self.dim, dtype=np.intp)
         values = np.zeros((self.n, width))
@@ -207,7 +210,7 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     """Parse LIBSVM text into a Dataset.
 
     Lines look like ``<label> <index>:<value> ...`` with 1-based, strictly
-    increasing indices.  ``#`` starts a comment, blank lines are skipped.
+    increasing indices.  ``#`` starts a comment; empty lines are skipped.
     `dim` can force a feature count larger than the max observed index.
 
     Raises ParseError (with the offending 1-based line number) on malformed

@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dataset import (
+    DataError,
     Dataset,
     NeighborSpec,
     binarize,
@@ -28,7 +29,6 @@ from .optimizer import (
     SampleStream,
     coupled_distance_batch,
     coupled_steps,
-    padded_rows,
 )
 from .theory import ConditionReport, check_opt_condition, check_stab_condition, stability_bound
 
@@ -162,13 +162,18 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
     n_train = draws[0].train_rows.size
     stride = cfg.stride if cfg.stride is not None else n_train
     iterations = cfg.epochs * n_train
+    if stride > iterations:
+        raise DataError(
+            f"stride {stride} exceeds the {iterations} steps of a run (epochs {cfg.epochs} x "
+            f"{n_train} train rows), so no distance would be recorded"
+        )
     grid = [
         (beta, step, variant_params(cfg.variant, step, beta, iterations))
         for beta in cfg.betas
         for step in cfg.steps
     ]
     batch = coupled_distance_batch(
-        padded_rows(data),
+        data,
         np.stack([d.train_rows for d in draws]),
         [d.perturbed for d in draws],
         [d.replacement for d in draws],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NeighborSpec, make_neighbor, stack
+from .dataset import Dataset, NeighborSpec, make_neighbor
 from .losses import LOSS_KINDS, grad_scales, loss_grad
 
 
@@ -323,46 +323,6 @@ def coupled_run(
 
 
 @dataclass(frozen=True)
-class PaddedRows:
-    """Dataset rows as fixed-width rows for the batched kernel.
-
-    Row r holds the 0-based feature indices and the values of example r in
-    its first nnz[r] slots.  The other slots point at column `dim`, the zero
-    padding column of the kernel's state, with value 0.  The extra last row,
-    `blank`, is all padding, so a step on it leaves the state unchanged.
-    """
-
-    indices: np.ndarray  # (n + 1, width) intp
-    values: np.ndarray  # (n + 1, width) float64
-    labels: np.ndarray  # (n + 1,)
-    nnz: np.ndarray  # (n + 1,)
-    dim: int
-
-    @property
-    def blank(self) -> int:
-        return self.labels.shape[0] - 1
-
-    def features(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Unpadded (idx0, values) of one row."""
-        k = self.nnz[row]
-        return self.indices[row, :k], self.values[row, :k]
-
-
-def padded_rows(d: Dataset) -> PaddedRows:
-    """Padded row table of the rows of `d`, plus the blank row."""
-    nnz = np.append(d.nnz, 0)
-    width = max(int(nnz.max()), 1)
-    indices, values = d.padded(width)
-    return PaddedRows(
-        indices=np.vstack([indices, np.full((1, width), d.dim)]),
-        values=np.vstack([values, np.zeros((1, width))]),
-        labels=np.append(d.labels, 0.0),
-        nnz=nnz,
-        dim=d.dim,
-    )
-
-
-@dataclass(frozen=True)
 class CoupledBatch:
     """Distance series of R repetitions x G grid points of coupled runs.
 
@@ -378,7 +338,7 @@ class CoupledBatch:
 
 
 def coupled_distance_batch(
-    rows: PaddedRows,
+    data: Dataset,
     train_rows: np.ndarray,
     perturbed: Sequence[int],
     replacements: Sequence[int],
@@ -390,16 +350,19 @@ def coupled_distance_batch(
 ) -> CoupledBatch:
     """Coupled distance series of every (repetition, grid point) pair at once.
 
-    Repetition r trains on the table rows train_rows[r] (shape (R, n)) in the
-    order of its own index stream streams[r] over 1..n; its neighbor replaces
-    the train row at 1-based position perturbed[r] by table row
-    replacements[r].  Every grid point replays the repetition's draws.
+    Repetition r trains on the rows train_rows[r] (shape (R, n)) of `data` in
+    the order of its own index stream streams[r] over 1..n; its neighbor
+    replaces the train row at 1-based position perturbed[r] by the row
+    replacements[r] of `data`.  Every grid point replays the repetition's
+    draws.
 
     All P = R*G pairs advance together on a stacked (P, dim+1, 2) state whose
-    last axis is (base, neighbor) and whose column `dim` stays zero.  Each
-    step repeats the arithmetic of a lone pair operation for operation, so a
-    pair's series does not depend on what it is batched with.  A pair that
-    hits a non-finite margin, iterate or distance is censored and dropped.
+    last axis is (base, neighbor) and whose column `dim`, which the padding of
+    `Dataset.padded` points at, stays zero.  Each side reads its own row every
+    step.  Each step repeats the arithmetic of a lone pair operation for
+    operation, so a pair's series does not depend on what it is batched with.
+    A pair that hits a non-finite margin, iterate or distance is censored and
+    dropped.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -421,11 +384,12 @@ def coupled_distance_batch(
     T = points[0].iterations
     if any(hp.iterations != T for hp in points):
         raise ValueError("grid points must share the number of iterations")
-    dim = rows.dim
+    dim = data.dim
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape != (dim,):
         raise ValueError(f"w1 must have shape ({dim},), got {w1.shape}")
 
+    indices, values = data.padded
     betas = np.array([hp.beta for hp in points])
     etas = np.array([hp.eta for hp in points])
     gammas = np.array([hp.gamma for hp in points])
@@ -434,13 +398,14 @@ def coupled_distance_batch(
         g = pair % G
         zero_beta = betas[g] == 0.0
         return (
-            pair // G, np.arange(pair.size)[:, None], betas[g][:, None, None],
+            pair // G, np.arange(pair.size)[:, None, None], betas[g][:, None, None],
             zero_beta if zero_beta.any() else None, etas[g][:, None, None], gammas[g][:, None],
         )
 
     # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
     pair = np.arange(R * G)
     rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+    side = np.arange(2)[:, None]
     L = T // stride
     distances = np.full((R * G, L), np.nan)
     diverged_step = np.zeros(R * G, dtype=np.int64)
@@ -457,43 +422,32 @@ def coupled_distance_batch(
             block = np.stack(block)
             base_rows = np.take_along_axis(train_rows, block - 1, axis=1)
             hit = block == perturbed[:, None]
-            # a pair on its perturbed index takes that step outside the
-            # batched update, which sees the blank row for it instead
-            live_rows = np.where(hit, rows.blank, base_rows)[rep].T.copy()
+            # (step, pair, side) rows: the neighbor reads the replacement
+            # wherever its stream hits the perturbed index
+            neighbor_rows = np.where(hit, replacements[:, None], base_rows)
+            live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             for j, hit_step in enumerate(hit.any(axis=0).tolist()):
                 r = live_rows[j]
-                ix = rows.indices[r]
-                vx = rows.values[r][:, :, None]
-                margins = np.matmul(W[at, ix].transpose(0, 2, 1), vx)[:, :, 0]
+                ix = indices[r]
+                vx = values[r]
+                # off a hit both sides read the base row: one product per pair
+                x = vx[:, 0, :, None]
+                margins = np.matmul(W[at[:, 0], ix[:, 0]].transpose(0, 2, 1), x)[:, :, 0]
+                if hit_step:
+                    # on a hit the sides read different rows: one dot per side
+                    a = np.flatnonzero(hit[rep, j])
+                    wa = W[at[a], ix[a], side][:, :, None, :]
+                    margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
                 finite = np.isfinite(margins)
                 bad = None if finite.all() else ~finite  # (P, 2) non-finite sides
-                scales = grad_scales(margins, rows.labels[r][:, None], kind)
+                scales = grad_scales(margins, data.labels[r], kind)
                 M *= beta
                 if zero_beta is not None:
                     M[zero_beta] = 0.0
-                M[at, ix] += scales[:, None, :] * vx
-                if hit_step:
-                    for a in np.flatnonzero(hit[rep, j]):
-                        sides = (base_rows[rep[a], j], replacements[rep[a]])
-                        feats = [rows.features(row) for row in sides]
-                        mrows = [
-                            float(W[a, jx, side] @ jv) if jx.size else 0.0
-                            for side, (jx, jv) in enumerate(feats)
-                        ]
-                        if not all(map(math.isfinite, mrows)):
-                            if bad is None:
-                                bad = np.zeros_like(finite)
-                            bad[a] = [not math.isfinite(m) for m in mrows]
-                            continue
-                        g_a = float(gammas[pair[a] % G])
-                        for side, (row, (jx, jv), mrow) in enumerate(zip(sides, feats, mrows)):
-                            sc = float(grad_scales(mrow, float(rows.labels[row]), kind))
-                            M[a, jx, side] += sc * jv
-                            if g_a:
-                                W[a, jx, side] -= g_a * sc * jv
+                M[at, ix, side] += scales[:, :, None] * vx
                 W -= eta * M
                 if any_gamma:
-                    W[at, ix] -= (gamma * scales)[:, None, :] * vx
+                    W[at, ix, side] -= (gamma * scales)[:, :, None] * vx
                 k += 1
                 if k % stride == 0:
                     diff = W[:, :dim, 0] - W[:, :dim, 1]
@@ -529,37 +483,3 @@ def coupled_distance_batch(
         diverged_step=diverged_step.reshape(R, G),
         diverged_which=diverged_which.reshape(R, G),
     )
-
-
-def coupled_distance_series(
-    d: Dataset,
-    spec: NeighborSpec,
-    kind: str,
-    hp: HyperParams,
-    w1: np.ndarray,
-    stream: SampleStream,
-    stride: int,
-) -> np.ndarray:
-    """Distances ||w_t - w'_t|| sampled every `stride` steps, without keeping
-    full trajectories.
-
-    Entry j is the distance after (j+1)*stride steps; the series has
-    floor(T / stride) entries.  This is the one-pair case of
-    `coupled_distance_batch`; a censored pair raises DivergenceError.
-    """
-    batch = coupled_distance_batch(
-        padded_rows(stack([d, spec.pool.take([spec.row])], d.dim)),
-        np.arange(d.n)[None, :],
-        [spec.index],
-        [d.n],
-        [stream],
-        kind,
-        [hp],
-        w1,
-        stride,
-    )
-    step = int(batch.diverged_step[0, 0])
-    if step:
-        raise DivergenceError(step, str(batch.diverged_which[0, 0]))
-    return batch.distances[0, 0]
-

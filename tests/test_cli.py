@@ -244,7 +244,46 @@ class TestNumericConfigErrors:
         assert not (out / "bound_check.json").exists()
 
     @pytest.mark.parametrize(
-        "bad", ["check_steps=0", "step_fraction=-1", "betas=1", "seed=-1"],
+        "bad", ["reps=2", "epochs=2", "stride=5", "steps=0.01", "max_train=10"],
+        ids=lambda item: item.split("=")[0],
+    )
+    def test_check_bounds_rejects_keys_it_does_not_read(self, bad, tmp_path, capsys):
+        # valid run-stability values: the key itself is the error
+        out = tmp_path / "bc"
+        assert main(["check-bounds", "--overrides", *TestCheckBounds.BASE, bad, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key {bad.split('=')[0]!r}: not read by check-bounds")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_check_bounds_step_fraction_needs_features(self, tmp_path, capsys):
+        # label-only rows have alpha = 0, so there is no step cap to scale
+        data = tmp_path / "labels.txt"
+        data.write_text("1\n-1\n" * 5)
+        out = tmp_path / "bc"
+        rc = main(["check-bounds", "--overrides", f"dataset={data}", "samples=1", "t=1n", f"outdir={out}"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: key 'step_fraction':")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stride,rc", [(64, EXIT_OK), (65, EXIT_DATA)])
+    def test_run_stability_stride_within_the_run(self, stride, rc, tmp_path, capsys):
+        # 2 epochs of 32 train rows: a stride above 64 steps records nothing
+        out = tmp_path / "o"
+        assert main(["run-stability", "--overrides", *RUN_OVERRIDES, f"stride={stride}", f"outdir={out}"]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_DATA:
+            assert err.startswith(f"error: data: stride {stride} exceeds the 64 steps of a run")
+            assert err.count("\n") == 1
+            assert not out.exists()
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["stride"] == 64
+
+    @pytest.mark.parametrize(
+        "bad", ["check_steps=0", "step_fraction=-1", "betas=1", "seed=-1", "losses="],
         ids=lambda item: item.split("=")[0],
     )
     def test_verify_invariants(self, bad, tmp_path, capsys):

@@ -349,8 +349,8 @@ class TestRowOperations:
     @settings(max_examples=40, deadline=None)
     @given(d=random_datasets())
     def test_padded_and_norms_match_rows(self, d):
-        width = max(int(d.nnz.max()), 1) + 1
-        indices, values = d.padded(width)
+        indices, values = d.padded
+        assert indices.shape == values.shape == (d.n, max(int(d.nnz.max()), 1))
         dense = d.matrix.toarray()
         for i in range(d.n):
             idx, vals, _ = d.row(i)

@@ -22,13 +22,10 @@ from sgdm_stability.harness import (
 )
 from sgdm_stability.losses import empirical_risk_many, smoothness
 from sgdm_stability.optimizer import (
-    DivergenceError,
     SampleStream,
     coupled_distance_batch,
-    coupled_distance_series,
     coupled_run,
     hb_params,
-    padded_rows,
 )
 from sgdm_stability.theory import max_eta_hb, stability_bound
 
@@ -87,19 +84,24 @@ class TestLoadExperimentData:
         assert sorted(set(data.labels.tolist())) == [-1.0, 1.0]
 
 
-def run_repetition(train, spec, kind, hp, stream_seed, stride):
-    """Distance series of one repetition at one grid point, from a batched call."""
-    batch = coupled_distance_batch(
-        padded_rows(stack([train, spec.pool.take([spec.row])], train.dim)),
+def one_pair_batch(train, spec, kind, hp, stream, stride):
+    """The batched kernel on the one pair (train, its neighbor under spec)."""
+    return coupled_distance_batch(
+        stack([train, spec.pool.take([spec.row])], train.dim),
         np.arange(train.n)[None, :],
         [spec.index],
         [train.n],
-        [SampleStream(stream_seed, train.n)],
+        [stream],
         kind,
         [hp],
         np.zeros(train.dim),
         stride,
     )
+
+
+def run_repetition(train, spec, kind, hp, stream_seed, stride):
+    """Distance series of one repetition at one grid point, from a batched call."""
+    batch = one_pair_batch(train, spec, kind, hp, SampleStream(stream_seed, train.n), stride)
     assert batch.diverged_step[0, 0] == 0
     return batch.distances[0, 0]
 
@@ -198,14 +200,12 @@ class TestStabilityExperiment:
                 train = data.take(d.train_rows)
                 spec = NeighborSpec(d.perturbed, data, d.replacement)
                 stream = SampleStream(d.stream_seed, train.n)
-                try:
-                    series.append(
-                        coupled_distance_series(
-                            train, spec, cfg.loss, hp, np.zeros(data.dim), stream, result.stride
-                        )
-                    )
-                except DivergenceError as e:
-                    expected.append({"rep": r, "step": e.step, "which": e.which})
+                batch = one_pair_batch(train, spec, cfg.loss, hp, stream, result.stride)
+                step = int(batch.diverged_step[0, 0])
+                if step:
+                    expected.append({"rep": r, "step": step, "which": str(batch.diverged_which[0, 0])})
+                else:
+                    series.append(batch.distances[0, 0])
             assert point.censored == len(expected)
             assert list(point.censored_reps) == expected
             if series:

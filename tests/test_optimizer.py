@@ -23,14 +23,12 @@ from sgdm_stability.optimizer import (
     Trajectory,
     average_iterate,
     coupled_distance_batch,
-    coupled_distance_series,
     coupled_run,
     coupled_steps,
     hb_params,
     lookahead_step,
     momentum_buffers,
     nesterov_params,
-    padded_rows,
     run,
     run_lookahead,
     sgdm_step,
@@ -359,14 +357,27 @@ class TestCoupledSteps:
             assert distance == trace.distances[k + 1]
 
 
+def one_pair_series(d, spec, kind, hp, w1, stream, stride):
+    """Distance series of the one pair (d, its neighbor under spec) from the
+    batched kernel; the pair must not be censored."""
+    batch = coupled_distance_batch(
+        stack([d, spec.pool.take([spec.row])], d.dim), np.arange(d.n)[None, :], [spec.index], [d.n],
+        [stream], kind, [hp], w1, stride,
+    )
+    assert batch.diverged_step[0, 0] == 0
+    return batch.distances[0, 0]
+
+
 class TestCoupledDistanceSeries:
+    """The batched kernel on a single pair."""
+
     def test_matches_full_coupled_run(self):
         data = synthetic_binary_dataset(40, 6, seed=11)
         spec = NeighborSpec(index=5, pool=synthetic_binary_dataset(4, 6, seed=12), row=0)
         for beta, gamma, eta in [(0.0, 0.02, 0.03), (0.9, 0.0, 0.01), (0.5, 0.04, 0.02)]:
             hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=200)
             trace = coupled_run(data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40))
-            fast = coupled_distance_series(
+            fast = one_pair_series(
                 data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40), stride=1
             )
             # fast[j] is the distance after step j+1 = trace.distances[j+1]
@@ -376,15 +387,15 @@ class TestCoupledDistanceSeries:
         data = synthetic_binary_dataset(40, 6, seed=13)
         spec = NeighborSpec(index=2, pool=data, row=10)
         hp = HyperParams(beta=0.5, gamma=0.0, eta=0.05, iterations=100)
-        full = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=1)
-        strided = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=25)
+        full = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=1)
+        strided = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=25)
         np.testing.assert_allclose(strided, full[24::25], rtol=0, atol=0)
 
     def test_pre_hit_zero_is_exact(self):
         data = synthetic_binary_dataset(40, 6, seed=14)
         spec = NeighborSpec(index=9, pool=synthetic_binary_dataset(4, 6, seed=15), row=1)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=300)
-        series = coupled_distance_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(21, 40), stride=1)
+        series = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(21, 40), stride=1)
         idx = SampleStream(21, 40).prefix(300)
         hits = np.flatnonzero(idx == 9)
         assert hits.size > 0
@@ -425,26 +436,17 @@ class TestCoupledBatch:
             HyperParams(beta=0.5, gamma=0.03, eta=0.03, iterations=T),
         ]
 
-    def _batch(self, kind, points, stride, w1):
-        examples, train_rows, perturbed, replacements, seeds = self._setup()
+    def _batch(self, kind, points, stride, w1, inputs=None):
+        examples, train_rows, perturbed, replacements, seeds = inputs or self._setup()
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         batch = coupled_distance_batch(
-            padded_rows(examples), train_rows, perturbed, replacements,
+            examples, train_rows, perturbed, replacements,
             streams, kind, points, w1, stride,
         )
         return batch, (examples, train_rows, perturbed, replacements, seeds)
 
-    @pytest.mark.parametrize("kind", ["logistic", "squared"])
-    def test_every_pair_matches_coupled_run(self, kind, monkeypatch):
-        # small stream chunks put perturbed hits and strides across chunk ends
-        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 7)
-        w1 = np.linspace(-0.5, 0.5, self.DIM)
-        points = self._grid()
-        stride = 3
-        batch, (examples, train_rows, perturbed, replacements, seeds) = self._batch(
-            kind, points, stride, w1
-        )
-        assert batch.distances.shape == (3, 4, self.T // stride)
+    def _assert_every_pair_matches_coupled_run(self, batch, inputs, kind, points, stride, w1):
+        examples, train_rows, perturbed, replacements, seeds = inputs
         assert not batch.diverged_step.any()
         for r in range(3):
             train = examples.take(train_rows[r])
@@ -456,17 +458,51 @@ class TestCoupledBatch:
                 )
             assert batch.distances[r, :, -1].min() > 0.0, "perturbed index never sampled"
 
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_every_pair_matches_coupled_run(self, kind, monkeypatch):
+        # small stream chunks put perturbed hits and strides across chunk ends
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 7)
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        points = self._grid()
+        stride = 3
+        batch, inputs = self._batch(kind, points, stride, w1)
+        assert batch.distances.shape == (3, 4, self.T // stride)
+        self._assert_every_pair_matches_coupled_run(batch, inputs, kind, points, stride, w1)
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("case", ["empty_replacement", "same_step_hits", "chunk_edge_hits"])
+    def test_edge_inputs_match_coupled_run(self, case, kind, monkeypatch):
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 8)
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        draws = [SampleStream(s, self.N_TRAIN).prefix(self.T) for s in seeds]
+        if case == "empty_replacement":
+            # repetition 0's neighbor takes a row with no entries
+            examples = stack([examples, parse_libsvm("1\n")], self.DIM)
+            replacements = np.array([examples.n - 1, *replacements[1:]])
+            assert examples.nnz[-1] == 0
+        elif case == "same_step_hits":
+            # repetitions 0 and 1 both reach their perturbed index at step 11
+            perturbed = np.array([draws[0][10], draws[1][10], perturbed[2]])
+        else:
+            # with 8-step chunks, repetition 0 hits on the first step of the
+            # second chunk and repetition 1 on its last
+            perturbed = np.array([draws[0][8], draws[1][15], perturbed[2]])
+        inputs = (examples, train_rows, perturbed, replacements, seeds)
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        points = self._grid()
+        batch, _ = self._batch(kind, points, 1, w1, inputs)
+        self._assert_every_pair_matches_coupled_run(batch, inputs, kind, points, 1, w1)
+
     def test_pair_does_not_depend_on_its_batch(self):
         w1 = np.linspace(-0.5, 0.5, self.DIM)
         points = self._grid()
         batch, (examples, train_rows, perturbed, replacements, seeds) = self._batch(
             "logistic", points, 1, w1
         )
-        rows = padded_rows(examples)
         for r in range(3):
             for g, hp in enumerate(points):
                 alone = coupled_distance_batch(
-                    rows, train_rows[r : r + 1], perturbed[r : r + 1], replacements[r : r + 1],
+                    examples, train_rows[r : r + 1], perturbed[r : r + 1], replacements[r : r + 1],
                     [SampleStream(seeds[r], self.N_TRAIN)], "logistic", [hp], w1, 1,
                 )
                 np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
@@ -474,10 +510,10 @@ class TestCoupledBatch:
     def test_neighbor_divergence_is_labeled(self):
         # the enormous replacement feature blows up only the neighbor run
         data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
-        rows = padded_rows(stack([data, parse_libsvm("1 1:1e155\n")], 1))
+        both = stack([data, parse_libsvm("1 1:1e155\n")], 1)
         hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
         batch = coupled_distance_batch(
-            rows, np.array([[0, 1, 2]]), [1], [3], [SampleStream(0, 3)], "squared", [hp],
+            both, np.array([[0, 1, 2]]), [1], [3], [SampleStream(0, 3)], "squared", [hp],
             np.zeros(1), 10,
         )
         assert batch.diverged_step[0, 0] > 0
@@ -486,21 +522,20 @@ class TestCoupledBatch:
 
     def test_rejects_mismatched_inputs(self):
         examples, train_rows, perturbed, replacements, seeds = self._setup()
-        rows = padded_rows(examples)
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         hp = hb_params(0.01, 0.5, 10)
         w1 = np.zeros(self.DIM)
         with pytest.raises(ValueError, match="out of range"):
-            coupled_distance_batch(rows, train_rows, [0, 1, 1], replacements, streams, "logistic", [hp], w1, 1)
+            coupled_distance_batch(examples, train_rows, [0, 1, 1], replacements, streams, "logistic", [hp], w1, 1)
         with pytest.raises(ValueError, match="iterations"):
             coupled_distance_batch(
-                rows, train_rows, perturbed, replacements, streams, "logistic",
+                examples, train_rows, perturbed, replacements, streams, "logistic",
                 [hp, hb_params(0.01, 0.5, 11)], w1, 1,
             )
         with pytest.raises(ValueError, match="stream"):
-            coupled_distance_batch(rows, train_rows, perturbed, replacements, streams[:2], "logistic", [hp], w1, 1)
+            coupled_distance_batch(examples, train_rows, perturbed, replacements, streams[:2], "logistic", [hp], w1, 1)
         with pytest.raises(ValueError, match="repetition"):
-            coupled_distance_batch(rows, train_rows, perturbed, replacements, streams, "logistic", [], w1, 1)
+            coupled_distance_batch(examples, train_rows, perturbed, replacements, streams, "logistic", [], w1, 1)
 
     def test_memory_does_not_grow_with_iterations(self, monkeypatch):
         # index draws come STREAM_CHUNK steps per repetition at a time, so the
@@ -508,7 +543,8 @@ class TestCoupledBatch:
         # far below a single (reps, T) index array of the longer run
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         data = synthetic_binary_dataset(400, 5, seed=0)
-        rows = padded_rows(data)
+        # the row table is built once per dataset, before the measured calls
+        data.padded
         rng = np.random.default_rng(1)
         R, n = 10, 320
         train_rows = np.stack([np.sort(rng.choice(400, n, replace=False)) for _ in range(R)])
@@ -516,7 +552,7 @@ class TestCoupledBatch:
         for epochs in (1, 20):
             T = epochs * n
             args = (
-                rows, train_rows, rng.integers(1, n + 1, R), rng.integers(0, 400, R),
+                data, train_rows, rng.integers(1, n + 1, R), rng.integers(0, 400, R),
                 [SampleStream(s, n) for s in range(R)], "logistic", [hb_params(0.01, 0.5, T)],
                 np.zeros(5), T // 4,
             )
@@ -553,7 +589,7 @@ class TestCoupledBatch:
         w1 = np.full(self.DIM, 0.1)
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
         batch = coupled_distance_batch(
-            padded_rows(examples), train_rows, perturbed, replacements, streams,
+            examples, train_rows, perturbed, replacements, streams,
             kind, [hp], w1, 1,
         )
         for r in range(3):

@@ -8,7 +8,6 @@ def test_readme_entry_points_import():
         SampleStream,
         check_stab_condition,
         coupled_distance_batch,
-        coupled_distance_series,
         coupled_run,
         hb_params,
         load_libsvm,

@@ -43,7 +43,6 @@ from .optimizer import (
     average_iterate,
     coupled_distance_batch,
     coupled_run,
-    coupled_steps,
     hb_params,
     lookahead_step,
     nesterov_params,

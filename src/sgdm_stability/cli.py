@@ -306,6 +306,8 @@ def _cmd_verify_invariants(cfg: dict) -> int:
     data = None
     if cfg.get("dataset", "synthetic") != "synthetic":
         data = binarize(load_libsvm(cfg["dataset"]))
+        if any(smoothness(data, k).alpha == 0.0 for k in kinds):
+            raise ConfigError("key 'dataset': alpha = 0 (no row has a nonzero value), so there is no step cap")
     outcomes = run_invariant_suite(
         betas=betas,
         kinds=kinds,

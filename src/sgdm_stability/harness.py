@@ -13,23 +13,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import (
-    DataError,
-    Dataset,
-    NeighborSpec,
-    binarize,
-    load_libsvm,
-    split_positions,
-    synthetic_binary_dataset,
-)
-from .losses import empirical_risk_many, risk_blocks, smoothness
-from .optimizer import (
-    STREAM_CHUNK,
-    HyperParams,
-    SampleStream,
-    coupled_distance_batch,
-    coupled_steps,
-)
+from .dataset import DataError, Dataset, binarize, load_libsvm, split_positions, stack, synthetic_binary_dataset
+from .losses import smoothness
+from .optimizer import DivergenceError, HyperParams, SampleStream, coupled_distance_batch
 from .theory import ConditionReport, check_opt_condition, check_stab_condition, stability_bound
 
 
@@ -338,9 +324,9 @@ def run_bound_check(
     Refuses to run (PreconditionError) when the stability step-size condition
     fails, since the bound does not apply there.  The accumulated-risk input
     of the bound, sum_k R_S(w_k) over the base iterates w_1..w_t, is estimated
-    from the base runs of the same samples.  Both runs of a sample are
-    streamed: only the current block of base iterates is held, so memory
-    grows with t only through the (t,) vector of per-iterate risks.
+    from the base runs of the same samples.  All samples are pairs of one
+    `coupled_distance_batch` call, so memory grows with t only through its
+    (samples, t) risk table; the lowest censored sample raises DivergenceError.
     """
     cond = check_stab_condition(hp, alpha)
     if not cond.satisfied:
@@ -348,25 +334,29 @@ def run_bound_check(
             f"stability condition violated: lhs {cond.lhs} > rhs {cond.rhs}"
         )
     t = hp.iterations
-    final_sq = np.empty(samples)
-    sum_risks = np.empty(samples)
-    risks = np.empty(t)
-    block = np.empty((min(t, STREAM_CHUNK), train.dim))
+    # sized by `samples` before the draw loop, so a size that cannot be
+    # allocated fails at once
+    perturbed = np.empty(samples, dtype=np.int64)
+    replacements = np.empty(samples, dtype=np.intp)
+    streams = []
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
-        idx = int(rng.integers(1, train.n + 1))
-        spec = NeighborSpec(idx, replacement_pool, int(rng.integers(0, replacement_pool.n)))
-        stream = SampleStream(int(rng.integers(2**63)), train.n)
-        w = np.zeros(train.dim)  # w_1
-        pairs = coupled_steps(train, spec, kind, hp, w, stream)
-        # blocks cut by risk_blocks give the bits of one call on all t iterates
-        for lo, hi in risk_blocks(t, STREAM_CHUNK):
-            for j in range(hi - lo):
-                block[j] = w
-                (_, w), _, distance = next(pairs)
-            risks[lo:hi] = empirical_risk_many(block[: hi - lo], train, kind)
-        final_sq[s] = distance**2
-        sum_risks[s] = risks.sum()
+        perturbed[s] = rng.integers(1, train.n + 1)
+        # the pool's rows follow the train rows in the stacked data
+        replacements[s] = train.n + rng.integers(0, replacement_pool.n)
+        streams.append(SampleStream(int(rng.integers(2**63)), train.n))
+    # every sample trains on all of `train`, in its own stream's order
+    train_rows = np.broadcast_to(np.arange(train.n), (samples, train.n))
+    batch = coupled_distance_batch(
+        stack([train, replacement_pool], train.dim), train_rows, perturbed, replacements, streams,
+        kind, [hp], np.zeros(train.dim), t, risk_data=train,
+    )
+    censored = np.flatnonzero(batch.diverged_step[:, 0])
+    if censored.size:
+        s = censored[0]
+        raise DivergenceError(int(batch.diverged_step[s, 0]), str(batch.diverged_which[s, 0]))
+    final_sq = batch.distances[:, 0, 0] ** 2
+    sum_risks = batch.risks[:, 0].sum(axis=1)
     empirical = float(final_sq.mean())
     sum_risk = float(sum_risks.mean())
     report = stability_bound(hp, alpha, train.n, t, sum_risk, variant)

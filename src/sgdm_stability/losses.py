@@ -60,7 +60,9 @@ def _row_margin(w: np.ndarray, d: Dataset, i: int):
     if w.shape[-1] < d.dim:
         raise ValueError(f"weight vector of length {w.shape[-1]} cannot cover dataset dim {d.dim}")
     idx, vals, y = d.row(i)
-    return idx, vals, y, float(np.dot(w[idx], vals))
+    # a blown-up w overflows here; the caller's finiteness checks catch it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return idx, vals, y, float(np.dot(w[idx], vals))
 
 
 def loss_value(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor
-from .losses import LOSS_KINDS, grad_scales, loss_grad
+from .losses import LOSS_KINDS, empirical_risk_many, grad_scales, loss_grad, risk_blocks
 
 
 class DivergenceError(RuntimeError):
@@ -194,7 +194,7 @@ def steps(
 
     Yields (g_k, w_{k+1}) for k = 1..hp.iterations; only the current state is
     held.  This is the reference update loop: `run` records it and
-    `coupled_steps` advances two of them in lockstep.  A non-finite gradient
+    `coupled_run` advances two of them in lockstep.  A non-finite gradient
     or iterate raises DivergenceError at its step.
     """
     if stream.n != d.n:
@@ -259,45 +259,6 @@ def average_iterate(traj: Trajectory, upto: int) -> np.ndarray:
     return traj.iterates[:upto].mean(axis=0)
 
 
-def coupled_steps(
-    d: Dataset,
-    spec: NeighborSpec,
-    kind: str,
-    hp: HyperParams,
-    w1: np.ndarray,
-    stream: SampleStream,
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.float64]]:
-    """The same seeded algorithm on `d` and on its neighbor, in lockstep.
-
-    Yields ((g_k, w_{k+1}), (g'_k, w'_{k+1}), ||w_{k+1} - w'_{k+1}||) for
-    k = 1..hp.iterations.  Both runs consume the identical index sequence, so
-    they agree exactly until the perturbed index is first sampled.  A
-    non-finite value raises DivergenceError labelled with the side that hit
-    it first ("base" on a tie); a distance that leaves float range while both
-    sides are finite raises DivergenceError at its step.
-    """
-    base = steps(d, kind, hp, w1, stream)
-    neighbor = steps(make_neighbor(d, spec), kind, hp, w1, stream)
-    for k in range(1, hp.iterations + 1):
-        try:
-            base_step = next(base)
-        except DivergenceError as e:
-            raise DivergenceError(e.step, "base") from None
-        try:
-            neighbor_step = next(neighbor)
-        except DivergenceError as e:
-            raise DivergenceError(e.step, "neighbor") from None
-        # the sum of squares np.linalg.norm takes along a row, without its
-        # wrapper: bit for bit the norm of row k of a whole trajectory's
-        # differences
-        with np.errstate(over="ignore"):
-            diff = base_step[1] - neighbor_step[1]
-            distance = np.float64(math.sqrt(np.add.reduce(diff * diff)))
-        if not math.isfinite(distance):
-            raise DivergenceError(k)
-        yield base_step, neighbor_step, distance
-
-
 def coupled_run(
     d: Dataset,
     spec: NeighborSpec,
@@ -306,16 +267,33 @@ def coupled_run(
     w1: np.ndarray,
     stream: SampleStream,
 ) -> CoupledTrace:
-    """Record `coupled_steps`: both trajectories and every distance."""
+    """The same seeded algorithm on `d` and on its neighbor, in lockstep.
+
+    Records both trajectories and the distance ||w_k - w'_k|| at every
+    iterate.  Both runs consume the identical index sequence, so they agree
+    exactly until the perturbed index is first sampled.  A non-finite value
+    raises DivergenceError labelled with the side that hit it first ("base" on
+    a tie); a distance that leaves float range while both sides are finite
+    raises DivergenceError at its step.
+    """
     T = hp.iterations
     iterates = np.empty((2, T + 1, d.dim))
     gradients = np.empty((2, T, d.dim))
     distances = np.zeros(T + 1)
-    for k, (*sides, distance) in enumerate(coupled_steps(d, spec, kind, hp, w1, stream)):
-        for side, (g, w) in enumerate(sides):
-            gradients[side, k] = g
-            iterates[side, k + 1] = w
-        distances[k + 1] = distance
+    runs = [steps(data, kind, hp, w1, stream) for data in (d, make_neighbor(d, spec))]
+    with np.errstate(over="ignore"):
+        for k in range(T):
+            for s, which in enumerate(("base", "neighbor")):
+                try:
+                    gradients[s, k], iterates[s, k + 1] = next(runs[s])
+                except DivergenceError as e:
+                    raise DivergenceError(e.step, which) from None
+            # the sum of squares np.linalg.norm takes along a row, without its
+            # wrapper: bit for bit the norm of row k + 1 of the differences
+            diff = iterates[0, k + 1] - iterates[1, k + 1]
+            distances[k + 1] = math.sqrt(np.add.reduce(diff * diff))
+            if not math.isfinite(distances[k + 1]):
+                raise DivergenceError(k + 1)
     iterates[:, 0] = w1
     indices = stream.prefix(T)
     base, neighbor = (Trajectory(iterates[s], gradients[s], indices, hp) for s in (0, 1))
@@ -330,11 +308,14 @@ class CoupledBatch:
     for a censored pair.  diverged_step[r, g] is the step at which the pair
     hit a non-finite value (0 when it ran to the end), and diverged_which
     names the side that did: "base", "neighbor" or "both" ("" when none).
+    risks[r, g, k] is the risk on `risk_data` of the base side's w_{k+1}, NaN
+    for a censored pair, or None when the call was given no `risk_data`.
     """
 
     distances: np.ndarray
     diverged_step: np.ndarray
     diverged_which: np.ndarray
+    risks: np.ndarray | None = None
 
 
 def coupled_distance_batch(
@@ -347,6 +328,7 @@ def coupled_distance_batch(
     points: Sequence[HyperParams],
     w1: np.ndarray,
     stride: int,
+    risk_data: Dataset | None = None,
 ) -> CoupledBatch:
     """Coupled distance series of every (repetition, grid point) pair at once.
 
@@ -362,7 +344,12 @@ def coupled_distance_batch(
     step.  Each step repeats the arithmetic of a lone pair operation for
     operation, so a pair's series does not depend on what it is batched with.
     A pair that hits a non-finite margin, iterate or distance is censored and
-    dropped.
+    dropped.  Margins are checked every step, iterates and distances only at
+    stride points, so a pair can be censored a step or more after the
+    reference loop raises, on the same side.  With `risk_data`, the live
+    pairs' base iterates w_1..w_T are buffered per `risk_blocks` block, and
+    each block is one `empirical_risk_many` call; for T > 1 a pair's risks
+    have the bits of one call on its whole base trajectory.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -410,6 +397,12 @@ def coupled_distance_batch(
     distances = np.full((R * G, L), np.nan)
     diverged_step = np.zeros(R * G, dtype=np.int64)
     diverged_which = np.full(R * G, "", dtype="<U8")
+    risks = base_iterates = None
+    if risk_data is not None:
+        risks = np.full((R * G, T), np.nan)
+        blocks = iter(risk_blocks(T, STREAM_CHUNK))
+        lo, hi = next(blocks)
+        base_iterates = np.empty((R * G, hi - lo, dim))
     W = np.zeros((R * G, dim + 1, 2))
     W[:, :dim] = w1[:, None]
     M = np.zeros_like(W)
@@ -427,6 +420,8 @@ def coupled_distance_batch(
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             for j, hit_step in enumerate(hit.any(axis=0).tolist()):
+                if risks is not None:
+                    base_iterates[:, k - lo] = W[:, :dim, 0]
                 r = live_rows[j]
                 ix = indices[r]
                 vx = values[r]
@@ -475,11 +470,21 @@ def coupled_distance_batch(
                     if not pair.size:
                         break
                     rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+                    if risks is not None:
+                        base_iterates = base_iterates[keep]
+                if risks is not None and k == hi:
+                    rows = base_iterates[:, : hi - lo].reshape(-1, dim)
+                    risks[pair, lo:hi] = empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1)
+                    lo, hi = next(blocks, (T, T))
             if not pair.size:
                 break
     distances[diverged_step > 0] = np.nan
+    if risks is not None:
+        risks[diverged_step > 0] = np.nan
+        risks = risks.reshape(R, G, T)
     return CoupledBatch(
         distances=distances.reshape(R, G, L),
         diverged_step=diverged_step.reshape(R, G),
         diverged_which=diverged_which.reshape(R, G),
+        risks=risks,
     )

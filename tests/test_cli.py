@@ -268,6 +268,17 @@ class TestNumericConfigErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_verify_invariants_needs_features(self, tmp_path, capsys):
+        # label-only rows have alpha = 0, so there is no step cap to scale
+        data = tmp_path / "labels.txt"
+        data.write_text("1\n-1\n" * 5)
+        out = tmp_path / "inv"
+        assert main(["verify-invariants", "--overrides", f"dataset={data}", f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: key 'dataset': alpha = 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("stride,rc", [(64, EXIT_OK), (65, EXIT_DATA)])
     def test_run_stability_stride_within_the_run(self, stride, rc, tmp_path, capsys):
         # 2 epochs of 32 train rows: a stride above 64 steps records nothing
@@ -302,6 +313,11 @@ class TestNumericConfigErrors:
                 ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
                  "samples=1", "t=100000000000000000"],
                 id="check-bounds-t",
+            ),
+            pytest.param(
+                ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
+                 "samples=100000000000000000", "t=1n"],
+                id="check-bounds-samples",
             ),
             pytest.param(
                 ["verify-invariants", "--overrides", "check_steps=100000000000000"],

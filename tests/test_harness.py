@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sgdm_stability import harness, losses, optimizer
+from sgdm_stability import losses, optimizer
 from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ExperimentConfig,
@@ -22,6 +22,7 @@ from sgdm_stability.harness import (
 )
 from sgdm_stability.losses import empirical_risk_many, smoothness
 from sgdm_stability.optimizer import (
+    DivergenceError,
     SampleStream,
     coupled_distance_batch,
     coupled_run,
@@ -84,7 +85,7 @@ class TestLoadExperimentData:
         assert sorted(set(data.labels.tolist())) == [-1.0, 1.0]
 
 
-def one_pair_batch(train, spec, kind, hp, stream, stride):
+def one_pair_batch(train, spec, kind, hp, stream, stride, risk_data=None):
     """The batched kernel on the one pair (train, its neighbor under spec)."""
     return coupled_distance_batch(
         stack([train, spec.pool.take([spec.row])], train.dim),
@@ -96,6 +97,7 @@ def one_pair_batch(train, spec, kind, hp, stream, stride):
         [hp],
         np.zeros(train.dim),
         stride,
+        risk_data=risk_data,
     )
 
 
@@ -343,46 +345,100 @@ class TestBoundCheck:
         assert "Monte Carlo" in d["estimator"]
         assert d["inputs"]["n"] == 30
 
-    @pytest.mark.parametrize(
-        "t, kind, beta",
-        [
-            # every loss and beta at a lone iterate, a lone trailing risk
-            # column and a lone trailing stream block
-            *[(t, kind, beta) for t in (1, 257, 1025) for kind in ("logistic", "squared") for beta in (0.0, 0.9)],
-            # the other block edges once each
-            (255, "logistic", 0.9),
-            (256, "squared", 0.0),
-            (1023, "squared", 0.9),
-            (1024, "logistic", 0.0),
-            (3000, "logistic", 0.9),
-        ],
-    )
-    def test_streamed_equals_one_shot_oracle(self, t, kind, beta):
-        # the one-shot evaluation the stream replaced: both whole trajectories,
-        # the risks of all base iterates w_1..w_t in one call, the last distance
+    ORACLE_CASES = [
+        # every loss and beta at a lone iterate, a lone trailing risk
+        # column and a lone trailing stream block
+        *[(t, kind, beta) for t in (1, 257, 1025) for kind in ("logistic", "squared") for beta in (0.0, 0.9)],
+        # the other block edges once each
+        (255, "logistic", 0.9),
+        (256, "squared", 0.0),
+        (1023, "squared", 0.9),
+        (1024, "logistic", 0.0),
+        (3000, "logistic", 0.9),
+    ]
+
+    @staticmethod
+    def _oracle_setup(t, kind, beta):
         train = synthetic_binary_dataset(30, 5, seed=12)
         pool = synthetic_binary_dataset(10, 5, seed=13)
         alpha = smoothness(train, kind).alpha
         hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, t)
-        final_sq, sum_risks = np.empty(3), np.empty(3)
+        specs = []
         for s in range(3):
             rng = np.random.default_rng([7, s])
             spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
-            stream = SampleStream(int(rng.integers(2**63)), train.n)
+            specs.append((spec, SampleStream(int(rng.integers(2**63)), train.n)))
+        return train, pool, alpha, hp, specs
+
+    @staticmethod
+    def _assert_result(res, final_sq, sum_risks, hp, alpha, n):
+        assert res.empirical == float(final_sq.mean())
+        assert res.sum_risk == float(sum_risks.mean())
+        assert res.theoretical == stability_bound(hp, alpha, n, hp.iterations, res.sum_risk, "hb").value
+        assert res.empirical_se == float(final_sq.std(ddof=1) / np.sqrt(3))
+        assert res.sum_risk_se == float(sum_risks.std(ddof=1) / np.sqrt(3))
+
+    @pytest.mark.parametrize("t, kind, beta", ORACLE_CASES)
+    def test_equals_one_pair_kernel_calls(self, t, kind, beta):
+        # a pair does not depend on its batch: the samples batched together
+        # give the bits of one kernel call per sample with the same draws
+        train, pool, alpha, hp, specs = self._oracle_setup(t, kind, beta)
+        final_sq, sum_risks = np.empty(3), np.empty(3)
+        for s, (spec, stream) in enumerate(specs):
+            batch = one_pair_batch(train, spec, kind, hp, stream, t, risk_data=train)
+            assert batch.diverged_step[0, 0] == 0
+            final_sq[s] = batch.distances[0, 0, 0] ** 2
+            sum_risks[s] = batch.risks[0, 0].sum()
+        res = run_bound_check(train, pool, kind, hp, alpha, 3, seed=7, variant="hb")
+        self._assert_result(res, final_sq, sum_risks, hp, alpha, train.n)
+
+    @pytest.mark.parametrize("t, kind, beta", ORACLE_CASES)
+    def test_streamed_equals_one_shot_oracle(self, t, kind, beta):
+        # the one-shot evaluation of the reference loop: both whole
+        # trajectories, the risks of all base iterates w_1..w_t in one call,
+        # the last distance; the kernel holds to it at the tolerance of
+        # TestCoupledBatch
+        train, pool, alpha, hp, specs = self._oracle_setup(t, kind, beta)
+        final_sq, sum_risks = np.empty(3), np.empty(3)
+        for s, (spec, stream) in enumerate(specs):
             trace = coupled_run(train, spec, kind, hp, np.zeros(train.dim), stream)
             final_sq[s] = trace.distances[-1] ** 2
             sum_risks[s] = empirical_risk_many(trace.base.iterates[:t], train, kind).sum()
         for samples in (1, 3):
             res = run_bound_check(train, pool, kind, hp, alpha, samples, seed=7, variant="hb")
             sum_risk = float(sum_risks[:samples].mean())
-            assert res.empirical == float(final_sq[:samples].mean())
-            assert res.sum_risk == sum_risk
-            assert res.theoretical == stability_bound(hp, alpha, train.n, t, sum_risk, "hb").value
+            close = dict(rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(res.empirical, final_sq[:samples].mean(), **close)
+            np.testing.assert_allclose(res.sum_risk, sum_risk, **close)
+            np.testing.assert_allclose(
+                res.theoretical, stability_bound(hp, alpha, train.n, t, sum_risk, "hb").value, **close
+            )
             if samples == 1:
                 assert res.empirical_se is None and res.sum_risk_se is None
             else:
-                assert res.empirical_se == float(final_sq.std(ddof=1) / np.sqrt(3))
-                assert res.sum_risk_se == float(sum_risks.std(ddof=1) / np.sqrt(3))
+                np.testing.assert_allclose(res.empirical_se, final_sq.std(ddof=1) / np.sqrt(3), **close)
+                np.testing.assert_allclose(res.sum_risk_se, sum_risks.std(ddof=1) / np.sqrt(3), **close)
+
+    def test_divergence_raises_at_the_kernel_step(self):
+        # squared loss: the pool row's 1e155 feature blows up the neighbor run
+        # of any sample whose stream hits its perturbed index
+        train = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n-1 1:0.5\n")
+        pool = parse_libsvm("1 1:1e155\n")
+        alpha = smoothness(train, "squared").alpha
+        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
+        with pytest.raises(DivergenceError) as exc:
+            run_bound_check(train, pool, "squared", hp, alpha, samples=2, seed=0, variant="hb")
+        assert exc.value.which == "neighbor"
+        # the lowest censored sample's step, as its one-pair kernel call reports it
+        first = None
+        for s in range(2):
+            rng = np.random.default_rng([0, s])
+            spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
+            stream = SampleStream(int(rng.integers(2**63)), train.n)
+            batch = one_pair_batch(train, spec, "squared", hp, stream, 200)
+            if batch.diverged_step[0, 0] and first is None:
+                first = int(batch.diverged_step[0, 0])
+        assert exc.value.step == first
 
     def test_to_dict_carries_standard_errors(self):
         train = synthetic_binary_dataset(30, 4, seed=10)
@@ -399,7 +455,6 @@ class TestBoundCheck:
         # small blocks so both horizons fill them; beyond that, only the (t,)
         # risk vector may grow, and the peak stays far below one (n, t) matrix.
         # One worker, so the peak does not depend on how threads overlap.
-        monkeypatch.setattr(harness, "STREAM_CHUNK", 64)
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         monkeypatch.setattr(losses, "RISK_COLUMNS", 16)
         monkeypatch.setattr(losses, "RISK_WORKERS", 1)

@@ -12,7 +12,7 @@ from sgdm_stability.dataset import (
     stack,
     synthetic_binary_dataset,
 )
-from sgdm_stability.losses import empirical_risk, loss_grad, smoothness
+from sgdm_stability.losses import empirical_risk, empirical_risk_many, loss_grad, smoothness
 from sgdm_stability.theory import check_stab_condition
 from sgdm_stability.optimizer import (
     DivergenceError,
@@ -24,7 +24,6 @@ from sgdm_stability.optimizer import (
     average_iterate,
     coupled_distance_batch,
     coupled_run,
-    coupled_steps,
     hb_params,
     lookahead_step,
     momentum_buffers,
@@ -298,7 +297,7 @@ class TestCoupledRun:
         assert exc.value.which == "neighbor"
 
 
-class TestCoupledSteps:
+class TestCoupledRunDivergence:
     # squared loss, plain SGD at step 3 on rows x = 1: |w| doubles every step,
     # so a run on these rows alone leaves float range after about 1000 steps
     ROWS = "1 1:1\n-1 1:1\n1 1:1\n"
@@ -306,8 +305,7 @@ class TestCoupledSteps:
 
     def _first_error(self, data, spec):
         with pytest.raises(DivergenceError) as exc:
-            for _ in coupled_steps(data, spec, "squared", self.HP, np.zeros(1), SampleStream(0, 3)):
-                pass
+            coupled_run(data, spec, "squared", self.HP, np.zeros(1), SampleStream(0, 3))
         return exc.value
 
     def test_side_that_diverges_first_is_labeled(self):
@@ -342,19 +340,6 @@ class TestCoupledSteps:
             coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(4, 3))
         first_hit = int(np.flatnonzero(SampleStream(4, 3).prefix(50) == 2)[0]) + 1
         assert (exc.value.which, exc.value.step) == ("run", first_hit)
-
-    def test_yields_what_coupled_run_records(self):
-        data = synthetic_binary_dataset(30, 5, seed=2)
-        spec = NeighborSpec(index=4, pool=synthetic_binary_dataset(3, 5, seed=3), row=1)
-        hp = HyperParams(beta=0.5, gamma=0.01, eta=0.02, iterations=300)
-        trace = coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(6, 30))
-        walk = list(coupled_steps(data, spec, "logistic", hp, np.zeros(5), SampleStream(6, 30)))
-        assert len(walk) == 300
-        for k, ((g, w), (g2, w2), distance) in enumerate(walk):
-            assert np.array_equal(g, trace.base.gradients[k]) and np.array_equal(w, trace.base.iterates[k + 1])
-            assert np.array_equal(g2, trace.neighbor.gradients[k])
-            assert np.array_equal(w2, trace.neighbor.iterates[k + 1])
-            assert distance == trace.distances[k + 1]
 
 
 def one_pair_series(d, spec, kind, hp, w1, stream, stride):
@@ -506,6 +491,38 @@ class TestCoupledBatch:
                     [SampleStream(seeds[r], self.N_TRAIN)], "logistic", [hp], w1, 1,
                 )
                 np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_risks_match_coupled_run_base_iterates(self, kind, monkeypatch):
+        # 10-step risk blocks cut T = 96 into uneven blocks; repetition 1's
+        # neighbor takes a huge row, so its pairs are censored mid-run
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 10)
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        examples = stack([examples, parse_libsvm("1 1:1e155\n")], self.DIM)
+        replacements = np.array([replacements[0], examples.n - 1, replacements[2]])
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        points = self._grid()
+        streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
+        batch = coupled_distance_batch(
+            examples, train_rows, perturbed, replacements, streams, kind, points, w1, 3,
+            risk_data=examples.take(train_rows[0]),
+        )
+        assert batch.risks.shape == (3, 4, self.T)
+        censored = batch.diverged_step > 0
+        assert censored[1].all() and not censored[[0, 2]].any()
+        assert np.isnan(batch.risks[censored]).all()
+        risk_data = examples.take(train_rows[0])
+        for r in (0, 2):
+            train = examples.take(train_rows[r])
+            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
+            for g, hp in enumerate(points):
+                trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+                expected = empirical_risk_many(trace.base.iterates[: self.T], risk_data, kind)
+                np.testing.assert_allclose(batch.risks[r, g], expected, rtol=1e-9, atol=1e-12)
+
+    def test_without_risk_data_there_are_no_risks(self):
+        batch, _ = self._batch("logistic", self._grid(), 3, np.zeros(self.DIM))
+        assert batch.risks is None
 
     def test_neighbor_divergence_is_labeled(self):
         # the enormous replacement feature blows up only the neighbor run

@@ -33,7 +33,6 @@ from .losses import (
     smoothness,
 )
 from .optimizer import (
-    CoupledTrace,
     DivergenceError,
     HyperParams,
     LookaheadState,
@@ -42,13 +41,11 @@ from .optimizer import (
     Trajectory,
     average_iterate,
     coupled_distance_batch,
-    coupled_run,
     hb_params,
     lookahead_step,
     nesterov_params,
     run,
     sgdm_step,
-    steps,
 )
 from .theory import (
     AuxiliaryTrace,

@@ -30,6 +30,7 @@ from .harness import (
     run_stability_experiment,
     save_stability_result,
     variant_params,
+    write_json,
 )
 from .losses import LOSS_KINDS, smoothness
 from .optimizer import DivergenceError
@@ -278,8 +279,7 @@ def _cmd_check_bounds(cfg: dict) -> int:
         )
     out = _outdir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bound_check.json", "w", encoding="utf-8") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
+    write_json(out / "bound_check.json", reports)
     if failed:
         raise CheckFailed("bound violated in at least one configuration")
     return EXIT_OK
@@ -320,8 +320,7 @@ def _cmd_verify_invariants(cfg: dict) -> int:
     report = [o.to_dict() for o in outcomes]
     out = _outdir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "invariants.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    write_json(out / "invariants.json", report)
     n_pass = sum(1 for o in outcomes if o.status == "pass")
     n_skip = sum(1 for o in outcomes if o.status == "skip")
     n_fail = sum(1 for o in outcomes if o.status == "fail")

@@ -8,6 +8,8 @@ seeded algorithm on both copies, and record the iterate distance over time.
 
 from __future__ import annotations
 
+import json
+import math
 import time
 from dataclasses import dataclass, asdict
 
@@ -223,7 +225,6 @@ def save_stability_result(result: StabilityResult, outdir, extra: dict | None = 
     config) are merged into the manifest so a run can be reproduced from it.
     """
     import csv
-    import json
     from pathlib import Path
 
     out = Path(outdir)
@@ -270,9 +271,24 @@ def save_stability_result(result: StabilityResult, outdir, extra: dict | None = 
     }
     if extra:
         manifest.update(extra)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as strict JSON, with each non-finite float as null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _standard_error(values: np.ndarray) -> float | None:
@@ -325,8 +341,9 @@ def run_bound_check(
     fails, since the bound does not apply there.  The accumulated-risk input
     of the bound, sum_k R_S(w_k) over the base iterates w_1..w_t, is estimated
     from the base runs of the same samples.  All samples are pairs of one
-    `coupled_distance_batch` call, so memory grows with t only through its
-    (samples, t) risk table; the lowest censored sample raises DivergenceError.
+    `coupled_distance_batch` call with a running risk sum per sample, so
+    memory does not grow with t; the lowest censored sample raises
+    DivergenceError.
     """
     cond = check_stab_condition(hp, alpha)
     if not cond.satisfied:
@@ -356,7 +373,7 @@ def run_bound_check(
         s = censored[0]
         raise DivergenceError(int(batch.diverged_step[s, 0]), str(batch.diverged_which[s, 0]))
     final_sq = batch.distances[:, 0, 0] ** 2
-    sum_risks = batch.risks[:, 0].sum(axis=1)
+    sum_risks = batch.sum_risk[:, 0]
     empirical = float(final_sq.mean())
     sum_risk = float(sum_risks.mean())
     report = stability_bound(hp, alpha, train.n, t, sum_risk, variant)

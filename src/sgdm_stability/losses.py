@@ -16,6 +16,7 @@ loss computation in the package goes through them.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,8 +43,12 @@ def _check_kind(kind: str) -> str:
 def losses(margins, y, kind: str):
     """Loss at margin <w, x> and label y, elementwise."""
     if _check_kind(kind) == "logistic":
-        # log(1 + exp(-y m)) without overflow for large |m|.
-        return np.logaddexp(0.0, -y * margins)
+        # log(1 + exp(z)), z = -y m, as log1p(exp(-|z|)) + max(z, 0): it cannot
+        # overflow, and is computed in z and t in place (`out=` keeps 0-d arrays)
+        z = np.asarray(-y * margins, dtype=np.float64)
+        t = np.empty_like(z)
+        np.log1p(np.exp(np.negative(np.abs(z, out=t), out=t), out=t), out=t)
+        return np.add(np.maximum(z, 0.0, out=z), t, out=z)
     return 0.5 * (margins - y) ** 2
 
 
@@ -93,20 +98,23 @@ def empirical_risk(w: np.ndarray, d: Dataset, kind: str) -> float:
     return float(empirical_risk_many(w[None, :], d, kind)[0])
 
 
-def risk_blocks(count: int, width: int) -> list[tuple[int, int]]:
+def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
     """Bounds (lo, hi) of consecutive blocks of at most `width` weight rows
-    that cover rows 0..count, for `width` >= 3.
+    that cover rows 0..count, for `width` >= 3, one at a time.
 
     numpy sums a lone column of losses pairwise but each column of a wider
-    block in row order, so no block holds exactly one row unless `count` is 1.
-    Evaluated block by block over these bounds, `empirical_risk_many` gives
-    the same bits as one call on all `count` rows.
+    block in row order, so no block holds exactly one row unless `count` is 1:
+    a block that would leave one row over ends a row early.  Evaluated block
+    by block over these bounds, `empirical_risk_many` gives the same bits as
+    one call on all `count` rows.
     """
-    bounds = [[lo, min(lo + width, count)] for lo in range(0, count, width)]
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
-        bounds[-2][1] -= 1
-        bounds[-1][0] -= 1
-    return [(lo, hi) for lo, hi in bounds]
+    lo = 0
+    while lo < count:
+        hi = min(lo + width, count)
+        if count - hi == 1:
+            hi -= 1
+        yield lo, hi
+        lo = hi
 
 
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
@@ -128,7 +136,7 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
         lo, hi = bounds
         return losses(matrix @ w_rows[lo:hi].T, labels, kind).mean(axis=0)
 
-    blocks = risk_blocks(w_rows.shape[0], RISK_COLUMNS)
+    blocks = list(risk_blocks(w_rows.shape[0], RISK_COLUMNS))
     with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(blocks))) as pool:
         return np.concatenate(list(pool.map(block, blocks)))
 

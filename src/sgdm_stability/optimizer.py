@@ -15,13 +15,12 @@ with beta in [0, 1), gamma >= 0, eta > 0.  Special cases:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NeighborSpec, make_neighbor
+from .dataset import Dataset
 from .losses import LOSS_KINDS, empirical_risk_many, grad_scales, loss_grad, risk_blocks
 
 
@@ -156,22 +155,6 @@ class Trajectory:
         if self.indices.shape[0] != self.gradients.shape[0]:
             raise ValueError("one sampled index per gradient")
 
-    @property
-    def steps(self) -> int:
-        return self.gradients.shape[0]
-
-
-@dataclass(frozen=True)
-class CoupledTrace:
-    base: Trajectory
-    neighbor: Trajectory
-    distances: np.ndarray
-    perturbed_index: int
-
-    def __post_init__(self):
-        if self.distances.shape[0] != self.base.iterates.shape[0]:
-            raise ValueError("one distance per iterate")
-
 
 def momentum_buffers(traj: Trajectory) -> np.ndarray:
     """Replayed momentum buffers m_0..m_T from the recorded gradients."""
@@ -182,45 +165,34 @@ def momentum_buffers(traj: Trajectory) -> np.ndarray:
     return m
 
 
-# Index-stream steps a run draws at a time, so the stream's memory does not
-# grow with the number of iterations.
+# Index-stream steps the batched kernel draws per repetition at a time, and
+# the width of its risk blocks, so neither grows with the number of iterations.
 STREAM_CHUNK = 1024
 
 
-def steps(
-    d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Generalized momentum SGD on `d`, one step at a time.
+def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
+    """Run T = hp.iterations steps of generalized momentum SGD on `d`.
 
-    Yields (g_k, w_{k+1}) for k = 1..hp.iterations; only the current state is
-    held.  This is the reference update loop: `run` records it and
-    `coupled_run` advances two of them in lockstep.  A non-finite gradient
-    or iterate raises DivergenceError at its step.
+    This is the reference update loop: each step takes the gradient of the
+    drawn row at the current iterate and applies `sgdm_step`.  A non-finite
+    gradient or iterate raises DivergenceError at its step.
     """
     if stream.n != d.n:
         raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape != (d.dim,):
         raise ValueError(f"w1 must have shape ({d.dim},), got {w1.shape}")
-    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
-    for block in stream.chunks(hp.iterations, STREAM_CHUNK):
-        for i in (block - 1).tolist():
-            g = loss_grad(state.w, d, i, kind)
-            state = sgdm_step(state, g, hp)
-            yield g, state.w
-
-
-def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
-    """Run T = hp.iterations steps of generalized momentum SGD on `d`."""
     T = hp.iterations
+    indices = stream.prefix(T)
     iterates = np.empty((T + 1, d.dim))
     gradients = np.empty((T, d.dim))
-    for k, (g, w) in enumerate(steps(d, kind, hp, w1, stream)):
-        gradients[k] = g
-        iterates[k + 1] = w
-    # after the loop, which has checked w1 against the dataset
     iterates[0] = w1
-    return Trajectory(iterates=iterates, gradients=gradients, indices=stream.prefix(T), hp=hp)
+    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
+    for k, i in enumerate((indices - 1).tolist()):
+        gradients[k] = loss_grad(state.w, d, i, kind)
+        state = sgdm_step(state, gradients[k], hp)
+        iterates[k + 1] = state.w
+    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp)
 
 
 def run_lookahead(
@@ -259,47 +231,6 @@ def average_iterate(traj: Trajectory, upto: int) -> np.ndarray:
     return traj.iterates[:upto].mean(axis=0)
 
 
-def coupled_run(
-    d: Dataset,
-    spec: NeighborSpec,
-    kind: str,
-    hp: HyperParams,
-    w1: np.ndarray,
-    stream: SampleStream,
-) -> CoupledTrace:
-    """The same seeded algorithm on `d` and on its neighbor, in lockstep.
-
-    Records both trajectories and the distance ||w_k - w'_k|| at every
-    iterate.  Both runs consume the identical index sequence, so they agree
-    exactly until the perturbed index is first sampled.  A non-finite value
-    raises DivergenceError labelled with the side that hit it first ("base" on
-    a tie); a distance that leaves float range while both sides are finite
-    raises DivergenceError at its step.
-    """
-    T = hp.iterations
-    iterates = np.empty((2, T + 1, d.dim))
-    gradients = np.empty((2, T, d.dim))
-    distances = np.zeros(T + 1)
-    runs = [steps(data, kind, hp, w1, stream) for data in (d, make_neighbor(d, spec))]
-    with np.errstate(over="ignore"):
-        for k in range(T):
-            for s, which in enumerate(("base", "neighbor")):
-                try:
-                    gradients[s, k], iterates[s, k + 1] = next(runs[s])
-                except DivergenceError as e:
-                    raise DivergenceError(e.step, which) from None
-            # the sum of squares np.linalg.norm takes along a row, without its
-            # wrapper: bit for bit the norm of row k + 1 of the differences
-            diff = iterates[0, k + 1] - iterates[1, k + 1]
-            distances[k + 1] = math.sqrt(np.add.reduce(diff * diff))
-            if not math.isfinite(distances[k + 1]):
-                raise DivergenceError(k + 1)
-    iterates[:, 0] = w1
-    indices = stream.prefix(T)
-    base, neighbor = (Trajectory(iterates[s], gradients[s], indices, hp) for s in (0, 1))
-    return CoupledTrace(base=base, neighbor=neighbor, distances=distances, perturbed_index=spec.index)
-
-
 @dataclass(frozen=True)
 class CoupledBatch:
     """Distance series of R repetitions x G grid points of coupled runs.
@@ -308,14 +239,15 @@ class CoupledBatch:
     for a censored pair.  diverged_step[r, g] is the step at which the pair
     hit a non-finite value (0 when it ran to the end), and diverged_which
     names the side that did: "base", "neighbor" or "both" ("" when none).
-    risks[r, g, k] is the risk on `risk_data` of the base side's w_{k+1}, NaN
-    for a censored pair, or None when the call was given no `risk_data`.
+    sum_risk[r, g] is the sum over k = 1..T of the risk on `risk_data` of the
+    base side's w_k, NaN for a censored pair, or None when the call was given
+    no `risk_data`.
     """
 
     distances: np.ndarray
     diverged_step: np.ndarray
     diverged_which: np.ndarray
-    risks: np.ndarray | None = None
+    sum_risk: np.ndarray | None = None
 
 
 def coupled_distance_batch(
@@ -347,9 +279,10 @@ def coupled_distance_batch(
     dropped.  Margins are checked every step, iterates and distances only at
     stride points, so a pair can be censored a step or more after the
     reference loop raises, on the same side.  With `risk_data`, the live
-    pairs' base iterates w_1..w_T are buffered per `risk_blocks` block, and
-    each block is one `empirical_risk_many` call; for T > 1 a pair's risks
-    have the bits of one call on its whole base trajectory.
+    pairs' base iterates w_1..w_T are buffered per `risk_blocks` block, each
+    block is one `empirical_risk_many` call, and each pair adds its block's
+    risks to its running sum; block edges do not depend on the batch, so
+    neither does a pair's sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -397,10 +330,10 @@ def coupled_distance_batch(
     distances = np.full((R * G, L), np.nan)
     diverged_step = np.zeros(R * G, dtype=np.int64)
     diverged_which = np.full(R * G, "", dtype="<U8")
-    risks = base_iterates = None
+    sum_risk = base_iterates = None
     if risk_data is not None:
-        risks = np.full((R * G, T), np.nan)
-        blocks = iter(risk_blocks(T, STREAM_CHUNK))
+        sum_risk = np.zeros(R * G)
+        blocks = risk_blocks(T, STREAM_CHUNK)
         lo, hi = next(blocks)
         base_iterates = np.empty((R * G, hi - lo, dim))
     W = np.zeros((R * G, dim + 1, 2))
@@ -420,7 +353,7 @@ def coupled_distance_batch(
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             for j, hit_step in enumerate(hit.any(axis=0).tolist()):
-                if risks is not None:
+                if sum_risk is not None:
                     base_iterates[:, k - lo] = W[:, :dim, 0]
                 r = live_rows[j]
                 ix = indices[r]
@@ -470,21 +403,21 @@ def coupled_distance_batch(
                     if not pair.size:
                         break
                     rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
-                    if risks is not None:
+                    if sum_risk is not None:
                         base_iterates = base_iterates[keep]
-                if risks is not None and k == hi:
+                if sum_risk is not None and k == hi:
                     rows = base_iterates[:, : hi - lo].reshape(-1, dim)
-                    risks[pair, lo:hi] = empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1)
+                    sum_risk[pair] += empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1).sum(axis=1)
                     lo, hi = next(blocks, (T, T))
             if not pair.size:
                 break
     distances[diverged_step > 0] = np.nan
-    if risks is not None:
-        risks[diverged_step > 0] = np.nan
-        risks = risks.reshape(R, G, T)
+    if sum_risk is not None:
+        sum_risk[diverged_step > 0] = np.nan
+        sum_risk = sum_risk.reshape(R, G)
     return CoupledBatch(
         distances=distances.reshape(R, G, L),
         diverged_step=diverged_step.reshape(R, G),
         diverged_which=diverged_which.reshape(R, G),
-        risks=risks,
+        sum_risk=sum_risk,
     )

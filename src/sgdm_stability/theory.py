@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import CoupledTrace, HyperParams, Trajectory, momentum_buffers
+from .optimizer import HyperParams, Trajectory, momentum_buffers
 
 STAB_FORMULAS = ("stab_general", "stab_hb", "stab_nesterov")
 OPT_FORMULAS = ("opt_general", "opt_hb", "opt_nesterov")
@@ -326,23 +326,27 @@ def verify_dist_identity(aux: AuxiliaryTrace, traj: Trajectory) -> DistIdentityR
     return DistIdentityReport(identity_residuals=identity_residuals, bound_margins=bound_margins)
 
 
-def verify_m_recursion_bound(trace: CoupledTrace) -> np.ndarray:
+def verify_m_recursion_bound(base: Trajectory, neighbor: Trajectory) -> np.ndarray:
     """Margins of the coupled momentum-difference bound, one per step.
 
-    With delta = (1/beta - 1) / 2, for every t:
+    `base` and `neighbor` are runs with the same hyperparameters and index
+    stream on neighboring datasets (m, g on the base, m', g' on the
+    neighbor).  With delta = (1/beta - 1) / 2, for every t:
     ||m_t - m'_t||^2 <= (1 + 1/delta) sum_{k<=t} ((1+delta) beta^2)^(t-k)
                         ||g_k - g'_k||^2.
     Returns (rhs - lhs) / (1 + rhs); beta = 0 is rejected since delta is
     undefined there and the two sides collapse to the same single term.
     """
-    b = trace.base.hp.beta
+    if base.hp != neighbor.hp or not np.array_equal(base.indices, neighbor.indices):
+        raise ValueError("the two runs must share hyperparameters and index stream")
+    b = base.hp.beta
     if b <= 0.0:
         raise ValueError("momentum recursion bound requires beta > 0")
     delta = 0.5 * (1.0 / b - 1.0)
-    mb = momentum_buffers(trace.base)
-    mn = momentum_buffers(trace.neighbor)
+    mb = momentum_buffers(base)
+    mn = momentum_buffers(neighbor)
     lhs = np.sum((mb[1:] - mn[1:]) ** 2, axis=1)
-    gdiff_sq = np.sum((trace.base.gradients - trace.neighbor.gradients) ** 2, axis=1)
+    gdiff_sq = np.sum((base.gradients - neighbor.gradients) ** 2, axis=1)
     decay = (1 + delta) * b * b
     acc = 0.0
     rhs = np.empty_like(lhs)

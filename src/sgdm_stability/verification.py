@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NeighborSpec, synthetic_binary_dataset
+from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
 from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
 from .optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    coupled_run,
     hb_params,
     momentum_buffers,
     nesterov_params,
@@ -184,8 +183,9 @@ def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> C
     idx = int(rng.integers(1, data.n + 1))
     spec = NeighborSpec(idx, data, int(rng.integers(0, data.n)))
     stream = SampleStream(seed + 1, data.n)
-    trace = coupled_run(data, spec, kind, hp, np.zeros(data.dim), stream)
-    margins = verify_m_recursion_bound(trace)
+    base = run(data, kind, hp, np.zeros(data.dim), stream)
+    neighbor = run(make_neighbor(data, spec), kind, hp, np.zeros(data.dim), stream)
+    margins = verify_m_recursion_bound(base, neighbor)
     return _outcome_min("m_recursion", params, float(margins.min()), -1e-10)
 
 
@@ -261,9 +261,10 @@ def run_invariant_suite(
 
     At each (kind, beta) one heavy-ball run feeds the y, dist and unrolling
     checks, and for beta > 0 one Nesterov run feeds the look-ahead
-    equivalence, y and dist.  The coupled run of m_recursion, the look-ahead
+    equivalence, y and dist.  The two runs of m_recursion, the look-ahead
     run and the beta = 0 reduction stay separate: their agreement with these
-    runs is what they check.  No two runs are held at once.
+    runs is what they check.  Apart from m_recursion's pair, no two runs are
+    held at once.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)

@@ -2,8 +2,14 @@
 
 Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
-report.
+report.  Also holds `reference_pair`, the reference the batched kernel is
+tested against.
 """
+
+import numpy as np
+
+from sgdm_stability.dataset import make_neighbor
+from sgdm_stability.optimizer import run
 
 CRITERIA = {
     "test_c01_exact_identity_suite": "exact y/dist identities over the beta grid",
@@ -20,6 +26,14 @@ CRITERIA = {
 }
 
 _results: dict[str, tuple[str, float, str]] = {}
+
+
+def reference_pair(d, spec, kind, hp, w1, stream):
+    """The reference loop on `d` and on its neighbor under `spec`, with one
+    index stream: (base, neighbor, ||w_k - w'_k|| at every iterate)."""
+    base = run(d, kind, hp, w1, stream)
+    neighbor = run(make_neighbor(d, spec), kind, hp, w1, stream)
+    return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
 
 
 def _skip_reason(report) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from conftest import reference_pair
 from sgdm_stability.dataset import (
     KNOWN_DATASET_SHAPES,
     NeighborSpec,
@@ -36,7 +37,6 @@ from sgdm_stability.optimizer import (
     SampleStream,
     SgdmState,
     average_iterate,
-    coupled_run,
     hb_params,
     lookahead_step,
     nesterov_params,
@@ -148,10 +148,10 @@ def test_c05_momentum_recursion_inequality():
     pool = synthetic_binary_dataset(5, 8, seed=22)
     for beta in (0.5, 0.9):
         hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, 500)
-        trace = coupled_run(
+        base, neighbor, _ = reference_pair(
             data, NeighborSpec(7, pool, 0), "logistic", hp, np.zeros(8), SampleStream(23, 100)
         )
-        margins = verify_m_recursion_bound(trace)
+        margins = verify_m_recursion_bound(base, neighbor)
         assert margins.shape == (500,)
         assert margins.min() >= -1e-10, f"beta={beta}: min margin {margins.min():g}"
 

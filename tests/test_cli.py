@@ -15,6 +15,15 @@ from sgdm_stability.cli import (
 )
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def read_strict_json(path):
+    """An artifact parsed as strict JSON: NaN and Infinity fail the test."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 class TestConfigFile:
     def test_parses_comments_and_whitespace(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -188,6 +197,20 @@ class TestCheckBounds:
         assert rc == EXIT_OK, capsys.readouterr().err
         assert len(json.loads((out / "bound_check.json").read_text())) == 2
 
+    def test_infinite_margin_ratio_is_null(self, tmp_path, capsys):
+        # one step rarely reaches the perturbed index: the measured divergence
+        # is 0 and the bound over it is infinite
+        out = tmp_path / "bc"
+        rc = main(
+            ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
+             "samples=1", "t=1", f"outdir={out}"]
+        )
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        reports = read_strict_json(out / "bound_check.json")
+        assert reports[0]["empirical"] == 0.0
+        assert reports[0]["margin_ratio"] is None
+
     def test_step_above_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "bc2"
         rc = main(["check-bounds", "--overrides", *self.BASE, f"outdir={out}", "step=50.0"])
@@ -311,11 +334,6 @@ class TestNumericConfigErrors:
         [
             pytest.param(
                 ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
-                 "samples=1", "t=100000000000000000"],
-                id="check-bounds-t",
-            ),
-            pytest.param(
-                ["check-bounds", "--overrides", "dataset=synthetic", "synth_n=50", "synth_dim=4",
                  "samples=100000000000000000", "t=1n"],
                 id="check-bounds-samples",
             ),
@@ -349,13 +367,14 @@ class TestNumericConfigErrors:
 
     def test_huge_step_runs_instead_of_overflowing(self, tmp_path, capsys):
         # the squared step overflows to inf: the condition reports unsatisfied
-        # and the sweep runs, censoring the pairs that leave float range
+        # and the sweep runs, censoring the pairs that leave float range; the
+        # manifest writes the infinite lhs as null
         out = tmp_path / "o"
         rc = main(["run-stability", "--overrides", *RUN_OVERRIDES, "steps=1e300", f"outdir={out}"])
         assert rc == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_strict_json(out / "manifest.json")
         for entry in manifest["grid"]:
-            assert entry["opt_condition"]["lhs"] == float("inf")
+            assert entry["opt_condition"]["lhs"] is None
             assert entry["opt_condition"]["satisfied"] is False
             assert entry["censored"] >= 1
 
@@ -375,7 +394,7 @@ class TestVerifyInvariants:
         )
         assert rc == EXIT_OK
         assert "0 failed" in capsys.readouterr().out
-        report = json.loads((out / "invariants.json").read_text())
+        report = read_strict_json(out / "invariants.json")
         assert all(r["status"] in ("pass", "skip") for r in report)
 
     def test_force_bug_fails_y_identity(self, tmp_path, capsys):

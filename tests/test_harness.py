@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import reference_pair
 from sgdm_stability import losses, optimizer
 from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
@@ -25,7 +26,6 @@ from sgdm_stability.optimizer import (
     DivergenceError,
     SampleStream,
     coupled_distance_batch,
-    coupled_run,
     hb_params,
 )
 from sgdm_stability.theory import max_eta_hb, stability_bound
@@ -388,7 +388,7 @@ class TestBoundCheck:
             batch = one_pair_batch(train, spec, kind, hp, stream, t, risk_data=train)
             assert batch.diverged_step[0, 0] == 0
             final_sq[s] = batch.distances[0, 0, 0] ** 2
-            sum_risks[s] = batch.risks[0, 0].sum()
+            sum_risks[s] = batch.sum_risk[0, 0]
         res = run_bound_check(train, pool, kind, hp, alpha, 3, seed=7, variant="hb")
         self._assert_result(res, final_sq, sum_risks, hp, alpha, train.n)
 
@@ -401,9 +401,9 @@ class TestBoundCheck:
         train, pool, alpha, hp, specs = self._oracle_setup(t, kind, beta)
         final_sq, sum_risks = np.empty(3), np.empty(3)
         for s, (spec, stream) in enumerate(specs):
-            trace = coupled_run(train, spec, kind, hp, np.zeros(train.dim), stream)
-            final_sq[s] = trace.distances[-1] ** 2
-            sum_risks[s] = empirical_risk_many(trace.base.iterates[:t], train, kind).sum()
+            base, _, distances = reference_pair(train, spec, kind, hp, np.zeros(train.dim), stream)
+            final_sq[s] = distances[-1] ** 2
+            sum_risks[s] = empirical_risk_many(base.iterates[:t], train, kind).sum()
         for samples in (1, 3):
             res = run_bound_check(train, pool, kind, hp, alpha, samples, seed=7, variant="hb")
             sum_risk = float(sum_risks[:samples].mean())
@@ -452,9 +452,10 @@ class TestBoundCheck:
         json.dumps(four, allow_nan=False)
 
     def test_memory_does_not_grow_with_t(self, monkeypatch):
-        # small blocks so both horizons fill them; beyond that, only the (t,)
-        # risk vector may grow, and the peak stays far below one (n, t) matrix.
-        # One worker, so the peak does not depend on how threads overlap.
+        # small blocks so both horizons fill them; each sample keeps a running
+        # risk sum, so nothing grows with samples x t, and the peak stays far
+        # below one (n, t) matrix.  One worker, so the peak does not depend on
+        # how threads overlap.
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         monkeypatch.setattr(losses, "RISK_COLUMNS", 16)
         monkeypatch.setattr(losses, "RISK_WORKERS", 1)
@@ -467,11 +468,10 @@ class TestBoundCheck:
             hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
             tracemalloc.start()
             try:
-                run_bound_check(train, pool, "logistic", hp, alpha, 1, 0, "hb")
+                run_bound_check(train, pool, "logistic", hp, alpha, 3, 0, "hb")
                 peaks[factor] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         t = 20 * train.n
-        risk_vector_growth = 8 * (t - 2 * train.n)
-        assert peaks[20] < peaks[2] + risk_vector_growth + 16_000
+        assert peaks[20] < peaks[2] + 16_000
         assert peaks[20] < 8 * train.n * t / 10

@@ -131,6 +131,16 @@ class TestFormulas:
 
         np.testing.assert_array_equal(grad_scales(m, y, "logistic"), -y * expit(-y * m))
 
+    def test_logistic_loss_matches_logaddexp(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((500, 3)) * 30.0
+        y = rng.choice([-1.0, 1.0], size=(500, 1))
+        kept = m.copy()
+        np.testing.assert_allclose(losses(m, y, "logistic"), np.logaddexp(0.0, -y * m), rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(m, kept)
+        # Python floats in, a float out
+        assert float(losses(2.0, -1.0, "logistic")) == pytest.approx(np.logaddexp(0.0, 2.0), rel=1e-15)
+
     @pytest.mark.parametrize("fn", [losses, grad_scales])
     def test_unknown_kind_rejected(self, fn):
         with pytest.raises(ValueError, match="hinge"):
@@ -187,7 +197,7 @@ class TestBlockedRisk:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 258, 512, 513, 1000])
     def test_blocks_cover_rows_without_a_lone_row(self, count):
-        bounds = risk_blocks(count, 256)
+        bounds = list(risk_blocks(count, 256))
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == count
         widths = [hi - lo for lo, hi in bounds]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_pair
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import (
     NeighborSpec,
+    make_neighbor,
     parse_libsvm,
     stack,
     synthetic_binary_dataset,
@@ -23,7 +25,6 @@ from sgdm_stability.optimizer import (
     Trajectory,
     average_iterate,
     coupled_distance_batch,
-    coupled_run,
     hb_params,
     lookahead_step,
     momentum_buffers,
@@ -226,7 +227,7 @@ class TestRun:
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.02, iterations=300)
         traj = run(data, "logistic", hp, np.zeros(5), SampleStream(8, 25))
         state = SgdmState(w=traj.iterates[0].copy(), m=np.zeros(5), step=0)
-        for k in range(traj.steps):
+        for k in range(hp.iterations):
             state = sgdm_step(state, traj.gradients[k], traj.hp)
             assert np.array_equal(state.w, traj.iterates[k + 1])
 
@@ -249,6 +250,8 @@ class TestRun:
 
 
 class TestCoupledRun:
+    """The reference pair: `run` on a dataset and on its neighbor, one stream."""
+
     def _setup(self, seed=0, n=30, dim=5, steps=400):
         data = synthetic_binary_dataset(n, dim, seed=seed)
         rng = np.random.default_rng(seed + 100)
@@ -260,86 +263,85 @@ class TestCoupledRun:
 
     def test_initial_distance_zero(self):
         data, spec, hp = self._setup()
-        trace = coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(1, 30))
-        assert trace.distances[0] == 0.0
-        assert trace.distances.shape == (401,)
+        _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(1, 30))
+        assert distances[0] == 0.0
+        assert distances.shape == (401,)
 
     def test_exact_zero_until_first_hit(self):
         data, spec, hp = self._setup(seed=3)
-        stream = SampleStream(7, 30)
-        trace = coupled_run(data, spec, "logistic", hp, np.zeros(5), stream)
+        _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(7, 30))
         idx = SampleStream(7, 30).prefix(400)
         hits = np.flatnonzero(idx == spec.index)
         assert hits.size > 0, "perturbed index never sampled; pick another seed"
         first = hits[0]  # 0-based step position
-        assert np.all(trace.distances[: first + 1] == 0.0)
-        assert trace.distances[first + 1] > 0.0
+        assert np.all(distances[: first + 1] == 0.0)
+        assert distances[first + 1] > 0.0
 
     def test_identical_replacement_keeps_distance_zero(self):
         data, spec, hp = self._setup(seed=5)
         same = NeighborSpec(index=spec.index, pool=data, row=spec.index - 1)
-        trace = coupled_run(data, same, "logistic", hp, np.zeros(5), SampleStream(2, 30))
-        assert np.all(trace.distances == 0.0)
+        _, _, distances = reference_pair(data, same, "logistic", hp, np.zeros(5), SampleStream(2, 30))
+        assert np.all(distances == 0.0)
 
     def test_both_runs_share_index_sequence(self):
         data, spec, hp = self._setup(seed=8)
-        trace = coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(4, 30))
-        np.testing.assert_array_equal(trace.base.indices, trace.neighbor.indices)
-
-    def test_neighbor_divergence_is_labeled(self):
-        # squared loss with an enormous replacement feature blows up only
-        # the neighbor run
-        data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
-        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
-        hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
-        with pytest.raises(DivergenceError) as exc:
-            coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(0, 3))
-        assert exc.value.which == "neighbor"
+        base, neighbor, _ = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(4, 30))
+        np.testing.assert_array_equal(base.indices, neighbor.indices)
+        np.testing.assert_array_equal(base.indices, SampleStream(4, 30).prefix(400))
 
 
 class TestCoupledRunDivergence:
+    """The kernel's censoring of one pair at stride 1, against `run` on each side."""
+
     # squared loss, plain SGD at step 3 on rows x = 1: |w| doubles every step,
     # so a run on these rows alone leaves float range after about 1000 steps
     ROWS = "1 1:1\n-1 1:1\n1 1:1\n"
     HP = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=5000)
 
-    def _first_error(self, data, spec):
+    def _censored(self, data, spec, hp=HP, seed=0):
+        """(step, side) at which the one-pair kernel censors the pair."""
+        batch = coupled_distance_batch(
+            stack([data, spec.pool.take([spec.row])], data.dim), np.arange(data.n)[None, :], [spec.index],
+            [data.n], [SampleStream(seed, data.n)], "squared", [hp], np.zeros(1), 1,
+        )
+        assert np.isnan(batch.distances[0, 0]).all()
+        return int(batch.diverged_step[0, 0]), str(batch.diverged_which[0, 0])
+
+    def _run_raises_at(self, data):
         with pytest.raises(DivergenceError) as exc:
-            coupled_run(data, spec, "squared", self.HP, np.zeros(1), SampleStream(0, 3))
-        return exc.value
+            run(data, "squared", self.HP, np.zeros(1), SampleStream(0, data.n))
+        return exc.value.step
 
     def test_side_that_diverges_first_is_labeled(self):
         # the neighbor's 1e155 feature overflows at its first hit, long before
         # the base leaves float range; the base with that row, the other way round
-        early = self._first_error(
-            parse_libsvm(self.ROWS), NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
-        )
-        assert early.which == "neighbor"
-        assert early.step < 100
-        swapped = self._first_error(
-            parse_libsvm("1 1:1e155\n" + self.ROWS.split("\n", 1)[1]),
-            NeighborSpec(index=1, pool=parse_libsvm("1 1:1\n"), row=0),
-        )
-        assert (swapped.which, swapped.step) == ("base", early.step)
-
-    def test_tie_is_labeled_base(self):
         data = parse_libsvm(self.ROWS)
-        same = self._first_error(data, NeighborSpec(index=1, pool=data, row=0))
-        assert same.which == "base"
-        with pytest.raises(DivergenceError) as exc:
-            run(data, "squared", self.HP, np.zeros(1), SampleStream(0, 3))
-        assert same.step == exc.value.step
+        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
+        step, which = self._censored(data, spec)
+        assert which == "neighbor"
+        assert self._run_raises_at(make_neighbor(data, spec)) <= step < 100
+        swapped = parse_libsvm("1 1:1e155\n" + self.ROWS.split("\n", 1)[1])
+        assert self._censored(swapped, NeighborSpec(index=1, pool=parse_libsvm("1 1:1\n"), row=0)) == (step, "base")
+        assert self._run_raises_at(swapped) <= step
 
-    def test_distance_leaving_float_range_raises_at_its_step(self):
+    def test_tie_is_labeled_both(self):
+        # with an identical replacement both sides leave float range together
+        data = parse_libsvm(self.ROWS)
+        step, which = self._censored(data, NeighborSpec(index=1, pool=data, row=0))
+        assert which == "both"
+        assert self._run_raises_at(data) <= step
+
+    def test_distance_leaving_float_range_censors_both_at_first_hit(self):
         # w stays 0 on the zero-label rows; one step at eta = 1 on row 2 lands
         # on its label, so the sides reach +-1e308: both finite, their gap not
         hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=50)
         data = parse_libsvm("0 1:1\n1e308 1:1\n0 1:1\n")
         spec = NeighborSpec(index=2, pool=parse_libsvm("-1e308 1:1\n"), row=0)
-        with pytest.raises(DivergenceError) as exc:
-            coupled_run(data, spec, "squared", hp, np.zeros(1), SampleStream(4, 3))
         first_hit = int(np.flatnonzero(SampleStream(4, 3).prefix(50) == 2)[0]) + 1
-        assert (exc.value.which, exc.value.step) == ("run", first_hit)
+        assert self._censored(data, spec, hp, seed=4) == (first_hit, "both")
+        # the reference loop raises on neither side
+        for side in (data, make_neighbor(data, spec)):
+            assert np.isfinite(run(side, "squared", hp, np.zeros(1), SampleStream(4, 3)).iterates).all()
 
 
 def one_pair_series(d, spec, kind, hp, w1, stream, stride):
@@ -361,12 +363,12 @@ class TestCoupledDistanceSeries:
         spec = NeighborSpec(index=5, pool=synthetic_binary_dataset(4, 6, seed=12), row=0)
         for beta, gamma, eta in [(0.0, 0.02, 0.03), (0.9, 0.0, 0.01), (0.5, 0.04, 0.02)]:
             hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=200)
-            trace = coupled_run(data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40))
+            _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40))
             fast = one_pair_series(
                 data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40), stride=1
             )
-            # fast[j] is the distance after step j+1 = trace.distances[j+1]
-            np.testing.assert_allclose(fast, trace.distances[1:], rtol=1e-9, atol=1e-12)
+            # fast[j] is the distance after step j+1 = distances[j+1]
+            np.testing.assert_allclose(fast, distances[1:], rtol=1e-9, atol=1e-12)
 
     def test_stride_subsamples(self):
         data = synthetic_binary_dataset(40, 6, seed=13)
@@ -430,17 +432,15 @@ class TestCoupledBatch:
         )
         return batch, (examples, train_rows, perturbed, replacements, seeds)
 
-    def _assert_every_pair_matches_coupled_run(self, batch, inputs, kind, points, stride, w1):
+    def _assert_every_pair_matches_reference(self, batch, inputs, kind, points, stride, w1):
         examples, train_rows, perturbed, replacements, seeds = inputs
         assert not batch.diverged_step.any()
         for r in range(3):
             train = examples.take(train_rows[r])
             spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
             for g, hp in enumerate(points):
-                trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
-                np.testing.assert_allclose(
-                    batch.distances[r, g], trace.distances[stride::stride], rtol=1e-9, atol=1e-12
-                )
+                _, _, distances = reference_pair(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+                np.testing.assert_allclose(batch.distances[r, g], distances[stride::stride], rtol=1e-9, atol=1e-12)
             assert batch.distances[r, :, -1].min() > 0.0, "perturbed index never sampled"
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
@@ -452,7 +452,7 @@ class TestCoupledBatch:
         stride = 3
         batch, inputs = self._batch(kind, points, stride, w1)
         assert batch.distances.shape == (3, 4, self.T // stride)
-        self._assert_every_pair_matches_coupled_run(batch, inputs, kind, points, stride, w1)
+        self._assert_every_pair_matches_reference(batch, inputs, kind, points, stride, w1)
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     @pytest.mark.parametrize("case", ["empty_replacement", "same_step_hits", "chunk_edge_hits"])
@@ -476,7 +476,7 @@ class TestCoupledBatch:
         w1 = np.linspace(-0.5, 0.5, self.DIM)
         points = self._grid()
         batch, _ = self._batch(kind, points, 1, w1, inputs)
-        self._assert_every_pair_matches_coupled_run(batch, inputs, kind, points, 1, w1)
+        self._assert_every_pair_matches_reference(batch, inputs, kind, points, 1, w1)
 
     def test_pair_does_not_depend_on_its_batch(self):
         w1 = np.linspace(-0.5, 0.5, self.DIM)
@@ -507,22 +507,21 @@ class TestCoupledBatch:
             examples, train_rows, perturbed, replacements, streams, kind, points, w1, 3,
             risk_data=examples.take(train_rows[0]),
         )
-        assert batch.risks.shape == (3, 4, self.T)
+        assert batch.sum_risk.shape == (3, 4)
         censored = batch.diverged_step > 0
         assert censored[1].all() and not censored[[0, 2]].any()
-        assert np.isnan(batch.risks[censored]).all()
+        assert np.isnan(batch.sum_risk[censored]).all()
         risk_data = examples.take(train_rows[0])
         for r in (0, 2):
             train = examples.take(train_rows[r])
-            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
             for g, hp in enumerate(points):
-                trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
-                expected = empirical_risk_many(trace.base.iterates[: self.T], risk_data, kind)
-                np.testing.assert_allclose(batch.risks[r, g], expected, rtol=1e-9, atol=1e-12)
+                base = run(train, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+                expected = empirical_risk_many(base.iterates[: self.T], risk_data, kind).sum()
+                np.testing.assert_allclose(batch.sum_risk[r, g], expected, rtol=1e-9, atol=1e-12)
 
     def test_without_risk_data_there_are_no_risks(self):
         batch, _ = self._batch("logistic", self._grid(), 3, np.zeros(self.DIM))
-        assert batch.risks is None
+        assert batch.sum_risk is None
 
     def test_neighbor_divergence_is_labeled(self):
         # the enormous replacement feature blows up only the neighbor run
@@ -612,8 +611,8 @@ class TestCoupledBatch:
         for r in range(3):
             train = examples.take(train_rows[r])
             spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
-            trace = coupled_run(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
-            np.testing.assert_allclose(batch.distances[r, 0], trace.distances[1:], rtol=1e-9, atol=1e-12)
+            _, _, distances = reference_pair(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+            np.testing.assert_allclose(batch.distances[r, 0], distances[1:], rtol=1e-9, atol=1e-12)
 
 
 class TestAverageIterate:

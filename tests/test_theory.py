@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_pair
 from sgdm_stability.dataset import NeighborSpec, synthetic_binary_dataset
 from sgdm_stability.harness import variant_params
 from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    coupled_run,
     hb_params,
     nesterov_params,
     run,
@@ -321,33 +321,39 @@ class TestDistIdentity:
 
 
 class TestMomentumRecursionBound:
-    def _trace(self, beta, steps=200, seed=4):
+    def _runs(self, beta, steps=200, seed=4):
         data = synthetic_binary_dataset(30, 5, seed=seed)
         spec = NeighborSpec(index=3, pool=synthetic_binary_dataset(5, 5, seed=seed + 1), row=0)
         hp = HyperParams(beta=beta, gamma=0.01, eta=0.02, iterations=steps)
-        return coupled_run(data, spec, "logistic", hp, np.zeros(5), SampleStream(seed, 30))
+        base, neighbor, _ = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(seed, 30))
+        return base, neighbor
 
     def test_margins_nonnegative(self):
         for beta in (0.3, 0.5, 0.9):
-            margins = verify_m_recursion_bound(self._trace(beta))
+            margins = verify_m_recursion_bound(*self._runs(beta))
             assert margins.shape == (200,)
             assert margins.min() >= -1e-10
 
     def test_first_hit_margin_matches_slack_factor(self):
         # up to the first perturbed-index hit both sides are zero; at the hit
         # rhs = (1 + 1/delta) * lhs, so the margin is strictly positive there
-        trace = self._trace(0.5)
-        idx = trace.base.indices
-        hits = np.flatnonzero(idx == 3)
+        base, neighbor = self._runs(0.5)
+        hits = np.flatnonzero(base.indices == 3)
         assert hits.size > 0
         first = hits[0]
-        margins = verify_m_recursion_bound(trace)
+        margins = verify_m_recursion_bound(base, neighbor)
         assert np.all(margins[:first] == 0.0)
         assert margins[first] > 0.0
 
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
-            verify_m_recursion_bound(self._trace(0.0))
+            verify_m_recursion_bound(*self._runs(0.0))
+
+    def test_runs_of_different_streams_rejected(self):
+        base, _ = self._runs(0.5)
+        other, _ = self._runs(0.5, seed=5)
+        with pytest.raises(ValueError, match="index stream"):
+            verify_m_recursion_bound(base, other)
 
 
 class TestEprRecipe:

@@ -13,7 +13,6 @@ from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    coupled_run,
     hb_params,
     nesterov_params,
     run,
@@ -208,7 +207,7 @@ def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
 
 class TestSharedTrajectories:
     def _counted(self, monkeypatch):
-        calls = {"run": 0, "run_lookahead": 0, "coupled_run": 0}
+        calls = {"run": 0, "run_lookahead": 0}
         steps = {"total": 0}
 
         def counter(name, fn, count_steps):
@@ -220,9 +219,6 @@ class TestSharedTrajectories:
 
         monkeypatch.setattr(verification, "run", counter("run", run, lambda d, k, hp, *_: hp.iterations))
         monkeypatch.setattr(verification, "run_lookahead", counter("run_lookahead", run_lookahead, lambda *a: a[4]))
-        monkeypatch.setattr(
-            verification, "coupled_run", counter("coupled_run", coupled_run, lambda d, s, k, hp, *_: 2 * hp.iterations)
-        )
         return calls, steps
 
     def test_call_counts_at_the_default_grid(self, monkeypatch):
@@ -230,7 +226,8 @@ class TestSharedTrajectories:
         # stands in for the verb's check_steps
         calls, steps = self._counted(monkeypatch)
         run_invariant_suite(steps=20)
-        assert calls == {"run": 16, "run_lookahead": 6, "coupled_run": 6}
+        # m_recursion's pairs are 12 of the runs
+        assert calls == {"run": 28, "run_lookahead": 6}
         # 68000 reference-loop steps at check_steps = 2000
         assert steps["total"] == 34 * 20
 
@@ -238,7 +235,7 @@ class TestSharedTrajectories:
         calls, _ = self._counted(monkeypatch)
         run_invariant_suite(betas=(0.0,), kinds=("logistic",), steps=20)
         # the heavy-ball run and the reduction's own beta = 0 run
-        assert calls == {"run": 2, "run_lookahead": 0, "coupled_run": 0}
+        assert calls == {"run": 2, "run_lookahead": 0}
 
     def test_suite_equals_checks_fed_fresh_runs(self):
         data = synthetic_binary_dataset(30, 5, seed=9, density=0.6, flip=0.15)

@@ -289,6 +289,21 @@ class TestCoupledRun:
         np.testing.assert_array_equal(base.indices, neighbor.indices)
         np.testing.assert_array_equal(base.indices, SampleStream(4, 30).prefix(400))
 
+    def test_neighbor_divergence_is_labeled(self):
+        # squared loss with an enormous replacement feature blows up only
+        # the neighbor run; the kernel censors the pair on that side
+        data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
+        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
+        with pytest.raises(DivergenceError):
+            reference_pair(data, spec, "squared", hp, np.zeros(1), SampleStream(0, 3))
+        assert np.isfinite(run(data, "squared", hp, np.zeros(1), SampleStream(0, 3)).iterates).all()
+        batch = coupled_distance_batch(
+            stack([data, spec.pool.take([spec.row])], 1), np.arange(3)[None, :], [1], [3],
+            [SampleStream(0, 3)], "squared", [hp], np.zeros(1), 1,
+        )
+        assert batch.diverged_which[0, 0] == "neighbor"
+
 
 class TestCoupledRunDivergence:
     """The kernel's censoring of one pair at stride 1, against `run` on each side."""

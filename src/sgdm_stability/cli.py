@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: parse-data, run-stability, check-bounds, verify-invariants, recipe,
-plot.  All of them read a flat key=value config file (``#`` comments allowed)
-whose entries can be overridden on the command line with
-``--overrides key=value ...``.
+plot.  Each reads the keys its table in KEYS declares from a flat key=value
+config file (``#`` comments allowed) and ``--overrides key=value ...`` on the
+command line, which win; any other key is a config error.
 
 Exit codes: 0 success, 1 usage error, 2 data or config error (including a
 size that cannot be allocated), 3 divergence, refused theorem precondition, or
@@ -18,13 +18,16 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dataset import DataError, KNOWN_DATASET_SHAPES, ParseError, binarize, load_libsvm
 from .harness import (
     ExperimentConfig,
+    VARIANTS,
     PreconditionError,
+    bound_variant,
     load_experiment_data,
     run_bound_check,
     run_stability_experiment,
@@ -55,12 +58,6 @@ class CheckFailed(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    config: dict
-
-
 def load_config(path) -> dict:
     cfg: dict[str, str] = {}
     try:
@@ -88,113 +85,168 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return merged
 
 
-def _get_float(cfg, key, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {cfg[key]!r}") from None
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _get_int(cfg, key, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {cfg[key]!r}") from None
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _get_bool(cfg, key, default=False) -> bool:
-    if key not in cfg:
-        return default
-    v = cfg[key].lower()
-    if v in ("1", "true", "yes", "on"):
+def _boolean(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
         return True
-    if v in ("0", "false", "no", "off"):
+    if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {cfg[key]!r}")
+    raise ValueError(text)
 
 
-def _get_floats(cfg, key, default=None) -> tuple[float, ...]:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return tuple(float(v) for v in cfg[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {cfg[key]!r}") from None
+def _horizon(text: str) -> tuple[float, bool]:
+    """`t` as (k, per_n): '<k>n' is k times the train size (k = 1 when left
+    out), anything else an integer count."""
+    if text.endswith("n"):
+        return float(text[:-1] or "1"), True
+    return int(text), False
 
 
-def _require(key, value, ok, expected: str) -> None:
-    if not ok:
-        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}")
+def _outdir(text: str) -> str:
+    return str(Path(text or os.environ.get(OUTDIR_ENV) or "out"))
 
 
-def _outdir(cfg) -> Path:
-    out = cfg.get("outdir") or os.environ.get(OUTDIR_ENV) or "out"
-    return Path(out)
+_REQUIRED = object()
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    if "dataset" not in cfg:
-        raise ConfigError("missing required key 'dataset'")
-    loss = cfg.get("loss", "logistic")
-    if loss not in LOSS_KINDS:
-        raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
-    variant = cfg.get("variant", "hb")
-    if variant not in ("hb", "nesterov", "general"):
-        raise ConfigError(f"variant must be hb, nesterov, or general, got {variant!r}")
-    stride = _get_int(cfg, "stride", 0)
-    max_train = _get_int(cfg, "max_train", 0)
-    steps = _get_floats(cfg, "steps", (0.001, 0.005, 0.025, 0.1))
-    betas = _get_floats(cfg, "betas", (0.9,))
-    reps = _get_int(cfg, "reps", 100)
-    epochs = _get_int(cfg, "epochs", 5)
-    fraction = _get_float(cfg, "fraction", 0.8)
-    seed = _get_int(cfg, "seed", 0)
-    synth_n = _get_int(cfg, "synth_n", 1000)
-    synth_dim = _get_int(cfg, "synth_dim", 20)
-    _require("reps", reps, reps >= 1, ">= 1")
-    _require("epochs", epochs, epochs >= 1, ">= 1")
-    _require("stride", stride, stride >= 0, ">= 0 (0 means once per epoch)")
-    _require("max_train", max_train, max_train >= 0, ">= 0 (0 means no cap)")
-    _require("steps", cfg.get("steps"), steps and all(0 < v < math.inf for v in steps), "finite and > 0")
-    _require("betas", cfg.get("betas"), betas and all(0 <= v < 1 for v in betas), "in [0, 1)")
-    _require("seed", seed, seed >= 0, ">= 0")
-    _require("fraction", fraction, 0 < fraction < 1, "in (0, 1)")
-    _require("synth_n", synth_n, synth_n >= 1, ">= 1")
-    _require("synth_dim", synth_dim, synth_dim >= 1, ">= 1")
-    return ExperimentConfig(
-        dataset=cfg["dataset"],
-        loss=loss,
-        variant=variant,
-        steps=steps,
-        betas=betas,
-        repetitions=reps,
-        epochs=epochs,
-        fraction=fraction,
-        seed=seed,
-        stride=stride or None,
-        outdir=str(_outdir(cfg)),
-        synth_n=synth_n,
-        synth_dim=synth_dim,
-        max_train=max_train or None,
-    )
+@dataclass(frozen=True)
+class Key:
+    """One config key a verb reads.
+
+    `default` is raw text, read like a given value; `_REQUIRED` means the key
+    must be given, None that it may be left out (its value is then None).  A
+    value is accepted when `parse` returns without ValueError and `ok` holds
+    for the result; otherwise the message says what was `expected`.  A key
+    given together with its `unless` key is an error.
+    """
+
+    parse: Callable[[str], object]
+    default: object
+    expected: str
+    ok: Callable[[object], bool] = lambda value: True
+    unless: str | None = None
+
+    def read(self, name: str, cfg: dict):
+        if name in cfg and self.unless in cfg:
+            raise ConfigError(f"key {name!r}: not read when {self.unless!r} is given")
+        raw = cfg.get(name, self.default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"missing required key {name!r}: expected {self.expected}")
+        if raw is None:
+            return None
+        try:
+            value = self.parse(raw)
+            if self.ok(value):
+                return value
+        except ValueError:
+            pass
+        raise ConfigError(f"key {name!r}: expected {self.expected}, got {raw!r}")
 
 
-def _cmd_parse_data(cfg: dict) -> int:
-    if "dataset" not in cfg:
-        raise ConfigError("missing required key 'dataset'")
+def _integer(default, least: int, note: str = "") -> Key:
+    return Key(int, default, f"an integer >= {least}{note}", lambda v: v >= least)
+
+
+def _positive(default) -> Key:
+    return Key(float, default, "a finite number > 0", lambda v: 0 < v < math.inf)
+
+
+def _choice(default, choices: tuple[str, ...]) -> Key:
+    return Key(str, default, f"one of {choices}", lambda v: v in choices)
+
+
+# The keys run-stability, check-bounds and verify-invariants share; the first
+# two read all of them, and they are the ExperimentConfig fields of the same
+# name.
+SHARED = {
+    "dataset": Key(str, _REQUIRED, "a LIBSVM file path or 'synthetic'"),
+    "loss": _choice("logistic", LOSS_KINDS),
+    "variant": _choice("hb", VARIANTS),
+    "betas": Key(_numbers, "0.9", "comma-separated numbers in [0, 1)",
+                 lambda v: v and all(0 <= b < 1 for b in v)),
+    "seed": _integer("0", 0),
+    "fraction": Key(float, "0.8", "a number in (0, 1)", lambda v: 0 < v < 1),
+    "synth_n": _integer("1000", 1),
+    "synth_dim": _integer("20", 1),
+    "outdir": Key(_outdir, "", f"a directory (default ${OUTDIR_ENV}, then ./out)"),
+}
+STEP_FRACTION = _positive("0.5")
+
+KEYS = {
+    "parse-data": {
+        "dataset": Key(str, _REQUIRED, "a LIBSVM file path"),
+        "dim": _integer("0", 0, " (0 means the largest index in the file)"),
+    },
+    "run-stability": {
+        **SHARED,
+        "steps": Key(_numbers, "0.001,0.005,0.025,0.1", "comma-separated finite numbers > 0",
+                     lambda v: v and all(0 < s < math.inf for s in v)),
+        "reps": _integer("100", 1),
+        "epochs": _integer("5", 1),
+        "stride": _integer("0", 0, " (0 means once per epoch)"),
+        "max_train": _integer("0", 0, " (0 means no cap)"),
+    },
+    "check-bounds": {
+        **SHARED,
+        "samples": _integer("50", 1),
+        "t": Key(_horizon, "5n", "an integer or '<k>n' with a finite k", lambda v: math.isfinite(v[0])),
+        "step": _positive(None),
+        "step_fraction": replace(STEP_FRACTION, unless="step"),
+    },
+    "verify-invariants": {
+        "dataset": replace(SHARED["dataset"], default="synthetic"),
+        "betas": replace(SHARED["betas"], default="0,0.5,0.9,0.99"),
+        "seed": replace(SHARED["seed"], default="3"),
+        "outdir": SHARED["outdir"],
+        "losses": Key(_names, ",".join(LOSS_KINDS), f"a comma list from {LOSS_KINDS}",
+                      lambda v: v and all(k in LOSS_KINDS for k in v)),
+        "check_steps": _integer("1000", 1),
+        "step_fraction": STEP_FRACTION,
+        "force_bug": Key(str, "", "empty or 'y_identity'", lambda v: v in ("", "y_identity")),
+    },
+    "recipe": {
+        "n": _integer(_REQUIRED, 1),
+        "beta": Key(float, _REQUIRED, "a number in [0, 1)", lambda v: 0 <= v < 1),
+        "l_star": Key(float, _REQUIRED, "a finite number >= 0", lambda v: 0 <= v < math.inf),
+        "alpha": _positive(_REQUIRED),
+        "variant": _choice("hb", ("hb", "nesterov")),
+    },
+    "plot": {
+        "inputs": Key(_names, _REQUIRED, "comma-separated CSV paths"),
+        "output": Key(str, "", "an SVG path (default <outdir>/plot.svg)"),
+        "title": Key(str, "", "text"),
+        "xlabel": Key(str, "epoch", "text"),
+        "ylabel": Key(str, "mean distance", "text"),
+        "logy": Key(_boolean, "false", "a boolean"),
+        "outdir": SHARED["outdir"],
+    },
+}
+
+
+def read_config(verb: str, cfg: dict) -> dict:
+    """The values of every key `verb` reads, parsed and range-checked; a key
+    it does not read is an error."""
+    keys = KEYS[verb]
+    for name in cfg:
+        if name not in keys:
+            raise ConfigError(f"key {name!r}: not read by {verb} (it reads {', '.join(sorted(keys))})")
+    return {name: key.read(name, cfg) for name, key in keys.items()}
+
+
+def _experiment_config(cfg: dict, **run) -> ExperimentConfig:
+    return ExperimentConfig(**{name: cfg[name] for name in SHARED}, **run)
+
+
+def _cmd_parse_data(cfg: dict, overrides: list[str]) -> int:
     path = cfg["dataset"]
-    dim_override = _get_int(cfg, "dim", 0) or None
-    data = load_libsvm(path, dim=dim_override)
+    data = load_libsvm(path, dim=cfg["dim"] or None)
     labels = dict(Counter(f"{y:g}" for y in data.labels.tolist()))
     meta = {"path": str(path), "n": data.n, "dim": data.dim, "labels": labels}
     name = Path(path).name
@@ -206,10 +258,12 @@ def _cmd_parse_data(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_run_stability(cfg: dict) -> int:
-    exp = _experiment_config(cfg)
+def _cmd_run_stability(cfg: dict, overrides: list[str]) -> int:
+    exp = _experiment_config(
+        cfg, steps=cfg["steps"], repetitions=cfg["reps"], epochs=cfg["epochs"],
+        stride=cfg["stride"] or None, max_train=cfg["max_train"] or None,
+    )
     result = run_stability_experiment(exp)
-    overrides = [s for s in cfg.get("_overrides", "").split(";") if s]
     manifest = save_stability_result(result, exp.outdir, extra={"overrides": overrides})
     print(
         f"wrote {len(result.points)} grid CSVs and manifest.json to {exp.outdir} "
@@ -224,50 +278,30 @@ def _cmd_run_stability(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_check_bounds(cfg: dict) -> int:
-    for key in ("reps", "epochs", "stride", "steps", "max_train"):
-        if key in cfg:
-            raise ConfigError(f"key {key!r}: not read by check-bounds, which runs `samples` pairs of `t` steps")
+def _cmd_check_bounds(cfg: dict, overrides: list[str]) -> int:
     exp = _experiment_config(cfg)
     data = load_experiment_data(exp)
     train, held = split_dataset(data, exp.fraction, exp.seed)
     alpha = smoothness(train, exp.loss).alpha
-    samples = _get_int(cfg, "samples", 50)
-    _require("samples", samples, samples >= 1, ">= 1")
-    t_raw = cfg.get("t", "5n")
-    try:
-        if t_raw.endswith("n"):
-            scaled = float(t_raw[:-1] or "1") * train.n
-            if not math.isfinite(scaled):
-                raise ValueError(t_raw)
-            t = int(scaled)
-        else:
-            t = int(t_raw)
-    except ValueError:
-        raise ConfigError(f"key 't': expected an integer or '<k>n' with a finite k, got {t_raw!r}") from None
-    _require("t", t_raw, 1 <= t < 2**63, "at least one step and fewer than 2**63")
-    variant = exp.variant
+    k, per_n = cfg["t"]
+    t = k * train.n if per_n else k
+    if not 1 <= t < 2**63:
+        raise ConfigError(f"key 't': expected at least one step and fewer than 2**63, got {t!r} steps")
+    t = int(t)
+    if cfg["step"] is None and alpha == 0.0:
+        raise ConfigError(
+            "key 'step_fraction': alpha = 0 (the train rows have no nonzero values), "
+            "so there is no step cap to scale; give 'step' instead"
+        )
     reports = []
     failed = False
     for beta in exp.betas:
-        if "step" in cfg:
-            step = _get_float(cfg, "step")
-            _require("step", step, 0 < step < math.inf, "finite and > 0")
-        else:
-            frac = _get_float(cfg, "step_fraction", 0.5)
-            _require("step_fraction", frac, 0 < frac < math.inf, "finite and > 0")
-            if alpha == 0.0:
-                raise ConfigError(
-                    "key 'step_fraction': alpha = 0 (the train rows have no nonzero values), "
-                    "so there is no step cap to scale; give 'step' instead"
-                )
-            step = frac * max_step(variant, beta, alpha)
-        hp = variant_params(variant, step, beta, t)
-        bound_variant = variant
-        if variant == "nesterov" and beta == 0.0:
-            bound_variant = "general"
+        step = cfg["step"]
+        if step is None:
+            step = cfg["step_fraction"] * max_step(exp.variant, beta, alpha)
         result = run_bound_check(
-            train, held, exp.loss, hp, alpha, samples, exp.seed, bound_variant
+            train, held, exp.loss, variant_params(exp.variant, step, beta, t), alpha,
+            cfg["samples"], exp.seed, bound_variant(exp.variant, beta),
         )
         reports.append({"beta": beta, "step": step, **result.to_dict()})
         if not result.holds:
@@ -277,7 +311,7 @@ def _cmd_check_bounds(cfg: dict) -> int:
             f"bound={result.theoretical:.6g} holds={result.holds} "
             f"ratio={result.margin_ratio:.3g}"
         )
-    out = _outdir(cfg)
+    out = Path(exp.outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "bound_check.json", reports)
     if failed:
@@ -285,40 +319,19 @@ def _cmd_check_bounds(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_invariants(cfg: dict) -> int:
-    betas = _get_floats(cfg, "betas", (0.0, 0.5, 0.9, 0.99))
-    steps = _get_int(cfg, "check_steps", 1000)
-    step_fraction = _get_float(cfg, "step_fraction", 0.5)
-    seed = _get_int(cfg, "seed", 3)
-    _require("betas", cfg.get("betas"), betas and all(0 <= v < 1 for v in betas), "in [0, 1)")
-    _require("check_steps", steps, steps >= 1, ">= 1")
-    _require("step_fraction", step_fraction, 0 < step_fraction < math.inf, "finite and > 0")
-    _require("seed", seed, seed >= 0, ">= 0")
-    force_bug = cfg.get("force_bug", "")
-    if force_bug not in ("", "y_identity"):
-        raise ConfigError(f"force_bug must be empty or 'y_identity', got {force_bug!r}")
-    kinds_raw = cfg.get("losses", ",".join(LOSS_KINDS))
-    kinds = tuple(k.strip() for k in kinds_raw.split(",") if k.strip())
-    _require("losses", kinds_raw, kinds, f"a comma list from {LOSS_KINDS}")
-    for k in kinds:
-        if k not in LOSS_KINDS:
-            raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {k!r}")
+def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
+    kinds = cfg["losses"]
     data = None
-    if cfg.get("dataset", "synthetic") != "synthetic":
+    if cfg["dataset"] != "synthetic":
         data = binarize(load_libsvm(cfg["dataset"]))
         if any(smoothness(data, k).alpha == 0.0 for k in kinds):
             raise ConfigError("key 'dataset': alpha = 0 (no row has a nonzero value), so there is no step cap")
     outcomes = run_invariant_suite(
-        betas=betas,
-        kinds=kinds,
-        steps=steps,
-        step_fraction=step_fraction,
-        seed=seed,
-        data=data,
-        force_bug=force_bug,
+        betas=cfg["betas"], kinds=kinds, steps=cfg["check_steps"], step_fraction=cfg["step_fraction"],
+        seed=cfg["seed"], data=data, force_bug=cfg["force_bug"],
     )
     report = [o.to_dict() for o in outcomes]
-    out = _outdir(cfg)
+    out = Path(cfg["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "invariants.json", report)
     n_pass = sum(1 for o in outcomes if o.status == "pass")
@@ -333,40 +346,20 @@ def _cmd_verify_invariants(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_recipe(cfg: dict) -> int:
-    variant = cfg.get("variant", "hb")
-    if variant not in ("hb", "nesterov"):
-        raise ConfigError(f"recipe variant must be hb or nesterov, got {variant!r}")
-    n = _get_int(cfg, "n")
-    beta = _get_float(cfg, "beta")
-    l_star = _get_float(cfg, "l_star")
-    alpha = _get_float(cfg, "alpha")
-    _require("n", n, n >= 1, ">= 1")
-    _require("beta", beta, 0 <= beta < 1, "in [0, 1)")
-    _require("l_star", l_star, 0 <= l_star < math.inf, "finite and >= 0")
-    _require("alpha", alpha, 0 < alpha < math.inf, "finite and > 0")
-    recipe = epr_recipe(n=n, beta=beta, l_star=l_star, variant=variant, alpha=alpha)
-    print(json.dumps(recipe.to_dict(), indent=2, sort_keys=True))
+def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
+    print(json.dumps(epr_recipe(**cfg).to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_plot(cfg: dict) -> int:
-    if "inputs" not in cfg:
-        raise ConfigError("missing required key 'inputs' (comma-separated CSV paths)")
-    inputs = tuple(p.strip() for p in cfg["inputs"].split(",") if p.strip())
-    output = cfg.get("output")
+def _cmd_plot(cfg: dict, overrides: list[str]) -> int:
+    output = cfg["output"]
     if not output:
-        output = str(_outdir(cfg) / "plot.svg")
-        _outdir(cfg).mkdir(parents=True, exist_ok=True)
-    spec = PlotSpec(
-        inputs=inputs,
-        output=output,
-        title=cfg.get("title", ""),
-        xlabel=cfg.get("xlabel", "epoch"),
-        ylabel=cfg.get("ylabel", "mean distance"),
-        logy=_get_bool(cfg, "logy", False),
-    )
-    emit_plot(spec)
+        output = str(Path(cfg["outdir"]) / "plot.svg")
+        Path(cfg["outdir"]).mkdir(parents=True, exist_ok=True)
+    emit_plot(PlotSpec(
+        inputs=cfg["inputs"], output=output, title=cfg["title"],
+        xlabel=cfg["xlabel"], ylabel=cfg["ylabel"], logy=cfg["logy"],
+    ))
     print(f"wrote {output}")
     return EXIT_OK
 
@@ -400,10 +393,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def dispatch(cmd: Command) -> int:
-    return VERBS[cmd.verb](cmd.config)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -412,10 +401,8 @@ def main(argv=None) -> int:
         print(f"error: usage: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = load_config(args.config) if args.config else {}
-        cfg = apply_overrides(cfg, args.overrides)
-        cfg["_overrides"] = ";".join(args.overrides)
-        return dispatch(Command(verb=args.verb, config=cfg))
+        cfg = apply_overrides(load_config(args.config) if args.config else {}, args.overrides)
+        return VERBS[args.verb](read_config(args.verb, cfg), args.overrides)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -441,3 +428,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

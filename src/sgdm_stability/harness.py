@@ -29,7 +29,7 @@ class PreconditionError(RuntimeError):
 class ExperimentConfig:
     dataset: str  # path to a LIBSVM file, or "synthetic"
     loss: str = "logistic"
-    variant: str = "hb"  # hb | nesterov | general
+    variant: str = "hb"  # one of VARIANTS
     steps: tuple[float, ...] = (0.001, 0.005, 0.025, 0.1)
     betas: tuple[float, ...] = (0.9,)
     repetitions: int = 100
@@ -69,6 +69,9 @@ class StabilityResult:
     wall_clock_s: float
 
 
+VARIANTS = ("hb", "nesterov", "general")
+
+
 def variant_params(variant: str, step: float, beta: float, iterations: int) -> HyperParams:
     """Map a scalar step size onto (gamma, eta) for the given variant.
 
@@ -85,6 +88,15 @@ def variant_params(variant: str, step: float, beta: float, iterations: int) -> H
     if variant == "general":
         return HyperParams(beta=beta, gamma=step, eta=step, iterations=iterations)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def bound_variant(variant: str, beta: float) -> str:
+    """The stability bound formula for what `variant_params` runs: nesterov at
+    beta = 0 is plain SGD, outside the Nesterov form eta = beta * gamma, so
+    the general bound applies."""
+    if variant == "nesterov" and beta == 0.0:
+        return "general"
+    return variant
 
 
 def load_experiment_data(cfg: ExperimentConfig) -> Dataset:

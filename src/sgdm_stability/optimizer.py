@@ -88,7 +88,6 @@ def sgdm_step(s: SgdmState, g: np.ndarray, hp: HyperParams) -> SgdmState:
 
 @dataclass(frozen=True)
 class LookaheadState:
-    u_prev: np.ndarray
     u_curr: np.ndarray
     w: np.ndarray
     step: int
@@ -98,7 +97,7 @@ def lookahead_step(s: LookaheadState, g: np.ndarray, beta: float, gamma: float) 
     """One step of the two-sequence Nesterov form.
 
     u_new = w - gamma * g and the next iterate extrapolates:
-    w_new = u_new + beta * (u_new - u_prev), where u_prev is the previous u
+    w_new = u_new + beta * (u_new - u_curr), where u_curr is the previous u
     (initialized to w_1, which makes the first step match the momentum form).
     """
     if not np.isfinite(g).all():
@@ -107,7 +106,7 @@ def lookahead_step(s: LookaheadState, g: np.ndarray, beta: float, gamma: float) 
     w_new = u_new + beta * (u_new - s.u_curr)
     if not np.isfinite(w_new).all():
         raise DivergenceError(s.step + 1)
-    return LookaheadState(u_prev=s.u_curr, u_curr=u_new, w=w_new, step=s.step + 1)
+    return LookaheadState(u_curr=u_new, w=w_new, step=s.step + 1)
 
 
 class SampleStream:
@@ -216,7 +215,7 @@ def run_lookahead(
     idx = stream.prefix(iterations)
     iterates = np.empty((iterations + 1, d.dim))
     iterates[0] = w1
-    state = LookaheadState(u_prev=w1.copy(), u_curr=w1.copy(), w=w1.copy(), step=0)
+    state = LookaheadState(u_curr=w1.copy(), w=w1.copy(), step=0)
     for k, i in enumerate((idx - 1).tolist()):
         g = loss_grad(state.w, d, i, kind)
         state = lookahead_step(state, g, beta, gamma)

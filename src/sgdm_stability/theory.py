@@ -17,9 +17,6 @@ import numpy as np
 
 from .optimizer import HyperParams, Trajectory, momentum_buffers
 
-STAB_FORMULAS = ("stab_general", "stab_hb", "stab_nesterov")
-OPT_FORMULAS = ("opt_general", "opt_hb", "opt_nesterov")
-
 
 @dataclass(frozen=True)
 class ConditionReport:

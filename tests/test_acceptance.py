@@ -106,7 +106,7 @@ def test_c02_nesterov_two_form_equivalence():
         grads = rng.standard_normal((T, d)) * 0.1
         hp = HyperParams(beta=beta, gamma=gamma, eta=beta * gamma, iterations=T)
         sm = SgdmState(w=np.zeros(d), m=np.zeros(d), step=0)
-        la = LookaheadState(u_prev=np.zeros(d), u_curr=np.zeros(d), w=np.zeros(d), step=0)
+        la = LookaheadState(u_curr=np.zeros(d), w=np.zeros(d), step=0)
         worst = 0.0
         for k in range(T):
             sm = sgdm_step(sm, grads[k], hp)

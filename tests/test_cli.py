@@ -1,18 +1,28 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgdm_stability
 from sgdm_stability.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
+    KEYS,
     OUTDIR_ENV,
     ConfigError,
     apply_overrides,
     load_config,
     main,
 )
+
+SRC = Path(sgdm_stability.__file__).resolve().parents[1]
+README = SRC.parent / "README.md"
 
 
 def _no_constant(name):
@@ -129,6 +139,14 @@ class TestRunStability:
         assert manifest["config"]["repetitions"] == 2
         assert f"outdir={out}" in manifest["overrides"]
         assert len(manifest["grid"]) == 4
+
+    def test_manifest_records_the_overrides_as_given(self, tmp_path, capsys):
+        # a value holding ';' stays one override
+        overrides = [*RUN_OVERRIDES, f"outdir={tmp_path / 'a;b'}"]
+        assert main(["run-stability", "--overrides", *overrides]) == EXIT_OK
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "a;b" / "manifest.json").read_text())
+        assert manifest["overrides"] == overrides
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -276,6 +294,17 @@ class TestNumericConfigErrors:
         assert main(["check-bounds", "--overrides", *TestCheckBounds.BASE, bad, f"outdir={out}"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: key {bad.split('=')[0]!r}: not read by check-bounds")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["-5", "0.5"])
+    def test_check_bounds_step_and_step_fraction(self, fraction, tmp_path, capsys):
+        # `step` sets the step, so a `step_fraction` beside it is never read
+        out = tmp_path / "bc"
+        argv = [*TestCheckBounds.BASE, "step=0.01", f"step_fraction={fraction}", f"outdir={out}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: key 'step_fraction':")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -508,3 +537,68 @@ class TestPlot:
         assert rc == EXIT_DATA
         assert "no data rows" in capsys.readouterr().err
         assert not out.exists()
+
+
+# per verb: keys it reads, then one it does not
+UNREAD = [
+    ("run-stability", RUN_OVERRIDES, "beta=0.5"),
+    ("check-bounds", TestCheckBounds.BASE, "reps=2"),
+    ("verify-invariants", [], "synth_n=500"),
+    ("recipe", ["n=100", "beta=0.5", "l_star=0.1", "alpha=1"], "bogus=1"),
+    ("parse-data", ["dataset={tmp}/tiny.txt"], "dimm=5"),
+    ("plot", ["inputs={tmp}/s.csv"], "logx=1"),
+]
+
+
+class TestUnreadKeys:
+    """A key the verb does not read exits 2 before any work, on every verb."""
+
+    @pytest.mark.parametrize("verb,good,bad", UNREAD, ids=[f"{v}-{b.split('=')[0]}" for v, _, b in UNREAD])
+    def test_rejected(self, verb, good, bad, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "out"))
+        (tmp_path / "tiny.txt").write_text("1 1:1\n-1 2:1\n")
+        (tmp_path / "s.csv").write_text("epoch,mean_dist,std_dist,censored_count\n1,0.5,0.1,0\n")
+        before = sorted(tmp_path.rglob("*"))
+        overrides = [item.format(tmp=tmp_path) for item in good]
+        assert main([verb, "--overrides", *overrides, bad]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        key = bad.split("=")[0]
+        assert err.startswith(f"error: config: key {key!r}: not read by {verb} (it reads ")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_readme_lists_each_verbs_keys(self):
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for verb, body in re.findall(r"^- `([a-z-]+)`(.*?)(?=^- |^\S|\Z)", section, re.M | re.S):
+            body = re.sub(r"\([^()]*\)", "", " ".join(body.split()))
+            keys = re.search(r"Keys: (.*?)(?:\.\s|\.?$)", body).group(1)
+            listed[verb] = set(re.findall(r"`([a-z_]+)`", keys))
+        assert listed == {verb: set(table) for verb, table in KEYS.items()}
+
+
+class TestModuleEntry:
+    """`python -m sgdm_stability.cli VERB` runs the verb."""
+
+    def _run(self, *argv):
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "sgdm_stability.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_recipe_prints_json(self, capsys):
+        argv = ["recipe", "--overrides", "n=100", "beta=0.5", "l_star=0.1", "alpha=1"]
+        done = self._run(*argv)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert main(argv) == EXIT_OK
+        assert done.stdout == capsys.readouterr().out
+        assert json.loads(done.stdout)["t"] == 200
+
+    def test_unknown_verb_is_usage_error(self):
+        done = self._run("frobnicate")
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("error: usage:")

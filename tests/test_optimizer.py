@@ -123,7 +123,7 @@ class TestLookahead:
         w1 = np.array([1.0, -2.0])
         g = np.array([0.5, 1.0])
         beta, gamma = 0.5, 0.1
-        s = LookaheadState(u_prev=w1.copy(), u_curr=w1.copy(), w=w1.copy(), step=0)
+        s = LookaheadState(u_curr=w1.copy(), w=w1.copy(), step=0)
         s = lookahead_step(s, g, beta, gamma)
         expected = w1 - gamma * g - beta * gamma * g
         np.testing.assert_allclose(s.w, expected, rtol=1e-15)
@@ -131,7 +131,7 @@ class TestLookahead:
     def test_beta_zero_is_plain_sgd(self):
         w1 = np.array([2.0])
         g = np.array([1.0])
-        s = LookaheadState(u_prev=w1.copy(), u_curr=w1.copy(), w=w1.copy(), step=0)
+        s = LookaheadState(u_curr=w1.copy(), w=w1.copy(), step=0)
         s = lookahead_step(s, g, 0.0, 0.25)
         np.testing.assert_allclose(s.w, [1.75])
 
@@ -143,7 +143,7 @@ class TestLookahead:
         beta, gamma = 0.9, 0.05
         hp = HyperParams(beta=beta, gamma=gamma, eta=beta * gamma, iterations=T)
         sm = SgdmState(w=np.zeros(d), m=np.zeros(d), step=0)
-        la = LookaheadState(u_prev=np.zeros(d), u_curr=np.zeros(d), w=np.zeros(d), step=0)
+        la = LookaheadState(u_curr=np.zeros(d), w=np.zeros(d), step=0)
         worst = 0.0
         for k in range(T):
             sm = sgdm_step(sm, grads[k], hp)

@@ -352,10 +352,7 @@ def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
 
 
 def _cmd_plot(cfg: dict, overrides: list[str]) -> int:
-    output = cfg["output"]
-    if not output:
-        output = str(Path(cfg["outdir"]) / "plot.svg")
-        Path(cfg["outdir"]).mkdir(parents=True, exist_ok=True)
+    output = cfg["output"] or str(Path(cfg["outdir"]) / "plot.svg")
     emit_plot(PlotSpec(
         inputs=cfg["inputs"], output=output, title=cfg["title"],
         xlabel=cfg["xlabel"], ylabel=cfg["ylabel"], logy=cfg["logy"],

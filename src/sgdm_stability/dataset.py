@@ -11,6 +11,7 @@ module is the only one that knows the layout.  Labels stay raw at parse time;
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 from collections.abc import Sequence
@@ -99,7 +100,7 @@ class Dataset:
                 raise DataError("feature indices must be >= 1")
             if indices.max() >= self.dim:
                 raise DataError(f"feature index {int(indices.max()) + 1} exceeds dim {self.dim}")
-            rising = np.diff(indices) > 0
+            rising = indices[1:] > indices[:-1]
             starts = indptr[1:-1]
             rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
             if not rising.all():
@@ -203,7 +204,16 @@ class NeighborSpec:
     row: int
 
 
-_FEATURE_RE = re.compile(r"^(-?\d+):(\S+)$")
+# Lines per parse block: each block's tokens are checked and converted with a
+# few whole-block operations, so parsing holds one block of text beside the
+# output arrays.
+PARSE_BLOCK = 1024
+# the largest feature index an index array holds
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+# index digits the block conversion sums in int64; longer ones go through int()
+_INDEX_DIGITS = 18
+
+_FEATURE_RE = re.compile(r"(-?\d+):(\S+)")
 
 
 def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
@@ -212,16 +222,144 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Lines look like ``<label> <index>:<value> ...`` with 1-based, strictly
     increasing indices.  ``#`` starts a comment; empty lines are skipped.
     `dim` can force a feature count larger than the max observed index.
+    Labels and values are read by Python's `float`, indices as `int` reads
+    ``-?\\d+``.  A line holding a lone surrogate (how `load_libsvm` passes an
+    undecodable byte) is not UTF-8 text.
+
+    The lines are read PARSE_BLOCK at a time.  A block that fails a bulk
+    check is read again line by line, only to name its first error.
 
     Raises ParseError (with the offending 1-based line number) on malformed
-    input and DataError if no examples remain.
+    input, the first malformed line winning.  Once every line is well formed,
+    raises DataError if an index exceeds the index dtype (naming the
+    largest), if no examples remain, or if `dim` is below the largest index.
     """
-    lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
-    labels: list[float] = []
-    ends: list[int] = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for line_no, line in enumerate(lines, start=1):
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    # entries per row, 0-based indices, values and labels of every block
+    columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+    too_large = 0  # the largest index beyond _INDEX_MAX, once one is seen
+    line_no = 1
+    while block := list(itertools.islice(lines, PARSE_BLOCK)):
+        arrays = None if too_large else _parse_block(block)
+        if arrays is None:
+            peak = _check_lines(block, line_no)
+            if peak <= _INDEX_MAX and not too_large:
+                raise AssertionError(f"lines {line_no}+: the block checks reject well-formed lines")
+            too_large = max(too_large, peak)
+        else:
+            for column, array in zip(columns, arrays):
+                column.append(array)
+        line_no += len(block)
+    if too_large:
+        raise DataError(f"feature index {too_large} is too large")
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column) if column else np.zeros(0))
+        column.clear()  # the blocks' copies go as soon as they are joined
+    nnz, indices, values, labels = joined
+    if not labels.size:
+        raise DataError("no examples in input")
+    max_idx = int(indices.max()) + 1 if indices.size else 0
+    final_dim = max(max_idx, 1)
+    if dim is not None:
+        if dim < max_idx:
+            raise DataError(f"dim override {dim} is below max feature index {max_idx}")
+        final_dim = max(dim, 1)
+    indptr = np.zeros(labels.size + 1, dtype=np.intp)
+    np.cumsum(nnz, out=indptr[1:])
+    return Dataset(indptr, indices, values, labels, final_dim)
+
+
+def _parse_block(lines: list[str]):
+    """(entries per row, 0-based indices, values, labels) of the rows in
+    `lines`, or None if a line is malformed or holds an index beyond
+    _INDEX_MAX."""
+    text = "\0 " + " \0 ".join(lines)
+    if not text.isascii():  # a lone surrogate, comments included, is not UTF-8
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    if "#" in text:
+        text = "\0 " + " \0 ".join(line.partition("#")[0] for line in lines)
+    if text.count("\0") != len(lines):
+        return None  # a NUL outside a comment: no label or value holds one
+    # one space between tokens, and a "\0" token before each line
+    text = " ".join(text.split())
+    wide = not text.isascii()
+    codes = np.frombuffer(
+        text.encode("utf-32-le") if wide else text.encode("ascii"), np.uint32 if wide else np.uint8
+    )
+    gaps = np.flatnonzero(codes == 32)
+    starts = np.concatenate(([0], gaps + 1))
+    ends = np.concatenate((gaps, [codes.size]))
+    marker = codes[starts] == 0
+    after_marker = np.concatenate(([False], marker[:-1]))
+    label = after_marker & ~marker
+    feature = ~(marker | after_marker)
+    first = np.concatenate(([False], label[:-1]))[feature]  # a row's first feature
+    fs, fe = starts[feature], ends[feature]
+
+    # <index>:<value>: a well-formed block has one colon per feature token,
+    # the k-th in the k-th token, with a value after it; none holds another
+    colon = np.flatnonzero(codes == 58)
+    if colon.size != fs.size:
+        return None
+    width = colon - fs
+    if not ((width >= 1) & (colon < fe - 1)).all():
+        return None
+    # labels and values: each marker and each index with its colon blanked
+    numbers = codes.copy()
+    numbers[starts[marker]] = 32
+    numbers[colon] = 32
+    # indices of 1.._INDEX_DIGITS ASCII digits, summed digit by digit
+    plain = width <= _INDEX_DIGITS
+    width = np.where(plain, width, 0)
+    index = np.zeros(fs.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0))):
+        more = k < width
+        at = np.where(more, fs + k, colon)
+        digit = codes[at] - 48  # unsigned: a non-digit wraps above 9
+        plain &= ~more | (digit <= 9)
+        index = np.where(more, index * 10 + digit, index)
+        numbers[at] = 32
+    # other tokens (long, signed or non-ASCII digits, or malformed) one at a time
+    for k in np.flatnonzero(~plain).tolist():
+        m = _FEATURE_RE.fullmatch(text, int(fs[k]), int(fe[k]))
+        if m is None:
+            return None
+        try:
+            idx = int(m.group(1))
+        except ValueError:
+            return None
+        if not 1 <= idx <= _INDEX_MAX:
+            return None
+        index[k] = idx
+        numbers[fs[k]:colon[k]] = 32
+    if (index < 1).any() or not (first[1:] | (index[1:] > index[:-1])).all():
+        return None
+    tokens = numbers.tobytes().decode("utf-32-le").split() if wide else numbers.tobytes().split()
+    try:
+        numbers = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    is_label = label[~marker]  # which of the numbers are labels
+    rows = np.cumsum(label)[feature] - 1
+    nnz = np.bincount(rows, minlength=int(is_label.sum()))
+    return nnz, (index - 1).astype(np.intp), numbers[~is_label], numbers[is_label]
+
+
+def _check_lines(lines: Iterable[str], line_no: int) -> int:
+    """Raise the ParseError of the first malformed line of `lines`, the first
+    of which is line `line_no`; return the largest feature index if none is."""
+    top = 0
+    for line_no, line in enumerate(lines, start=line_no):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(line_no, "not UTF-8 text") from None
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -233,10 +371,14 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
             raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
         prev = 0
         for tok in tokens[1:]:
-            m = _FEATURE_RE.match(tok)
+            m = _FEATURE_RE.fullmatch(tok)
             if m is None:
                 raise ParseError(line_no, f"malformed feature token {tok!r}")
-            idx = int(m.group(1))
+            try:
+                idx = int(m.group(1))
+            except ValueError:  # more digits than int() reads
+                digits = len(m.group(1).lstrip("-"))
+                raise ParseError(line_no, f"feature index with {digits} digits is out of range") from None
             if idx < 1:
                 raise ParseError(line_no, f"feature index must be >= 1, got {idx}")
             if idx <= prev:
@@ -247,28 +389,15 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
                 raise ParseError(line_no, f"malformed feature value {m.group(2)!r}") from None
             if not math.isfinite(val):
                 raise ParseError(line_no, f"non-finite feature value {m.group(2)!r}")
-            indices.append(idx)
-            values.append(val)
             prev = idx
-        labels.append(label)
-        ends.append(len(indices))
-    if not labels:
-        raise DataError("no examples in input")
-    try:
-        idx0 = np.array(indices, dtype=np.intp) - 1
-    except OverflowError:
-        raise DataError(f"feature index {max(indices)} is too large") from None
-    max_idx = int(idx0.max()) + 1 if idx0.size else 0
-    final_dim = max(max_idx, 1)
-    if dim is not None:
-        if dim < max_idx:
-            raise DataError(f"dim override {dim} is below max feature index {max_idx}")
-        final_dim = max(dim, 1)
-    return Dataset(np.array(ends, dtype=np.intp), idx0, np.array(values), np.array(labels), final_dim)
+        top = max(top, prev)
+    return top
 
 
 def load_libsvm(path, dim: int | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes arrive as lone surrogates, which the parser reports
+    # with their line number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_libsvm(fh, dim=dim)
 
 

@@ -84,8 +84,8 @@ def _fmt(v: float) -> str:
 def emit_plot(spec: PlotSpec) -> str:
     """Render the CSVs named in `spec` to a standalone SVG file.
 
-    Returns the output path.  Raises PlotError for schema violations or empty
-    inputs before anything is written.
+    Returns the output path, creating its directory.  Raises PlotError for
+    schema violations or empty inputs before anything is written.
     """
     if not spec.inputs:
         raise PlotError("no input CSVs given")
@@ -179,6 +179,7 @@ def emit_plot(spec: PlotSpec) -> str:
             f'<text x="{ml + pw / 2}" y="24" font-size="15" text-anchor="middle">{_escape(spec.title)}</text>'
         )
     parts.append("</svg>")
+    Path(spec.output).parent.mkdir(parents=True, exist_ok=True)
     with open(spec.output, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return spec.output

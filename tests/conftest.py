@@ -2,13 +2,18 @@
 
 Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
-report.  Also holds `reference_pair`, the reference the batched kernel is
-tested against.
+report.  Also holds the references two fast routines are tested against:
+`reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
+block-wise LIBSVM parser.
 """
+
+import io
+import math
+import re
 
 import numpy as np
 
-from sgdm_stability.dataset import make_neighbor
+from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor
 from sgdm_stability.optimizer import run
 
 CRITERIA = {
@@ -34,6 +39,61 @@ def reference_pair(d, spec, kind, hp, w1, stream):
     base = run(d, kind, hp, w1, stream)
     neighbor = run(make_neighbor(d, spec), kind, hp, w1, stream)
     return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
+
+
+_FEATURE_RE = re.compile(r"^(-?\d+):(\S+)$")
+
+
+def parse_libsvm_per_token(source, dim=None):
+    """`parse_libsvm` as one Python loop over the tokens: the same Dataset, or
+    the same error, for every input that is UTF-8 text and has no index of
+    more digits than `int` reads."""
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    labels, ends, indices, values = [], [0], [], []
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"malformed label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
+        prev = 0
+        for tok in tokens[1:]:
+            m = _FEATURE_RE.match(tok)
+            if m is None:
+                raise ParseError(line_no, f"malformed feature token {tok!r}")
+            idx = int(m.group(1))
+            if idx < 1:
+                raise ParseError(line_no, f"feature index must be >= 1, got {idx}")
+            if idx <= prev:
+                raise ParseError(line_no, f"feature indices must be strictly increasing, got {idx} after {prev}")
+            try:
+                val = float(m.group(2))
+            except ValueError:
+                raise ParseError(line_no, f"malformed feature value {m.group(2)!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite feature value {m.group(2)!r}")
+            indices.append(idx)
+            values.append(val)
+            prev = idx
+        labels.append(label)
+        ends.append(len(indices))
+    if not labels:
+        raise DataError("no examples in input")
+    try:
+        idx0 = np.array(indices, dtype=np.intp) - 1
+    except OverflowError:
+        raise DataError(f"feature index {max(indices)} is too large") from None
+    max_idx = int(idx0.max()) + 1 if idx0.size else 0
+    final_dim = max(max_idx, 1)
+    if dim is not None:
+        if dim < max_idx:
+            raise DataError(f"dim override {dim} is below max feature index {max_idx}")
+        final_dim = max(dim, 1)
+    return Dataset(np.array(ends, dtype=np.intp), idx0, np.array(values), np.array(labels), final_dim)
 
 
 def _skip_reason(report) -> str:

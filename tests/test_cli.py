@@ -88,6 +88,22 @@ class TestExitCodes:
         assert main(["parse-data", "--overrides", f"dataset={p}"]) == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["parse-data", "run-stability"])
+    def test_data_file_not_utf8(self, verb, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"1 1:1\n-1 2:1 # caf\xe9\n1 1:1\n")
+        outdir = [f"outdir={tmp_path / 'out'}"] if verb == "run-stability" else []
+        assert main([verb, "--overrides", f"dataset={p}", *outdir]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: data: line 2: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_index_beyond_int_digits(self, tmp_path, capsys):
+        p = tmp_path / "long.txt"
+        p.write_text("1 1:1\n1 " + "9" * 5000 + ":1\n")
+        assert main(["parse-data", "--overrides", f"dataset={p}"]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: data: line 2: feature index with 5000 digits is out of range\n"
+
 
 class TestParseData:
     def test_metadata_json(self, tmp_path, capsys):
@@ -525,6 +541,15 @@ class TestPlot:
         bad.write_text("epoch,mean_dist\n1,0.5\n")
         out = tmp_path / "no.svg"
         rc = main(["plot", "--overrides", f"inputs={bad}", f"output={out}"])
+        assert rc == EXIT_DATA
+        assert "std_dist" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schema_violation_creates_no_outdir(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("epoch,mean_dist\n1,0.5\n")
+        out = tmp_path / "o"
+        rc = main(["plot", "--overrides", f"inputs={bad}", f"outdir={out}"])
         assert rc == EXIT_DATA
         assert "std_dist" in capsys.readouterr().err
         assert not out.exists()

@@ -1,15 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import parse_libsvm_per_token
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgdm_stability import dataset
 from sgdm_stability.dataset import (
+    PARSE_BLOCK,
     DataError,
     Dataset,
     NeighborSpec,
     ParseError,
     binarize,
     binarize_labels,
+    load_libsvm,
     make_neighbor,
     parse_libsvm,
     serialize_libsvm,
@@ -81,6 +88,8 @@ class TestParse:
             ("1 3:1 2:1\n", "increasing"),
             ("1 1:inf\n", "non-finite"),
             ("inf 1:1\n", "non-finite"),
+            ("1 " + "9" * 4301 + ":1\n", "4301 digits is out of range"),
+            ("1 1:1 # caf\udce9\n", "not UTF-8"),
         ],
     )
     def test_malformed_rejected(self, text, frag):
@@ -97,6 +106,162 @@ class TestParse:
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             parse_libsvm("# nothing here\n")
+
+    def test_undecodable_byte_named_by_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"1 1:1\n" * 1500 + b"1 2:\xff\n")
+        with pytest.raises(ParseError, match=r"^line 1501: not UTF-8 text$"):
+            load_libsvm(path)
+        path.write_bytes(b"x 1:1\n1 2:\xff\n")  # an earlier error wins
+        with pytest.raises(ParseError, match="^line 1: malformed label"):
+            load_libsvm(path)
+        path.write_bytes("1 1:1 # caf\u00e9\n".encode())
+        assert load_libsvm(path) == parse_libsvm("1 1:1\n")
+
+
+def outcome(parse, source, dim=None):
+    """What `parse` makes of `source`: the Dataset's dim and array bytes, or
+    its error's type, message and line number."""
+    try:
+        d = parse(source, dim=dim)
+    except (ParseError, DataError) as e:
+        return type(e), str(e), getattr(e, "line_no", None)
+    return d.dim, *((a.dtype.str, a.tobytes()) for a in (d.indptr, d.indices, d.values, d.labels))
+
+
+LABELS = ["1", "-1", "+1", "2", "0", "1.5e3", "-0.25", "1_0", "\u0661"]
+VALUES = ["1", "-0.5", "1e-3", "+2", ".5", "5.", "1_0", "-0", "1E+2", "007", "0.1000000000000000055511151231257827"]
+INDEX_ZEROS = ["", "", "", "0", "000", "0" * 20]
+COMMENTS = ["# note", "#1 2:3", "# a:b # c", "#", "# caf\u00e9 \x00"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\x1c", "\u3000"]
+ENDINGS = ["\n", "\n", "\r\n"]
+# digits that int() and float() read as 0-9 and \d matches
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# lines with one fault each, and the lines beyond the index dtype
+BAD_LINES = [
+    "x 1:1", "1.2.3", "inf 1:1", "nan", "-Infinity 2:1",  # label
+    "1 junk", "1 :1", "1 1:", "1 a:1", "1 1 :2", "1 \u0661x:1", "1 +1:1",  # token shape
+    "1 0:1", "1 -3:1", "1 -0:1", "1 " + "0" * 20 + ":1",  # index below 1
+    "1 2:1 2:3", "1 3:1 2:1", "1 5:1 00005:2", "1 99999999999999999999:1 3:1",  # order
+    "1 1:abc", "1 2:1:2", "1 1:1,5", "1 1:0x10", "1 1:1\x00",  # value
+    "1 1:inf", "1 1:nan", "1 2:-infinity",  # non-finite value
+    "1 99999999999999999999:1", "1 1:1 9223372036854775808:2",  # beyond the index dtype
+    "1 9223372036854775807:1",  # the largest index, well formed
+]
+
+
+@st.composite
+def libsvm_lines(draw):
+    """Well-formed LIBSVM lines, and the largest index they hold."""
+    lines, top = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        ending = draw(st.sampled_from(ENDINGS))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + ending)
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(COMMENTS)) + ending)
+            continue
+        indices = sorted(draw(st.sets(st.integers(1, 300), max_size=6)))
+        tokens = [draw(st.sampled_from(LABELS))]
+        for i in indices:
+            digits = str(i) if draw(st.integers(0, 9)) else str(i).translate(ARABIC_INDIC)
+            value = draw(st.sampled_from(VALUES) | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+            tokens.append(f"{draw(st.sampled_from(INDEX_ZEROS))}{digits}:{value}")
+        sep = draw(st.sampled_from(SEPARATORS))
+        line = sep.join(tokens)
+        if draw(st.booleans()):
+            line = sep + line
+        if draw(st.booleans()):
+            line += " " + draw(st.sampled_from(COMMENTS))
+        lines.append(line + ending)
+        top = max([top, *indices])
+    return lines, top
+
+
+def a9a_like_lines(n):
+    """n lines shaped like a9a's: a +-1 label and 14 unit features."""
+    return [("+1 " if i % 3 else "-1 ") + " ".join(f"{j}:1" for j in range(1 + i % 7, 124, 9)) + "\n" for i in range(n)]
+
+
+class TestBlockParse:
+    """The block parser against the per-token loop it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=libsvm_lines(),
+        block=st.integers(1, 5),
+        extra_dim=st.none() | st.integers(0, 3),
+        as_lines=st.booleans(),
+    )
+    def test_well_formed_input(self, data, block, extra_dim, as_lines):
+        lines, top = data
+        dim = None if extra_dim is None else top + extra_dim
+        source = lines if as_lines else "".join(lines)
+        with mock.patch.object(dataset, "PARSE_BLOCK", block):
+            got = outcome(parse_libsvm, source, dim)
+        assert got == outcome(parse_libsvm_per_token, source, dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=libsvm_lines(),
+        block=st.integers(1, 5),
+        faults=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(BAD_LINES)), min_size=1, max_size=2),
+    )
+    def test_corrupted_input(self, data, block, faults):
+        lines, _ = data
+        for at, bad in faults:
+            lines.insert(at % (len(lines) + 1), bad + "\n")
+        text = "".join(lines)
+        with mock.patch.object(dataset, "PARSE_BLOCK", block):
+            got = outcome(parse_libsvm, text)
+        assert got == outcome(parse_libsvm_per_token, text)
+
+    @pytest.mark.parametrize("at", [0, PARSE_BLOCK - 1, PARSE_BLOCK, 2 * PARSE_BLOCK - 1, 2 * PARSE_BLOCK])
+    def test_error_at_block_edges(self, at):
+        lines = a9a_like_lines(2 * PARSE_BLOCK + 1)
+        lines[at] = "1 3:1 junk\n"
+        text = "".join(lines)
+        got = outcome(parse_libsvm, text)
+        assert got == (ParseError, f"line {at + 1}: malformed feature token 'junk'", at + 1)
+        assert got == outcome(parse_libsvm_per_token, text)
+
+    @pytest.mark.parametrize("n", [PARSE_BLOCK - 1, PARSE_BLOCK, PARSE_BLOCK + 1])
+    def test_line_counts_around_a_block(self, n):
+        text = "".join(a9a_like_lines(n))
+        assert parse_libsvm(text).n == n
+        assert outcome(parse_libsvm, text) == outcome(parse_libsvm_per_token, text)
+
+    def test_largest_index_beyond_dtype_named_after_every_block(self):
+        lines = a9a_like_lines(3 * PARSE_BLOCK)
+        lines[5] = "1 99999999999999999999:1\n"
+        lines[-1] = "1 123456789012345678901234567890:1\n"
+        text = "".join(lines)
+        assert outcome(parse_libsvm, text) == (
+            DataError, "feature index 123456789012345678901234567890 is too large", None
+        )
+        lines[-2] = "1 junk\n"  # a malformed line anywhere wins
+        assert outcome(parse_libsvm, "".join(lines))[2] == len(lines) - 1
+
+    def test_memory_does_not_grow_beyond_the_output(self, tmp_path):
+        # Parsing holds one block's text and tokens beside the output; joining
+        # the blocks' arrays copies one output array at a time, and no array
+        # is more than half the output.  A whole-file token list costs far
+        # more per entry than the 16 bytes the output stores.
+        growth = {}
+        for n in (4000, 16000):
+            path = tmp_path / f"{n}.txt"
+            path.write_text("".join(a9a_like_lines(n)))
+            tracemalloc.start()
+            try:
+                d = load_libsvm(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            growth[n] = peak, sum(a.nbytes for a in (d.indptr, d.indices, d.values, d.labels))
+        (small, small_out), (large, large_out) = growth[4000], growth[16000]
+        assert large - small <= 1.5 * (large_out - small_out) + 100_000
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

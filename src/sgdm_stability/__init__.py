@@ -39,11 +39,8 @@ from .optimizer import (
     SampleStream,
     SgdmState,
     Trajectory,
-    average_iterate,
     coupled_distance_batch,
-    hb_params,
     lookahead_step,
-    nesterov_params,
     run,
     sgdm_step,
 )
@@ -61,6 +58,7 @@ from .theory import (
     max_step,
     optimization_bound,
     stability_bound,
+    variant_params,
     verify_dist_identity,
     verify_m_recursion_bound,
     verify_y_identity,

@@ -24,22 +24,18 @@ from pathlib import Path
 
 from .dataset import DataError, KNOWN_DATASET_SHAPES, ParseError, binarize, load_libsvm
 from .harness import (
+    ConfigError,
     ExperimentConfig,
-    VARIANTS,
     PreconditionError,
-    bound_variant,
-    load_experiment_data,
-    run_bound_check,
+    run_bound_checks,
     run_stability_experiment,
     save_stability_result,
-    variant_params,
     write_json,
 )
 from .losses import LOSS_KINDS, smoothness
 from .optimizer import DivergenceError
-from .dataset import split as split_dataset
 from .plotting import PlotError, PlotSpec, emit_plot
-from .theory import epr_recipe, max_step
+from .theory import VARIANTS, epr_recipe
 from .verification import run_invariant_suite
 
 OUTDIR_ENV = "SGDM_STABILITY_OUTDIR"
@@ -48,10 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_REFUSED = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class CheckFailed(RuntimeError):
@@ -280,41 +272,17 @@ def _cmd_run_stability(cfg: dict, overrides: list[str]) -> int:
 
 def _cmd_check_bounds(cfg: dict, overrides: list[str]) -> int:
     exp = _experiment_config(cfg)
-    data = load_experiment_data(exp)
-    train, held = split_dataset(data, exp.fraction, exp.seed)
-    alpha = smoothness(train, exp.loss).alpha
-    k, per_n = cfg["t"]
-    t = k * train.n if per_n else k
-    if not 1 <= t < 2**63:
-        raise ConfigError(f"key 't': expected at least one step and fewer than 2**63, got {t!r} steps")
-    t = int(t)
-    if cfg["step"] is None and alpha == 0.0:
-        raise ConfigError(
-            "key 'step_fraction': alpha = 0 (the train rows have no nonzero values), "
-            "so there is no step cap to scale; give 'step' instead"
-        )
-    reports = []
-    failed = False
-    for beta in exp.betas:
-        step = cfg["step"]
-        if step is None:
-            step = cfg["step_fraction"] * max_step(exp.variant, beta, alpha)
-        result = run_bound_check(
-            train, held, exp.loss, variant_params(exp.variant, step, beta, t), alpha,
-            cfg["samples"], exp.seed, bound_variant(exp.variant, beta),
-        )
-        reports.append({"beta": beta, "step": step, **result.to_dict()})
-        if not result.holds:
-            failed = True
+    checks = run_bound_checks(exp, cfg["samples"], cfg["t"], cfg["step"], cfg["step_fraction"])
+    for point, result in checks:
         print(
-            f"beta={beta:g} step={step:g}: empirical={result.empirical:.6g} "
+            f"beta={point.beta:g} step={point.step:g}: empirical={result.empirical:.6g} "
             f"bound={result.theoretical:.6g} holds={result.holds} "
             f"ratio={result.margin_ratio:.3g}"
         )
     out = Path(exp.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "bound_check.json", reports)
-    if failed:
+    write_json(out / "bound_check.json", [{"beta": p.beta, "step": p.step, **r.to_dict()} for p, r in checks])
+    if not all(result.holds for _, result in checks):
         raise CheckFailed("bound violated in at least one configuration")
     return EXIT_OK
 

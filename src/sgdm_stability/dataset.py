@@ -10,7 +10,6 @@ module is the only one that knows the layout.  Labels stay raw at parse time;
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import re
@@ -234,7 +233,8 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     raises DataError if an index exceeds the index dtype (naming the
     largest), if no examples remain, or if `dim` is below the largest index.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    # a str is read a line at a time, each ending at its "\n" as in a file
+    lines = (m.group() for m in re.finditer(r".*\n|.+", source)) if isinstance(source, str) else iter(source)
     # entries per row, 0-based indices, values and labels of every block
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
     too_large = 0  # the largest index beyond _INDEX_MAX, once one is seen

@@ -15,10 +15,19 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import DataError, Dataset, binarize, load_libsvm, split_positions, stack, synthetic_binary_dataset
+from .dataset import (
+    DataError, Dataset, binarize, load_libsvm, split, split_positions, stack, synthetic_binary_dataset,
+)
 from .losses import smoothness
-from .optimizer import DivergenceError, HyperParams, SampleStream, coupled_distance_batch
-from .theory import ConditionReport, check_opt_condition, check_stab_condition, stability_bound
+from .optimizer import CoupledBatch, DivergenceError, HyperParams, SampleStream, coupled_distance_batch
+from .theory import (
+    ConditionReport, bound_formula, check_opt_condition, check_stab_condition, max_step, stability_bound,
+    variant_params,
+)
+
+
+class ConfigError(ValueError):
+    """A configuration value that the experiment cannot run with."""
 
 
 class PreconditionError(RuntimeError):
@@ -69,36 +78,6 @@ class StabilityResult:
     wall_clock_s: float
 
 
-VARIANTS = ("hb", "nesterov", "general")
-
-
-def variant_params(variant: str, step: float, beta: float, iterations: int) -> HyperParams:
-    """Map a scalar step size onto (gamma, eta) for the given variant.
-
-    hb: gamma = 0, eta = step.  nesterov: gamma = step, eta = beta * step,
-    falling back to the equivalent plain-SGD form when beta = 0.  general:
-    gamma = eta = step.
-    """
-    if variant == "hb":
-        return HyperParams(beta=beta, gamma=0.0, eta=step, iterations=iterations)
-    if variant == "nesterov":
-        if beta == 0.0:
-            return HyperParams(beta=0.0, gamma=0.0, eta=step, iterations=iterations)
-        return HyperParams(beta=beta, gamma=step, eta=beta * step, iterations=iterations)
-    if variant == "general":
-        return HyperParams(beta=beta, gamma=step, eta=step, iterations=iterations)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def bound_variant(variant: str, beta: float) -> str:
-    """The stability bound formula for what `variant_params` runs: nesterov at
-    beta = 0 is plain SGD, outside the Nesterov form eta = beta * gamma, so
-    the general bound applies."""
-    if variant == "nesterov" and beta == 0.0:
-        return "general"
-    return variant
-
-
 def load_experiment_data(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset == "synthetic":
         return synthetic_binary_dataset(cfg.synth_n, cfg.synth_dim, cfg.seed)
@@ -122,31 +101,84 @@ def aggregate(series_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class RepDraw:
-    """One repetition's randomness, as positions into the loaded data."""
+class Draws:
+    """Each repetition's randomness, as positions into the data the kernel
+    runs on: repetition r trains on the rows train_rows[r] in the order of
+    the stream seeded stream_seeds[r], and its neighbor puts the row
+    replacements[r] at 1-based train position perturbed[r]."""
 
-    train_rows: np.ndarray  # data positions of the train rows, in order
-    perturbed: int  # 1-based position among train_rows of the replaced row
-    replacement: int  # data position of the held-out row replacing it
-    stream_seed: int
+    train_rows: np.ndarray  # (R, n)
+    perturbed: np.ndarray  # (R,)
+    replacements: np.ndarray  # (R,)
+    stream_seeds: np.ndarray  # (R,)
+
+    @classmethod
+    def sweep(cls, n: int, fraction: float, max_train: int | None, seed: int, reps: int) -> Draws:
+        """A fresh split of the n rows per repetition, capped at `max_train`
+        train rows, replaced from its held-out rows, all drawn in a fixed order
+        from one generator keyed by (seed, repetition), so no result depends
+        on grid traversal."""
+        rows, perturbed, replacements, stream_seeds = [], [], [], []
+        for rep in range(reps):
+            rng = np.random.default_rng([seed, rep])
+            train, held = split_positions(n, fraction, int(rng.integers(2**63)))
+            if max_train is not None and train.size > max_train:
+                train = train[np.sort(rng.choice(train.size, size=max_train, replace=False))]
+            rows.append(train)
+            perturbed.append(rng.integers(1, train.size + 1))
+            replacements.append(held[rng.integers(0, held.size)])
+            stream_seeds.append(rng.integers(2**63))
+        return cls(np.stack(rows), np.array(perturbed), np.array(replacements), np.array(stream_seeds))
+
+    @classmethod
+    def fixed_split(cls, n_train: int, n_pool: int, seed: int, samples: int) -> Draws:
+        """Every sample trains on all of the first n_train rows and draws its
+        replacement from the n_pool rows after them, from one generator keyed
+        by (seed, sample)."""
+        # sized by `samples` before the draw loop, so a size that cannot be
+        # allocated fails at once
+        perturbed = np.empty(samples, dtype=np.int64)
+        replacements = np.empty(samples, dtype=np.intp)
+        stream_seeds = np.empty(samples, dtype=np.int64)
+        for s in range(samples):
+            rng = np.random.default_rng([seed, s])
+            perturbed[s] = rng.integers(1, n_train + 1)
+            replacements[s] = n_train + rng.integers(0, n_pool)
+            stream_seeds[s] = rng.integers(2**63)
+        train_rows = np.broadcast_to(np.arange(n_train), (samples, n_train))
+        return cls(train_rows, perturbed, replacements, stream_seeds)
+
+    def run(
+        self, data: Dataset, kind: str, points: list[HyperParams], stride: int, risk_data: Dataset | None = None
+    ) -> CoupledBatch:
+        """Every repetition at every grid point `points`, started at zero, as
+        one `coupled_distance_batch` call on `data`."""
+        n = self.train_rows.shape[1]
+        return coupled_distance_batch(
+            data, self.train_rows, self.perturbed, self.replacements,
+            [SampleStream(int(s), n) for s in self.stream_seeds], kind, points, np.zeros(data.dim), stride,
+            risk_data=risk_data,
+        )
 
 
-def _rep_draws(cfg: ExperimentConfig, n: int, rep: int) -> RepDraw:
-    """Per-repetition randomness: split, perturbed index, replacement, stream seed.
+@dataclass(frozen=True)
+class GridPoint:
+    beta: float
+    step: float
+    hp: HyperParams
+    formula: str  # the `stability_bound` formula that applies to hp
 
-    All draws come from one generator keyed by (master seed, repetition), in a
-    fixed order, so results do not depend on grid traversal or scheduling.
-    """
-    rng = np.random.default_rng([cfg.seed, rep])
-    split_seed = int(rng.integers(2**63))
-    train, held = split_positions(n, cfg.fraction, split_seed)
-    if cfg.max_train is not None and train.size > cfg.max_train:
-        keep = np.sort(rng.choice(train.size, size=cfg.max_train, replace=False))
-        train = train[keep]
-    perturbed = int(rng.integers(1, train.size + 1))
-    replacement = int(held[int(rng.integers(0, held.size))])
-    stream_seed = int(rng.integers(2**63))
-    return RepDraw(train, perturbed, replacement, stream_seed)
+
+def grid_points(
+    variant: str, betas: tuple[float, ...], steps: list[tuple[float, ...]], iterations: int
+) -> list[GridPoint]:
+    """The (beta, step) grid, beta by beta, with steps[i] the steps of
+    betas[i], each mapped onto hyperparameters by `variant_params`."""
+    return [
+        GridPoint(beta, step, variant_params(variant, step, beta, iterations), bound_formula(variant, beta))
+        for beta, beta_steps in zip(betas, steps)
+        for step in beta_steps
+    ]
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
@@ -158,8 +190,8 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
 
     # Pre-draw the per-repetition material once; it is shared by every grid
     # point so step/beta comparisons use common random numbers.
-    draws = [_rep_draws(cfg, data.n, r) for r in range(cfg.repetitions)]
-    n_train = draws[0].train_rows.size
+    draws = Draws.sweep(data.n, cfg.fraction, cfg.max_train, cfg.seed, cfg.repetitions)
+    n_train = draws.train_rows.shape[1]
     stride = cfg.stride if cfg.stride is not None else n_train
     iterations = cfg.epochs * n_train
     if stride > iterations:
@@ -167,25 +199,12 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
             f"stride {stride} exceeds the {iterations} steps of a run (epochs {cfg.epochs} x "
             f"{n_train} train rows), so no distance would be recorded"
         )
-    grid = [
-        (beta, step, variant_params(cfg.variant, step, beta, iterations))
-        for beta in cfg.betas
-        for step in cfg.steps
-    ]
-    batch = coupled_distance_batch(
-        data,
-        np.stack([d.train_rows for d in draws]),
-        [d.perturbed for d in draws],
-        [d.replacement for d in draws],
-        [SampleStream(d.stream_seed, n_train) for d in draws],
-        cfg.loss,
-        [hp for _, _, hp in grid],
-        np.zeros(data.dim),
-        stride,
-    )
+    grid = grid_points(cfg.variant, cfg.betas, [cfg.steps] * len(cfg.betas), iterations)
+    batch = draws.run(data, cfg.loss, [point.hp for point in grid], stride)
 
     points: list[GridPointResult] = []
-    for g, (beta, step, hp) in enumerate(grid):
+    for g, point in enumerate(grid):
+        hp = point.hp
         done = batch.diverged_step[:, g] == 0
         series = list(batch.distances[done, g])
         if series:
@@ -196,8 +215,8 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
             stds = np.full(length, np.nan)
         points.append(
             GridPointResult(
-                beta=beta,
-                step=step,
+                beta=point.beta,
+                step=point.step,
                 gamma=hp.gamma,
                 eta=hp.eta,
                 means=means,
@@ -323,18 +342,14 @@ class BoundCheckResult:
     sum_risk_se: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "empirical": self.empirical,
-            "empirical_se": self.empirical_se,
-            "theoretical": self.theoretical,
-            "holds": self.holds,
-            "margin_ratio": self.margin_ratio,
-            "samples": self.samples,
-            "sum_risk": self.sum_risk,
-            "sum_risk_se": self.sum_risk_se,
-            "estimator": "dataset fixed; Monte Carlo over (perturbed index, stream seed, replacement)",
-            "inputs": dict(self.inputs),
-        }
+        estimator = "dataset fixed; Monte Carlo over (perturbed index, stream seed, replacement)"
+        return {**asdict(self), "estimator": estimator}
+
+
+def _require_stab_condition(hp: HyperParams, alpha: float) -> None:
+    cond = check_stab_condition(hp, alpha)
+    if not cond.satisfied:
+        raise PreconditionError(f"stability condition violated: lhs {cond.lhs} > rhs {cond.rhs}")
 
 
 def run_bound_check(
@@ -357,29 +372,13 @@ def run_bound_check(
     memory does not grow with t; the lowest censored sample raises
     DivergenceError.
     """
-    cond = check_stab_condition(hp, alpha)
-    if not cond.satisfied:
-        raise PreconditionError(
-            f"stability condition violated: lhs {cond.lhs} > rhs {cond.rhs}"
-        )
+    _require_stab_condition(hp, alpha)
     t = hp.iterations
-    # sized by `samples` before the draw loop, so a size that cannot be
-    # allocated fails at once
-    perturbed = np.empty(samples, dtype=np.int64)
-    replacements = np.empty(samples, dtype=np.intp)
-    streams = []
-    for s in range(samples):
-        rng = np.random.default_rng([seed, s])
-        perturbed[s] = rng.integers(1, train.n + 1)
-        # the pool's rows follow the train rows in the stacked data
-        replacements[s] = train.n + rng.integers(0, replacement_pool.n)
-        streams.append(SampleStream(int(rng.integers(2**63)), train.n))
-    # every sample trains on all of `train`, in its own stream's order
-    train_rows = np.broadcast_to(np.arange(train.n), (samples, train.n))
-    batch = coupled_distance_batch(
-        stack([train, replacement_pool], train.dim), train_rows, perturbed, replacements, streams,
-        kind, [hp], np.zeros(train.dim), t, risk_data=train,
-    )
+    draws = Draws.fixed_split(train.n, replacement_pool.n, seed, samples)
+    # every sample trains on all of `train`, in its own stream's order; the
+    # pool's rows follow the train rows in the stacked data
+    data = stack([train, replacement_pool], train.dim)
+    batch = draws.run(data, kind, [hp], t, risk_data=train)
     censored = np.flatnonzero(batch.diverged_step[:, 0])
     if censored.size:
         s = censored[0]
@@ -402,3 +401,35 @@ def run_bound_check(
         sum_risk=sum_risk,
         sum_risk_se=_standard_error(sum_risks),
     )
+
+
+def run_bound_checks(
+    cfg: ExperimentConfig, samples: int, t: tuple[float, bool], step: float | None, step_fraction: float
+) -> list[tuple[GridPoint, BoundCheckResult]]:
+    """check-bounds: `run_bound_check` at each of `cfg.betas`, one kernel
+    call per beta, on the train and held-out rows of one split of the data.
+
+    `t` is (k, per_n): k steps, or k times the train size when per_n.  Each
+    beta's step is `step`, or `step_fraction` times the largest step its
+    stability condition admits.  Every beta's condition is checked before
+    any beta runs, so a refused beta (PreconditionError) leaves no work done.
+    """
+    train, held = split(load_experiment_data(cfg), cfg.fraction, cfg.seed)
+    alpha = smoothness(train, cfg.loss).alpha
+    k, per_n = t
+    iterations = k * train.n if per_n else k
+    if not 1 <= iterations < 2**63:
+        raise ConfigError(f"key 't': expected at least one step and fewer than 2**63, got {iterations!r} steps")
+    if step is None and alpha == 0.0:
+        raise ConfigError(
+            "key 'step_fraction': alpha = 0 (the train rows have no nonzero values), "
+            "so there is no step cap to scale; give 'step' instead"
+        )
+    steps = [(step if step is not None else step_fraction * max_step(cfg.variant, beta, alpha),) for beta in cfg.betas]
+    grid = grid_points(cfg.variant, cfg.betas, steps, int(iterations))
+    for point in grid:
+        _require_stab_condition(point.hp, alpha)
+    return [
+        (point, run_bound_check(train, held, cfg.loss, point.hp, alpha, samples, cfg.seed, point.formula))
+        for point in grid
+    ]

@@ -51,22 +51,6 @@ class HyperParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def hb_params(eta: float, beta: float, iterations: int) -> HyperParams:
-    """Heavy-ball hyperparameters: gamma = 0."""
-    return HyperParams(beta=beta, gamma=0.0, eta=eta, iterations=iterations)
-
-
-def nesterov_params(gamma: float, beta: float, iterations: int) -> HyperParams:
-    """Nesterov hyperparameters: eta = beta * gamma.  Requires beta > 0.
-
-    At beta = 0 the method is plain SGD with step gamma; callers should use
-    that form directly since eta would vanish here.
-    """
-    if beta <= 0.0:
-        raise ValueError("nesterov_params requires beta > 0; use plain SGD for beta = 0")
-    return HyperParams(beta=beta, gamma=gamma, eta=beta * gamma, iterations=iterations)
-
-
 @dataclass(frozen=True)
 class SgdmState:
     w: np.ndarray
@@ -221,13 +205,6 @@ def run_lookahead(
         state = lookahead_step(state, g, beta, gamma)
         iterates[k + 1] = state.w
     return iterates
-
-
-def average_iterate(traj: Trajectory, upto: int) -> np.ndarray:
-    """Mean of w_1..w_upto (1-based, inclusive)."""
-    if not 1 <= upto <= traj.iterates.shape[0]:
-        raise ValueError(f"upto must be in 1..{traj.iterates.shape[0]}, got {upto}")
-    return traj.iterates[:upto].mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Minimal SVG line plots for the harness CSV schema.
 
 Renders mean curves with a +-1 standard deviation band, one series per CSV,
-legend labels taken from the file stems.  No plotting library involved; the
+legend labels taken from the file stems.  Only finite points are drawn: a
+censored grid point's CSV holds NaN means, and a series with no finite point
+keeps its legend entry, marked censored.  No plotting library involved; the
 output is a standalone SVG document.
 """
 
@@ -85,25 +87,33 @@ def emit_plot(spec: PlotSpec) -> str:
     """Render the CSVs named in `spec` to a standalone SVG file.
 
     Returns the output path, creating its directory.  Raises PlotError for
-    schema violations or empty inputs before anything is written.
+    schema violations, empty inputs or no finite point in any input before
+    anything is written.
     """
     if not spec.inputs:
         raise PlotError("no input CSVs given")
     series = [read_series_csv(p) for p in spec.inputs]
+    # per series, the (x, mean, std) points whose line and band are finite
+    finite = [
+        [(x, m, sd) for x, m, sd in zip(s.x, s.mean, s.std) if all(map(math.isfinite, (x, m - sd, m + sd)))]
+        for s in series
+    ]
+    if not any(finite):
+        raise PlotError("no finite point in any input: every series is censored")
 
     width, height = 800, 500
     ml, mr, mt, mb = 70, 160, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
-    xs = [v for s in series for v in s.x]
+    xs = [x for points in finite for x, _, _ in points]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
     if spec.logy:
-        pos = [m for s in series for m in s.mean if m > 0]
+        pos = [m for points in finite for _, m, _ in points if m > 0]
         floor = (min(pos) / 10.0) if pos else 1e-12
-        tops = [max(m + sd, floor) for s in series for m, sd in zip(s.mean, s.std)]
+        tops = [max(m + sd, floor) for points in finite for _, m, sd in points]
         y_lo = math.log10(floor)
         y_hi = math.log10(max(max(tops), floor * 10))
 
@@ -113,8 +123,8 @@ def emit_plot(spec: PlotSpec) -> str:
         y_ticks = [10.0**p for p in range(math.floor(y_lo), math.ceil(y_hi) + 1)]
         y_tick_pos = [math.log10(t) for t in y_ticks]
     else:
-        tops = [m + sd for s in series for m, sd in zip(s.mean, s.std)]
-        bots = [m - sd for s in series for m, sd in zip(s.mean, s.std)]
+        tops = [m + sd for points in finite for _, m, sd in points]
+        bots = [m - sd for points in finite for _, m, sd in points]
         y_lo = min(0.0, min(bots))
         y_hi = max(tops)
         if y_hi <= y_lo:
@@ -155,18 +165,22 @@ def emit_plot(spec: PlotSpec) -> str:
             parts.append(
                 f'<text x="{ml - 8}" y="{ypix + 4:.2f}" font-size="12" text-anchor="end">{_fmt(t)}</text>'
             )
-    for i, s in enumerate(series):
+    for i, (s, points) in enumerate(zip(series, finite)):
         color = PALETTE[i % len(PALETTE)]
-        upper = [(px(x), py(m + sd)) for x, m, sd in zip(s.x, s.mean, s.std)]
-        lower = [(px(x), py(m - sd)) for x, m, sd in zip(s.x, s.mean, s.std)]
-        band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower[::-1])
-        parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        line = " ".join(f"{px(x):.2f},{py(m):.2f}" for x, m in zip(s.x, s.mean))
-        parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>')
+        label = s.label
+        if points:
+            upper = [(px(x), py(m + sd)) for x, m, sd in points]
+            lower = [(px(x), py(m - sd)) for x, m, sd in points]
+            band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower[::-1])
+            parts.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
+            line = " ".join(f"{px(x):.2f},{py(m):.2f}" for x, m, _ in points)
+            parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>')
+        else:
+            label += " (censored)"
         ly = mt + 14 + 18 * i
         lx = ml + pw + 12
         parts.append(f'<rect x="{lx}" y="{ly - 9}" width="14" height="4" fill="{color}"/>')
-        parts.append(f'<text x="{lx + 20}" y="{ly}" font-size="12">{_escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 20}" y="{ly}" font-size="12">{_escape(label)}</text>')
     parts.append(
         f'<text x="{ml + pw / 2}" y="{height - 12}" font-size="13" text-anchor="middle">{_escape(spec.xlabel)}</text>'
     )

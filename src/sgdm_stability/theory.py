@@ -11,7 +11,7 @@ the general expression, so agreement between the two routes is a real check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,13 +27,7 @@ class ConditionReport:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -42,14 +36,6 @@ class BoundReport:
     value: float
     inputs: dict
     condition_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "value": self.value,
-            "condition_ok": self.condition_ok,
-            "inputs": dict(self.inputs),
-        }
 
 
 def _inv_alpha(alpha: float) -> float:
@@ -107,9 +93,37 @@ def max_gamma_nesterov(beta: float, alpha: float) -> float:
     return 2 * (1 - beta) ** 2 / (alpha * (3 + 6 * beta + 5 * beta**2 - 2 * beta**3))
 
 
+VARIANTS = ("hb", "nesterov", "general")
+
+
+def variant_params(variant: str, step: float, beta: float, iterations: int) -> HyperParams:
+    """Map a scalar step size onto (gamma, eta) for the given variant.
+
+    hb: gamma = 0, eta = step.  nesterov: gamma = step, eta = beta * step,
+    falling back to the equivalent plain-SGD form when beta = 0.  general:
+    gamma = eta = step.
+    """
+    if variant == "hb":
+        return HyperParams(beta=beta, gamma=0.0, eta=step, iterations=iterations)
+    if variant == "nesterov":
+        if beta == 0.0:
+            return HyperParams(beta=0.0, gamma=0.0, eta=step, iterations=iterations)
+        return HyperParams(beta=beta, gamma=step, eta=beta * step, iterations=iterations)
+    if variant == "general":
+        return HyperParams(beta=beta, gamma=step, eta=step, iterations=iterations)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def bound_formula(variant: str, beta: float) -> str:
+    """The `stability_bound` formula for what `variant_params` runs: nesterov
+    at beta = 0 is plain SGD, outside the Nesterov form eta = beta * gamma,
+    so the general bound applies."""
+    return "general" if variant == "nesterov" and beta == 0.0 else variant
+
+
 def max_step(variant: str, beta: float, alpha: float) -> float:
     """Largest scalar step the stability condition admits for `variant`,
-    with the step mapped onto (gamma, eta) as `harness.variant_params` does.
+    with the step mapped onto (gamma, eta) as `variant_params` does.
 
     hb: eta = step.  nesterov: gamma = step, eta = beta * step, and at
     beta = 0 the plain-SGD form eta = step.  general: gamma = eta = step,
@@ -153,7 +167,7 @@ def stability_bound(
     stability step-size condition fails the value is still computed but
     `condition_ok` is False.
     """
-    if variant not in ("general", "hb", "nesterov"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or t < 1:
         raise ValueError(f"need n >= 1 and t >= 1, got n = {n}, t = {t}")
@@ -210,7 +224,7 @@ def optimization_bound(
     + ((1-b) gamma + eta + b eta^2 / ((1-b) gamma + eta)) * 3 alpha L_S(w) / (1-b)^2
     where `dist_sq` = ||w_1 - w||^2 and `ref_risk` = L_S(w) for any fixed w.
     """
-    if variant not in ("general", "hb", "nesterov"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -366,14 +380,7 @@ class EprRecipe:
     cap: float
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "t": self.t,
-            "rho": self.rho,
-            "step": self.step,
-            "l_star_estimate": self.l_star_estimate,
-            "cap": self.cap,
-        }
+        return asdict(self)
 
 
 def epr_recipe(n: int, beta: float, l_star: float, variant: str, alpha: float) -> EprRecipe:

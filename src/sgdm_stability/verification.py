@@ -8,7 +8,7 @@ report and the test suite can assert on the same code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    hb_params,
     momentum_buffers,
-    nesterov_params,
     run,
     run_lookahead,
 )
@@ -28,6 +26,7 @@ from .theory import (
     auxiliary_sequence,
     max_eta_hb,
     max_gamma_nesterov,
+    variant_params,
     verify_dist_identity,
     verify_m_recursion_bound,
     verify_y_identity,
@@ -44,14 +43,7 @@ class CheckOutcome:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _outcome_max(name, params, observed, threshold, note="") -> CheckOutcome:
@@ -277,7 +269,7 @@ def run_invariant_suite(
         outcomes.append(check_gradient_fd(kind))
         for beta in betas:
             eta_cap = max_eta_hb(beta, alpha)
-            hb_hp = hb_params(step_fraction * eta_cap, beta, steps)
+            hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
             m_recursion = check_m_recursion(data, kind, hb_hp, seed)
             hb = _identity_run(data, kind, hb_hp, seed)
             outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
@@ -287,7 +279,7 @@ def run_invariant_suite(
             del hb
             gamma = step_fraction * max_gamma_nesterov(beta, alpha)
             if beta > 0.0:
-                nest = _identity_run(data, kind, nesterov_params(gamma, beta, steps), seed)
+                nest = _identity_run(data, kind, variant_params("nesterov", gamma, beta, steps), seed)
                 outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
                 outcomes.append(check_y_identity(kind, nest))
                 outcomes.extend(check_dist_identity(kind, nest))

@@ -2,19 +2,21 @@
 
 Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
-report.  Also holds the references two fast routines are tested against:
+report.  Also holds the references the library is tested against:
 `reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
-block-wise LIBSVM parser.
+block-wise LIBSVM parser, `rep_draw` and `bound_check_draws` for the two
+`Draws` constructors, and `average_iterate` for the optimization bound.
 """
 
 import io
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
-from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor
-from sgdm_stability.optimizer import run
+from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor, split_positions
+from sgdm_stability.optimizer import SampleStream, run
 
 CRITERIA = {
     "test_c01_exact_identity_suite": "exact y/dist identities over the beta grid",
@@ -39,6 +41,51 @@ def reference_pair(d, spec, kind, hp, w1, stream):
     base = run(d, kind, hp, w1, stream)
     neighbor = run(make_neighbor(d, spec), kind, hp, w1, stream)
     return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
+
+
+def average_iterate(traj, upto):
+    """Mean of w_1..w_upto (1-based, inclusive)."""
+    if not 1 <= upto <= traj.iterates.shape[0]:
+        raise ValueError(f"upto must be in 1..{traj.iterates.shape[0]}, got {upto}")
+    return traj.iterates[:upto].mean(axis=0)
+
+
+class RepDraw(NamedTuple):
+    """One repetition's randomness, as positions into the loaded data."""
+
+    train_rows: np.ndarray  # data positions of the train rows, in order
+    perturbed: int  # 1-based position among train_rows of the replaced row
+    replacement: int  # data position of the held-out row replacing it
+    stream_seed: int
+
+
+def rep_draw(cfg, n, rep):
+    """One sweep repetition's split, perturbed index, replacement and stream
+    seed, drawn one repetition at a time."""
+    rng = np.random.default_rng([cfg.seed, rep])
+    split_seed = int(rng.integers(2**63))
+    train, held = split_positions(n, cfg.fraction, split_seed)
+    if cfg.max_train is not None and train.size > cfg.max_train:
+        keep = np.sort(rng.choice(train.size, size=cfg.max_train, replace=False))
+        train = train[keep]
+    perturbed = int(rng.integers(1, train.size + 1))
+    replacement = int(held[int(rng.integers(0, held.size))])
+    stream_seed = int(rng.integers(2**63))
+    return RepDraw(train, perturbed, replacement, stream_seed)
+
+
+def bound_check_draws(n_train, n_pool, seed, samples):
+    """The bound check's perturbed indices, replacement positions (the pool's
+    rows follow the train rows) and index streams, one sample at a time."""
+    perturbed = np.empty(samples, dtype=np.int64)
+    replacements = np.empty(samples, dtype=np.intp)
+    streams = []
+    for s in range(samples):
+        rng = np.random.default_rng([seed, s])
+        perturbed[s] = rng.integers(1, n_train + 1)
+        replacements[s] = n_train + rng.integers(0, n_pool)
+        streams.append(SampleStream(int(rng.integers(2**63)), n_train))
+    return perturbed, replacements, streams
 
 
 _FEATURE_RE = re.compile(r"^(-?\d+):(\S+)$")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import reference_pair
+from conftest import average_iterate, reference_pair
 from sgdm_stability.dataset import (
     KNOWN_DATASET_SHAPES,
     NeighborSpec,
@@ -36,10 +36,7 @@ from sgdm_stability.optimizer import (
     LookaheadState,
     SampleStream,
     SgdmState,
-    average_iterate,
-    hb_params,
     lookahead_step,
-    nesterov_params,
     run,
     sgdm_step,
 )
@@ -47,6 +44,7 @@ from sgdm_stability.theory import (
     max_eta_hb,
     optimization_bound,
     stability_bound,
+    variant_params,
     verify_m_recursion_bound,
 )
 from sgdm_stability.verification import (
@@ -116,7 +114,7 @@ def test_c02_nesterov_two_form_equivalence():
 
     # and through the shared data path
     data = synthetic_binary_dataset(60, 8, seed=3)
-    traj = run(data, "logistic", nesterov_params(0.02, 0.9, 1000), np.zeros(data.dim), SampleStream(3, data.n))
+    traj = run(data, "logistic", variant_params("nesterov", 0.02, 0.9, 1000), np.zeros(data.dim), SampleStream(3, data.n))
     out = check_nesterov_equivalence(data, "logistic", traj, seed=3)
     assert out.status == "pass"
 
@@ -147,7 +145,7 @@ def test_c05_momentum_recursion_inequality():
     alpha = smoothness(data, "logistic").alpha
     pool = synthetic_binary_dataset(5, 8, seed=22)
     for beta in (0.5, 0.9):
-        hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, 500)
+        hp = variant_params("hb", 0.5 * max_eta_hb(beta, alpha), beta, 500)
         base, neighbor, _ = reference_pair(
             data, NeighborSpec(7, pool, 0), "logistic", hp, np.zeros(8), SampleStream(23, 100)
         )
@@ -163,7 +161,7 @@ def test_c06_stability_bound_dominance():
     alpha = smoothness(train, "logistic").alpha
     for beta in (0.0, 0.5):
         eta = 0.5 * max_eta_hb(beta, alpha)
-        hp = hb_params(eta, beta, 5 * train.n)
+        hp = variant_params("hb", eta, beta, 5 * train.n)
         res = run_bound_check(
             train, pool, "logistic", hp, alpha, samples=50, seed=5, variant="hb"
         )
@@ -201,13 +199,13 @@ def test_c07_optimization_bound_dominance():
         eta = 0.5 * max_eta_hb(beta, alpha)
         risks = {n: [], 5 * n: []}
         for s in range(seeds):
-            hp = hb_params(eta, beta, 5 * n)
+            hp = variant_params("hb", eta, beta, 5 * n)
             traj = run(train, "logistic", hp, np.zeros(train.dim), SampleStream(1000 + s, n))
             for t in risks:
                 risks[t].append(empirical_risk(average_iterate(traj, t), train, "logistic"))
         for t, values in risks.items():
             bound = optimization_bound(
-                hb_params(eta, beta, t), alpha, dist_sq, t, ref_risk, "hb"
+                variant_params("hb", eta, beta, t), alpha, dist_sq, t, ref_risk, "hb"
             )
             assert bound.condition_ok
             excess = float(np.mean(values)) - ref_risk
@@ -306,7 +304,7 @@ def test_c09_specialization_consistency():
         eta = float(rng.uniform(1e-4, 0.5))
         gamma = float(rng.uniform(1e-4, 0.5))
         hb = HyperParams(beta=beta, gamma=0.0, eta=eta, iterations=t)
-        nest = nesterov_params(gamma, beta, t)
+        nest = variant_params("nesterov", gamma, beta, t)
         for variant, hp in (("hb", hb), ("nesterov", nest)):
             a = stability_bound(hp, alpha, n, t, sum_risk, variant).value
             b = stability_bound(hp, alpha, n, t, sum_risk, "general").value
@@ -326,7 +324,7 @@ def test_c09_specialization_consistency():
         ]
         assert all(y >= x for x, y in zip(values, values[1:])), (route, values)
     nest_values = [
-        stability_bound(nesterov_params(0.02, b, 300), 1.0, 150, 300, 25.0, "nesterov").value
+        stability_bound(variant_params("nesterov", 0.02, b, 300), 1.0, 150, 300, 25.0, "nesterov").value
         for b in (0.1, 0.5, 0.9, 0.99)
     ]
     assert all(y >= x for x, y in zip(nest_values, nest_values[1:]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sgdm_stability
+from sgdm_stability import harness
 from sgdm_stability.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -245,12 +247,51 @@ class TestCheckBounds:
         assert reports[0]["empirical"] == 0.0
         assert reports[0]["margin_ratio"] is None
 
+    def test_refused_beta_stops_the_check_before_any_beta_runs(self, tmp_path, capsys, monkeypatch):
+        # step 0.2 is admitted at beta = 0.5 but not at 0.9: every beta's
+        # condition is checked first, so nothing runs, prints or is written
+        calls = []
+        kernel = harness.coupled_distance_batch
+        monkeypatch.setattr(harness, "coupled_distance_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+        out = tmp_path / "bc"
+        argv = ["dataset=synthetic", "synth_n=40", "betas=0.5,0.9", "step=0.2", f"outdir={out}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_REFUSED
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: precondition:") and err.count("\n") == 1
+        assert calls == []
+        assert not out.exists()
+
     def test_step_above_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "bc2"
         rc = main(["check-bounds", "--overrides", *self.BASE, f"outdir={out}", "step=50.0"])
         assert rc == EXIT_REFUSED
         assert capsys.readouterr().err.startswith("error: precondition:")
         assert not (out / "bound_check.json").exists()
+
+
+# SHA-256 of the artifacts of two small synthetic runs, as the code wrote them
+# when the sweep and the bound check came to share one draws record and one
+# grid builder.  A change to the numerics must re-record them and say so.
+PINNED_DIGESTS = {
+    "nesterov_beta0_step0.01.csv": "50f1f8548c19dd64c4579421f876151533597c853c4d3ed0ec4832333c9e95b0",
+    "nesterov_beta0_step0.5.csv": "ff2822c89645b5de7bcf00b22884ee8482cb64bad2b173be4d1e7e04c7a55ac5",
+    "nesterov_beta0.9_step0.01.csv": "92ebca0c6e9a62cef1e3f52f6c814fecd58e8bc926b90a30c685e2a40d9e2452",
+    "nesterov_beta0.9_step0.5.csv": "4d1353b24a02c80f04b765e5991deb2c69bb6565daa49984364700f6b95b92c6",
+    "bound_check.json": "0c1a9933b1ac015a4a57d68b0a758275d782608c71d8397061c0c2b8a8d39959",
+}
+
+
+def test_artifacts_are_byte_identical_to_the_pinned_digests(tmp_path, capsys):
+    # nesterov at beta = 0 runs plain SGD and takes the general bound; the
+    # sweep subsamples its train rows
+    shared = ["dataset=synthetic", "synth_n=60", "synth_dim=6", "variant=nesterov", "betas=0,0.9", "seed=5"]
+    sweep = ["steps=0.01,0.5", "reps=3", "epochs=2", "max_train=40", f"outdir={tmp_path / 'rs'}"]
+    assert main(["run-stability", "--overrides", *shared, *sweep]) == EXIT_OK
+    assert main(["check-bounds", "--overrides", *shared, "samples=3", "t=2n", f"outdir={tmp_path / 'cb'}"]) == EXIT_OK
+    capsys.readouterr()
+    files = [*(tmp_path / "rs").glob("*.csv"), tmp_path / "cb" / "bound_check.json"]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == PINNED_DIGESTS
 
 
 class TestNumericConfigErrors:
@@ -552,6 +593,22 @@ class TestPlot:
         rc = main(["plot", "--overrides", f"inputs={bad}", f"outdir={out}"])
         assert rc == EXIT_DATA
         assert "std_dist" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("logy", ["0", "1"])
+    def test_fully_censored_sweep_is_a_plot_error(self, logy, tmp_path, capsys):
+        # a step that overflows censors every repetition: the CSV holds NaN
+        runs = tmp_path / "runs"
+        argv = ["dataset=synthetic", "synth_n=40", "reps=2", "epochs=1", "steps=1e308", f"outdir={runs}"]
+        assert main(["run-stability", "--overrides", *argv]) == EXIT_OK
+        csv = runs / "hb_beta0.9_step1e+308.csv"
+        assert "nan" in csv.read_text()
+        capsys.readouterr()
+        out = tmp_path / "plot.svg"
+        rc = main(["plot", "--overrides", f"inputs={csv}", f"output={out}", f"logy={logy}"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: plot: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_empty_csv_rejected(self, tmp_path, capsys):

@@ -263,6 +263,31 @@ class TestBlockParse:
         (small, small_out), (large, large_out) = growth[4000], growth[16000]
         assert large - small <= 1.5 * (large_out - small_out) + 100_000
 
+    def test_text_costs_no_more_than_a_file(self, tmp_path):
+        # a str source is read a line at a time, as a file is: no copy of the
+        # whole text (io.StringIO holds 4 bytes per character) sits beside
+        # the output
+        text = "".join(a9a_like_lines(8000))
+        path = tmp_path / "a9a.txt"
+        path.write_text(text)
+        peaks = {}
+        for name, parse in (("text", lambda: parse_libsvm(text)), ("file", lambda: load_libsvm(path))):
+            tracemalloc.start()
+            try:
+                parse()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["text"] <= peaks["file"] + len(text) // 10
+
+    def test_only_a_newline_ends_a_line_of_text(self):
+        # "\r", "\x1c" and "\u2028" separate tokens within a line, as they do
+        # for a file reader; str.splitlines would end the line at each
+        text = "1 1:1\r2:1\x1c3:1\u20284:1\n-1 1:2"
+        d = parse_libsvm(text)
+        assert d == parse_libsvm_per_token(text)
+        assert d.nnz.tolist() == [4, 1]
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -5,13 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_pair
+from conftest import bound_check_draws, rep_draw, reference_pair
 from sgdm_stability import losses, optimizer
 from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
+    Draws,
     ExperimentConfig,
-    _rep_draws,
     PreconditionError,
     aggregate,
     grid_point_filename,
@@ -19,16 +21,14 @@ from sgdm_stability.harness import (
     run_bound_check,
     run_stability_experiment,
     save_stability_result,
-    variant_params,
 )
 from sgdm_stability.losses import empirical_risk_many, smoothness
 from sgdm_stability.optimizer import (
     DivergenceError,
     SampleStream,
     coupled_distance_batch,
-    hb_params,
 )
-from sgdm_stability.theory import max_eta_hb, stability_bound
+from sgdm_stability.theory import max_eta_hb, stability_bound, variant_params
 
 
 class TestAggregate:
@@ -69,6 +69,47 @@ class TestVariantParams:
     def test_unknown(self):
         with pytest.raises(ValueError):
             variant_params("adam", 0.1, 0.5, 10)
+
+
+class TestDraws:
+    """Both constructors make the one-at-a-time oracles' draws, array for array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        fraction=st.floats(0.01, 0.99),
+        cap=st.none() | st.integers(-3, 2),  # max_train - train split size
+        seed=st.integers(0, 2**64 - 1),
+        reps=st.integers(1, 6),
+    )
+    def test_sweep_equals_rep_draws(self, n, fraction, cap, seed, reps):
+        n_train = math.floor(fraction * n)
+        assume(1 <= n_train < n)
+        max_train = None if cap is None else max(1, n_train + cap)
+        cfg = ExperimentConfig(dataset="synthetic", fraction=fraction, seed=seed, max_train=max_train)
+        oracle = [rep_draw(cfg, n, r) for r in range(reps)]
+        draws = Draws.sweep(n, fraction, max_train, seed, reps)
+        np.testing.assert_array_equal(draws.train_rows, np.stack([d.train_rows for d in oracle]))
+        np.testing.assert_array_equal(draws.perturbed, [d.perturbed for d in oracle])
+        np.testing.assert_array_equal(draws.replacements, [d.replacement for d in oracle])
+        assert draws.stream_seeds.tolist() == [d.stream_seed for d in oracle]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**64 - 1),
+        samples=st.integers(1, 8),
+    )
+    def test_fixed_split_equals_bound_check_draws(self, n, fraction, seed, samples):
+        n_train = math.floor(fraction * n)
+        assume(1 <= n_train < n)
+        perturbed, replacements, streams = bound_check_draws(n_train, n - n_train, seed, samples)
+        draws = Draws.fixed_split(n_train, n - n_train, seed, samples)
+        np.testing.assert_array_equal(draws.train_rows, np.tile(np.arange(n_train), (samples, 1)))
+        np.testing.assert_array_equal(draws.perturbed, perturbed)
+        np.testing.assert_array_equal(draws.replacements, replacements)
+        assert draws.stream_seeds.tolist() == [s.seed for s in streams]
 
 
 class TestLoadExperimentData:
@@ -114,7 +155,7 @@ class TestRunRepetition:
     def test_identity_replacement_gives_zero_series(self):
         train = synthetic_binary_dataset(20, 4, seed=0)
         spec = NeighborSpec(index=7, pool=train, row=6)
-        hp = hb_params(0.05, 0.5, 100)
+        hp = variant_params("hb", 0.05, 0.5, 100)
         series = run_repetition(train, spec, "logistic", hp, stream_seed=3, stride=20)
         assert series.shape == (5,)
         assert np.all(series == 0.0)
@@ -122,7 +163,7 @@ class TestRunRepetition:
     def test_onset_matches_first_stream_hit(self):
         train = synthetic_binary_dataset(25, 4, seed=1)
         spec = NeighborSpec(index=11, pool=synthetic_binary_dataset(3, 4, seed=2), row=0)
-        hp = hb_params(0.05, 0.5, 150)
+        hp = variant_params("hb", 0.05, 0.5, 150)
         series = run_repetition(train, spec, "logistic", hp, stream_seed=9, stride=1)
         idx = SampleStream(9, 25).prefix(150)
         hits = np.flatnonzero(idx == 11)
@@ -194,7 +235,7 @@ class TestStabilityExperiment:
         assert any(0 < c < cfg.repetitions for c in counts)
 
         data = load_experiment_data(cfg)
-        draws = [_rep_draws(cfg, data.n, r) for r in range(cfg.repetitions)]
+        draws = [rep_draw(cfg, data.n, r) for r in range(cfg.repetitions)]
         for point in result.points:
             hp = variant_params(cfg.variant, point.step, point.beta, cfg.epochs * result.n_train)
             expected, series = [], []
@@ -294,7 +335,7 @@ class TestBoundCheck:
         train = parse_libsvm(text)
         pool = parse_libsvm("0 1:0.7\n0 1:1.2\n")
         alpha = smoothness(train, "squared").alpha
-        hp = hb_params(0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
+        hp = variant_params("hb", 0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
         res = run_bound_check(train, pool, "squared", hp, alpha, samples=4, seed=0, variant="hb")
         assert res.empirical == 0.0
         assert res.theoretical == 0.0
@@ -304,7 +345,7 @@ class TestBoundCheck:
     def test_refuses_when_condition_fails(self):
         train = synthetic_binary_dataset(30, 5, seed=0)
         alpha = smoothness(train, "logistic").alpha
-        hp = hb_params(1.5 * max_eta_hb(0.0, alpha), 0.0, 10)
+        hp = variant_params("hb", 1.5 * max_eta_hb(0.0, alpha), 0.0, 10)
         with pytest.raises(PreconditionError):
             run_bound_check(train, train, "logistic", hp, alpha, samples=2, seed=0, variant="hb")
 
@@ -312,7 +353,7 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(60, 6, seed=3)
         pool = synthetic_binary_dataset(20, 6, seed=4)
         alpha = smoothness(train, "logistic").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 120)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 120)
         res = run_bound_check(train, pool, "logistic", hp, alpha, samples=8, seed=1, variant="hb")
         assert res.holds
         assert res.theoretical >= res.empirical
@@ -323,15 +364,15 @@ class TestBoundCheck:
         pool = synthetic_binary_dataset(20, 6, seed=6)
         alpha = smoothness(train, "logistic").alpha
         eta = 0.4 * max_eta_hb(0.5, alpha)
-        r0 = run_bound_check(train, pool, "logistic", hb_params(eta, 0.0, 60), alpha, 4, 2, "hb")
-        r5 = run_bound_check(train, pool, "logistic", hb_params(eta, 0.5, 60), alpha, 4, 2, "hb")
+        r0 = run_bound_check(train, pool, "logistic", variant_params("hb", eta, 0.0, 60), alpha, 4, 2, "hb")
+        r5 = run_bound_check(train, pool, "logistic", variant_params("hb", eta, 0.5, 60), alpha, 4, 2, "hb")
         assert r5.theoretical > r0.theoretical
 
     def test_deterministic(self):
         train = synthetic_binary_dataset(40, 5, seed=8)
         pool = synthetic_binary_dataset(10, 5, seed=9)
         alpha = smoothness(train, "logistic").alpha
-        hp = hb_params(0.3 * max_eta_hb(0.0, alpha), 0.0, 40)
+        hp = variant_params("hb", 0.3 * max_eta_hb(0.0, alpha), 0.0, 40)
         a = run_bound_check(train, pool, "logistic", hp, alpha, samples=5, seed=11, variant="hb")
         b = run_bound_check(train, pool, "logistic", hp, alpha, samples=5, seed=11, variant="hb")
         assert a.empirical == b.empirical
@@ -340,7 +381,7 @@ class TestBoundCheck:
     def test_to_dict_names_estimator(self):
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
-        hp = hb_params(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
+        hp = variant_params("hb", 0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
         d = run_bound_check(train, train, "logistic", hp, alpha, 2, 0, "hb").to_dict()
         assert "Monte Carlo" in d["estimator"]
         assert d["inputs"]["n"] == 30
@@ -362,7 +403,7 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(30, 5, seed=12)
         pool = synthetic_binary_dataset(10, 5, seed=13)
         alpha = smoothness(train, kind).alpha
-        hp = hb_params(0.5 * max_eta_hb(beta, alpha), beta, t)
+        hp = variant_params("hb", 0.5 * max_eta_hb(beta, alpha), beta, t)
         specs = []
         for s in range(3):
             rng = np.random.default_rng([7, s])
@@ -425,7 +466,7 @@ class TestBoundCheck:
         train = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n-1 1:0.5\n")
         pool = parse_libsvm("1 1:1e155\n")
         alpha = smoothness(train, "squared").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
         with pytest.raises(DivergenceError) as exc:
             run_bound_check(train, pool, "squared", hp, alpha, samples=2, seed=0, variant="hb")
         assert exc.value.which == "neighbor"
@@ -443,7 +484,7 @@ class TestBoundCheck:
     def test_to_dict_carries_standard_errors(self):
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
-        hp = hb_params(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
+        hp = variant_params("hb", 0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
         one = run_bound_check(train, train, "logistic", hp, alpha, 1, 0, "hb").to_dict()
         assert one["empirical_se"] is None and one["sum_risk_se"] is None
         assert one["sum_risk"] == one["inputs"]["sum_risk"] > 0
@@ -465,7 +506,7 @@ class TestBoundCheck:
         train.matrix  # built once, outside the traced runs
         peaks = {}
         for factor in (2, 20):
-            hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
+            hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
             tracemalloc.start()
             try:
                 run_bound_check(train, pool, "logistic", hp, alpha, 3, 0, "hb")

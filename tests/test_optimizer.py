@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_pair
+from conftest import average_iterate, reference_pair
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import (
     NeighborSpec,
@@ -15,7 +15,7 @@ from sgdm_stability.dataset import (
     synthetic_binary_dataset,
 )
 from sgdm_stability.losses import empirical_risk, empirical_risk_many, loss_grad, smoothness
-from sgdm_stability.theory import check_stab_condition
+from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
     DivergenceError,
     HyperParams,
@@ -23,12 +23,9 @@ from sgdm_stability.optimizer import (
     SampleStream,
     SgdmState,
     Trajectory,
-    average_iterate,
     coupled_distance_batch,
-    hb_params,
     lookahead_step,
     momentum_buffers,
-    nesterov_params,
     run,
     run_lookahead,
     sgdm_step,
@@ -81,20 +78,16 @@ class TestSgdmStep:
 
 class TestVariantBuilders:
     def test_hb_sets_gamma_zero(self):
-        hp = hb_params(0.05, 0.9, 100)
+        hp = variant_params("hb", 0.05, 0.9, 100)
         assert hp.gamma == 0.0 and hp.eta == 0.05 and hp.beta == 0.9
 
     def test_nesterov_ties_eta(self):
-        hp = nesterov_params(0.1, 0.5, 100)
+        hp = variant_params("nesterov", 0.1, 0.5, 100)
         assert hp.eta == pytest.approx(0.05, rel=0, abs=0)
-
-    def test_nesterov_beta_zero_rejected(self):
-        with pytest.raises(ValueError):
-            nesterov_params(0.1, 0.0, 100)
 
     def test_hb_run_is_general_run_with_gamma_zero(self):
         data = synthetic_binary_dataset(30, 6, seed=0)
-        hp1 = hb_params(0.05, 0.7, 200)
+        hp1 = variant_params("hb", 0.05, 0.7, 200)
         hp2 = HyperParams(beta=0.7, gamma=0.0, eta=0.05, iterations=200)
         t1 = run(data, "logistic", hp1, np.zeros(6), SampleStream(4, 30))
         t2 = run(data, "logistic", hp2, np.zeros(6), SampleStream(4, 30))
@@ -154,7 +147,7 @@ class TestLookahead:
     def test_data_driven_equivalence(self):
         data = synthetic_binary_dataset(50, 7, seed=2)
         beta, gamma = 0.8, 0.02
-        hp = nesterov_params(gamma, beta, 1000)
+        hp = variant_params("nesterov", gamma, beta, 1000)
         traj = run(data, "logistic", hp, np.zeros(7), SampleStream(9, 50))
         la = run_lookahead(data, "logistic", beta, gamma, 1000, np.zeros(7), SampleStream(9, 50))
         assert float(np.abs(traj.iterates - la).max()) <= 1e-9
@@ -433,8 +426,8 @@ class TestCoupledBatch:
         T = self.T
         return [
             HyperParams(beta=0.0, gamma=0.0, eta=0.05, iterations=T),
-            hb_params(0.04, 0.9, T),
-            nesterov_params(0.05, 0.5, T),
+            variant_params("hb", 0.04, 0.9, T),
+            variant_params("nesterov", 0.05, 0.5, T),
             HyperParams(beta=0.5, gamma=0.03, eta=0.03, iterations=T),
         ]
 
@@ -554,14 +547,14 @@ class TestCoupledBatch:
     def test_rejects_mismatched_inputs(self):
         examples, train_rows, perturbed, replacements, seeds = self._setup()
         streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
-        hp = hb_params(0.01, 0.5, 10)
+        hp = variant_params("hb", 0.01, 0.5, 10)
         w1 = np.zeros(self.DIM)
         with pytest.raises(ValueError, match="out of range"):
             coupled_distance_batch(examples, train_rows, [0, 1, 1], replacements, streams, "logistic", [hp], w1, 1)
         with pytest.raises(ValueError, match="iterations"):
             coupled_distance_batch(
                 examples, train_rows, perturbed, replacements, streams, "logistic",
-                [hp, hb_params(0.01, 0.5, 11)], w1, 1,
+                [hp, variant_params("hb", 0.01, 0.5, 11)], w1, 1,
             )
         with pytest.raises(ValueError, match="stream"):
             coupled_distance_batch(examples, train_rows, perturbed, replacements, streams[:2], "logistic", [hp], w1, 1)
@@ -584,7 +577,7 @@ class TestCoupledBatch:
             T = epochs * n
             args = (
                 data, train_rows, rng.integers(1, n + 1, R), rng.integers(0, 400, R),
-                [SampleStream(s, n) for s in range(R)], "logistic", [hb_params(0.01, 0.5, T)],
+                [SampleStream(s, n) for s in range(R)], "logistic", [variant_params("hb", 0.01, 0.5, T)],
                 np.zeros(5), T // 4,
             )
             tracemalloc.start()

@@ -93,3 +93,36 @@ class TestEmitPlot:
         texts = [t.text for t in root.iter() if t.tag.endswith("text")]
         assert "x < y & z" in texts
         assert "a<b&c" in texts
+
+
+class TestCensoredSeries:
+    """A censored grid point's CSV holds NaN means; only finite points are drawn."""
+
+    @pytest.mark.parametrize("logy", [False, True])
+    def test_no_finite_point_in_any_input_is_a_plot_error(self, tmp_path, logy):
+        p = tmp_path / "hb_beta0.9_step1e+308.csv"
+        write_series(p, [(1, "nan", "nan"), (2, "nan", "nan")])
+        out = tmp_path / "never.svg"
+        with pytest.raises(PlotError, match="censored"):
+            emit_plot(PlotSpec(inputs=(str(p),), output=str(out), logy=logy))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("logy", [False, True])
+    def test_censored_series_keeps_its_legend_and_draws_nothing(self, tmp_path, logy):
+        good = tmp_path / "good.csv"
+        write_series(good, [(1, 0.5, 0.1), (2, "inf", 0.1), (3, 0.7, "nan"), (4, 0.9, 0.2)])
+        censored = tmp_path / "censored.csv"
+        write_series(censored, [(1, "nan", "nan"), (2, "nan", "nan")])
+        out = tmp_path / "mixed.svg"
+        emit_plot(PlotSpec(inputs=(str(good), str(censored)), output=str(out), logy=logy))
+        svg = out.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        root = ET.fromstring(svg)
+        texts = [t.text for t in root.iter() if t.tag.endswith("text")]
+        assert "good" in texts and "censored (censored)" in texts
+        lines = [e for e in root.iter() if e.tag.endswith("polyline")]
+        bands = [e for e in root.iter() if e.tag.endswith("polygon")]
+        assert len(lines) == len(bands) == 1
+        # the two finite points of the first series, and nothing else
+        assert len(lines[0].get("points").split()) == 2
+        assert len(bands[0].get("points").split()) == 4

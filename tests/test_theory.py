@@ -5,13 +5,10 @@ import pytest
 
 from conftest import reference_pair
 from sgdm_stability.dataset import NeighborSpec, synthetic_binary_dataset
-from sgdm_stability.harness import variant_params
 from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    hb_params,
-    nesterov_params,
     run,
 )
 from sgdm_stability.theory import (
@@ -24,6 +21,7 @@ from sgdm_stability.theory import (
     max_step,
     optimization_bound,
     stability_bound,
+    variant_params,
     verify_dist_identity,
     verify_m_recursion_bound,
     verify_y_identity,
@@ -164,7 +162,7 @@ class TestStabilityBound:
         assert rep.condition_ok
 
     def test_zero_risk_gives_zero(self):
-        hp = hb_params(0.01, 0.5, 10)
+        hp = variant_params("hb", 0.01, 0.5, 10)
         rep = stability_bound(hp, alpha=1.0, n=50, t=10, sum_risk=0.0)
         assert rep.value == 0.0
 
@@ -182,7 +180,7 @@ class TestStabilityBound:
             b = stability_bound(hb, alpha, n, t, sum_risk, "general").value
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
             gamma = float(rng.uniform(1e-4, 0.5))
-            nest = nesterov_params(gamma, beta, t)
+            nest = variant_params("nesterov", gamma, beta, t)
             a = stability_bound(nest, alpha, n, t, sum_risk, "nesterov").value
             b = stability_bound(nest, alpha, n, t, sum_risk, "general").value
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
@@ -208,7 +206,7 @@ class TestStabilityBound:
             stability_bound(hp, 1.0, 10, 5, 1.0, variant="nesterov")
 
     def test_bad_inputs(self):
-        hp = hb_params(0.01, 0.5, 5)
+        hp = variant_params("hb", 0.01, 0.5, 5)
         with pytest.raises(ValueError):
             stability_bound(hp, 1.0, 0, 5, 1.0)
         with pytest.raises(ValueError):
@@ -240,25 +238,25 @@ class TestOptimizationBound:
             b = optimization_bound(hb, alpha, dist_sq, t, ref, "general").value
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
             gamma = float(rng.uniform(1e-4, 0.5))
-            nest = nesterov_params(gamma, beta, t)
+            nest = variant_params("nesterov", gamma, beta, t)
             a = optimization_bound(nest, alpha, dist_sq, t, ref, "nesterov").value
             b = optimization_bound(nest, alpha, dist_sq, t, ref, "general").value
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
     def test_first_term_scales_inversely_with_t(self):
-        hp = hb_params(0.05, 0.5, 100)
+        hp = variant_params("hb", 0.05, 0.5, 100)
         v1 = optimization_bound(hp, 1.0, 2.0, 100, 0.0, "hb").value
         v2 = optimization_bound(hp, 1.0, 2.0, 200, 0.0, "hb").value
         assert v2 == pytest.approx(v1 / 2, rel=1e-14)
 
     def test_residual_term_survives_large_t(self):
-        hp = hb_params(0.05, 0.5, 100)
+        hp = variant_params("hb", 0.05, 0.5, 100)
         floor = 3 * 1.0 * 1.5 * 0.05 * 0.3 / 0.25  # 3 a (1+b) eta ref / (1-b)^2
         v = optimization_bound(hp, 1.0, 2.0, 10**9, 0.3, "hb").value
         assert v == pytest.approx(floor, rel=1e-6)
 
     def test_bad_inputs(self):
-        hp = hb_params(0.05, 0.5, 10)
+        hp = variant_params("hb", 0.05, 0.5, 10)
         with pytest.raises(ValueError):
             optimization_bound(hp, 1.0, -1.0, 10, 0.1)
         with pytest.raises(ValueError):

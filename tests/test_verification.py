@@ -13,12 +13,10 @@ from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
     Trajectory,
-    hb_params,
-    nesterov_params,
     run,
     run_lookahead,
 )
-from sgdm_stability.theory import check_stab_condition, max_eta_hb, max_gamma_nesterov
+from sgdm_stability.theory import check_stab_condition, max_eta_hb, max_gamma_nesterov, variant_params
 from sgdm_stability.verification import (
     CheckOutcome,
     check_beta_zero_reduction,
@@ -54,7 +52,7 @@ def with_gradient_row_scaled(traj, row, factor):
 class TestNegativeControl:
     def test_wrong_effective_step_fails_y_identity(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 400)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 400)
         traj = fresh_run(small_data, "logistic", hp, seed=1)
         good = check_y_identity("logistic", traj)
         bad = check_y_identity("logistic", traj, wrong_effective_step=True)
@@ -75,7 +73,7 @@ class TestNegativeControl:
         # buffers are replayed from a copy with g_k scaled by 1.001 while the
         # unrolled sums (the beta-power slices) read the true gradients.
         alpha = smoothness(small_data, "logistic").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
         traj = fresh_run(small_data, "logistic", hp, seed=4)
         assert check_momentum_unrolling("logistic", traj).status == "pass"
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
@@ -86,7 +84,7 @@ class TestNegativeControl:
     def test_scaled_gradient_row_fails_the_identities(self, small_data):
         # the checks read the trajectory they are handed, not a rerun
         alpha = smoothness(small_data, "squared").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.5, alpha), 0.5, 300)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 300)
         traj = fresh_run(small_data, "squared", hp, seed=4)
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
         assert check_y_identity("squared", traj).status == "pass"
@@ -95,7 +93,7 @@ class TestNegativeControl:
 
     def test_shifted_lookahead_fails_nesterov_equivalence(self, small_data, monkeypatch):
         alpha = smoothness(small_data, "logistic").alpha
-        hp = nesterov_params(0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
+        hp = variant_params("nesterov", 0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
         traj = fresh_run(small_data, "logistic", hp, seed=2)
         assert check_nesterov_equivalence(small_data, "logistic", traj, seed=2).status == "pass"
 
@@ -108,14 +106,14 @@ class TestNegativeControl:
 
     def test_lookahead_on_another_stream_fails_nesterov_equivalence(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
-        hp = nesterov_params(0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
+        hp = variant_params("nesterov", 0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
         traj = fresh_run(small_data, "logistic", hp, seed=2)
         assert check_nesterov_equivalence(small_data, "logistic", traj, seed=3).status == "fail"
 
 
 class TestSkips:
     def test_m_recursion_skips_at_beta_zero(self, small_data):
-        hp = hb_params(0.01, 0.0, 100)
+        hp = variant_params("hb", 0.01, 0.0, 100)
         out = check_m_recursion(small_data, "logistic", hp, seed=2)
         assert out.status == "skip"
         assert "beta" in out.note
@@ -170,7 +168,7 @@ class TestExplicitChecks:
 
     def test_dist_identity_pair(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
-        hp = hb_params(0.5 * max_eta_hb(0.9, alpha), 0.9, 500)
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 500)
         pair = check_dist_identity("logistic", fresh_run(small_data, "logistic", hp, seed=6))
         assert [o.name for o in pair] == ["dist_identity", "dist_bound_margin"]
         assert all(o.status == "pass" for o in pair)
@@ -184,14 +182,14 @@ def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
         outcomes = [check_self_bounding(kind), check_co_coercivity(kind), check_convexity(kind), check_gradient_fd(kind)]
         for beta in betas:
             eta_cap = max_eta_hb(beta, alpha)
-            hb = hb_params(step_fraction * eta_cap, beta, steps)
+            hb = variant_params("hb", step_fraction * eta_cap, beta, steps)
             outcomes.append(check_y_identity(kind, fresh_run(data, kind, hb, seed)))
             outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, hb, seed)))
             outcomes.append(check_m_recursion(data, kind, hb, seed))
             outcomes.append(check_momentum_unrolling(kind, fresh_run(data, kind, hb, seed)))
             gamma = step_fraction * max_gamma_nesterov(beta, alpha)
             if beta > 0:
-                nest = nesterov_params(gamma, beta, steps)
+                nest = variant_params("nesterov", gamma, beta, steps)
                 outcomes.append(check_nesterov_equivalence(data, kind, fresh_run(data, kind, nest, seed), seed))
                 outcomes.append(check_y_identity(kind, fresh_run(data, kind, nest, seed)))
                 outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, nest, seed)))

@@ -45,11 +45,9 @@ from .optimizer import (
     sgdm_step,
 )
 from .theory import (
-    AuxiliaryTrace,
     BoundReport,
     ConditionReport,
     EprRecipe,
-    auxiliary_sequence,
     check_opt_condition,
     check_stab_condition,
     epr_recipe,
@@ -59,9 +57,6 @@ from .theory import (
     optimization_bound,
     stability_bound,
     variant_params,
-    verify_dist_identity,
-    verify_m_recursion_bound,
-    verify_y_identity,
 )
 from .verification import CheckOutcome, run_invariant_suite
 

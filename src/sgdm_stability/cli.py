@@ -13,7 +13,6 @@ failed verification.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,6 +26,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     PreconditionError,
+    json_text,
     run_bound_checks,
     run_stability_experiment,
     save_stability_result,
@@ -54,7 +54,7 @@ def load_config(path) -> dict:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -246,7 +246,7 @@ def _cmd_parse_data(cfg: dict, overrides: list[str]) -> int:
         known_n, known_d = KNOWN_DATASET_SHAPES[name]
         meta["known_shape"] = {"n": known_n, "dim": known_d}
         meta["matches_known_shape"] = (data.n == known_n) and (data.dim == known_d)
-    print(json.dumps(meta, indent=2, sort_keys=True))
+    print(json_text(meta))
     return EXIT_OK
 
 
@@ -315,7 +315,7 @@ def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
 
 
 def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
-    print(json.dumps(epr_recipe(**cfg).to_dict(), indent=2, sort_keys=True))
+    print(json_text(epr_recipe(**cfg).to_dict()))
     return EXIT_OK
 
 

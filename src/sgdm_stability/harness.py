@@ -316,10 +316,15 @@ def _finite_or_null(value):
     return value
 
 
+def json_text(obj) -> str:
+    """`obj` as strict JSON, with each non-finite float as null."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, obj) -> None:
-    """Write `obj` to `path` as strict JSON, with each non-finite float as null."""
+    """Write `json_text(obj)` to `path`."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write(json_text(obj))
 
 
 def _standard_error(values: np.ndarray) -> float | None:

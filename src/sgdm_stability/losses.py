@@ -76,12 +76,6 @@ def loss_value(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:
     return float(losses(m, y, kind))
 
 
-def grad_scale(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:
-    """Scalar s such that the gradient of row i's loss equals s * x_i."""
-    _, _, y, m = _row_margin(w, d, i)
-    return float(grad_scales(m, y, kind))
-
-
 def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
     """Dense gradient of row i's loss, supported on the row's feature indices."""
     idx, vals, y, m = _row_margin(w, d, i)

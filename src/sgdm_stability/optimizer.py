@@ -139,15 +139,6 @@ class Trajectory:
             raise ValueError("one sampled index per gradient")
 
 
-def momentum_buffers(traj: Trajectory) -> np.ndarray:
-    """Replayed momentum buffers m_0..m_T from the recorded gradients."""
-    T, d = traj.gradients.shape
-    m = np.zeros((T + 1, d))
-    for k in range(1, T + 1):
-        m[k] = traj.hp.beta * m[k - 1] + traj.gradients[k - 1]
-    return m
-
-
 # Index-stream steps the batched kernel draws per repetition at a time, and
 # the width of its risk blocks, so neither grows with the number of iterations.
 STREAM_CHUNK = 1024

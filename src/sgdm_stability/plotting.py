@@ -44,18 +44,21 @@ class Series:
 def read_series_csv(path) -> Series:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise PlotError(f"{path}: missing column {col!r}")
-        x, mean, std = [], [], []
-        for row in reader:
-            try:
-                x.append(float(row["epoch"]))
-                mean.append(float(row["mean_dist"]))
-                std.append(float(row["std_dist"]))
-            except (TypeError, ValueError) as e:
-                raise PlotError(f"{path}: bad row {row!r}") from e
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError:
+            raise PlotError(f"{path}: not UTF-8 text") from None
+    for col in REQUIRED_COLUMNS:
+        if col not in (reader.fieldnames or []):
+            raise PlotError(f"{path}: missing column {col!r}")
+    x, mean, std = [], [], []
+    for row in rows:
+        try:
+            x.append(float(row["epoch"]))
+            mean.append(float(row["mean_dist"]))
+            std.append(float(row["std_dist"]))
+        except (TypeError, ValueError) as e:
+            raise PlotError(f"{path}: bad row {row!r}") from e
     if not x:
         raise PlotError(f"{path}: no data rows")
     return Series(label=Path(path).stem, x=x, mean=mean, std=std)

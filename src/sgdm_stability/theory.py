@@ -1,5 +1,5 @@
-"""Closed-form step-size conditions, stability/optimization bounds, and the
-exact trajectory identities they rest on.
+"""Closed-form step-size conditions, step caps, stability/optimization
+bounds and the budget recipe, all on scalars.
 
 Every bound here is a function of the hyperparameters (beta, gamma, eta), the
 dataset smoothness alpha, the sample size n, and the horizon t.  The bounds
@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .optimizer import HyperParams, Trajectory, momentum_buffers
+from .optimizer import HyperParams
 
 
 @dataclass(frozen=True)
@@ -254,117 +252,6 @@ def optimization_bound(
         },
         condition_ok=cond.satisfied,
     )
-
-
-@dataclass(frozen=True)
-class AuxiliaryTrace:
-    """The momentum-free auxiliary sequence of a recorded trajectory.
-
-    y_1 = w_1 and, for k >= 2,
-    y_k = w_k / (1-b) - b w_{k-1} / (1-b) + b gamma g_{k-1} / (1-b).
-    It advances by plain gradient steps with the effective step size
-    gamma + eta / (1-b); `residuals` holds the per-step norm of
-    y_{k+1} - y_k + effective_step * g_k.
-    """
-
-    y: np.ndarray
-    effective_step: float
-    residuals: np.ndarray
-
-
-def auxiliary_sequence(traj: Trajectory) -> AuxiliaryTrace:
-    b, g = traj.hp.beta, traj.hp.gamma
-    W, G = traj.iterates, traj.gradients
-    y = np.empty_like(W)
-    y[0] = W[0]
-    if W.shape[0] > 1:
-        y[1:] = (W[1:] - b * W[:-1] + b * g * G) / (1 - b)
-    effective_step = g + traj.hp.eta / (1 - b)
-    residuals = np.linalg.norm(y[1:] - y[:-1] + effective_step * G, axis=1)
-    return AuxiliaryTrace(y=y, effective_step=effective_step, residuals=residuals)
-
-
-def verify_y_identity(aux: AuxiliaryTrace, traj: Trajectory) -> float:
-    """Max norm of y_{k+1} - y_k + effective_step * g_k over the run.
-
-    Zero in exact arithmetic; callers compare against a tolerance scaled by
-    1 + max_k ||y_k||.
-    """
-    if aux.y.shape != traj.iterates.shape:
-        raise ValueError("auxiliary trace does not match trajectory shape")
-    return float(aux.residuals.max()) if aux.residuals.size else 0.0
-
-
-@dataclass(frozen=True)
-class DistIdentityReport:
-    """Exact distance identity and its geometric-sum upper bound.
-
-    For every k: ||y_k - w_k||^2 equals b^2 eta^2 / (1-b)^2 * ||m_{k-1}||^2
-    exactly, and is at most
-    b^2 eta^2 / (1-b)^3 * sum_{j<k} b^(k-1-j) ||g_j||^2.
-    Residuals and margins are normalized by 1 + the larger side.
-    """
-
-    identity_residuals: np.ndarray
-    bound_margins: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.identity_residuals.max()) if self.identity_residuals.size else 0.0
-
-    @property
-    def min_margin(self) -> float:
-        return float(self.bound_margins.min()) if self.bound_margins.size else 0.0
-
-
-def verify_dist_identity(aux: AuxiliaryTrace, traj: Trajectory) -> DistIdentityReport:
-    b, eta = traj.hp.beta, traj.hp.eta
-    W = traj.iterates
-    if aux.y.shape != W.shape:
-        raise ValueError("auxiliary trace does not match trajectory shape")
-    m = momentum_buffers(traj)
-    lhs = np.sum((aux.y - W) ** 2, axis=1)
-    # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
-    rhs = (b * eta / (1 - b)) ** 2 * np.sum(m**2, axis=1)
-    grad_sq = np.sum(traj.gradients**2, axis=1)
-    geo = np.zeros(W.shape[0])
-    for k in range(1, W.shape[0]):
-        geo[k] = b * geo[k - 1] + grad_sq[k - 1]
-    bound = b**2 * eta**2 / (1 - b) ** 3 * geo
-    scale = 1.0 + np.maximum(lhs, rhs)
-    identity_residuals = np.abs(lhs - rhs) / scale
-    bound_margins = (bound - lhs) / (1.0 + np.abs(bound))
-    return DistIdentityReport(identity_residuals=identity_residuals, bound_margins=bound_margins)
-
-
-def verify_m_recursion_bound(base: Trajectory, neighbor: Trajectory) -> np.ndarray:
-    """Margins of the coupled momentum-difference bound, one per step.
-
-    `base` and `neighbor` are runs with the same hyperparameters and index
-    stream on neighboring datasets (m, g on the base, m', g' on the
-    neighbor).  With delta = (1/beta - 1) / 2, for every t:
-    ||m_t - m'_t||^2 <= (1 + 1/delta) sum_{k<=t} ((1+delta) beta^2)^(t-k)
-                        ||g_k - g'_k||^2.
-    Returns (rhs - lhs) / (1 + rhs); beta = 0 is rejected since delta is
-    undefined there and the two sides collapse to the same single term.
-    """
-    if base.hp != neighbor.hp or not np.array_equal(base.indices, neighbor.indices):
-        raise ValueError("the two runs must share hyperparameters and index stream")
-    b = base.hp.beta
-    if b <= 0.0:
-        raise ValueError("momentum recursion bound requires beta > 0")
-    delta = 0.5 * (1.0 / b - 1.0)
-    mb = momentum_buffers(base)
-    mn = momentum_buffers(neighbor)
-    lhs = np.sum((mb[1:] - mn[1:]) ** 2, axis=1)
-    gdiff_sq = np.sum((base.gradients - neighbor.gradients) ** 2, axis=1)
-    decay = (1 + delta) * b * b
-    acc = 0.0
-    rhs = np.empty_like(lhs)
-    for k in range(lhs.shape[0]):
-        acc = decay * acc + gdiff_sq[k]
-        rhs[k] = (1 + 1 / delta) * acc
-    return (rhs - lhs) / (1.0 + np.abs(rhs))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Runnable numerical checks of the update-rule identities and loss lemmas.
 
-Each check returns a CheckOutcome with the worst observed residual or margin
-and the threshold it was held to, so the CLI can emit a machine-readable
-report and the test suite can assert on the same code path.
+This is the one module that inspects a recorded `Trajectory`: the auxiliary
+sequence, the replayed momentum buffers and each identity's residual are
+computed here, once.  Each check returns a CheckOutcome with the worst
+observed residual or margin and the threshold it was held to, so the CLI can
+emit a machine-readable report and the test suite can assert on the same code
+path.
 """
 
 from __future__ import annotations
@@ -14,23 +17,8 @@ import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
 from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
-from .optimizer import (
-    HyperParams,
-    SampleStream,
-    Trajectory,
-    momentum_buffers,
-    run,
-    run_lookahead,
-)
-from .theory import (
-    auxiliary_sequence,
-    max_eta_hb,
-    max_gamma_nesterov,
-    variant_params,
-    verify_dist_identity,
-    verify_m_recursion_bound,
-    verify_y_identity,
-)
+from .optimizer import HyperParams, SampleStream, Trajectory, run, run_lookahead
+from .theory import max_eta_hb, max_gamma_nesterov, variant_params
 
 
 @dataclass(frozen=True)
@@ -130,41 +118,102 @@ def check_gradient_fd(kind: str, probes: int = 60, seed: int = 17, h: float = 1e
     return _outcome_max("gradient_fd", {"kind": kind, "probes": probes, "h": h}, worst, 1e-5)
 
 
-def _identity_run(data: Dataset, kind: str, hp: HyperParams, seed: int) -> Trajectory:
-    stream = SampleStream(seed, data.n)
-    w1 = np.zeros(data.dim)
-    return run(data, kind, hp, w1, stream)
-
-
 def _run_params(kind: str, hp: HyperParams) -> dict:
     return {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations}
 
 
+def momentum_buffers(traj: Trajectory) -> np.ndarray:
+    """Replayed momentum buffers m_0..m_T from the recorded gradients."""
+    T, d = traj.gradients.shape
+    m = np.zeros((T + 1, d))
+    for k in range(1, T + 1):
+        m[k] = traj.hp.beta * m[k - 1] + traj.gradients[k - 1]
+    return m
+
+
+def auxiliary_sequence(traj: Trajectory) -> tuple[np.ndarray, float]:
+    """The momentum-free auxiliary sequence y of a recorded run, and its step.
+
+    y_1 = w_1 and, for k >= 2,
+    y_k = w_k / (1-b) - b w_{k-1} / (1-b) + b gamma g_{k-1} / (1-b).
+    It advances by plain gradient steps of the effective size
+    gamma + eta / (1-b) (Yang, Lin & Li 2016).
+    """
+    b, g = traj.hp.beta, traj.hp.gamma
+    W, G = traj.iterates, traj.gradients
+    y = np.empty_like(W)
+    y[0] = W[0]
+    y[1:] = (W[1:] - b * W[:-1] + b * g * G) / (1 - b)
+    return y, g + traj.hp.eta / (1 - b)
+
+
 def check_y_identity(kind: str, traj: Trajectory, wrong_effective_step: bool = False) -> CheckOutcome:
-    """Auxiliary sequence advances by plain gradient steps of the effective size.
+    """Max norm of y_{k+1} - y_k + effective_step * g_k over the run, divided
+    by 1 + max_k ||y_k||; zero in exact arithmetic.
 
     `wrong_effective_step` is a negative-control hook: it perturbs the
     effective step by 0.1 percent, which must make the check fail.
     """
-    aux = auxiliary_sequence(traj)
+    y, step = auxiliary_sequence(traj)
     if wrong_effective_step:
-        bad = aux.effective_step * 1.001
-        residuals = np.linalg.norm(aux.y[1:] - aux.y[:-1] + bad * traj.gradients, axis=1)
-        observed = float(residuals.max())
-    else:
-        observed = verify_y_identity(aux, traj)
-    scale = 1.0 + float(np.linalg.norm(aux.y, axis=1).max())
+        step *= 1.001
+    observed = float(np.linalg.norm(y[1:] - y[:-1] + step * traj.gradients, axis=1).max())
+    scale = 1.0 + float(np.linalg.norm(y, axis=1).max())
     return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
 
 
 def check_dist_identity(kind: str, traj: Trajectory) -> list[CheckOutcome]:
-    aux = auxiliary_sequence(traj)
-    rep = verify_dist_identity(aux, traj)
+    """Exact distance identity and its geometric-sum upper bound: for every k,
+    ||y_k - w_k||^2 equals b^2 eta^2 / (1-b)^2 * ||m_{k-1}||^2 exactly and is
+    at most b^2 eta^2 / (1-b)^3 * sum_{j<k} b^(k-1-j) ||g_j||^2.  Residuals
+    and margins are normalized by 1 + the larger side.
+    """
+    b, eta = traj.hp.beta, traj.hp.eta
+    W = traj.iterates
+    y, _ = auxiliary_sequence(traj)
+    lhs = np.sum((y - W) ** 2, axis=1)
+    # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
+    rhs = (b * eta / (1 - b)) ** 2 * np.sum(momentum_buffers(traj) ** 2, axis=1)
+    grad_sq = np.sum(traj.gradients**2, axis=1)
+    geo = np.zeros(W.shape[0])
+    for k in range(1, W.shape[0]):
+        geo[k] = b * geo[k - 1] + grad_sq[k - 1]
+    bound = b**2 * eta**2 / (1 - b) ** 3 * geo
+    residual = (np.abs(lhs - rhs) / (1.0 + np.maximum(lhs, rhs))).max()
+    margin = ((bound - lhs) / (1.0 + np.abs(bound))).min()
     params = _run_params(kind, traj.hp)
     return [
-        _outcome_max("dist_identity", params, rep.max_residual, 1e-10),
-        _outcome_min("dist_bound_margin", params, rep.min_margin, -1e-10),
+        _outcome_max("dist_identity", params, residual, 1e-10),
+        _outcome_min("dist_bound_margin", params, margin, -1e-10),
     ]
+
+
+def m_recursion_margins(base: Trajectory, neighbor: Trajectory) -> np.ndarray:
+    """Margins of the coupled momentum-difference bound, one per step.
+
+    `base` and `neighbor` are runs with the same hyperparameters and index
+    stream on neighboring datasets (m, g on the base, m', g' on the
+    neighbor).  With delta = (1/beta - 1) / 2, for every t:
+    ||m_t - m'_t||^2 <= (1 + 1/delta) sum_{k<=t} ((1+delta) beta^2)^(t-k)
+                        ||g_k - g'_k||^2.
+    Returns (rhs - lhs) / (1 + rhs); beta = 0 is rejected since delta is
+    undefined there and the two sides collapse to the same single term.
+    """
+    if base.hp != neighbor.hp or not np.array_equal(base.indices, neighbor.indices):
+        raise ValueError("the two runs must share hyperparameters and index stream")
+    b = base.hp.beta
+    if b <= 0.0:
+        raise ValueError("momentum recursion bound requires beta > 0")
+    delta = 0.5 * (1.0 / b - 1.0)
+    lhs = np.sum((momentum_buffers(base)[1:] - momentum_buffers(neighbor)[1:]) ** 2, axis=1)
+    gdiff_sq = np.sum((base.gradients - neighbor.gradients) ** 2, axis=1)
+    decay = (1 + delta) * b * b
+    acc = 0.0
+    rhs = np.empty_like(lhs)
+    for k in range(lhs.shape[0]):
+        acc = decay * acc + gdiff_sq[k]
+        rhs[k] = (1 + 1 / delta) * acc
+    return (rhs - lhs) / (1.0 + np.abs(rhs))
 
 
 def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> CheckOutcome:
@@ -177,16 +226,14 @@ def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> C
     stream = SampleStream(seed + 1, data.n)
     base = run(data, kind, hp, np.zeros(data.dim), stream)
     neighbor = run(make_neighbor(data, spec), kind, hp, np.zeros(data.dim), stream)
-    margins = verify_m_recursion_bound(base, neighbor)
-    return _outcome_min("m_recursion", params, float(margins.min()), -1e-10)
+    return _outcome_min("m_recursion", params, m_recursion_margins(base, neighbor).min(), -1e-10)
 
 
 def check_beta_zero_reduction(data: Dataset, kind: str, gamma: float, eta: float, steps: int, seed: int) -> CheckOutcome:
     """beta = 0 momentum run equals plain SGD with step gamma + eta."""
     hp = HyperParams(beta=0.0, gamma=gamma, eta=eta, iterations=steps)
-    traj = _identity_run(data, kind, hp, seed)
-    stream = SampleStream(seed, data.n)
-    idx = stream.prefix(steps)
+    traj = run(data, kind, hp, np.zeros(data.dim), SampleStream(seed, data.n))
+    idx = SampleStream(seed, data.n).prefix(steps)
     w = np.zeros(data.dim)
     step_size = gamma + eta
     worst = 0.0
@@ -271,7 +318,7 @@ def run_invariant_suite(
             eta_cap = max_eta_hb(beta, alpha)
             hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
             m_recursion = check_m_recursion(data, kind, hb_hp, seed)
-            hb = _identity_run(data, kind, hb_hp, seed)
+            hb = run(data, kind, hb_hp, np.zeros(data.dim), SampleStream(seed, data.n))
             outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
             outcomes.extend(check_dist_identity(kind, hb))
             outcomes.append(m_recursion)
@@ -279,7 +326,8 @@ def run_invariant_suite(
             del hb
             gamma = step_fraction * max_gamma_nesterov(beta, alpha)
             if beta > 0.0:
-                nest = _identity_run(data, kind, variant_params("nesterov", gamma, beta, steps), seed)
+                nest_hp = variant_params("nesterov", gamma, beta, steps)
+                nest = run(data, kind, nest_hp, np.zeros(data.dim), SampleStream(seed, data.n))
                 outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
                 outcomes.append(check_y_identity(kind, nest))
                 outcomes.extend(check_dist_identity(kind, nest))

@@ -45,7 +45,6 @@ from sgdm_stability.theory import (
     optimization_bound,
     stability_bound,
     variant_params,
-    verify_m_recursion_bound,
 )
 from sgdm_stability.verification import (
     check_beta_zero_reduction,
@@ -54,6 +53,7 @@ from sgdm_stability.verification import (
     check_gradient_fd,
     check_nesterov_equivalence,
     check_self_bounding,
+    m_recursion_margins,
     run_invariant_suite,
 )
 
@@ -149,7 +149,7 @@ def test_c05_momentum_recursion_inequality():
         base, neighbor, _ = reference_pair(
             data, NeighborSpec(7, pool, 0), "logistic", hp, np.zeros(8), SampleStream(23, 100)
         )
-        margins = verify_m_recursion_bound(base, neighbor)
+        margins = m_recursion_margins(base, neighbor)
         assert margins.shape == (500,)
         assert margins.min() >= -1e-10, f"beta={beta}: min margin {margins.min():g}"
 

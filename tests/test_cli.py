@@ -90,6 +90,14 @@ class TestExitCodes:
         assert main(["parse-data", "--overrides", f"dataset={p}"]) == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"seed=\xff\n")
+        assert main(["recipe", "--config", str(p)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read config {p}:")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("verb", ["parse-data", "run-stability"])
     def test_data_file_not_utf8(self, verb, tmp_path, capsys):
         p = tmp_path / "latin1.txt"
@@ -279,6 +287,7 @@ PINNED_DIGESTS = {
     "nesterov_beta0.9_step0.01.csv": "92ebca0c6e9a62cef1e3f52f6c814fecd58e8bc926b90a30c685e2a40d9e2452",
     "nesterov_beta0.9_step0.5.csv": "4d1353b24a02c80f04b765e5991deb2c69bb6565daa49984364700f6b95b92c6",
     "bound_check.json": "0c1a9933b1ac015a4a57d68b0a758275d782608c71d8397061c0c2b8a8d39959",
+    "invariants.json": "92eb556c63b5552a81ac273612683bdee4f6c504735096708cda57f0a6c1199f",
 }
 
 
@@ -289,8 +298,10 @@ def test_artifacts_are_byte_identical_to_the_pinned_digests(tmp_path, capsys):
     sweep = ["steps=0.01,0.5", "reps=3", "epochs=2", "max_train=40", f"outdir={tmp_path / 'rs'}"]
     assert main(["run-stability", "--overrides", *shared, *sweep]) == EXIT_OK
     assert main(["check-bounds", "--overrides", *shared, "samples=3", "t=2n", f"outdir={tmp_path / 'cb'}"]) == EXIT_OK
+    # the identity suite on its own default data
+    assert main(["verify-invariants", "--overrides", "check_steps=200", "betas=0,0.9", f"outdir={tmp_path / 'vi'}"]) == EXIT_OK
     capsys.readouterr()
-    files = [*(tmp_path / "rs").glob("*.csv"), tmp_path / "cb" / "bound_check.json"]
+    files = [*(tmp_path / "rs").glob("*.csv"), tmp_path / "cb" / "bound_check.json", tmp_path / "vi" / "invariants.json"]
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == PINNED_DIGESTS
 
 
@@ -540,6 +551,16 @@ class TestRecipe:
         assert rec["rho"] == pytest.approx(10.0)
         assert rec["step"] == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [(["l_star=1e308", "alpha=1"], "rho"), (["l_star=0", "alpha=1e-320"], "cap")],
+        ids=["rho", "cap"],
+    )
+    def test_infinite_value_prints_null(self, overrides, key, capsys):
+        assert main(["recipe", "--overrides", "n=10", "beta=0.5", *overrides]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert rec[key] is None
+
     def test_rejects_general_variant(self, capsys):
         rc = main(
             ["recipe", "--overrides", "n=100", "beta=0.5", "l_star=0.1", "alpha=1", "variant=general"]
@@ -584,6 +605,15 @@ class TestPlot:
         rc = main(["plot", "--overrides", f"inputs={bad}", f"output={out}"])
         assert rc == EXIT_DATA
         assert "std_dist" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_not_utf8_is_a_plot_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(self.HEADER.encode() + b"1,0.5,0.1,0 # caf\xe9\n")
+        out = tmp_path / "o"
+        rc = main(["plot", "--overrides", f"inputs={bad}", f"outdir={out}"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"error: plot: {bad}: not UTF-8 text\n"
         assert not out.exists()
 
     def test_schema_violation_creates_no_outdir(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from sgdm_stability.losses import (
     RISK_COLUMNS,
     empirical_risk,
     empirical_risk_many,
-    grad_scale,
     grad_scales,
     loss_grad,
     loss_value,
@@ -64,7 +63,7 @@ class TestLossValues:
         # benign underflow to 0 is fine; overflow or nan is not
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             v = loss_value(w, z, 0, "logistic")
-            s = grad_scale(w, z, 0, "logistic")
+            s = float(grad_scales(m, 1.0, "logistic"))  # margin <w, x> = m, label 1
         assert math.isfinite(v) and math.isfinite(s)
         if m <= -50:
             # softplus(-m) ~ -m for large -m
@@ -119,9 +118,10 @@ class TestFormulas:
         np.testing.assert_array_equal(
             losses(m, d.labels, kind), [loss_value(w, d, i, kind) for i in range(d.n)]
         )
-        np.testing.assert_array_equal(
-            grad_scales(m, d.labels, kind), [grad_scale(w, d, i, kind) for i in range(d.n)]
-        )
+        s = grad_scales(m, d.labels, kind)
+        for i in range(d.n):
+            idx, vals, _ = d.row(i)
+            np.testing.assert_array_equal(loss_grad(w, d, i, kind)[idx], s[i] * vals)
 
     def test_logistic_scale_is_the_textbook_form(self):
         rng = np.random.default_rng(4)

@@ -25,11 +25,11 @@ from sgdm_stability.optimizer import (
     Trajectory,
     coupled_distance_batch,
     lookahead_step,
-    momentum_buffers,
     run,
     run_lookahead,
     sgdm_step,
 )
+from sgdm_stability.verification import momentum_buffers
 
 
 class TestSgdmStep:

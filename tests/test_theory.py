@@ -12,7 +12,6 @@ from sgdm_stability.optimizer import (
     run,
 )
 from sgdm_stability.theory import (
-    auxiliary_sequence,
     check_opt_condition,
     check_stab_condition,
     epr_recipe,
@@ -22,9 +21,12 @@ from sgdm_stability.theory import (
     optimization_bound,
     stability_bound,
     variant_params,
-    verify_dist_identity,
-    verify_m_recursion_bound,
-    verify_y_identity,
+)
+from sgdm_stability.verification import (
+    auxiliary_sequence,
+    check_dist_identity,
+    check_y_identity,
+    m_recursion_margins,
 )
 
 
@@ -267,55 +269,52 @@ class TestOptimizationBound:
 
 class TestAuxiliarySequence:
     def test_starts_at_w1_and_hand_value(self):
-        aux = auxiliary_sequence(hand_trajectory())
-        np.testing.assert_array_equal(aux.y[0], [1.0, 0.0])
-        np.testing.assert_allclose(aux.y[1], [0.0, 0.5], atol=1e-15)
-        np.testing.assert_allclose(aux.y[2], [-0.5, 0.0], atol=1e-15)
-        assert aux.effective_step == pytest.approx(0.5, rel=1e-15)
+        y, effective_step = auxiliary_sequence(hand_trajectory())
+        np.testing.assert_array_equal(y[0], [1.0, 0.0])
+        np.testing.assert_allclose(y[1], [0.0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(y[2], [-0.5, 0.0], atol=1e-15)
+        assert effective_step == pytest.approx(0.5, rel=1e-15)
 
     def test_identity_residual_small_on_hand_example(self):
         traj = hand_trajectory()
-        aux = auxiliary_sequence(traj)
-        assert verify_y_identity(aux, traj) <= 1e-15
+        y, _ = auxiliary_sequence(traj)
+        # the check reports the residual over 1 + max_k ||y_k||
+        scale = 1.0 + float(np.linalg.norm(y, axis=1).max())
+        assert check_y_identity("logistic", traj).observed <= 1e-15 / scale
 
     def test_beta_zero_aux_equals_iterates(self):
         data = synthetic_binary_dataset(30, 5, seed=0)
         hp = HyperParams(beta=0.0, gamma=0.04, eta=0.06, iterations=300)
         traj = run(data, "logistic", hp, np.zeros(5), SampleStream(3, 30))
-        aux = auxiliary_sequence(traj)
-        np.testing.assert_array_equal(aux.y, traj.iterates)
-        scale = 1.0 + float(np.linalg.norm(aux.y, axis=1).max())
-        assert verify_y_identity(aux, traj) / scale <= 1e-12
+        y, _ = auxiliary_sequence(traj)
+        np.testing.assert_array_equal(y, traj.iterates)
+        assert check_y_identity("logistic", traj).observed <= 1e-12
 
     @pytest.mark.parametrize("beta,gamma,eta", [(0.5, 0.1, 0.2), (0.9, 0.0, 0.005), (0.8, 0.02, 0.016)])
     def test_identity_holds_on_data_runs(self, beta, gamma, eta):
         data = synthetic_binary_dataset(50, 8, seed=1)
         hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=500)
         traj = run(data, "logistic", hp, np.zeros(8), SampleStream(5, 50))
-        aux = auxiliary_sequence(traj)
-        scale = 1.0 + float(np.linalg.norm(aux.y, axis=1).max())
-        assert verify_y_identity(aux, traj) / scale <= 1e-10
+        assert check_y_identity("logistic", traj).observed <= 1e-10
 
 
 class TestDistIdentity:
     def test_hand_values(self):
         traj = hand_trajectory()
-        aux = auxiliary_sequence(traj)
-        lhs_2 = float(np.sum((aux.y[1] - traj.iterates[1]) ** 2))
+        y, _ = auxiliary_sequence(traj)
+        lhs_2 = float(np.sum((y[1] - traj.iterates[1]) ** 2))
         assert lhs_2 == pytest.approx(0.2, rel=1e-14)
-        rep = verify_dist_identity(aux, traj)
-        assert rep.identity_residuals[0] == 0.0  # y_1 = w_1 exactly
-        assert rep.max_residual <= 1e-14
-        assert rep.min_margin >= -1e-14
+        identity, margin = check_dist_identity("logistic", traj)
+        assert identity.observed <= 1e-14
+        assert margin.observed >= -1e-14
 
     def test_bound_grows_with_gradient_history(self):
         data = synthetic_binary_dataset(40, 6, seed=2)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=400)
         traj = run(data, "logistic", hp, np.zeros(6), SampleStream(7, 40))
-        rep = verify_dist_identity(auxiliary_sequence(traj), traj)
-        assert rep.max_residual <= 1e-10
-        assert rep.min_margin >= -1e-10
-        assert rep.identity_residuals.shape == (401,)
+        identity, margin = check_dist_identity("logistic", traj)
+        assert identity.observed <= 1e-10
+        assert margin.observed >= -1e-10
 
 
 class TestMomentumRecursionBound:
@@ -328,7 +327,7 @@ class TestMomentumRecursionBound:
 
     def test_margins_nonnegative(self):
         for beta in (0.3, 0.5, 0.9):
-            margins = verify_m_recursion_bound(*self._runs(beta))
+            margins = m_recursion_margins(*self._runs(beta))
             assert margins.shape == (200,)
             assert margins.min() >= -1e-10
 
@@ -339,19 +338,19 @@ class TestMomentumRecursionBound:
         hits = np.flatnonzero(base.indices == 3)
         assert hits.size > 0
         first = hits[0]
-        margins = verify_m_recursion_bound(base, neighbor)
+        margins = m_recursion_margins(base, neighbor)
         assert np.all(margins[:first] == 0.0)
         assert margins[first] > 0.0
 
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
-            verify_m_recursion_bound(*self._runs(0.0))
+            m_recursion_margins(*self._runs(0.0))
 
     def test_runs_of_different_streams_rejected(self):
         base, _ = self._runs(0.5)
         other, _ = self._runs(0.5, seed=5)
         with pytest.raises(ValueError, match="index stream"):
-            verify_m_recursion_bound(base, other)
+            m_recursion_margins(base, other)
 
 
 class TestEprRecipe:

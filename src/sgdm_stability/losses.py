@@ -61,30 +61,34 @@ def grad_scales(margins, y, kind: str):
 
 
 def _row_margin(w: np.ndarray, d: Dataset, i: int):
-    """(indices, values, label, <w, x>) of row i (0-based) of `d`."""
+    """(indices, values, label, <w, x>) of row i (0-based) of `d`.  A blown-up
+    w overflows here: callers ignore it in an errstate and check the result."""
     if w.shape[-1] < d.dim:
         raise ValueError(f"weight vector of length {w.shape[-1]} cannot cover dataset dim {d.dim}")
     idx, vals, y = d.row(i)
-    # a blown-up w overflows here; the caller's finiteness checks catch it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return idx, vals, y, float(np.dot(w[idx], vals))
+    return idx, vals, y, float(np.dot(w[idx], vals))
+
+
+def _row_grad(g: np.ndarray, w: np.ndarray, d: Dataset, i: int, kind: str) -> None:
+    """Write row i's loss gradient at `w` into `g`, which is zero off the row."""
+    idx, vals, y, m = _row_margin(w, d, i)
+    g[idx] = float(grad_scales(m, y, kind)) * vals
 
 
 def loss_value(w: np.ndarray, d: Dataset, i: int, kind: str) -> float:
     """Loss of row i (0-based) of `d` at `w`."""
-    _, _, y, m = _row_margin(w, d, i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, y, m = _row_margin(w, d, i)
     return float(losses(m, y, kind))
 
 
 def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
     """Dense gradient of row i's loss, supported on the row's feature indices."""
-    idx, vals, y, m = _row_margin(w, d, i)
-    s = float(grad_scales(m, y, kind))
     g = np.zeros_like(w)
-    # overflow here means the iterate already blew up; the optimizer
-    # detects the resulting non-finite gradient and raises
+    # overflow here means the iterate already blew up; the caller detects
+    # the resulting non-finite gradient
     with np.errstate(over="ignore", invalid="ignore"):
-        g[idx] = s * vals
+        _row_grad(g, w, d, i, kind)
     return g
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, empirical_risk_many, grad_scales, loss_grad, risk_blocks
+from .losses import LOSS_KINDS, _row_grad, empirical_risk_many, grad_scales, risk_blocks
 
 
 class DivergenceError(RuntimeError):
@@ -58,13 +58,18 @@ class SgdmState:
     step: int
 
 
+def _sgdm_update(w, m, g, beta, gamma, eta, out=None):
+    """(w_new, m_new) of one momentum update; w_new is written to `out` if given."""
+    m_new = beta * m + g
+    return np.subtract(w - gamma * g, eta * m_new, out=out), m_new
+
+
 def sgdm_step(s: SgdmState, g: np.ndarray, hp: HyperParams) -> SgdmState:
     """One momentum update.  Raises DivergenceError on non-finite values."""
     if not np.isfinite(g).all():
         raise DivergenceError(s.step + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        m_new = hp.beta * s.m + g
-        w_new = s.w - hp.gamma * g - hp.eta * m_new
+        w_new, m_new = _sgdm_update(s.w, s.m, g, hp.beta, hp.gamma, hp.eta)
     if not np.isfinite(w_new).all():
         raise DivergenceError(s.step + 1)
     return SgdmState(w=w_new, m=m_new, step=s.step + 1)
@@ -77,6 +82,12 @@ class LookaheadState:
     step: int
 
 
+def _lookahead_update(w, u_curr, g, beta, gamma, out=None):
+    """(w_new, u_new) of one look-ahead step; w_new is written to `out` if given."""
+    u_new = w - gamma * g
+    return np.add(u_new, beta * (u_new - u_curr), out=out), u_new
+
+
 def lookahead_step(s: LookaheadState, g: np.ndarray, beta: float, gamma: float) -> LookaheadState:
     """One step of the two-sequence Nesterov form.
 
@@ -86,8 +97,8 @@ def lookahead_step(s: LookaheadState, g: np.ndarray, beta: float, gamma: float) 
     """
     if not np.isfinite(g).all():
         raise DivergenceError(s.step + 1)
-    u_new = s.w - gamma * g
-    w_new = u_new + beta * (u_new - s.u_curr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_new, u_new = _lookahead_update(s.w, s.u_curr, g, beta, gamma)
     if not np.isfinite(w_new).all():
         raise DivergenceError(s.step + 1)
     return LookaheadState(u_curr=u_new, w=w_new, step=s.step + 1)
@@ -144,28 +155,44 @@ class Trajectory:
 STREAM_CHUNK = 1024
 
 
+def _reference_loop(d, kind, w1, stream, T, update, state, *coeffs):
+    """(indices, iterates, gradients) of T steps from w1, each step's gradient
+    and `update`'s next iterate written into their rows under one errstate;
+    the rows are checked for non-finite values once per STREAM_CHUNK steps."""
+    if stream.n != d.n:
+        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
+    w = np.asarray(w1, dtype=np.float64)
+    if w.shape != (d.dim,):
+        raise ValueError(f"w1 must have shape ({d.dim},), got {w.shape}")
+    indices = stream.prefix(T)
+    iterates = np.empty((T + 1, d.dim))
+    gradients = np.zeros((T, d.dim))
+    iterates[0] = w
+    rows = (indices - 1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, T, STREAM_CHUNK):
+            hi = min(lo + STREAM_CHUNK, T)
+            for k in range(lo, hi):
+                g = gradients[k]
+                _row_grad(g, w, d, rows[k], kind)
+                w, state = update(w, state, g, *coeffs, out=iterates[k + 1])
+            finite = np.isfinite(gradients[lo:hi]).all(axis=1) & np.isfinite(iterates[lo + 1 : hi + 1]).all(axis=1)
+            if not finite.all():
+                raise DivergenceError(lo + int(finite.argmin()) + 1)
+    return indices, iterates, gradients
+
+
 def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
     """Run T = hp.iterations steps of generalized momentum SGD on `d`.
 
     This is the reference update loop: each step takes the gradient of the
-    drawn row at the current iterate and applies `sgdm_step`.  A non-finite
-    gradient or iterate raises DivergenceError at its step.
+    drawn row at the current iterate and applies the update of `sgdm_step`.
+    A non-finite gradient or iterate raises DivergenceError at its step, after
+    at most one STREAM_CHUNK block of further steps.
     """
-    if stream.n != d.n:
-        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
-    w1 = np.asarray(w1, dtype=np.float64)
-    if w1.shape != (d.dim,):
-        raise ValueError(f"w1 must have shape ({d.dim},), got {w1.shape}")
-    T = hp.iterations
-    indices = stream.prefix(T)
-    iterates = np.empty((T + 1, d.dim))
-    gradients = np.empty((T, d.dim))
-    iterates[0] = w1
-    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
-    for k, i in enumerate((indices - 1).tolist()):
-        gradients[k] = loss_grad(state.w, d, i, kind)
-        state = sgdm_step(state, gradients[k], hp)
-        iterates[k + 1] = state.w
+    indices, iterates, gradients = _reference_loop(
+        d, kind, w1, stream, hp.iterations, _sgdm_update, np.zeros(d.dim), hp.beta, hp.gamma, hp.eta
+    )
     return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp)
 
 
@@ -182,20 +209,10 @@ def run_lookahead(
 
     Gradients are evaluated at the current w, exactly as in `run`; with
     eta = beta * gamma the two forms produce the same trajectory up to
-    floating-point rounding.
+    floating-point rounding.  Steps as `lookahead_step` does.
     """
-    if stream.n != d.n:
-        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
-    w1 = np.asarray(w1, dtype=np.float64)
-    idx = stream.prefix(iterations)
-    iterates = np.empty((iterations + 1, d.dim))
-    iterates[0] = w1
-    state = LookaheadState(u_curr=w1.copy(), w=w1.copy(), step=0)
-    for k, i in enumerate((idx - 1).tolist()):
-        g = loss_grad(state.w, d, i, kind)
-        state = lookahead_step(state, g, beta, gamma)
-        iterates[k + 1] = state.w
-    return iterates
+    # u_0 = w_1; neither update writes into its inputs
+    return _reference_loop(d, kind, w1, stream, iterations, _lookahead_update, np.asarray(w1, float), beta, gamma)[1]
 
 
 @dataclass(frozen=True)

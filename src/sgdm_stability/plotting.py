@@ -48,6 +48,8 @@ def read_series_csv(path) -> Series:
             rows = list(reader)
         except UnicodeDecodeError:
             raise PlotError(f"{path}: not UTF-8 text") from None
+        except csv.Error as e:
+            raise PlotError(f"{path}: {e}") from None
     for col in REQUIRED_COLUMNS:
         if col not in (reader.fieldnames or []):
             raise PlotError(f"{path}: missing column {col!r}")

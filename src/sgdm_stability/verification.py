@@ -10,6 +10,7 @@ path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
 from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
-from .optimizer import HyperParams, SampleStream, Trajectory, run, run_lookahead
+from .harness import ConfigError
+from .optimizer import DivergenceError, HyperParams, SampleStream, Trajectory, run, run_lookahead
 from .theory import max_eta_hb, max_gamma_nesterov, variant_params
 
 
@@ -173,12 +175,13 @@ def check_dist_identity(kind: str, traj: Trajectory) -> list[CheckOutcome]:
     y, _ = auxiliary_sequence(traj)
     lhs = np.sum((y - W) ** 2, axis=1)
     # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
-    rhs = (b * eta / (1 - b)) ** 2 * np.sum(momentum_buffers(traj) ** 2, axis=1)
+    # squared as numpy scalars, so a huge step gives inf instead of OverflowError
+    rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(momentum_buffers(traj) ** 2, axis=1)
     grad_sq = np.sum(traj.gradients**2, axis=1)
     geo = np.zeros(W.shape[0])
     for k in range(1, W.shape[0]):
         geo[k] = b * geo[k - 1] + grad_sq[k - 1]
-    bound = b**2 * eta**2 / (1 - b) ** 3 * geo
+    bound = b**2 * np.float64(eta) ** 2 / (1 - b) ** 3 * geo
     residual = (np.abs(lhs - rhs) / (1.0 + np.maximum(lhs, rhs))).max()
     margin = ((bound - lhs) / (1.0 + np.abs(bound))).min()
     params = _run_params(kind, traj.hp)
@@ -236,14 +239,14 @@ def check_beta_zero_reduction(data: Dataset, kind: str, gamma: float, eta: float
     idx = SampleStream(seed, data.n).prefix(steps)
     w = np.zeros(data.dim)
     step_size = gamma + eta
-    worst = 0.0
+    sgd = np.empty((steps, data.dim))
     for k, i in enumerate((idx - 1).tolist()):
         w = w - step_size * loss_grad(w, data, i, kind)
-        worst = max(worst, float(np.abs(w - traj.iterates[k + 1]).max()))
+        sgd[k] = w
     return _outcome_max(
         "beta_zero_reduction",
         {"kind": kind, "gamma": gamma, "eta": eta, "steps": steps},
-        worst,
+        np.abs(sgd - traj.iterates[1:]).max(),
         1e-12,
     )
 
@@ -295,7 +298,8 @@ def run_invariant_suite(
     """Run the full identity and inequality suite over a beta grid.
 
     Step sizes are `step_fraction` times each variant's admissible maximum
-    for the dataset's smoothness.  `force_bug` = "y_identity" flips the
+    for the dataset's smoothness; a fraction that makes any step 0 is a
+    ConfigError before anything runs.  `force_bug` = "y_identity" flips the
     negative-control hook so exactly that check must fail.
 
     At each (kind, beta) one heavy-ball run feeds the y, dist and unrolling
@@ -303,37 +307,54 @@ def run_invariant_suite(
     equivalence, y and dist.  The two runs of m_recursion, the look-ahead
     run and the beta = 0 reduction stay separate: their agreement with these
     runs is what they check.  Apart from m_recursion's pair, no two runs are
-    held at once.
+    held at once.  A run that leaves float range ends its (kind, beta)
+    checks with a failed `finite_runs` outcome whose observed value is the
+    step it left at; a check whose residual overflows fails on it.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)
+    alphas = {kind: smoothness(data, kind).alpha for kind in kinds}
+    for kind, beta in itertools.product(kinds, betas):
+        # the heavy-ball eta and, for beta > 0, the Nesterov eta = beta * gamma
+        etas = [step_fraction * max_eta_hb(beta, alphas[kind])]
+        if beta > 0.0:
+            etas.append(beta * (step_fraction * max_gamma_nesterov(beta, alphas[kind])))
+        if 0.0 in etas:
+            raise ConfigError(f"key 'step_fraction': {step_fraction!r} makes a step 0 at loss {kind!r}, beta {beta!r}")
     outcomes: list[CheckOutcome] = []
-    for kind in kinds:
-        alpha = smoothness(data, kind).alpha
-        outcomes.append(check_self_bounding(kind))
-        outcomes.append(check_co_coercivity(kind))
-        outcomes.append(check_convexity(kind))
-        outcomes.append(check_gradient_fd(kind))
-        for beta in betas:
-            eta_cap = max_eta_hb(beta, alpha)
-            hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
-            m_recursion = check_m_recursion(data, kind, hb_hp, seed)
-            hb = run(data, kind, hb_hp, np.zeros(data.dim), SampleStream(seed, data.n))
-            outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
-            outcomes.extend(check_dist_identity(kind, hb))
-            outcomes.append(m_recursion)
-            outcomes.append(check_momentum_unrolling(kind, hb))
-            del hb
-            gamma = step_fraction * max_gamma_nesterov(beta, alpha)
-            if beta > 0.0:
-                nest_hp = variant_params("nesterov", gamma, beta, steps)
-                nest = run(data, kind, nest_hp, np.zeros(data.dim), SampleStream(seed, data.n))
-                outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
-                outcomes.append(check_y_identity(kind, nest))
-                outcomes.extend(check_dist_identity(kind, nest))
-                del nest
-            else:
-                params = _nesterov_params(kind, beta, gamma, steps)
-                outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
-                outcomes.append(check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in kinds:
+            alpha = alphas[kind]
+            outcomes.append(check_self_bounding(kind))
+            outcomes.append(check_co_coercivity(kind))
+            outcomes.append(check_convexity(kind))
+            outcomes.append(check_gradient_fd(kind))
+            for beta in betas:
+                try:
+                    eta_cap = max_eta_hb(beta, alpha)
+                    hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
+                    m_recursion = check_m_recursion(data, kind, hb_hp, seed)
+                    hb = run(data, kind, hb_hp, np.zeros(data.dim), SampleStream(seed, data.n))
+                    outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
+                    outcomes.extend(check_dist_identity(kind, hb))
+                    outcomes.append(m_recursion)
+                    outcomes.append(check_momentum_unrolling(kind, hb))
+                    del hb
+                    gamma = step_fraction * max_gamma_nesterov(beta, alpha)
+                    if beta > 0.0:
+                        nest_hp = variant_params("nesterov", gamma, beta, steps)
+                        nest = run(data, kind, nest_hp, np.zeros(data.dim), SampleStream(seed, data.n))
+                        outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
+                        outcomes.append(check_y_identity(kind, nest))
+                        outcomes.extend(check_dist_identity(kind, nest))
+                        del nest
+                    else:
+                        params = _nesterov_params(kind, beta, gamma, steps)
+                        outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
+                        outcomes.append(
+                            check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed)
+                        )
+                except DivergenceError as e:
+                    params = {"kind": kind, "beta": beta, "steps": steps}
+                    outcomes.append(CheckOutcome("finite_runs", params, float(e.step), 0.0, "fail", str(e)))
     return outcomes

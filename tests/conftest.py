@@ -4,7 +4,8 @@ Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
 report.  Also holds the references the library is tested against:
 `reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
-block-wise LIBSVM parser, `rep_draw` and `bound_check_draws` for the two
+block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` for
+the two reference loops, `rep_draw` and `bound_check_draws` for the two
 `Draws` constructors, and `average_iterate` for the optimization bound.
 """
 
@@ -16,7 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor, split_positions
-from sgdm_stability.optimizer import SampleStream, run
+from sgdm_stability.losses import loss_grad
+from sgdm_stability.optimizer import (
+    LookaheadState,
+    SampleStream,
+    SgdmState,
+    Trajectory,
+    lookahead_step,
+    run,
+    sgdm_step,
+)
 
 CRITERIA = {
     "test_c01_exact_identity_suite": "exact y/dist identities over the beta grid",
@@ -41,6 +51,44 @@ def reference_pair(d, spec, kind, hp, w1, stream):
     base = run(d, kind, hp, w1, stream)
     neighbor = run(make_neighbor(d, spec), kind, hp, w1, stream)
     return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
+
+
+def run_per_step(d, kind, hp, w1, stream):
+    """`run` as one `loss_grad` and one `sgdm_step` per step, each checking
+    its own values: the same Trajectory bytes, or DivergenceError at the
+    same step."""
+    if stream.n != d.n:
+        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
+    w1 = np.asarray(w1, dtype=np.float64)
+    if w1.shape != (d.dim,):
+        raise ValueError(f"w1 must have shape ({d.dim},), got {w1.shape}")
+    T = hp.iterations
+    indices = stream.prefix(T)
+    iterates = np.empty((T + 1, d.dim))
+    gradients = np.empty((T, d.dim))
+    iterates[0] = w1
+    state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
+    for k, i in enumerate((indices - 1).tolist()):
+        gradients[k] = loss_grad(state.w, d, i, kind)
+        state = sgdm_step(state, gradients[k], hp)
+        iterates[k + 1] = state.w
+    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp)
+
+
+def run_lookahead_per_step(d, kind, beta, gamma, iterations, w1, stream):
+    """`run_lookahead` as one `loss_grad` and one `lookahead_step` per step."""
+    if stream.n != d.n:
+        raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
+    w1 = np.asarray(w1, dtype=np.float64)
+    idx = stream.prefix(iterations)
+    iterates = np.empty((iterations + 1, d.dim))
+    iterates[0] = w1
+    state = LookaheadState(u_curr=w1.copy(), w=w1.copy(), step=0)
+    for k, i in enumerate((idx - 1).tolist()):
+        g = loss_grad(state.w, d, i, kind)
+        state = lookahead_step(state, g, beta, gamma)
+        iterates[k + 1] = state.w
+    return iterates
 
 
 def average_iterate(traj, upto):

@@ -533,6 +533,28 @@ class TestVerifyInvariants:
         skipped = {r["name"] for r in report if r["status"] == "skip"}
         assert {"m_recursion", "nesterov_equivalence"} <= skipped
 
+    def test_huge_step_fraction_fails_its_checks_and_writes_the_report(self, tmp_path, capsys):
+        # the logistic runs stay finite at steps near 1e199 but their squared
+        # step sizes overflow in the checks; the squared runs leave float range
+        out = tmp_path / "inv"
+        rc = main(["verify-invariants", "--overrides", "step_fraction=1e200", "check_steps=20", f"outdir={out}"])
+        assert rc == EXIT_REFUSED
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: check-failed:") and captured.err.count("\n") == 1
+        report = read_strict_json(out / "invariants.json")
+        failed = {(r["name"], r["params"].get("kind")) for r in report if r["status"] == "fail"}
+        assert ("dist_bound_margin", "logistic") in failed
+        assert ("finite_runs", "squared") in failed
+        assert ("finite_runs", "logistic") not in failed
+
+    def test_step_fraction_that_underflows_a_step_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "inv"
+        rc = main(["verify-invariants", "--overrides", "step_fraction=1e-320", "check_steps=20", f"outdir={out}"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: key 'step_fraction':") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_force_bug_rejected(self, capsys):
         rc = main(["verify-invariants", "--overrides", "force_bug=divide_by_zero"])
         assert rc == EXIT_DATA
@@ -614,6 +636,17 @@ class TestPlot:
         rc = main(["plot", "--overrides", f"inputs={bad}", f"outdir={out}"])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == f"error: plot: {bad}: not UTF-8 text\n"
+        assert not out.exists()
+
+    def test_oversize_field_is_a_plot_error(self, tmp_path, capsys):
+        # the csv module refuses a field longer than its 131072-character limit
+        big = tmp_path / "big.csv"
+        big.write_text(self.HEADER + "1," + "1" * 200_000 + ",0.1,0\n")
+        out = tmp_path / "o"
+        rc = main(["plot", "--overrides", f"inputs={big}", f"outdir={out}"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: plot: {big}: field larger than field limit") and err.count("\n") == 1
         assert not out.exists()
 
     def test_schema_violation_creates_no_outdir(self, tmp_path, capsys):

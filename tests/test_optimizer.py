@@ -1,13 +1,15 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import average_iterate, reference_pair
+from conftest import average_iterate, reference_pair, run_lookahead_per_step, run_per_step
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import (
+    Dataset,
     NeighborSpec,
     make_neighbor,
     parse_libsvm,
@@ -60,6 +62,22 @@ class TestSgdmStep:
         hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=1)
         with pytest.raises(DivergenceError):
             sgdm_step(s, np.array([-1e308]), hp)
+
+    def test_operation_order_is_pinned(self):
+        # the loops share this arithmetic, so the per-step oracle cannot see
+        # a reordering; spelled out here, it pins every rounding
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            w, m, g = rng.standard_normal((3, 8)) * 10.0 ** rng.integers(-3, 4, (3, 8))
+            beta, gamma, eta = rng.uniform(0, 1, 3)
+            s = sgdm_step(SgdmState(w=w, m=m, step=0), g, HyperParams(beta, gamma, eta, 1))
+            m_new = beta * m + g
+            assert np.array_equal(s.m, m_new)
+            assert np.array_equal(s.w, w - gamma * g - eta * m_new)
+            la = lookahead_step(LookaheadState(u_curr=m, w=w, step=0), g, beta, gamma)
+            u_new = w - gamma * g
+            assert np.array_equal(la.u_curr, u_new)
+            assert np.array_equal(la.w, u_new + beta * (u_new - m))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -240,6 +258,132 @@ class TestRun:
         hp = HyperParams(beta=0.0, gamma=0.0, eta=50.0, iterations=10_000)
         with pytest.raises(DivergenceError):
             run(data, "squared", hp, np.zeros(1), SampleStream(0, 2))
+
+
+@st.composite
+def small_datasets(draw):
+    """Up to 6 rows over up to 5 features: empty rows, explicit zero values
+    and all-zero rows included."""
+    dim = draw(st.integers(1, 5))
+    indptr, indices, values = [0], [], []
+    n = draw(st.integers(1, 6))
+    for _ in range(n):
+        idx = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim)))
+        indices += idx
+        values += draw(st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=len(idx), max_size=len(idx)))
+        indptr.append(len(indices))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return Dataset(np.array(indptr), np.array(indices, dtype=np.intp), np.array(values), np.array(labels), dim)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the step of the DivergenceError it raises."""
+    try:
+        return fn(*args)
+    except DivergenceError as e:
+        return e.step
+
+
+class TestReferenceLoops:
+    """`run` and `run_lookahead` against their per-step oracles in conftest:
+    the same bytes, or DivergenceError at the same step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=small_datasets(),
+        kind=st.sampled_from(["logistic", "squared"]),
+        beta=st.floats(0.0, 1.0, exclude_max=True),
+        gamma=st.floats(0.0, 0.5),
+        eta=st.floats(1e-6, 0.5),
+        w1_scale=st.floats(-1.0, 1.0),
+        steps=st.integers(1, 40),
+        chunk=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_per_step_oracle_byte_for_byte(self, d, kind, beta, gamma, eta, w1_scale, steps, chunk, seed):
+        hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=steps)
+        w1 = np.linspace(-w1_scale, w1_scale, d.dim)
+        with mock.patch.object(optimizer, "STREAM_CHUNK", chunk):
+            fast = _outcome(run, d, kind, hp, w1, SampleStream(seed, d.n))
+            la = _outcome(run_lookahead, d, kind, beta, gamma, steps, w1, SampleStream(seed, d.n))
+        slow = _outcome(run_per_step, d, kind, hp, w1, SampleStream(seed, d.n))
+        if isinstance(slow, int):
+            assert fast == slow
+        else:
+            for name in ("iterates", "gradients", "indices"):
+                a, b = getattr(fast, name), getattr(slow, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        slow_la = _outcome(run_lookahead_per_step, d, kind, beta, gamma, steps, w1, SampleStream(seed, d.n))
+        if isinstance(slow_la, int):
+            assert la == slow_la
+        else:
+            assert la.shape == slow_la.shape and la.tobytes() == slow_la.tobytes()
+
+    # the squared loss: its gradient grows with the iterate, so about a third
+    # of these runs leave float range within their steps
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=small_datasets(),
+        beta=st.floats(0.0, 0.99),
+        boost=st.floats(1e4, 1e12),
+        steps=st.integers(1, 300),
+        chunk=st.integers(1, 64),
+        seed=st.integers(0, 2**32),
+    )
+    def test_far_above_the_cap_diverges_at_the_oracle_step(self, d, beta, boost, steps, chunk, seed):
+        kind = "squared"
+        alpha = smoothness(d, kind).alpha
+        assume(alpha > 0.0)
+        hp = variant_params("nesterov", boost / alpha, beta, steps)
+        w1 = np.full(d.dim, 0.5)
+        with mock.patch.object(optimizer, "STREAM_CHUNK", chunk):
+            fast = _outcome(run, d, kind, hp, w1, SampleStream(seed, d.n))
+            la = _outcome(run_lookahead, d, kind, hp.beta, hp.gamma, steps, w1, SampleStream(seed, d.n))
+        slow = _outcome(run_per_step, d, kind, hp, w1, SampleStream(seed, d.n))
+        slow_la = _outcome(run_lookahead_per_step, d, kind, hp.beta, hp.gamma, steps, w1, SampleStream(seed, d.n))
+        for got, expected in ((fast, slow), (la, slow_la)):
+            if isinstance(expected, int):
+                assert got == expected
+            else:
+                assert not isinstance(got, int)
+
+    # squared loss on the one row x = 1, y = 0 at beta = 0, gamma = 0, eta = 3:
+    # w_{k+1} = -2 w_k exactly, and eta * w_k leaves float range first at the
+    # step k with w_k = +-2**1023, so w_1 = 2**(1024 - k) diverges at step k
+    ONE_ROW = "0 1:1\n"
+    T = 1500
+
+    @pytest.mark.parametrize("k", [1, 2, optimizer.STREAM_CHUNK, optimizer.STREAM_CHUNK + 1, T])
+    def test_divergence_step_matches_oracle(self, k):
+        data = parse_libsvm(self.ONE_ROW)
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=self.T)
+        w1 = np.array([2.0 ** (1024 - k)])
+        assert _outcome(run_per_step, data, "squared", hp, w1, SampleStream(0, 1)) == k
+        assert _outcome(run, data, "squared", hp, w1, SampleStream(0, 1)) == k
+        assert _outcome(run_lookahead_per_step, data, "squared", 0.0, 3.0, self.T, w1, SampleStream(0, 1)) == k
+        assert _outcome(run_lookahead, data, "squared", 0.0, 3.0, self.T, w1, SampleStream(0, 1)) == k
+
+    @pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 1400])
+    def test_divergent_run_stops_within_a_block(self, k, monkeypatch):
+        # the loops check the recorded rows once per STREAM_CHUNK steps, so
+        # they take steps up to the end of the block the divergence falls in
+        calls = []
+        row_grad = optimizer._row_grad
+        monkeypatch.setattr(optimizer, "_row_grad", lambda *args: calls.append(1) or row_grad(*args))
+        data = parse_libsvm(self.ONE_ROW)
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=self.T)
+        w1 = np.array([2.0 ** (1024 - k)])
+        block_end = min(-(-k // optimizer.STREAM_CHUNK) * optimizer.STREAM_CHUNK, self.T)
+        for loop in (
+            lambda: run(data, "squared", hp, w1, SampleStream(0, 1)),
+            lambda: run_lookahead(data, "squared", 0.0, 3.0, self.T, w1, SampleStream(0, 1)),
+        ):
+            calls.clear()
+            with pytest.raises(DivergenceError) as exc:
+                loop()
+            assert exc.value.step == k
+            assert len(calls) == block_end
+            assert len(calls) - k < optimizer.STREAM_CHUNK
 
 
 class TestCoupledRun:

@@ -16,10 +16,12 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class ParseError(ValueError):
@@ -134,10 +136,16 @@ class Dataset:
         return np.bincount(rows, weights=self.values * self.values, minlength=self.n)
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> scipy.sparse.csr_matrix:
         """The rows as a scipy CSR matrix of shape (n, dim), sharing `values`
-        (scipy keeps its own int32 copy of the index arrays when they fit)."""
-        return sp.csr_matrix(
+        (scipy keeps its own int32 copy of the index arrays when they fit).
+
+        scipy.sparse is imported here, on first use: it takes about a third
+        of a second to import, and only the risk sum and the loss-lemma
+        probes need the matrix."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix(
             (self.values, self.indices, self.indptr), shape=(self.n, self.dim), copy=False
         )
 

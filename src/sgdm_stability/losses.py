@@ -11,17 +11,25 @@ Both gradients are a scalar multiple of the feature vector, which the
 optimizer exploits for sparse updates.  `losses` and `grad_scales` hold the
 two formulas as functions of the margin <w, x> and the label; every other
 loss computation in the package goes through them.
+
+The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
+1 / (1 + exp(-z)), and its exp is the C library's, through `math.exp`:
+that is exactly what `scipy.special.expit` computes, bit for bit, without
+importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
+differ from the C library in the last bit on some inputs, and the coupled
+runs amplify a one-ulp change in a gradient.  Only `empirical_risk_many`
+needs scipy, for the sparse product of `Dataset.matrix`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 
@@ -52,11 +60,31 @@ def losses(margins, y, kind: str):
     return 0.5 * (margins - y) ** 2
 
 
+def _exp(t: float) -> float:
+    """The C library's exp(t), inf where it leaves float range."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def grad_scales(margins, y, kind: str):
     """Scalar s with gradient s * x at margin <w, x> and label y, elementwise."""
     if _check_kind(kind) == "logistic":
+        # ny * expit(ny m), with expit(z) = 1 / (1 + exp(-z)) spelled out
         ny = -y
-        return ny * expit(ny * margins)
+        t = -(ny * margins)
+        if isinstance(t, float):
+            return ny * (1.0 / (1.0 + _exp(t)))
+        flat = t.ravel().tolist()
+        try:
+            e = np.fromiter(map(math.exp, flat), np.float64, len(flat))
+        except OverflowError:
+            e = np.fromiter(map(_exp, flat), np.float64, len(flat))
+        e = e.reshape(t.shape)
+        np.add(e, 1.0, out=e)
+        np.divide(1.0, e, out=e)
+        return np.multiply(ny, e, out=e)
     return margins - y
 
 

@@ -257,7 +257,8 @@ def coupled_distance_batch(
     All P = R*G pairs advance together on a stacked (P, dim+1, 2) state whose
     last axis is (base, neighbor) and whose column `dim`, which the padding of
     `Dataset.padded` points at, stays zero.  Each side reads its own row every
-    step.  Each step repeats the arithmetic of a lone pair operation for
+    step, through the flat positions of the row's entries in the state.
+    Each step repeats the arithmetic of a lone pair operation for
     operation, so a pair's series does not depend on what it is batched with.
     A pair that hits a non-finite margin, iterate or distance is censored and
     dropped.  Margins are checked every step, iterates and distances only at
@@ -299,16 +300,22 @@ def coupled_distance_batch(
     gammas = np.array([hp.gamma for hp in points])
 
     def per_pair(pair):
+        """Arrays of the live pairs, recomputed whenever pairs are dropped:
+        repetition, the row of column 0 of each pair in the (P * (dim+1), 2)
+        view of the state, beta and eta at every state entry (a full-size
+        operand multiplies faster than a broadcast one), and gamma."""
         g = pair % G
         zero_beta = betas[g] == 0.0
+        full = (pair.size, dim + 1, 2)
         return (
-            pair // G, np.arange(pair.size)[:, None, None], betas[g][:, None, None],
-            zero_beta if zero_beta.any() else None, etas[g][:, None, None], gammas[g][:, None],
+            pair // G, ((dim + 1) * np.arange(pair.size))[:, None, None],
+            np.broadcast_to(betas[g][:, None, None], full).copy(), zero_beta if zero_beta.any() else None,
+            np.broadcast_to(etas[g][:, None, None], full).copy(), gammas[g][:, None],
         )
 
     # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
     pair = np.arange(R * G)
-    rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+    rep, row_offset, beta, zero_beta, eta, gamma = per_pair(pair)
     side = np.arange(2)[:, None]
     L = T // stride
     distances = np.full((R * G, L), np.nan)
@@ -336,30 +343,38 @@ def coupled_distance_batch(
             # wherever its stream hits the perturbed index
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
+            live_labels = data.labels[live_rows]
             for j, hit_step in enumerate(hit.any(axis=0).tolist()):
                 if sum_risk is not None:
                     base_iterates[:, k - lo] = W[:, :dim, 0]
-                r = live_rows[j]
-                ix = indices[r]
-                vx = values[r]
-                # off a hit both sides read the base row: one product per pair
+                # off a hit both sides read the base row, so its (P, 1, K)
+                # entries serve both
+                r = live_rows[j] if hit_step else live_rows[j, :, :1]
+                ix = indices.take(r, axis=0)
+                vx = values.take(r, axis=0)
+                # the (P * (dim+1), 2) view of the state holds the (base,
+                # neighbor) entries of pair p at column i in row
+                # p * (dim+1) + i, so side s's entry is at flat 2 * row + s
+                cells = ix + row_offset
+                flat = 2 * cells + side
+                # off a hit one product per pair gives both margins
                 x = vx[:, 0, :, None]
-                margins = np.matmul(W[at[:, 0], ix[:, 0]].transpose(0, 2, 1), x)[:, :, 0]
+                margins = np.matmul(W.reshape(-1, 2).take(cells[:, 0], axis=0).transpose(0, 2, 1), x)[:, :, 0]
                 if hit_step:
                     # on a hit the sides read different rows: one dot per side
                     a = np.flatnonzero(hit[rep, j])
-                    wa = W[at[a], ix[a], side][:, :, None, :]
+                    wa = W.reshape(-1).take(flat[a])[:, :, None, :]
                     margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
                 finite = np.isfinite(margins)
                 bad = None if finite.all() else ~finite  # (P, 2) non-finite sides
-                scales = grad_scales(margins, data.labels[r], kind)
+                scales = grad_scales(margins, live_labels[j], kind)
                 M *= beta
                 if zero_beta is not None:
                     M[zero_beta] = 0.0
-                M[at, ix, side] += scales[:, :, None] * vx
+                M.reshape(-1)[flat] += scales[:, :, None] * vx
                 W -= eta * M
                 if any_gamma:
-                    W[at, ix, side] -= (gamma * scales)[:, :, None] * vx
+                    W.reshape(-1)[flat] -= (gamma * scales)[:, :, None] * vx
                 k += 1
                 if k % stride == 0:
                     diff = W[:, :dim, 0] - W[:, :dim, 1]
@@ -383,10 +398,11 @@ def coupled_distance_batch(
                         bad[dead].all(axis=1), "both", np.where(bad[dead, 0], "base", "neighbor")
                     )
                     keep = ~dead
-                    pair, W, M, live_rows = pair[keep], W[keep], M[keep], live_rows[:, keep]
+                    pair, W, M = pair[keep], W[keep], M[keep]
+                    live_rows, live_labels = live_rows[:, keep], live_labels[:, keep]
                     if not pair.size:
                         break
-                    rep, at, beta, zero_beta, eta, gamma = per_pair(pair)
+                    rep, row_offset, beta, zero_beta, eta, gamma = per_pair(pair)
                     if sum_risk is not None:
                         base_iterates = base_iterates[keep]
                 if sum_risk is not None and k == hi:

@@ -164,19 +164,21 @@ def check_y_identity(kind: str, traj: Trajectory, wrong_effective_step: bool = F
     return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
 
 
-def check_dist_identity(kind: str, traj: Trajectory) -> list[CheckOutcome]:
+def check_dist_identity(kind: str, traj: Trajectory, buffers: np.ndarray | None = None) -> list[CheckOutcome]:
     """Exact distance identity and its geometric-sum upper bound: for every k,
     ||y_k - w_k||^2 equals b^2 eta^2 / (1-b)^2 * ||m_{k-1}||^2 exactly and is
     at most b^2 eta^2 / (1-b)^3 * sum_{j<k} b^(k-1-j) ||g_j||^2.  Residuals
-    and margins are normalized by 1 + the larger side.
+    and margins are normalized by 1 + the larger side.  `buffers` are
+    `momentum_buffers(traj)`, replayed here when not given.
     """
+    buffers = momentum_buffers(traj) if buffers is None else buffers
     b, eta = traj.hp.beta, traj.hp.eta
     W = traj.iterates
     y, _ = auxiliary_sequence(traj)
     lhs = np.sum((y - W) ** 2, axis=1)
     # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
     # squared as numpy scalars, so a huge step gives inf instead of OverflowError
-    rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(momentum_buffers(traj) ** 2, axis=1)
+    rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(buffers**2, axis=1)
     grad_sq = np.sum(traj.gradients**2, axis=1)
     geo = np.zeros(W.shape[0])
     for k in range(1, W.shape[0]):
@@ -267,9 +269,10 @@ def check_nesterov_equivalence(data: Dataset, kind: str, traj: Trajectory, seed:
     return _outcome_max("nesterov_equivalence", params, worst, 1e-9)
 
 
-def check_momentum_unrolling(kind: str, traj: Trajectory) -> CheckOutcome:
-    """m_t equals sum_j beta^(t-j) g_j up to 1e-10 relative."""
-    m = momentum_buffers(traj)
+def check_momentum_unrolling(kind: str, traj: Trajectory, buffers: np.ndarray | None = None) -> CheckOutcome:
+    """m_t equals sum_j beta^(t-j) g_j up to 1e-10 relative.  `buffers` are
+    `momentum_buffers(traj)`, replayed here when not given."""
+    m = momentum_buffers(traj) if buffers is None else buffers
     T, d = traj.gradients.shape
     # beta^(T-1), ..., beta^0: the last t of them weigh g_1..g_t
     powers = traj.hp.beta ** np.arange(T - 1, -1, -1.0)
@@ -302,9 +305,9 @@ def run_invariant_suite(
     ConfigError before anything runs.  `force_bug` = "y_identity" flips the
     negative-control hook so exactly that check must fail.
 
-    At each (kind, beta) one heavy-ball run feeds the y, dist and unrolling
-    checks, and for beta > 0 one Nesterov run feeds the look-ahead
-    equivalence, y and dist.  The two runs of m_recursion, the look-ahead
+    At each (kind, beta) one heavy-ball run, its momentum buffers replayed
+    once, feeds the y, dist and unrolling checks, and for beta > 0 one
+    Nesterov run feeds the look-ahead equivalence, y and dist.  The two runs of m_recursion, the look-ahead
     run and the beta = 0 reduction stay separate: their agreement with these
     runs is what they check.  Apart from m_recursion's pair, no two runs are
     held at once.  A run that leaves float range ends its (kind, beta)
@@ -335,11 +338,12 @@ def run_invariant_suite(
                     hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
                     m_recursion = check_m_recursion(data, kind, hb_hp, seed)
                     hb = run(data, kind, hb_hp, np.zeros(data.dim), SampleStream(seed, data.n))
+                    buffers = momentum_buffers(hb)
                     outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
-                    outcomes.extend(check_dist_identity(kind, hb))
+                    outcomes.extend(check_dist_identity(kind, hb, buffers))
                     outcomes.append(m_recursion)
-                    outcomes.append(check_momentum_unrolling(kind, hb))
-                    del hb
+                    outcomes.append(check_momentum_unrolling(kind, hb, buffers))
+                    del hb, buffers
                     gamma = step_fraction * max_gamma_nesterov(beta, alpha)
                     if beta > 0.0:
                         nest_hp = variant_params("nesterov", gamma, beta, steps)

@@ -147,6 +147,75 @@ class TestFormulas:
             fn(np.zeros(2), np.ones(2), "hinge")
 
 
+# the largest t with a finite exp(t) is LOG_MAX; 745.2 is past where
+# exp(-t) leaves the subnormals
+LOG_MAX = 709.782712893384
+EDGE_MARGINS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1e-310, -1e-310,
+    *(s * v for s in (1.0, -1.0) for v in (
+        LOG_MAX, np.nextafter(LOG_MAX, math.inf), np.nextafter(LOG_MAX, 0.0), 745.2, 1e308,
+    )),
+]
+
+
+def expit_scales(m, y):
+    """The logistic gradient scale through scipy's expit, the oracle."""
+    from scipy.special import expit
+
+    return -y * expit(-y * m)
+
+
+def assert_same_bits(actual, expected):
+    # NaN signs included: the sigmoid repeats expit's operations exactly
+    actual, expected = np.asarray(actual, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSigmoidMatchesExpit:
+    """`grad_scales` computes the logistic scale with the C library's exp,
+    bit for bit as `-y * scipy.special.expit(-y * m)`, without importing scipy
+    or warning; the warning filter of this suite turns a warning into an error."""
+
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    def test_python_floats_and_zero_d_arrays(self, y):
+        for m in EDGE_MARGINS:
+            oracle = expit_scales(np.float64(m), y)
+            scale = grad_scales(float(m), y, "logistic")
+            assert type(scale) is float
+            assert_same_bits(scale, oracle)
+            assert_same_bits(grad_scales(np.array(m), np.array(y), "logistic"), oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.floats(allow_nan=True, allow_infinity=True), y=st.sampled_from([1.0, -1.0]))
+    @example(m=LOG_MAX, y=-1.0)
+    def test_any_float(self, m, y):
+        assert_same_bits(grad_scales(m, y, "logistic"), expit_scales(np.float64(m), y))
+
+    def test_pair_arrays(self):
+        # the (P, 2) margins of the coupled kernel, edges included
+        rng = np.random.default_rng(6)
+        m = np.concatenate([rng.standard_normal(200) * 40.0, EDGE_MARGINS, rng.uniform(-800.0, 800.0, 200)])
+        m = m[: m.size // 2 * 2].reshape(-1, 2)
+        y = rng.choice([-1.0, 1.0], size=m.shape)
+        assert_same_bits(grad_scales(m, y, "logistic"), expit_scales(m, y))
+
+    def test_probe_broadcast(self):
+        # the loss-lemma probes: (rows, 1) labels against (rows, side) margins
+        rng = np.random.default_rng(7)
+        m = np.concatenate([rng.standard_normal((20, 6)) * 30.0, np.resize(EDGE_MARGINS, (5, 6))])
+        y = rng.choice([-1.0, 1.0], size=(25, 1))
+        assert_same_bits(grad_scales(m, y, "logistic"), expit_scales(m, y))
+
+    @pytest.mark.parametrize("t", [LOG_MAX, np.nextafter(LOG_MAX, math.inf), 745.2, 1e308, math.inf])
+    def test_exp_overflow_gives_zero_not_overflow_error(self, t):
+        # exp(y m) of a finite t past LOG_MAX is inf, as in C, so the scale is -0.0
+        m = np.array([[t, 0.0], [1.0, t]])
+        assert_same_bits(grad_scales(m, 1.0, "logistic"), expit_scales(m, 1.0))
+        assert_same_bits(grad_scales(t, 1.0, "logistic"), expit_scales(np.float64(t), 1.0))
+
+
 class TestEmpiricalRisk:
     def test_mean_of_losses(self):
         d = parse_libsvm("1 1:1\n-1 1:2\n")

@@ -644,6 +644,47 @@ class TestCoupledBatch:
                 )
                 np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
 
+    def test_pair_does_not_depend_on_pairs_dropped_mid_block(self, monkeypatch):
+        # squared loss: repetition 1's neighbor takes a huge row, so all its
+        # pairs are censored at its first hit, and the two far-too-large
+        # steps (one with beta > 0, one with gamma > 0 and beta = 0) censor
+        # their pairs later; every drop falls inside a 16-step stream chunk,
+        # and the pairs that outlive it must not notice it
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        examples = stack([examples, parse_libsvm("1 1:1e155\n")], self.DIM)
+        replacements = np.array([replacements[0], examples.n - 1, replacements[2]])
+        T = self.T
+        points = [
+            HyperParams(beta=0.0, gamma=0.0, eta=0.05, iterations=T),
+            variant_params("hb", 1e4, 0.9, T),
+            variant_params("hb", 0.04, 0.9, T),
+            HyperParams(beta=0.0, gamma=3e3, eta=2e3, iterations=T),
+            variant_params("nesterov", 0.05, 0.5, T),
+            HyperParams(beta=0.5, gamma=0.03, eta=0.03, iterations=T),
+        ]
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        risk_data = examples.take(train_rows[0])
+        batch = coupled_distance_batch(
+            examples, train_rows, perturbed, replacements, [SampleStream(s, self.N_TRAIN) for s in seeds],
+            "squared", points, w1, 1, risk_data=risk_data,
+        )
+        steps = batch.diverged_step
+        assert steps[1].all() and steps[[0, 2]][:, [1, 3]].all()
+        assert not steps[[0, 2]][:, [0, 2, 4, 5]].any()
+        dropped = steps[steps > 0]
+        assert len(set(dropped.tolist())) > 2 and (dropped % 16).all()
+        for r in range(3):
+            for g, hp in enumerate(points):
+                alone = coupled_distance_batch(
+                    examples, train_rows[r : r + 1], perturbed[r : r + 1], replacements[r : r + 1],
+                    [SampleStream(seeds[r], self.N_TRAIN)], "squared", [hp], w1, 1, risk_data=risk_data,
+                )
+                np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
+                np.testing.assert_array_equal(batch.sum_risk[r, g], alone.sum_risk[0, 0])
+                assert batch.diverged_step[r, g] == alone.diverged_step[0, 0]
+                assert batch.diverged_which[r, g] == alone.diverged_which[0, 0]
+
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     def test_risks_match_coupled_run_base_iterates(self, kind, monkeypatch):
         # 10-step risk blocks cut T = 96 into uneven blocks; repetition 1's

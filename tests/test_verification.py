@@ -235,6 +235,16 @@ class TestSharedTrajectories:
         # the heavy-ball run and the reduction's own beta = 0 run
         assert calls == {"run": 2, "run_lookahead": 0}
 
+    def test_momentum_buffers_replayed_once_per_trajectory(self, monkeypatch):
+        replays = []
+        replay = verification.momentum_buffers
+        monkeypatch.setattr(verification, "momentum_buffers", lambda traj: replays.append(traj) or replay(traj))
+        run_invariant_suite(steps=20)
+        # per (kind, beta > 0): the heavy-ball run, m_recursion's two runs and
+        # the Nesterov run; per kind at beta = 0, the heavy-ball run alone
+        assert len(replays) == 2 * (3 * 4 + 1)
+        assert len({id(traj) for traj in replays}) == len(replays)
+
     def test_suite_equals_checks_fed_fresh_runs(self):
         data = synthetic_binary_dataset(30, 5, seed=9, density=0.6, flip=0.15)
         kwargs = dict(kinds=LOSS_KINDS, betas=(0.0, 0.5, 0.9), steps=150, step_fraction=0.4, seed=8)

@@ -273,16 +273,16 @@ def _cmd_run_stability(cfg: dict, overrides: list[str]) -> int:
 def _cmd_check_bounds(cfg: dict, overrides: list[str]) -> int:
     exp = _experiment_config(cfg)
     checks = run_bound_checks(exp, cfg["samples"], cfg["t"], cfg["step"], cfg["step_fraction"])
-    for point, result in checks:
+    for result in checks:
         print(
-            f"beta={point.beta:g} step={point.step:g}: empirical={result.empirical:.6g} "
+            f"beta={result.beta:g} step={result.step:g}: empirical={result.empirical:.6g} "
             f"bound={result.theoretical:.6g} holds={result.holds} "
             f"ratio={result.margin_ratio:.3g}"
         )
     out = Path(exp.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "bound_check.json", [{"beta": p.beta, "step": p.step, **r.to_dict()} for p, r in checks])
-    if not all(result.holds for _, result in checks):
+    write_json(out / "bound_check.json", [result.to_dict() for result in checks])
+    if not all(result.holds for result in checks):
         raise CheckFailed("bound violated in at least one configuration")
     return EXIT_OK
 

@@ -170,15 +170,23 @@ class GridPoint:
 
 
 def grid_points(
-    variant: str, betas: tuple[float, ...], steps: list[tuple[float, ...]], iterations: int
+    variant: str, betas: tuple[float, ...], steps: list[tuple[float, ...]], iterations: int, key: str
 ) -> list[GridPoint]:
     """The (beta, step) grid, beta by beta, with steps[i] the steps of
-    betas[i], each mapped onto hyperparameters by `variant_params`."""
-    return [
-        GridPoint(beta, step, variant_params(variant, step, beta, iterations), bound_formula(variant, beta))
-        for beta, beta_steps in zip(betas, steps)
-        for step in beta_steps
-    ]
+    betas[i], each mapped onto hyperparameters by `variant_params`, the only
+    place a verb does so.  A step that maps to no update (an eta that rounds
+    to 0) is a ConfigError naming `key`, the config key it came from."""
+    grid = []
+    for beta, beta_steps in zip(betas, steps):
+        for step in beta_steps:
+            try:
+                hp = variant_params(variant, step, beta, iterations)
+            except ValueError as e:
+                raise ConfigError(
+                    f"key {key!r}: step {step!r} at beta {beta!r} gives no {variant} update: {e}"
+                ) from None
+            grid.append(GridPoint(beta, step, hp, bound_formula(variant, beta)))
+    return grid
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
@@ -199,7 +207,7 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
             f"stride {stride} exceeds the {iterations} steps of a run (epochs {cfg.epochs} x "
             f"{n_train} train rows), so no distance would be recorded"
         )
-    grid = grid_points(cfg.variant, cfg.betas, [cfg.steps] * len(cfg.betas), iterations)
+    grid = grid_points(cfg.variant, cfg.betas, [cfg.steps] * len(cfg.betas), iterations, "steps")
     batch = draws.run(data, cfg.loss, [point.hp for point in grid], stride)
 
     points: list[GridPointResult] = []
@@ -210,30 +218,16 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
         if series:
             means, stds = aggregate(series)
         else:
-            length = iterations // stride
-            means = np.full(length, np.nan)
-            stds = np.full(length, np.nan)
-        points.append(
-            GridPointResult(
-                beta=point.beta,
-                step=point.step,
-                gamma=hp.gamma,
-                eta=hp.eta,
-                means=means,
-                stds=stds,
-                censored=int((~done).sum()),
-                stab_condition=check_stab_condition(hp, alpha),
-                opt_condition=check_opt_condition(hp, alpha),
-                censored_reps=tuple(
-                    {
-                        "rep": int(r),
-                        "step": int(batch.diverged_step[r, g]),
-                        "which": str(batch.diverged_which[r, g]),
-                    }
-                    for r in np.flatnonzero(~done)
-                ),
-            )
-        )
+            means, stds = np.full((2, iterations // stride), np.nan)
+        points.append(GridPointResult(
+            beta=point.beta, step=point.step, gamma=hp.gamma, eta=hp.eta, means=means, stds=stds,
+            censored=int((~done).sum()),
+            stab_condition=check_stab_condition(hp, alpha), opt_condition=check_opt_condition(hp, alpha),
+            censored_reps=tuple(
+                {"rep": int(r), "step": int(batch.diverged_step[r, g]), "which": str(batch.diverged_which[r, g])}
+                for r in np.flatnonzero(~done)
+            ),
+        ))
     return StabilityResult(
         points=points,
         config=cfg,
@@ -336,6 +330,8 @@ def _standard_error(values: np.ndarray) -> float | None:
 
 @dataclass(frozen=True)
 class BoundCheckResult:
+    beta: float
+    step: float
     empirical: float
     theoretical: float
     holds: bool
@@ -351,73 +347,76 @@ class BoundCheckResult:
         return {**asdict(self), "estimator": estimator}
 
 
-def _require_stab_condition(hp: HyperParams, alpha: float) -> None:
-    cond = check_stab_condition(hp, alpha)
-    if not cond.satisfied:
-        raise PreconditionError(f"stability condition violated: lhs {cond.lhs} > rhs {cond.rhs}")
-
-
 def run_bound_check(
     train: Dataset,
     replacement_pool: Dataset,
     kind: str,
-    hp: HyperParams,
+    grid: list[GridPoint],
     alpha: float,
     samples: int,
     seed: int,
-    variant: str = "general",
-) -> BoundCheckResult:
-    """Monte Carlo comparison of measured squared divergence with the bound.
+) -> list[BoundCheckResult]:
+    """Monte Carlo comparison of measured squared divergence with the bound
+    at each point of `grid`.
 
-    Refuses to run (PreconditionError) when the stability step-size condition
-    fails, since the bound does not apply there.  The accumulated-risk input
-    of the bound, sum_k R_S(w_k) over the base iterates w_1..w_t, is estimated
-    from the base runs of the same samples.  All samples are pairs of one
-    `coupled_distance_batch` call with a running risk sum per sample, so
-    memory does not grow with t; the lowest censored sample raises
-    DivergenceError.
+    Refuses (PreconditionError) before any point runs when the stability
+    step-size condition fails at any point, since the bound does not apply
+    there.  The bound's accumulated risk sum_k R_S(w_k) over the base iterates
+    w_1..w_t is estimated from the base runs of the same samples.  At every
+    point the same samples are the pairs of one `coupled_distance_batch` call
+    with a running risk sum per sample, so memory does not grow with t; the
+    lowest censored sample raises DivergenceError.
     """
-    _require_stab_condition(hp, alpha)
-    t = hp.iterations
+    for point in grid:
+        cond = check_stab_condition(point.hp, alpha)
+        if not cond.satisfied:
+            raise PreconditionError(
+                f"stability condition violated at beta {point.beta:g}: lhs {cond.lhs} > rhs {cond.rhs}"
+            )
     draws = Draws.fixed_split(train.n, replacement_pool.n, seed, samples)
     # every sample trains on all of `train`, in its own stream's order; the
     # pool's rows follow the train rows in the stacked data
     data = stack([train, replacement_pool], train.dim)
-    batch = draws.run(data, kind, [hp], t, risk_data=train)
-    censored = np.flatnonzero(batch.diverged_step[:, 0])
-    if censored.size:
-        s = censored[0]
-        raise DivergenceError(int(batch.diverged_step[s, 0]), str(batch.diverged_which[s, 0]))
-    final_sq = batch.distances[:, 0, 0] ** 2
-    sum_risks = batch.sum_risk[:, 0]
-    empirical = float(final_sq.mean())
-    sum_risk = float(sum_risks.mean())
-    report = stability_bound(hp, alpha, train.n, t, sum_risk, variant)
-    theoretical = report.value
-    ratio = float("inf") if empirical == 0.0 else theoretical / empirical
-    return BoundCheckResult(
-        empirical=empirical,
-        theoretical=theoretical,
-        holds=empirical <= theoretical,
-        margin_ratio=ratio,
-        samples=samples,
-        inputs=report.inputs,
-        empirical_se=_standard_error(final_sq),
-        sum_risk=sum_risk,
-        sum_risk_se=_standard_error(sum_risks),
-    )
+    results = []
+    for point in grid:
+        t = point.hp.iterations
+        # one call per point: a call for the whole grid would buffer samples x
+        # points base iterates per risk block
+        batch = draws.run(data, kind, [point.hp], t, risk_data=train)
+        censored = np.flatnonzero(batch.diverged_step[:, 0])
+        if censored.size:
+            s = censored[0]
+            raise DivergenceError(int(batch.diverged_step[s, 0]), str(batch.diverged_which[s, 0]))
+        final_sq = batch.distances[:, 0, 0] ** 2
+        sum_risks = batch.sum_risk[:, 0]
+        empirical = float(final_sq.mean())
+        sum_risk = float(sum_risks.mean())
+        report = stability_bound(point.hp, alpha, train.n, t, sum_risk, point.formula)
+        theoretical = report.value
+        # the grid's steps are > 0, so a zero bound from positive alpha and
+        # risk is a coefficient that left float range, not a verdict
+        if theoretical == 0.0 and alpha > 0.0 and sum_risk > 0.0:
+            raise DataError(
+                f"the stability bound at beta {point.beta:g} underflows to 0 (alpha {alpha:g}); rescale the features"
+            )
+        results.append(BoundCheckResult(
+            beta=point.beta, step=point.step, empirical=empirical, theoretical=theoretical,
+            holds=empirical <= theoretical, margin_ratio=float("inf") if empirical == 0.0 else theoretical / empirical,
+            samples=samples, inputs=report.inputs, empirical_se=_standard_error(final_sq),
+            sum_risk=sum_risk, sum_risk_se=_standard_error(sum_risks),
+        ))
+    return results
 
 
 def run_bound_checks(
     cfg: ExperimentConfig, samples: int, t: tuple[float, bool], step: float | None, step_fraction: float
-) -> list[tuple[GridPoint, BoundCheckResult]]:
-    """check-bounds: `run_bound_check` at each of `cfg.betas`, one kernel
-    call per beta, on the train and held-out rows of one split of the data.
+) -> list[BoundCheckResult]:
+    """check-bounds: `run_bound_check` on the grid of `cfg.betas`, on the
+    train and held-out rows of one split of the data.
 
     `t` is (k, per_n): k steps, or k times the train size when per_n.  Each
     beta's step is `step`, or `step_fraction` times the largest step its
-    stability condition admits.  Every beta's condition is checked before
-    any beta runs, so a refused beta (PreconditionError) leaves no work done.
+    stability condition admits.
     """
     train, held = split(load_experiment_data(cfg), cfg.fraction, cfg.seed)
     alpha = smoothness(train, cfg.loss).alpha
@@ -431,10 +430,6 @@ def run_bound_checks(
             "so there is no step cap to scale; give 'step' instead"
         )
     steps = [(step if step is not None else step_fraction * max_step(cfg.variant, beta, alpha),) for beta in cfg.betas]
-    grid = grid_points(cfg.variant, cfg.betas, steps, int(iterations))
-    for point in grid:
-        _require_stab_condition(point.hp, alpha)
-    return [
-        (point, run_bound_check(train, held, cfg.loss, point.hp, alpha, samples, cfg.seed, point.formula))
-        for point in grid
-    ]
+    key = "step" if step is not None else "step_fraction"
+    grid = grid_points(cfg.variant, cfg.betas, steps, int(iterations), key)
+    return run_bound_check(train, held, cfg.loss, grid, alpha, samples, cfg.seed)

@@ -406,9 +406,12 @@ def coupled_distance_batch(
                     if sum_risk is not None:
                         base_iterates = base_iterates[keep]
                 if sum_risk is not None and k == hi:
-                    rows = base_iterates[:, : hi - lo].reshape(-1, dim)
+                    rows = base_iterates.reshape(-1, dim)
                     sum_risk[pair] += empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1).sum(axis=1)
                     lo, hi = next(blocks, (T, T))
+                    # a shorter block takes the front of the buffer, so its rows reshape without a copy
+                    entries = pair.size * (hi - lo) * dim
+                    base_iterates = base_iterates.reshape(-1)[:entries].reshape(pair.size, hi - lo, dim)
             if not pair.size:
                 break
     distances[diverged_step > 0] = np.nan

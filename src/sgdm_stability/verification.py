@@ -10,7 +10,6 @@ path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -18,9 +17,9 @@ import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
 from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
-from .harness import ConfigError
+from .harness import grid_points
 from .optimizer import DivergenceError, HyperParams, SampleStream, Trajectory, run, run_lookahead
-from .theory import max_eta_hb, max_gamma_nesterov, variant_params
+from .theory import max_eta_hb, max_gamma_nesterov
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,13 @@ def check_y_identity(kind: str, traj: Trajectory, wrong_effective_step: bool = F
     return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
 
 
-def check_dist_identity(kind: str, traj: Trajectory, buffers: np.ndarray | None = None) -> list[CheckOutcome]:
+def check_dist_identity(kind: str, traj: Trajectory, buffers: np.ndarray) -> list[CheckOutcome]:
     """Exact distance identity and its geometric-sum upper bound: for every k,
     ||y_k - w_k||^2 equals b^2 eta^2 / (1-b)^2 * ||m_{k-1}||^2 exactly and is
     at most b^2 eta^2 / (1-b)^3 * sum_{j<k} b^(k-1-j) ||g_j||^2.  Residuals
     and margins are normalized by 1 + the larger side.  `buffers` are
-    `momentum_buffers(traj)`, replayed here when not given.
+    `momentum_buffers(traj)`.
     """
-    buffers = momentum_buffers(traj) if buffers is None else buffers
     b, eta = traj.hp.beta, traj.hp.eta
     W = traj.iterates
     y, _ = auxiliary_sequence(traj)
@@ -269,18 +267,17 @@ def check_nesterov_equivalence(data: Dataset, kind: str, traj: Trajectory, seed:
     return _outcome_max("nesterov_equivalence", params, worst, 1e-9)
 
 
-def check_momentum_unrolling(kind: str, traj: Trajectory, buffers: np.ndarray | None = None) -> CheckOutcome:
+def check_momentum_unrolling(kind: str, traj: Trajectory, buffers: np.ndarray) -> CheckOutcome:
     """m_t equals sum_j beta^(t-j) g_j up to 1e-10 relative.  `buffers` are
-    `momentum_buffers(traj)`, replayed here when not given."""
-    m = momentum_buffers(traj) if buffers is None else buffers
+    `momentum_buffers(traj)`."""
     T, d = traj.gradients.shape
     # beta^(T-1), ..., beta^0: the last t of them weigh g_1..g_t
     powers = traj.hp.beta ** np.arange(T - 1, -1, -1.0)
     unrolled = np.zeros((T + 1, d))
     for t in range(1, T + 1):
         unrolled[t] = powers[T - t :] @ traj.gradients[:t]
-    scale = 1.0 + float(np.linalg.norm(m, axis=1).max())
-    worst = float(np.linalg.norm(m - unrolled, axis=1).max()) / scale
+    scale = 1.0 + float(np.linalg.norm(buffers, axis=1).max())
+    worst = float(np.linalg.norm(buffers - unrolled, axis=1).max()) / scale
     return _outcome_max(
         "momentum_unrolling",
         {"kind": kind, "beta": traj.hp.beta, "steps": traj.hp.iterations},
@@ -301,9 +298,10 @@ def run_invariant_suite(
     """Run the full identity and inequality suite over a beta grid.
 
     Step sizes are `step_fraction` times each variant's admissible maximum
-    for the dataset's smoothness; a fraction that makes any step 0 is a
-    ConfigError before anything runs.  `force_bug` = "y_identity" flips the
-    negative-control hook so exactly that check must fail.
+    for the dataset's smoothness, mapped by `grid_points`; a fraction that
+    makes any step 0 is a ConfigError before anything runs.  `force_bug` =
+    "y_identity" flips the negative-control hook so exactly that check must
+    fail.
 
     At each (kind, beta) one heavy-ball run, its momentum buffers replayed
     once, feeds the y, dist and unrolling checks, and for beta > 0 one
@@ -316,45 +314,44 @@ def run_invariant_suite(
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)
-    alphas = {kind: smoothness(data, kind).alpha for kind in kinds}
-    for kind, beta in itertools.product(kinds, betas):
-        # the heavy-ball eta and, for beta > 0, the Nesterov eta = beta * gamma
-        etas = [step_fraction * max_eta_hb(beta, alphas[kind])]
-        if beta > 0.0:
-            etas.append(beta * (step_fraction * max_gamma_nesterov(beta, alphas[kind])))
-        if 0.0 in etas:
-            raise ConfigError(f"key 'step_fraction': {step_fraction!r} makes a step 0 at loss {kind!r}, beta {beta!r}")
+    # each kind's heavy-ball and Nesterov grid over `betas`, all mapped
+    # before any check runs
+    grids = {}
+    for kind in kinds:
+        alpha = smoothness(data, kind).alpha
+        hb_grid, nesterov_grid = (
+            grid_points(variant, betas, [(step_fraction * cap(beta, alpha),) for beta in betas], steps, "step_fraction")
+            for variant, cap in (("hb", max_eta_hb), ("nesterov", max_gamma_nesterov))
+        )
+        grids[kind] = alpha, hb_grid, nesterov_grid
     outcomes: list[CheckOutcome] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for kind in kinds:
-            alpha = alphas[kind]
+            alpha, hb_grid, nesterov_grid = grids[kind]
             outcomes.append(check_self_bounding(kind))
             outcomes.append(check_co_coercivity(kind))
             outcomes.append(check_convexity(kind))
             outcomes.append(check_gradient_fd(kind))
-            for beta in betas:
+            for beta, hb_point, nest_point in zip(betas, hb_grid, nesterov_grid):
                 try:
-                    eta_cap = max_eta_hb(beta, alpha)
-                    hb_hp = variant_params("hb", step_fraction * eta_cap, beta, steps)
-                    m_recursion = check_m_recursion(data, kind, hb_hp, seed)
-                    hb = run(data, kind, hb_hp, np.zeros(data.dim), SampleStream(seed, data.n))
+                    m_recursion = check_m_recursion(data, kind, hb_point.hp, seed)
+                    hb = run(data, kind, hb_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
                     buffers = momentum_buffers(hb)
                     outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
                     outcomes.extend(check_dist_identity(kind, hb, buffers))
                     outcomes.append(m_recursion)
                     outcomes.append(check_momentum_unrolling(kind, hb, buffers))
                     del hb, buffers
-                    gamma = step_fraction * max_gamma_nesterov(beta, alpha)
                     if beta > 0.0:
-                        nest_hp = variant_params("nesterov", gamma, beta, steps)
-                        nest = run(data, kind, nest_hp, np.zeros(data.dim), SampleStream(seed, data.n))
+                        nest = run(data, kind, nest_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
                         outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
                         outcomes.append(check_y_identity(kind, nest))
-                        outcomes.extend(check_dist_identity(kind, nest))
+                        outcomes.extend(check_dist_identity(kind, nest, momentum_buffers(nest)))
                         del nest
                     else:
-                        params = _nesterov_params(kind, beta, gamma, steps)
+                        params = _nesterov_params(kind, beta, nest_point.step, steps)
                         outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
+                        eta_cap = max_eta_hb(beta, alpha)
                         outcomes.append(
                             check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed)
                         )

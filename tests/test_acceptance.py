@@ -27,6 +27,7 @@ from sgdm_stability.dataset import (
 )
 from sgdm_stability.harness import (
     ExperimentConfig,
+    grid_points,
     run_bound_check,
     run_stability_experiment,
 )
@@ -161,10 +162,8 @@ def test_c06_stability_bound_dominance():
     alpha = smoothness(train, "logistic").alpha
     for beta in (0.0, 0.5):
         eta = 0.5 * max_eta_hb(beta, alpha)
-        hp = variant_params("hb", eta, beta, 5 * train.n)
-        res = run_bound_check(
-            train, pool, "logistic", hp, alpha, samples=50, seed=5, variant="hb"
-        )
+        grid = grid_points("hb", (beta,), [(eta,)], 5 * train.n, "step")
+        (res,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=50, seed=5)
         assert res.holds, f"beta={beta}: empirical {res.empirical:g} > bound {res.theoretical:g}"
         assert res.margin_ratio > 10.0, f"beta={beta}: margin ratio only {res.margin_ratio:g}"
     elapsed = time.perf_counter() - started

@@ -24,6 +24,8 @@ from sgdm_stability.cli import (
 )
 
 SRC = Path(sgdm_stability.__file__).resolve().parents[1]
+# five rows whose train split has alpha = 2.5e299, so the step caps are about 1e-300
+BIG_SVM = "1 1:1e150 2:1\n-1 1:1 2:1e150\n1 1:2 2:3\n-1 1:3 2:1\n1 1:1 2:1\n"
 README = SRC.parent / "README.md"
 
 
@@ -255,6 +257,19 @@ class TestCheckBounds:
         assert reports[0]["empirical"] == 0.0
         assert reports[0]["margin_ratio"] is None
 
+    def test_bound_that_underflows_is_refused(self, tmp_path, capsys):
+        # eta^2 ~ 1.8e-602 underflows inside the coefficient, although the
+        # bound, about 2.6e-300, is a float: a zero bound is no verdict
+        big = tmp_path / "big.svm"
+        big.write_text(BIG_SVM)
+        out = tmp_path / "bc"
+        argv = [f"dataset={big}", "betas=0.5", "samples=2", "t=4", f"outdir={out}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_DATA
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: data: the stability bound at beta 0.5") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_refused_beta_stops_the_check_before_any_beta_runs(self, tmp_path, capsys, monkeypatch):
         # step 0.2 is admitted at beta = 0.5 but not at 0.9: every beta's
         # condition is checked first, so nothing runs, prints or is written
@@ -373,6 +388,30 @@ class TestNumericConfigErrors:
         assert main(["check-bounds", "--overrides", *argv]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: config: key 'step_fraction':")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb, argv, key",
+        [
+            # beta * 5e-324 rounds to a Nesterov eta of 0
+            ("run-stability", ["dataset=synthetic", "synth_n=20", "synth_dim=3", "variant=nesterov", "betas=0.5",
+                               "steps=5e-324", "reps=2", "epochs=1"], "steps"),
+            ("check-bounds", ["dataset=synthetic", "synth_n=20", "synth_dim=3", "variant=nesterov", "betas=0.5",
+                              "step=5e-324", "samples=2", "t=4"], "step"),
+            # the cap at this beta is about 1e-332, so half of it rounds to 0
+            ("check-bounds", ["dataset={big}", "betas=0.9999999999999999", "samples=2", "t=4"], "step_fraction"),
+        ],
+        ids=["steps", "step", "step_fraction"],
+    )
+    def test_step_that_rounds_to_zero(self, verb, argv, key, tmp_path, capsys):
+        big = tmp_path / "big.svm"
+        big.write_text(BIG_SVM)
+        out = tmp_path / "o"
+        argv = [arg.format(big=big) for arg in argv]
+        assert main([verb, "--overrides", *argv, f"outdir={out}"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: key {key!r}:")
         assert err.count("\n") == 1
         assert not out.exists()
 

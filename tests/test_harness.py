@@ -12,11 +12,14 @@ from conftest import bound_check_draws, rep_draw, reference_pair
 from sgdm_stability import losses, optimizer
 from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
 from sgdm_stability.harness import (
+    ConfigError,
     Draws,
     ExperimentConfig,
     PreconditionError,
     aggregate,
     grid_point_filename,
+    grid_points,
+    json_text,
     load_experiment_data,
     run_bound_check,
     run_stability_experiment,
@@ -28,7 +31,7 @@ from sgdm_stability.optimizer import (
     SampleStream,
     coupled_distance_batch,
 )
-from sgdm_stability.theory import max_eta_hb, stability_bound, variant_params
+from sgdm_stability.theory import max_eta_hb, max_step, stability_bound, variant_params
 
 
 class TestAggregate:
@@ -171,6 +174,11 @@ class TestRunRepetition:
         first = hits[0]
         assert np.all(series[:first] == 0.0)
         assert series[first] > 0.0
+
+
+def hb_grid(eta, beta, t):
+    """The one-point heavy-ball grid of a t-step bound check at (beta, eta)."""
+    return grid_points("hb", (beta,), [(eta,)], t, "step")
 
 
 def tiny_config(**overrides):
@@ -335,8 +343,8 @@ class TestBoundCheck:
         train = parse_libsvm(text)
         pool = parse_libsvm("0 1:0.7\n0 1:1.2\n")
         alpha = smoothness(train, "squared").alpha
-        hp = variant_params("hb", 0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
-        res = run_bound_check(train, pool, "squared", hp, alpha, samples=4, seed=0, variant="hb")
+        grid = hb_grid(0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
+        (res,) = run_bound_check(train, pool, "squared", grid, alpha, samples=4, seed=0)
         assert res.empirical == 0.0
         assert res.theoretical == 0.0
         assert res.holds
@@ -345,16 +353,16 @@ class TestBoundCheck:
     def test_refuses_when_condition_fails(self):
         train = synthetic_binary_dataset(30, 5, seed=0)
         alpha = smoothness(train, "logistic").alpha
-        hp = variant_params("hb", 1.5 * max_eta_hb(0.0, alpha), 0.0, 10)
+        grid = hb_grid(1.5 * max_eta_hb(0.0, alpha), 0.0, 10)
         with pytest.raises(PreconditionError):
-            run_bound_check(train, train, "logistic", hp, alpha, samples=2, seed=0, variant="hb")
+            run_bound_check(train, train, "logistic", grid, alpha, samples=2, seed=0)
 
     def test_bound_dominates_on_synthetic(self):
         train = synthetic_binary_dataset(60, 6, seed=3)
         pool = synthetic_binary_dataset(20, 6, seed=4)
         alpha = smoothness(train, "logistic").alpha
-        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 120)
-        res = run_bound_check(train, pool, "logistic", hp, alpha, samples=8, seed=1, variant="hb")
+        grid = hb_grid(0.5 * max_eta_hb(0.5, alpha), 0.5, 120)
+        (res,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=8, seed=1)
         assert res.holds
         assert res.theoretical >= res.empirical
         assert res.samples == 8
@@ -364,25 +372,25 @@ class TestBoundCheck:
         pool = synthetic_binary_dataset(20, 6, seed=6)
         alpha = smoothness(train, "logistic").alpha
         eta = 0.4 * max_eta_hb(0.5, alpha)
-        r0 = run_bound_check(train, pool, "logistic", variant_params("hb", eta, 0.0, 60), alpha, 4, 2, "hb")
-        r5 = run_bound_check(train, pool, "logistic", variant_params("hb", eta, 0.5, 60), alpha, 4, 2, "hb")
+        (r0,) = run_bound_check(train, pool, "logistic", hb_grid(eta, 0.0, 60), alpha, 4, 2)
+        (r5,) = run_bound_check(train, pool, "logistic", hb_grid(eta, 0.5, 60), alpha, 4, 2)
         assert r5.theoretical > r0.theoretical
 
     def test_deterministic(self):
         train = synthetic_binary_dataset(40, 5, seed=8)
         pool = synthetic_binary_dataset(10, 5, seed=9)
         alpha = smoothness(train, "logistic").alpha
-        hp = variant_params("hb", 0.3 * max_eta_hb(0.0, alpha), 0.0, 40)
-        a = run_bound_check(train, pool, "logistic", hp, alpha, samples=5, seed=11, variant="hb")
-        b = run_bound_check(train, pool, "logistic", hp, alpha, samples=5, seed=11, variant="hb")
+        grid = hb_grid(0.3 * max_eta_hb(0.0, alpha), 0.0, 40)
+        (a,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=5, seed=11)
+        (b,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=5, seed=11)
         assert a.empirical == b.empirical
         assert a.theoretical == b.theoretical
 
     def test_to_dict_names_estimator(self):
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
-        hp = variant_params("hb", 0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
-        d = run_bound_check(train, train, "logistic", hp, alpha, 2, 0, "hb").to_dict()
+        grid = hb_grid(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
+        d = run_bound_check(train, train, "logistic", grid, alpha, 2, 0)[0].to_dict()
         assert "Monte Carlo" in d["estimator"]
         assert d["inputs"]["n"] == 30
 
@@ -403,13 +411,13 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(30, 5, seed=12)
         pool = synthetic_binary_dataset(10, 5, seed=13)
         alpha = smoothness(train, kind).alpha
-        hp = variant_params("hb", 0.5 * max_eta_hb(beta, alpha), beta, t)
+        grid = hb_grid(0.5 * max_eta_hb(beta, alpha), beta, t)
         specs = []
         for s in range(3):
             rng = np.random.default_rng([7, s])
             spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
             specs.append((spec, SampleStream(int(rng.integers(2**63)), train.n)))
-        return train, pool, alpha, hp, specs
+        return train, pool, alpha, grid, specs
 
     @staticmethod
     def _assert_result(res, final_sq, sum_risks, hp, alpha, n):
@@ -423,14 +431,15 @@ class TestBoundCheck:
     def test_equals_one_pair_kernel_calls(self, t, kind, beta):
         # a pair does not depend on its batch: the samples batched together
         # give the bits of one kernel call per sample with the same draws
-        train, pool, alpha, hp, specs = self._oracle_setup(t, kind, beta)
+        train, pool, alpha, grid, specs = self._oracle_setup(t, kind, beta)
+        hp = grid[0].hp
         final_sq, sum_risks = np.empty(3), np.empty(3)
         for s, (spec, stream) in enumerate(specs):
             batch = one_pair_batch(train, spec, kind, hp, stream, t, risk_data=train)
             assert batch.diverged_step[0, 0] == 0
             final_sq[s] = batch.distances[0, 0, 0] ** 2
             sum_risks[s] = batch.sum_risk[0, 0]
-        res = run_bound_check(train, pool, kind, hp, alpha, 3, seed=7, variant="hb")
+        (res,) = run_bound_check(train, pool, kind, grid, alpha, 3, seed=7)
         self._assert_result(res, final_sq, sum_risks, hp, alpha, train.n)
 
     @pytest.mark.parametrize("t, kind, beta", ORACLE_CASES)
@@ -439,14 +448,15 @@ class TestBoundCheck:
         # trajectories, the risks of all base iterates w_1..w_t in one call,
         # the last distance; the kernel holds to it at the tolerance of
         # TestCoupledBatch
-        train, pool, alpha, hp, specs = self._oracle_setup(t, kind, beta)
+        train, pool, alpha, grid, specs = self._oracle_setup(t, kind, beta)
+        hp = grid[0].hp
         final_sq, sum_risks = np.empty(3), np.empty(3)
         for s, (spec, stream) in enumerate(specs):
             base, _, distances = reference_pair(train, spec, kind, hp, np.zeros(train.dim), stream)
             final_sq[s] = distances[-1] ** 2
             sum_risks[s] = empirical_risk_many(base.iterates[:t], train, kind).sum()
         for samples in (1, 3):
-            res = run_bound_check(train, pool, kind, hp, alpha, samples, seed=7, variant="hb")
+            (res,) = run_bound_check(train, pool, kind, grid, alpha, samples, seed=7)
             sum_risk = float(sum_risks[:samples].mean())
             close = dict(rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(res.empirical, final_sq[:samples].mean(), **close)
@@ -466,9 +476,10 @@ class TestBoundCheck:
         train = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n-1 1:0.5\n")
         pool = parse_libsvm("1 1:1e155\n")
         alpha = smoothness(train, "squared").alpha
-        hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
+        grid = hb_grid(0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
+        hp = grid[0].hp
         with pytest.raises(DivergenceError) as exc:
-            run_bound_check(train, pool, "squared", hp, alpha, samples=2, seed=0, variant="hb")
+            run_bound_check(train, pool, "squared", grid, alpha, samples=2, seed=0)
         assert exc.value.which == "neighbor"
         # the lowest censored sample's step, as its one-pair kernel call reports it
         first = None
@@ -484,11 +495,11 @@ class TestBoundCheck:
     def test_to_dict_carries_standard_errors(self):
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
-        hp = variant_params("hb", 0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
-        one = run_bound_check(train, train, "logistic", hp, alpha, 1, 0, "hb").to_dict()
+        grid = hb_grid(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
+        one = run_bound_check(train, train, "logistic", grid, alpha, 1, 0)[0].to_dict()
         assert one["empirical_se"] is None and one["sum_risk_se"] is None
         assert one["sum_risk"] == one["inputs"]["sum_risk"] > 0
-        four = run_bound_check(train, train, "logistic", hp, alpha, 4, 0, "hb").to_dict()
+        four = run_bound_check(train, train, "logistic", grid, alpha, 4, 0)[0].to_dict()
         assert four["empirical_se"] >= 0 and four["sum_risk_se"] > 0
         json.dumps(four, allow_nan=False)
 
@@ -506,13 +517,66 @@ class TestBoundCheck:
         train.matrix  # built once, outside the traced runs
         peaks = {}
         for factor in (2, 20):
-            hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
+            grid = hb_grid(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
             tracemalloc.start()
             try:
-                run_bound_check(train, pool, "logistic", hp, alpha, 3, 0, "hb")
+                run_bound_check(train, pool, "logistic", grid, alpha, 3, 0)
                 peaks[factor] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         t = 20 * train.n
         assert peaks[20] < peaks[2] + 16_000
         assert peaks[20] < 8 * train.n * t / 10
+
+    def test_short_last_block_is_not_copied(self, monkeypatch):
+        # a horizon whose last risk block is 2 rows short of STREAM_CHUNK: its
+        # base iterates are evaluated where they are buffered, so the peak is
+        # that of a horizon of whole blocks, not one block buffer more
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
+        monkeypatch.setattr(losses, "RISK_COLUMNS", 16)
+        monkeypatch.setattr(losses, "RISK_WORKERS", 1)
+        train = synthetic_binary_dataset(100, 40, seed=14)
+        pool = synthetic_binary_dataset(10, 40, seed=15)
+        alpha = smoothness(train, "logistic").alpha
+        train.matrix  # built once, outside the traced runs
+        samples = 8
+        peaks = {}
+        for t in (5 * 64, 5 * 64 - 2):
+            grid = hb_grid(0.5 * max_eta_hb(0.9, alpha), 0.9, t)
+            tracemalloc.start()
+            try:
+                run_bound_check(train, pool, "logistic", grid, alpha, samples, 0)
+                peaks[t] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block_buffer = samples * 64 * train.dim * 8
+        assert peaks[5 * 64 - 2] < peaks[5 * 64] + block_buffer / 4
+
+    @pytest.mark.parametrize("variant", ["hb", "nesterov"])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_grid_equals_its_points_one_at_a_time(self, kind, variant):
+        train = synthetic_binary_dataset(30, 5, seed=16)
+        pool = synthetic_binary_dataset(10, 5, seed=17)
+        alpha = smoothness(train, kind).alpha
+        betas = (0.0, 0.5, 0.9)
+        steps = [(0.5 * max_step(variant, beta, alpha),) for beta in betas]
+        grid = grid_points(variant, betas, steps, 300, "step_fraction")
+        whole = run_bound_check(train, pool, kind, grid, alpha, 3, seed=7)
+        alone = [run_bound_check(train, pool, kind, [point], alpha, 3, seed=7)[0] for point in grid]
+        assert [(r.beta, r.step) for r in whole] == [(p.beta, p.step) for p in grid]
+        assert json_text([r.to_dict() for r in whole]) == json_text([r.to_dict() for r in alone])
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize(
+        "variant, beta, step",
+        # a step of 0, and a Nesterov eta = beta * step that rounds to 0
+        [("hb", 0.5, 0.0), ("nesterov", 0.0, 0.0), ("nesterov", 0.5, 5e-324), ("general", 0.9, 0.0)],
+    )
+    def test_step_that_maps_to_no_update_names_its_key(self, variant, beta, step):
+        with pytest.raises(ConfigError, match=r"^key 'steps': step .* gives no \w+ update: "):
+            grid_points(variant, (0.3, beta), [(0.1,), (step,)], 10, "steps")
+
+    def test_smallest_step_that_maps_to_an_update(self):
+        (point,) = grid_points("nesterov", (0.5,), [(1e-323,)], 10, "steps")
+        assert point.hp.gamma == 1e-323 and point.hp.eta == 5e-324

@@ -27,6 +27,7 @@ from sgdm_stability.verification import (
     check_dist_identity,
     check_y_identity,
     m_recursion_margins,
+    momentum_buffers,
 )
 
 
@@ -304,7 +305,7 @@ class TestDistIdentity:
         y, _ = auxiliary_sequence(traj)
         lhs_2 = float(np.sum((y[1] - traj.iterates[1]) ** 2))
         assert lhs_2 == pytest.approx(0.2, rel=1e-14)
-        identity, margin = check_dist_identity("logistic", traj)
+        identity, margin = check_dist_identity("logistic", traj, momentum_buffers(traj))
         assert identity.observed <= 1e-14
         assert margin.observed >= -1e-14
 
@@ -312,7 +313,7 @@ class TestDistIdentity:
         data = synthetic_binary_dataset(40, 6, seed=2)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=400)
         traj = run(data, "logistic", hp, np.zeros(6), SampleStream(7, 40))
-        identity, margin = check_dist_identity("logistic", traj)
+        identity, margin = check_dist_identity("logistic", traj, momentum_buffers(traj))
         assert identity.observed <= 1e-10
         assert margin.observed >= -1e-10
 

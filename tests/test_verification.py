@@ -29,6 +29,7 @@ from sgdm_stability.verification import (
     check_nesterov_equivalence,
     check_self_bounding,
     check_y_identity,
+    momentum_buffers,
     run_invariant_suite,
 )
 
@@ -68,18 +69,16 @@ class TestNegativeControl:
         assert failed
         assert {o.name for o in failed} == {"y_identity"}
 
-    def test_scaled_gradient_row_fails_momentum_unrolling(self, small_data, monkeypatch):
+    def test_scaled_gradient_row_fails_momentum_unrolling(self, small_data):
         # Both sides of the check read the trajectory's gradients, so the
         # buffers are replayed from a copy with g_k scaled by 1.001 while the
         # unrolled sums (the beta-power slices) read the true gradients.
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
         traj = fresh_run(small_data, "logistic", hp, seed=4)
-        assert check_momentum_unrolling("logistic", traj).status == "pass"
+        assert check_momentum_unrolling("logistic", traj, momentum_buffers(traj)).status == "pass"
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
-        replay = verification.momentum_buffers
-        monkeypatch.setattr(verification, "momentum_buffers", lambda _: replay(scaled))
-        assert check_momentum_unrolling("logistic", traj).status == "fail"
+        assert check_momentum_unrolling("logistic", traj, momentum_buffers(scaled)).status == "fail"
 
     def test_scaled_gradient_row_fails_the_identities(self, small_data):
         # the checks read the trajectory they are handed, not a rerun
@@ -89,7 +88,7 @@ class TestNegativeControl:
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
         assert check_y_identity("squared", traj).status == "pass"
         assert check_y_identity("squared", scaled).status == "fail"
-        assert check_dist_identity("squared", scaled)[0].status == "fail"
+        assert check_dist_identity("squared", scaled, momentum_buffers(scaled))[0].status == "fail"
 
     def test_shifted_lookahead_fails_nesterov_equivalence(self, small_data, monkeypatch):
         alpha = smoothness(small_data, "logistic").alpha
@@ -169,7 +168,8 @@ class TestExplicitChecks:
     def test_dist_identity_pair(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 500)
-        pair = check_dist_identity("logistic", fresh_run(small_data, "logistic", hp, seed=6))
+        traj = fresh_run(small_data, "logistic", hp, seed=6)
+        pair = check_dist_identity("logistic", traj, momentum_buffers(traj))
         assert [o.name for o in pair] == ["dist_identity", "dist_bound_margin"]
         assert all(o.status == "pass" for o in pair)
 
@@ -184,15 +184,18 @@ def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
             eta_cap = max_eta_hb(beta, alpha)
             hb = variant_params("hb", step_fraction * eta_cap, beta, steps)
             outcomes.append(check_y_identity(kind, fresh_run(data, kind, hb, seed)))
-            outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, hb, seed)))
+            traj = fresh_run(data, kind, hb, seed)
+            outcomes.extend(check_dist_identity(kind, traj, momentum_buffers(traj)))
             outcomes.append(check_m_recursion(data, kind, hb, seed))
-            outcomes.append(check_momentum_unrolling(kind, fresh_run(data, kind, hb, seed)))
+            traj = fresh_run(data, kind, hb, seed)
+            outcomes.append(check_momentum_unrolling(kind, traj, momentum_buffers(traj)))
             gamma = step_fraction * max_gamma_nesterov(beta, alpha)
             if beta > 0:
                 nest = variant_params("nesterov", gamma, beta, steps)
                 outcomes.append(check_nesterov_equivalence(data, kind, fresh_run(data, kind, nest, seed), seed))
                 outcomes.append(check_y_identity(kind, fresh_run(data, kind, nest, seed)))
-                outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, nest, seed)))
+                traj = fresh_run(data, kind, nest, seed)
+                outcomes.extend(check_dist_identity(kind, traj, momentum_buffers(traj)))
             else:
                 outcomes.append(CheckOutcome(
                     "nesterov_equivalence", {"kind": kind, "beta": beta, "gamma": gamma, "steps": steps},
@@ -271,7 +274,11 @@ class TestProperties:
         )
         assume(check_stab_condition(hp, alpha).satisfied)
         traj = fresh_run(small_data, kind, hp, seed)
-        outcomes = [check_y_identity(kind, traj), *check_dist_identity(kind, traj), check_momentum_unrolling(kind, traj)]
+        buffers = momentum_buffers(traj)
+        outcomes = [
+            check_y_identity(kind, traj), *check_dist_identity(kind, traj, buffers),
+            check_momentum_unrolling(kind, traj, buffers),
+        ]
         assert [o.status for o in outcomes] == ["pass"] * 4, [o.to_dict() for o in outcomes]
 
     @settings(max_examples=4, deadline=None)

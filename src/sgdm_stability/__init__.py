@@ -27,7 +27,6 @@ from .harness import (
 )
 from .losses import (
     SmoothnessReport,
-    empirical_risk,
     loss_grad,
     loss_value,
     smoothness,
@@ -35,14 +34,10 @@ from .losses import (
 from .optimizer import (
     DivergenceError,
     HyperParams,
-    LookaheadState,
     SampleStream,
-    SgdmState,
     Trajectory,
     coupled_distance_batch,
-    lookahead_step,
     run,
-    sgdm_step,
 )
 from .theory import (
     BoundReport,

@@ -131,9 +131,12 @@ class Dataset:
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
-        """Squared Euclidean norm of every row."""
+        """Squared Euclidean norm of every row; inf where it leaves float
+        range, which `losses.smoothness` reports."""
         rows = np.repeat(np.arange(self.n), self.nnz)
-        return np.bincount(rows, weights=self.values * self.values, minlength=self.n)
+        with np.errstate(over="ignore"):
+            squares = self.values * self.values
+        return np.bincount(rows, weights=squares, minlength=self.n)
 
     @cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -141,8 +144,7 @@ class Dataset:
         (scipy keeps its own int32 copy of the index arrays when they fit).
 
         scipy.sparse is imported here, on first use: it takes about a third
-        of a second to import, and only the risk sum and the loss-lemma
-        probes need the matrix."""
+        of a second to import, and only the risk sum needs the matrix."""
         import scipy.sparse
 
         return scipy.sparse.csr_matrix(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 
 LOSS_KINDS = ("logistic", "squared")
 
@@ -120,10 +120,6 @@ def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
     return g
 
 
-def empirical_risk(w: np.ndarray, d: Dataset, kind: str) -> float:
-    return float(empirical_risk_many(w[None, :], d, kind)[0])
-
-
 def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
     """Bounds (lo, hi) of consecutive blocks of at most `width` weight rows
     that cover rows 0..count, for `width` >= 3, one at a time.
@@ -180,6 +176,10 @@ class SmoothnessReport:
 
 
 def smoothness(d: Dataset, kind: str) -> SmoothnessReport:
+    """Raises DataError when a row's squared norm, and so alpha, overflows."""
     _check_kind(kind)
     per_example = d.norm_sq / 4.0 if kind == "logistic" else d.norm_sq
-    return SmoothnessReport(alpha=float(per_example.max()), per_example=per_example)
+    alpha = float(per_example.max())
+    if alpha == math.inf:
+        raise DataError("alpha overflows: a row's squared norm exceeds the float range; rescale the features")
+    return SmoothnessReport(alpha=alpha, per_example=per_example)

@@ -51,57 +51,16 @@ class HyperParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-@dataclass(frozen=True)
-class SgdmState:
-    w: np.ndarray
-    m: np.ndarray
-    step: int
-
-
 def _sgdm_update(w, m, g, beta, gamma, eta, out=None):
     """(w_new, m_new) of one momentum update; w_new is written to `out` if given."""
     m_new = beta * m + g
     return np.subtract(w - gamma * g, eta * m_new, out=out), m_new
 
 
-def sgdm_step(s: SgdmState, g: np.ndarray, hp: HyperParams) -> SgdmState:
-    """One momentum update.  Raises DivergenceError on non-finite values."""
-    if not np.isfinite(g).all():
-        raise DivergenceError(s.step + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_new, m_new = _sgdm_update(s.w, s.m, g, hp.beta, hp.gamma, hp.eta)
-    if not np.isfinite(w_new).all():
-        raise DivergenceError(s.step + 1)
-    return SgdmState(w=w_new, m=m_new, step=s.step + 1)
-
-
-@dataclass(frozen=True)
-class LookaheadState:
-    u_curr: np.ndarray
-    w: np.ndarray
-    step: int
-
-
 def _lookahead_update(w, u_curr, g, beta, gamma, out=None):
     """(w_new, u_new) of one look-ahead step; w_new is written to `out` if given."""
     u_new = w - gamma * g
     return np.add(u_new, beta * (u_new - u_curr), out=out), u_new
-
-
-def lookahead_step(s: LookaheadState, g: np.ndarray, beta: float, gamma: float) -> LookaheadState:
-    """One step of the two-sequence Nesterov form.
-
-    u_new = w - gamma * g and the next iterate extrapolates:
-    w_new = u_new + beta * (u_new - u_curr), where u_curr is the previous u
-    (initialized to w_1, which makes the first step match the momentum form).
-    """
-    if not np.isfinite(g).all():
-        raise DivergenceError(s.step + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_new, u_new = _lookahead_update(s.w, s.u_curr, g, beta, gamma)
-    if not np.isfinite(w_new).all():
-        raise DivergenceError(s.step + 1)
-    return LookaheadState(u_curr=u_new, w=w_new, step=s.step + 1)
 
 
 class SampleStream:
@@ -186,7 +145,8 @@ def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleSt
     """Run T = hp.iterations steps of generalized momentum SGD on `d`.
 
     This is the reference update loop: each step takes the gradient of the
-    drawn row at the current iterate and applies the update of `sgdm_step`.
+    drawn row at the current iterate, then sets m_t = beta * m_{t-1} + g_t
+    and w_{t+1} = w_t - gamma * g_t - eta * m_t.
     A non-finite gradient or iterate raises DivergenceError at its step, after
     at most one STREAM_CHUNK block of further steps.
     """
@@ -209,7 +169,9 @@ def run_lookahead(
 
     Gradients are evaluated at the current w, exactly as in `run`; with
     eta = beta * gamma the two forms produce the same trajectory up to
-    floating-point rounding.  Steps as `lookahead_step` does.
+    floating-point rounding.  Each step sets u_t = w_t - gamma * g_t and
+    w_{t+1} = u_t + beta * (u_t - u_{t-1}), with u_0 = w_1, which makes the
+    first step match the momentum form.
     """
     # u_0 = w_1; neither update writes into its inputs
     return _reference_loop(d, kind, w1, stream, iterations, _lookahead_update, np.asarray(w1, float), beta, gamma)[1]

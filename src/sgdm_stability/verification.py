@@ -16,10 +16,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
-from .losses import LOSS_KINDS, grad_scales, loss_grad, loss_value, losses, smoothness
-from .harness import grid_points
+from .losses import LOSS_KINDS, RISK_WORKERS, grad_scales, loss_grad, loss_value, losses, smoothness
+from .harness import GridPoint, grid_points
 from .optimizer import DivergenceError, HyperParams, SampleStream, Trajectory, run, run_lookahead
 from .theory import max_eta_hb, max_gamma_nesterov
+
+# Processes `run_invariant_suite` runs its units on at most: one per CPU this
+# process may run on, counted as the risk sum counts its threads.
+SUITE_WORKERS = RISK_WORKERS
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,22 @@ def _skip(name, params, note) -> CheckOutcome:
     return CheckOutcome(name, params, 0.0, 0.0, "skip", note)
 
 
+def _margins(data: Dataset, W: np.ndarray) -> np.ndarray:
+    """The (rows, len(W)) margins <w, x> of every row under every weight row.
+
+    Each row's entries are added in CSR order from +0.0, which is how the
+    sparse product `data.matrix @ W.T` adds them, so the bits are the same
+    without importing scipy; the padding adds 0 * 0.
+    """
+    indices, values = data.padded
+    Wt = np.zeros((data.dim + 1, W.shape[0]))
+    Wt[: data.dim] = W.T
+    out = np.zeros((data.n, W.shape[0]))
+    for k in range(indices.shape[1]):
+        out += values[:, k, None] * Wt[indices[:, k]]
+    return out
+
+
 def _probe_pairs(kind: str, seed: int, probes: int):
     """Margins of a pool of sparse rows under two sets of random weight rows.
 
@@ -62,8 +82,8 @@ def _probe_pairs(kind: str, seed: int, probes: int):
     W1 = rng.standard_normal((side, 12)) * 3.0
     W2 = rng.standard_normal((side, 12)) * 3.0
     return (
-        data.matrix @ W1.T,
-        data.matrix @ W2.T,
+        _margins(data, W1),
+        _margins(data, W2),
         data.labels[:, None],
         data.norm_sq[:, None],
         smoothness(data, kind).per_example[:, None],
@@ -286,6 +306,72 @@ def check_momentum_unrolling(kind: str, traj: Trajectory, buffers: np.ndarray) -
     )
 
 
+def _loss_lemmas(kind: str) -> list[CheckOutcome]:
+    return [check_self_bounding(kind), check_co_coercivity(kind), check_convexity(kind), check_gradient_fd(kind)]
+
+
+def _beta_checks(
+    data: Dataset, kind: str, alpha: float, hb_point: GridPoint, nest_point: GridPoint, steps: int, seed: int,
+    force_bug: str,
+) -> list[CheckOutcome]:
+    """Every trajectory check of one (kind, beta), in report order; a run
+    that leaves float range ends them with a failed `finite_runs` outcome."""
+    beta = hb_point.beta
+    outcomes: list[CheckOutcome] = []
+    try:
+        m_recursion = check_m_recursion(data, kind, hb_point.hp, seed)
+        hb = run(data, kind, hb_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
+        buffers = momentum_buffers(hb)
+        outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
+        outcomes.extend(check_dist_identity(kind, hb, buffers))
+        outcomes.append(m_recursion)
+        outcomes.append(check_momentum_unrolling(kind, hb, buffers))
+        del hb, buffers
+        if beta > 0.0:
+            nest = run(data, kind, nest_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
+            outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
+            outcomes.append(check_y_identity(kind, nest))
+            outcomes.extend(check_dist_identity(kind, nest, momentum_buffers(nest)))
+        else:
+            params = _nesterov_params(kind, beta, nest_point.step, steps)
+            outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
+            eta_cap = max_eta_hb(beta, alpha)
+            outcomes.append(check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed))
+    except DivergenceError as e:
+        params = {"kind": kind, "beta": beta, "steps": steps}
+        outcomes.append(CheckOutcome("finite_runs", params, float(e.step), 0.0, "fail", str(e)))
+    return outcomes
+
+
+def _run_unit(unit) -> list[CheckOutcome]:
+    """The outcomes of one (function, args) unit, under its own errstate:
+    overflow is expected on divergent runs, and the checks fail on it."""
+    fn, args = unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
+def _map_units(units: list) -> list[list[CheckOutcome]]:
+    """Each unit's outcomes, in unit order.
+
+    The units share nothing, so they run on min(units, SUITE_WORKERS) forked
+    processes.  With one worker, or where fork is not available, they run
+    here, one after another.  An exception a unit raises reaches the caller
+    with its own type either way.
+    """
+    workers = min(len(units), SUITE_WORKERS)
+    if workers > 1:
+        # imported here: `import sgdm_stability.cli` does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, context) as pool:
+                return list(pool.map(_run_unit, units))
+    return list(map(_run_unit, units))
+
+
 def run_invariant_suite(
     betas: tuple[float, ...] = (0.0, 0.5, 0.9, 0.99),
     kinds: tuple[str, ...] = LOSS_KINDS,
@@ -303,59 +389,32 @@ def run_invariant_suite(
     "y_identity" flips the negative-control hook so exactly that check must
     fail.
 
-    At each (kind, beta) one heavy-ball run, its momentum buffers replayed
-    once, feeds the y, dist and unrolling checks, and for beta > 0 one
-    Nesterov run feeds the look-ahead equivalence, y and dist.  The two runs of m_recursion, the look-ahead
-    run and the beta = 0 reduction stay separate: their agreement with these
-    runs is what they check.  Apart from m_recursion's pair, no two runs are
-    held at once.  A run that leaves float range ends its (kind, beta)
-    checks with a failed `finite_runs` outcome whose observed value is the
-    step it left at; a check whose residual overflows fails on it.
+    The suite is a list of independent units, run by `_map_units`: per kind,
+    one unit of the four loss-lemma checks, then one unit per beta.  In a
+    beta's unit one heavy-ball run, its momentum buffers replayed once, feeds
+    the y, dist and unrolling checks, and for beta > 0 one Nesterov run feeds
+    the look-ahead equivalence, y and dist.  The two runs of m_recursion, the
+    look-ahead run and the beta = 0 reduction stay separate: their agreement
+    with these runs is what they check.  Apart from m_recursion's pair, no
+    two runs of a unit are held at once.  A run that leaves float range ends
+    its unit with a failed `finite_runs` outcome whose observed value is the
+    step it left at; a check whose residual overflows fails on it.  No
+    outcome depends on where its unit ran.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)
     # each kind's heavy-ball and Nesterov grid over `betas`, all mapped
-    # before any check runs
-    grids = {}
+    # before any unit runs
+    units = []
     for kind in kinds:
         alpha = smoothness(data, kind).alpha
         hb_grid, nesterov_grid = (
             grid_points(variant, betas, [(step_fraction * cap(beta, alpha),) for beta in betas], steps, "step_fraction")
             for variant, cap in (("hb", max_eta_hb), ("nesterov", max_gamma_nesterov))
         )
-        grids[kind] = alpha, hb_grid, nesterov_grid
-    outcomes: list[CheckOutcome] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kind in kinds:
-            alpha, hb_grid, nesterov_grid = grids[kind]
-            outcomes.append(check_self_bounding(kind))
-            outcomes.append(check_co_coercivity(kind))
-            outcomes.append(check_convexity(kind))
-            outcomes.append(check_gradient_fd(kind))
-            for beta, hb_point, nest_point in zip(betas, hb_grid, nesterov_grid):
-                try:
-                    m_recursion = check_m_recursion(data, kind, hb_point.hp, seed)
-                    hb = run(data, kind, hb_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
-                    buffers = momentum_buffers(hb)
-                    outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
-                    outcomes.extend(check_dist_identity(kind, hb, buffers))
-                    outcomes.append(m_recursion)
-                    outcomes.append(check_momentum_unrolling(kind, hb, buffers))
-                    del hb, buffers
-                    if beta > 0.0:
-                        nest = run(data, kind, nest_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
-                        outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
-                        outcomes.append(check_y_identity(kind, nest))
-                        outcomes.extend(check_dist_identity(kind, nest, momentum_buffers(nest)))
-                        del nest
-                    else:
-                        params = _nesterov_params(kind, beta, nest_point.step, steps)
-                        outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
-                        eta_cap = max_eta_hb(beta, alpha)
-                        outcomes.append(
-                            check_beta_zero_reduction(data, kind, 0.4 * eta_cap, 0.6 * eta_cap, steps, seed)
-                        )
-                except DivergenceError as e:
-                    params = {"kind": kind, "beta": beta, "steps": steps}
-                    outcomes.append(CheckOutcome("finite_runs", params, float(e.step), 0.0, "fail", str(e)))
-    return outcomes
+        units.append((_loss_lemmas, (kind,)))
+        units.extend(
+            (_beta_checks, (data, kind, alpha, hb_point, nest_point, steps, seed, force_bug))
+            for hb_point, nest_point in zip(hb_grid, nesterov_grid)
+        )
+    return [outcome for unit in _map_units(units) for outcome in unit]

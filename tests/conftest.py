@@ -4,29 +4,23 @@ Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
 report.  Also holds the references the library is tested against:
 `reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
-block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` for
-the two reference loops, `rep_draw` and `bound_check_draws` for the two
-`Draws` constructors, and `average_iterate` for the optimization bound.
+block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` (one
+`sgdm_step` or `lookahead_step` per step) for the two reference loops,
+`rep_draw` and `bound_check_draws` for the two `Draws` constructors, and
+`average_iterate` and `empirical_risk` for the optimization bound.
 """
 
 import io
 import math
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor, split_positions
-from sgdm_stability.losses import loss_grad
-from sgdm_stability.optimizer import (
-    LookaheadState,
-    SampleStream,
-    SgdmState,
-    Trajectory,
-    lookahead_step,
-    run,
-    sgdm_step,
-)
+from sgdm_stability.losses import empirical_risk_many, loss_grad
+from sgdm_stability.optimizer import DivergenceError, SampleStream, Trajectory, run
 
 CRITERIA = {
     "test_c01_exact_identity_suite": "exact y/dist identities over the beta grid",
@@ -43,6 +37,52 @@ CRITERIA = {
 }
 
 _results: dict[str, tuple[str, float, str]] = {}
+
+
+@dataclass(frozen=True)
+class SgdmState:
+    w: np.ndarray
+    m: np.ndarray
+    step: int
+
+
+def sgdm_step(s, g, hp):
+    """One momentum update, m' = beta m + g and w' = w - gamma g - eta m'.
+    Raises DivergenceError on non-finite values."""
+    if not np.isfinite(g).all():
+        raise DivergenceError(s.step + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_new = hp.beta * s.m + g
+        w_new = s.w - hp.gamma * g - hp.eta * m_new
+    if not np.isfinite(w_new).all():
+        raise DivergenceError(s.step + 1)
+    return SgdmState(w=w_new, m=m_new, step=s.step + 1)
+
+
+@dataclass(frozen=True)
+class LookaheadState:
+    u_curr: np.ndarray
+    w: np.ndarray
+    step: int
+
+
+def lookahead_step(s, g, beta, gamma):
+    """One step of the two-sequence Nesterov form: u' = w - gamma g and
+    w' = u' + beta (u' - u), where u is the previous u (initialized to w_1,
+    which makes the first step match the momentum form)."""
+    if not np.isfinite(g).all():
+        raise DivergenceError(s.step + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_new = s.w - gamma * g
+        w_new = u_new + beta * (u_new - s.u_curr)
+    if not np.isfinite(w_new).all():
+        raise DivergenceError(s.step + 1)
+    return LookaheadState(u_curr=u_new, w=w_new, step=s.step + 1)
+
+
+def empirical_risk(w, d, kind):
+    """Empirical risk of one weight vector."""
+    return float(empirical_risk_many(w[None, :], d, kind)[0])
 
 
 def reference_pair(d, spec, kind, hp, w1, stream):

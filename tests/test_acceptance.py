@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import average_iterate, reference_pair
+from conftest import (
+    LookaheadState,
+    SgdmState,
+    average_iterate,
+    empirical_risk,
+    lookahead_step,
+    reference_pair,
+    sgdm_step,
+)
 from sgdm_stability.dataset import (
     KNOWN_DATASET_SHAPES,
     NeighborSpec,
@@ -31,16 +39,8 @@ from sgdm_stability.harness import (
     run_bound_check,
     run_stability_experiment,
 )
-from sgdm_stability.losses import empirical_risk, smoothness
-from sgdm_stability.optimizer import (
-    HyperParams,
-    LookaheadState,
-    SampleStream,
-    SgdmState,
-    lookahead_step,
-    run,
-    sgdm_step,
-)
+from sgdm_stability.losses import smoothness
+from sgdm_stability.optimizer import HyperParams, SampleStream, run
 from sgdm_stability.theory import (
     max_eta_hb,
     optimization_bound,

@@ -26,6 +26,8 @@ from sgdm_stability.cli import (
 SRC = Path(sgdm_stability.__file__).resolve().parents[1]
 # five rows whose train split has alpha = 2.5e299, so the step caps are about 1e-300
 BIG_SVM = "1 1:1e150 2:1\n-1 1:1 2:1e150\n1 1:2 2:3\n-1 1:3 2:1\n1 1:1 2:1\n"
+# the same rows with features of 1e155, whose squares overflow: alpha = inf
+HUGE_SVM = BIG_SVM.replace("1e150", "1e155")
 README = SRC.parent / "README.md"
 
 
@@ -781,6 +783,25 @@ class TestModuleEntry:
         assert main(argv) == EXIT_OK
         assert done.stdout == capsys.readouterr().out
         assert json.loads(done.stdout)["t"] == 200
+
+    @pytest.mark.parametrize(
+        "verb, argv",
+        [
+            ("check-bounds", ["betas=0.5", "samples=4", "t=8"]),
+            ("run-stability", ["betas=0.5", "reps=2", "epochs=1"]),
+            ("verify-invariants", []),
+        ],
+    )
+    def test_overflowing_alpha_is_one_data_line(self, verb, argv, tmp_path):
+        # in a fresh process, so a RuntimeWarning would reach stderr
+        huge = tmp_path / "huge.svm"
+        huge.write_text(HUGE_SVM)
+        out = tmp_path / "o"
+        done = self._run(verb, "--overrides", f"dataset={huge}", *argv, f"outdir={out}")
+        assert done.returncode == EXIT_DATA
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: data: alpha overflows") and done.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_verb_is_usage_error(self):
         done = self._run("frobnicate")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import empirical_risk
 from sgdm_stability import losses as losses_module
-from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
+from sgdm_stability.dataset import DataError, Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import (
     RISK_COLUMNS,
-    empirical_risk,
     empirical_risk_many,
     grad_scales,
     loss_grad,
@@ -291,6 +292,26 @@ class TestSmoothness:
         rep = smoothness(d, "logistic")
         assert rep.alpha == 0.0
         assert rep.per_example.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_large_finite_alpha_keeps_its_bits(self, kind):
+        # 1e154 squares to 1e308, inside float range: no warning, and the
+        # plain sum of squares
+        d = parse_libsvm("1 1:1e154 2:3\n-1 1:1 2:1e-3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = smoothness(d, kind)
+        norm_sq = 1e154 * 1e154 + 3.0 * 3.0
+        assert rep.alpha == (norm_sq / 4.0 if kind == "logistic" else norm_sq)
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_overflowing_alpha_is_a_data_error(self, kind):
+        d = parse_libsvm("1 1:1e155 2:1\n-1 1:1 2:1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.norm_sq[0] == math.inf
+            with pytest.raises(DataError, match="alpha overflows"):
+                smoothness(d, kind)
 
 
 class TestLossLemmas:

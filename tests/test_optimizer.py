@@ -6,7 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import average_iterate, reference_pair, run_lookahead_per_step, run_per_step
+from conftest import (
+    LookaheadState,
+    SgdmState,
+    average_iterate,
+    empirical_risk,
+    lookahead_step,
+    reference_pair,
+    run_lookahead_per_step,
+    run_per_step,
+    sgdm_step,
+)
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import (
     Dataset,
@@ -16,20 +26,16 @@ from sgdm_stability.dataset import (
     stack,
     synthetic_binary_dataset,
 )
-from sgdm_stability.losses import empirical_risk, empirical_risk_many, loss_grad, smoothness
+from sgdm_stability.losses import empirical_risk_many, loss_grad, smoothness
 from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
     DivergenceError,
     HyperParams,
-    LookaheadState,
     SampleStream,
-    SgdmState,
     Trajectory,
     coupled_distance_batch,
-    lookahead_step,
     run,
     run_lookahead,
-    sgdm_step,
 )
 from sgdm_stability.verification import momentum_buffers
 

@@ -58,7 +58,7 @@ def scipy_modules_loaded(*argv):
 
 class TestScipyImportedOnFirstUse:
     """scipy costs about a third of a second to import; only the sparse risk
-    sum and the loss-lemma probes need it."""
+    sum needs it."""
 
     SYNTHETIC = ["dataset=synthetic", "synth_n=60", "synth_dim=5"]
 
@@ -77,3 +77,20 @@ class TestScipyImportedOnFirstUse:
         assert after_import == []
         assert "scipy.sparse" in after_verb
         assert not [m for m in after_verb if m.startswith("scipy.special")]
+
+    def test_verify_invariants_loads_no_scipy(self, tmp_path):
+        after_import, after_verb = scipy_modules_loaded(
+            "verify-invariants", "--overrides", "check_steps=50", f"outdir={tmp_path}"
+        )
+        assert after_import == []
+        assert after_verb == []
+
+
+def test_import_loads_no_multiprocessing():
+    # verify-invariants imports its process pool only when it runs
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    probe = "import sys, sgdm_stability.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from sgdm_stability import verification
 from sgdm_stability.cli import EXIT_OK, main
-from sgdm_stability.dataset import synthetic_binary_dataset
+from sgdm_stability.dataset import Dataset, synthetic_binary_dataset
 from sgdm_stability.losses import LOSS_KINDS, smoothness
 from sgdm_stability.optimizer import (
     HyperParams,
@@ -207,7 +208,9 @@ def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
 
 
 class TestSharedTrajectories:
+    # the counts are taken in this process, so the units run here too
     def _counted(self, monkeypatch):
+        monkeypatch.setattr(verification, "SUITE_WORKERS", 1)
         calls = {"run": 0, "run_lookahead": 0}
         steps = {"total": 0}
 
@@ -239,6 +242,7 @@ class TestSharedTrajectories:
         assert calls == {"run": 2, "run_lookahead": 0}
 
     def test_momentum_buffers_replayed_once_per_trajectory(self, monkeypatch):
+        monkeypatch.setattr(verification, "SUITE_WORKERS", 1)
         replays = []
         replay = verification.momentum_buffers
         monkeypatch.setattr(verification, "momentum_buffers", lambda traj: replays.append(traj) or replay(traj))
@@ -253,6 +257,68 @@ class TestSharedTrajectories:
         kwargs = dict(kinds=LOSS_KINDS, betas=(0.0, 0.5, 0.9), steps=150, step_fraction=0.4, seed=8)
         suite = [o.to_dict() for o in run_invariant_suite(data=data, **kwargs)]
         assert suite == oracle_suite(data, **kwargs)
+
+
+class TestSuiteOnWorkers:
+    """The suite's units on forked workers give the report they give when
+    they run in this process, one after another."""
+
+    def _both(self, monkeypatch, **kwargs):
+        """The to_dict() reports of a pooled and of an in-process run, and
+        whether their reprs are equal: repr spells every float exactly, and
+        unlike == it finds a NaN equal to itself."""
+        reports = []
+        for workers in (2, 1):
+            monkeypatch.setattr(verification, "SUITE_WORKERS", workers)
+            reports.append([o.to_dict() for o in run_invariant_suite(**kwargs)])
+            assert multiprocessing.active_children() == []
+        pooled, in_process = reports
+        return pooled, repr(pooled) == repr(in_process)
+
+    def test_both_losses_over_betas(self, monkeypatch):
+        pooled, equal = self._both(monkeypatch, betas=(0.0, 0.5, 0.9), steps=150)
+        assert equal
+        assert {row["params"]["kind"] for row in pooled} == set(LOSS_KINDS)
+
+    def test_diverging_config(self, monkeypatch):
+        pooled, equal = self._both(monkeypatch, betas=(0.0, 0.9), steps=100, step_fraction=1e6)
+        assert equal
+        assert [row for row in pooled if row["name"] == "finite_runs"]
+
+    def test_force_bug(self, monkeypatch):
+        pooled, equal = self._both(monkeypatch, betas=(0.5,), steps=100, force_bug="y_identity")
+        assert equal
+        assert {row["name"] for row in pooled if row["status"] == "fail"} == {"y_identity"}
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_an_error_in_a_unit_keeps_its_type(self, monkeypatch, workers):
+        def broken(kind, probes=10_000, seed=13):
+            raise ValueError(f"broken convexity check for {kind}")
+
+        monkeypatch.setattr(verification, "SUITE_WORKERS", workers)
+        monkeypatch.setattr(verification, "check_convexity", broken)
+        with pytest.raises(ValueError, match="broken convexity check"):
+            run_invariant_suite(betas=(0.5,), steps=50)
+        assert multiprocessing.active_children() == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rows=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+    dim=st.integers(10, 16),
+    weights=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margins_equal_the_sparse_product_bit_for_bit(rows, dim, weights, seed):
+    # real values over many magnitudes in rows of unequal length, some empty
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(rows)])
+    indices = np.concatenate([np.sort(rng.choice(dim, k, replace=False)) for k in rows])
+    values = rng.standard_normal(indptr[-1]) * 10.0 ** rng.integers(-8, 9, indptr[-1])
+    data = Dataset(indptr, indices, values, np.ones(len(rows)), dim)
+    W = rng.standard_normal((weights, dim)) * 10.0 ** rng.integers(-8, 9, (weights, dim))
+    expected = data.matrix @ W.T
+    assert verification._margins(data, W).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestProperties:

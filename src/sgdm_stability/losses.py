@@ -18,7 +18,10 @@ that is exactly what `scipy.special.expit` computes, bit for bit, without
 importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
 differ from the C library in the last bit on some inputs, and the coupled
 runs amplify a one-ulp change in a gradient.  Only `empirical_risk_many`
-needs scipy, for the sparse product of `Dataset.matrix`.
+needs scipy, for the sparse product of `Dataset.matrix`.  It takes that
+product in tiles of RISK_ROWS data rows by RISK_COLUMNS weight rows and sums
+each tile's losses into a running total in row order, so its memory does not
+grow with n and its risks are bit for bit the mean over all n losses.
 """
 
 from __future__ import annotations
@@ -35,10 +38,15 @@ from .dataset import DataError, Dataset
 
 LOSS_KINDS = ("logistic", "squared")
 
-# Weight rows `empirical_risk_many` evaluates per task, and its thread count:
-# one per CPU this process may run on.  numpy and scipy release the GIL in the
-# matrix product and the loss ufuncs, so the blocks run in parallel.
+# Weight rows `empirical_risk_many` evaluates per task, the data rows each
+# task takes at a time, and its thread count: one per CPU this process may run
+# on.  A tile of RISK_ROWS x RISK_COLUMNS margins is 512 KB, so a task's
+# temporaries stay near the cache and do not grow with n; 128-row bands were
+# slower, as each band costs a slice and a dozen numpy calls under the GIL.
+# numpy and scipy release the GIL in the matrix product and the loss ufuncs,
+# so the blocks run in parallel.
 RISK_COLUMNS = 256
+RISK_ROWS = 256
 RISK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -140,23 +148,43 @@ def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
 
 
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
-    """Empirical risk of each weight row.
+    """Empirical risk of each weight row, bit for bit
+    `losses(d.matrix @ w_rows.T, d.labels[:, None], kind).mean(axis=0)`.
 
     The rows go through the sparse matrix product in blocks of RISK_COLUMNS,
-    one block per task on RISK_WORKERS threads, so the (n, block) margins
-    and losses are all that is held at once.  A row's risk does not depend on
-    the thread count or, within the blocks `risk_blocks` cuts, on the block it
-    falls in: the product and the mean accumulate each column on its own.
+    one block per task on RISK_WORKERS threads.  A task walks the data in
+    bands of RISK_ROWS rows and keeps a running sum per weight row, so one
+    (band, block) tile of margins and losses per thread is all that is held
+    at once, whatever n is.  The product accumulates each column on its own,
+    and numpy sums each column of a tile wider than one in row order; the
+    running sum enters each band as the first term of that order.  So a row's
+    risk depends neither on the thread count, the band height nor, within the
+    blocks `risk_blocks` cuts, on the block it falls in.  A lone row, whose
+    column numpy sums pairwise, is evaluated over all n data rows at once, and
+    so is data of at most one band.
     """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
     # resolved here: the workers touch no Dataset attribute
-    matrix, labels = d.matrix, d.labels[:, None]
+    matrix, labels, n = d.matrix, d.labels[:, None], d.n
 
     def block(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
-        return losses(matrix @ w_rows[lo:hi].T, labels, kind).mean(axis=0)
+        # contiguous, so the product does not copy it once per band
+        wt = np.ascontiguousarray(w_rows[lo:hi].T)
+        if hi - lo == 1 or n <= RISK_ROWS:
+            # a lone row, or data of one band, which a slice would only copy
+            return losses(matrix @ wt, labels, kind).mean(axis=0)
+        acc = None
+        for r in range(0, n, RISK_ROWS):
+            tile = losses(matrix[r : r + RISK_ROWS] @ wt, labels[r : r + RISK_ROWS], kind)
+            if acc is not None:
+                # in place of the band's first row: the sum so far plus that row,
+                # the addition numpy's row-order sum makes next
+                np.add(acc, tile[0], out=tile[0])
+            acc = tile.sum(axis=0)
+        return acc / n
 
     blocks = list(risk_blocks(w_rows.shape[0], RISK_COLUMNS))
     with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(blocks))) as pool:

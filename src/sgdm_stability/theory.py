@@ -73,7 +73,7 @@ def check_opt_condition(hp: HyperParams, alpha: float) -> ConditionReport:
 def _check_cap_inputs(beta: float, alpha: float) -> None:
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    if alpha <= 0:
+    if not alpha > 0:  # nan too, or max_step would step down forever
         raise ValueError(f"alpha must be > 0, got {alpha}")
 
 
@@ -125,16 +125,31 @@ def max_step(variant: str, beta: float, alpha: float) -> float:
 
     hb: eta = step.  nesterov: gamma = step, eta = beta * step, and at
     beta = 0 the plain-SGD form eta = step.  general: gamma = eta = step,
-    which admits 2(1-b)^2 / (alpha (9 + 4b - b^2)).
+    which admits 2(1-b)^2 / (alpha (9 + 4b - b^2)).  These closed forms
+    round; where `check_stab_condition` refuses one by a rounding, the cap
+    steps down one float at a time to the first step it admits.
     """
     if variant == "hb" or (variant == "nesterov" and beta == 0.0):
-        return max_eta_hb(beta, alpha)
-    if variant == "nesterov":
-        return max_gamma_nesterov(beta, alpha)
-    if variant == "general":
+        cap = max_eta_hb(beta, alpha)
+    elif variant == "nesterov":
+        cap = max_gamma_nesterov(beta, alpha)
+    elif variant == "general":
         _check_cap_inputs(beta, alpha)
-        return 2 * (1 - beta) ** 2 / (alpha * (9 + 4 * beta - beta * beta))
-    raise ValueError(f"unknown variant {variant!r}")
+        cap = 2 * (1 - beta) ** 2 / (alpha * (9 + 4 * beta - beta * beta))
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    while not _admits(variant, cap, beta, alpha):
+        cap = math.nextafter(cap, 0.0)
+    return cap
+
+
+def _admits(variant: str, step: float, beta: float, alpha: float) -> bool:
+    try:
+        hp = variant_params(variant, step, beta, 1)
+    except ValueError:
+        # an eta that rounds to 0 is no update: the verbs refuse the step itself
+        return True
+    return check_stab_condition(hp, alpha).satisfied
 
 
 def _require_variant_shape(hp: HyperParams, variant: str) -> None:

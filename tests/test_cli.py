@@ -22,6 +22,7 @@ from sgdm_stability.cli import (
     load_config,
     main,
 )
+from sgdm_stability.theory import check_stab_condition, variant_params
 
 SRC = Path(sgdm_stability.__file__).resolve().parents[1]
 # five rows whose train split has alpha = 2.5e299, so the step caps are about 1e-300
@@ -286,6 +287,15 @@ class TestCheckBounds:
         assert err.startswith("error: precondition:") and err.count("\n") == 1
         assert calls == []
         assert not out.exists()
+
+    def test_full_cap_is_admitted(self, tmp_path, capsys):
+        # the closed-form cap here is refused by one rounding (lhs
+        # 3.999999999999998 > rhs 3.9999999999999973); max_step steps it down
+        out = tmp_path / "bc"
+        argv = ["dataset=synthetic", "synth_n=2000", "synth_dim=20", "betas=0", "step_fraction=1",
+                "samples=2", "t=1", f"outdir={out}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_OK, capsys.readouterr().err
+        assert len(json.loads((out / "bound_check.json").read_text())) == 1
 
     def test_step_above_cap_is_refused(self, tmp_path, capsys):
         out = tmp_path / "bc2"
@@ -623,6 +633,17 @@ class TestRecipe:
         assert main(["recipe", "--overrides", "n=10", "beta=0.5", *overrides]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
         assert rec[key] is None
+
+    def test_clamped_step_passes_the_condition(self, capsys):
+        # the cap this alpha gives in closed form, 0.012902308282856618, is
+        # refused by the condition it comes from
+        alpha = 25.835170422662706
+        argv = ["n=1000", "beta=0", "l_star=0", f"alpha={alpha!r}", "variant=hb"]
+        assert main(["recipe", "--overrides", *argv]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["step"] == rec["cap"]
+        hp = variant_params("hb", rec["step"], 0.0, 1)
+        assert check_stab_condition(hp, alpha).satisfied
 
     def test_rejects_general_variant(self, capsys):
         rc = main(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ from sgdm_stability import losses as losses_module
 from sgdm_stability.dataset import DataError, Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import (
     RISK_COLUMNS,
+    RISK_ROWS,
     empirical_risk_many,
     grad_scales,
     loss_grad,
@@ -245,8 +247,14 @@ class TestEmpiricalRisk:
 
 class TestBlockedRisk:
     DATA = synthetic_binary_dataset(50, 7, seed=9)
+    # more rows than two bands at the default band height
+    TALL = synthetic_binary_dataset(2 * RISK_ROWS + 3, 7, seed=10)
 
-    @settings(max_examples=40, deadline=None)
+    @staticmethod
+    def unblocked(W, d, kind):
+        return losses(d.matrix @ W.T, d.labels[:, None], kind).mean(axis=0)
+
+    @settings(max_examples=60, deadline=None)
     @given(
         rows=st.sampled_from(
             [k * RISK_COLUMNS + off for k in (1, 2, 3) for off in (-1, 0, 1, 2)] + [1, 2, 3]
@@ -254,16 +262,54 @@ class TestBlockedRisk:
         | st.integers(1, 3 * RISK_COLUMNS + 3),
         workers=st.sampled_from([1, 3]),
         kind=st.sampled_from(["logistic", "squared"]),
+        tall=st.booleans(),
+        band=st.sampled_from([1, 2, 7, 49, 50, RISK_ROWS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(rows=RISK_COLUMNS + 1, workers=3, kind="logistic", seed=0)
-    def test_equals_unblocked_formula_bitwise(self, rows, workers, kind, seed):
-        d = self.DATA
+    @example(rows=RISK_COLUMNS + 1, workers=3, kind="logistic", tall=False, band=RISK_ROWS, seed=0)
+    @example(rows=RISK_COLUMNS, workers=1, kind="squared", tall=True, band=RISK_ROWS, seed=1)
+    def test_equals_unblocked_formula_bitwise(self, rows, workers, kind, tall, band, seed):
+        d = self.TALL if tall else self.DATA
         W = np.random.default_rng(seed).standard_normal((rows, d.dim))
-        with mock.patch.object(losses_module, "RISK_WORKERS", workers):
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers), \
+                mock.patch.object(losses_module, "RISK_ROWS", band):
             got = empirical_risk_many(W, d, kind)
-        want = losses(d.matrix @ W.T, d.labels[:, None], kind).mean(axis=0)
+        assert got.tobytes() == self.unblocked(W, d, kind).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_infinite_and_nan_risks_keep_their_bits(self, kind, workers):
+        # margins past float range give inf losses, and inf - inf in the
+        # product nan ones; each must reach its column's sum as in the mean
+        d = self.TALL
+        W = np.random.default_rng(3).standard_normal((RISK_COLUMNS + 5, d.dim))
+        W[1::3] = 1e308
+        W[2::3] *= np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with np.errstate(all="ignore"):
+                want = self.unblocked(W, d, kind)
+            with mock.patch.object(losses_module, "RISK_WORKERS", workers), \
+                    mock.patch.object(losses_module, "RISK_ROWS", 7):
+                got = empirical_risk_many(W, d, kind)
+        assert np.isinf(want).any() and np.isnan(want).any() and np.isfinite(want).any()
         assert got.tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_n(self):
+        # one block of weight rows, walked over bands: the tiles, not the
+        # (n, block) margins, set the peak
+        W = np.random.default_rng(4).standard_normal((RISK_COLUMNS, 8))
+        peaks = {}
+        for n in (2_000, 20_000):
+            d = synthetic_binary_dataset(n, 8, seed=11)
+            d.matrix  # built once, outside the traced call
+            tracemalloc.start()
+            try:
+                empirical_risk_many(W, d, "logistic")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[20_000] - peaks[2_000]) < 8 * 20_000
 
     @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 258, 512, 513, 1000])
     def test_blocks_cover_rows_without_a_lone_row(self, count):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_pair
 from sgdm_stability.dataset import NeighborSpec, synthetic_binary_dataset
@@ -131,6 +133,33 @@ class TestStepCaps:
         assert below.satisfied
         assert not above.satisfied
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        variant=st.sampled_from(["hb", "nesterov", "general"]),
+        beta=st.sampled_from([0.0, 0.5, 0.9, 0.99]) | st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+        alpha=st.floats(1e-6, 1e6),
+    )
+    @example(variant="hb", beta=0.0, alpha=25.835170422662706)
+    def test_max_step_admits_itself_and_nothing_above(self, variant, beta, alpha):
+        # the cap passes its own condition; where the closed form was refused
+        # by a rounding and stepped down, the next float up is still refused
+        def admitted(step):
+            return check_stab_condition(variant_params(variant, step, beta, 1), alpha).satisfied
+
+        cap = max_step(variant, beta, alpha)
+        assert admitted(cap)
+        if variant == "hb" or (variant == "nesterov" and beta == 0.0):
+            closed = max_eta_hb(beta, alpha)
+        elif variant == "nesterov":
+            closed = max_gamma_nesterov(beta, alpha)
+        else:
+            closed = 2 * (1 - beta) ** 2 / (alpha * (9 + 4 * beta - beta * beta))
+        if admitted(closed):
+            assert cap == closed
+        else:
+            assert cap < closed
+            assert not admitted(math.nextafter(cap, math.inf))
+
     def test_max_step_closed_forms(self):
         assert max_step("hb", 0.5, 2.0) == max_eta_hb(0.5, 2.0)
         assert max_step("nesterov", 0.5, 2.0) == max_gamma_nesterov(0.5, 2.0)
@@ -140,6 +169,8 @@ class TestStepCaps:
             max_step("adam", 0.5, 1.0)
         with pytest.raises(ValueError):
             max_step("general", 1.0, 1.0)
+        with pytest.raises(ValueError):
+            max_step("hb", 0.5, math.nan)
 
     def test_huge_step_is_unsatisfied_not_an_overflow(self):
         hp = HyperParams(beta=0.5, gamma=1e300, eta=1e300, iterations=1)

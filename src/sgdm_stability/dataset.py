@@ -10,10 +10,11 @@ module is the only one that knows the layout.  Labels stay raw at parse time;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, TextIO
@@ -217,12 +218,45 @@ class NeighborSpec:
 # few whole-block operations, so parsing holds one block of text beside the
 # output arrays.
 PARSE_BLOCK = 1024
+# characters (of a str) or bytes (of a file) read at a time; a block ends at
+# the last line end of a read, so it is at most PARSE_BLOCK lines and about
+# this much text, more only where a line is longer
+_READ_SIZE = 1 << 17
 # the largest feature index an index array holds
 _INDEX_MAX = int(np.iinfo(np.intp).max)
-# index digits the block conversion sums in int64; longer ones go through int()
-_INDEX_DIGITS = 18
 
 _FEATURE_RE = re.compile(r"(-?\d+):(\S+)")
+
+# The block converter.  Each character maps to a symbol: a digit to its value,
+# the rest to one of these classes (a space is any str.isspace() character).
+_PLUS, _MINUS, _SPACE, _COLON, _HASH, _OTHER = range(10, 16)
+# the most digits an integer token may have to be summed in int64: a label or
+# value of up to 15 is below 2**53, so exact in float64; an index of up to 18
+# is below 2**63
+_VALUE_DIGITS = 15
+_INDEX_DIGITS = 18
+
+
+def _symbol_table() -> bytes:
+    table = bytearray([_OTHER]) * 256
+    for c in range(128):
+        if chr(c).isspace():
+            table[c] = _SPACE
+    for d in range(10):
+        table[ord("0") + d] = d
+    for ch, sym in zip("+-:#", (_PLUS, _MINUS, _COLON, _HASH)):
+        table[ord(ch)] = sym
+    return bytes(table)
+
+
+_SYMBOL_TABLE = _symbol_table()  # bytes.translate table of ASCII text
+_WIDE_SYMBOLS = np.frombuffer(_SYMBOL_TABLE[:129], np.uint8)  # by min(code point, 128)
+
+
+@functools.cache
+def _wide_spaces() -> np.ndarray:
+    """The str.isspace() characters beyond ASCII, all below U+3001."""
+    return np.array([c for c in range(128, 0x3001) if chr(c).isspace()])
 
 
 def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
@@ -231,35 +265,62 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Lines look like ``<label> <index>:<value> ...`` with 1-based, strictly
     increasing indices.  ``#`` starts a comment; empty lines are skipped.
     `dim` can force a feature count larger than the max observed index.
-    Labels and values are read by Python's `float`, indices as `int` reads
-    ``-?\\d+``.  A line holding a lone surrogate (how `load_libsvm` passes an
-    undecodable byte) is not UTF-8 text.
+    Labels and values are read as Python's `float` reads them, indices as
+    `int` reads ``-?\\d+``.  A line holding a lone surrogate (how
+    `load_libsvm` passes an undecodable byte) is not UTF-8 text.  A `str`
+    source is read a block at a time, each line ending at its ``"\\n"``; any
+    other source yields one line per item.
 
-    The lines are read PARSE_BLOCK at a time.  A block that fails a bulk
-    check is read again line by line, only to name its first error.
+    The lines are read PARSE_BLOCK at a time, and each block's numbers are
+    converted with whole-block numpy operations.  A label or value of the
+    form ``[+-]?digits`` with at most 15 ASCII digits is summed digit by
+    digit in int64; it is below 2**53, so exact in float64, and converting
+    it is what `float` returns.  A minus sign negates, so ``-0`` is -0.0.
+    Every other label or value (a point, an exponent, more digits, ``_``,
+    non-ASCII digits, ``inf``, ``nan``, malformed text) is read by `float`,
+    all of a block's such tokens from one split of its text.  An index of 1
+    to 18 ASCII digits is summed the same way, any other by `int`.  A block
+    that fails a bulk check is read again line by line, only to name its
+    first error.
 
     Raises ParseError (with the offending 1-based line number) on malformed
     input, the first malformed line winning.  Once every line is well formed,
     raises DataError if an index exceeds the index dtype (naming the
     largest), if no examples remain, or if `dim` is below the largest index.
     """
-    # a str is read a line at a time, each ending at its "\n" as in a file
-    lines = (m.group() for m in re.finditer(r".*\n|.+", source)) if isinstance(source, str) else iter(source)
+    if isinstance(source, str):
+        return _parse(_code_blocks(_text_chunks(source), universal=False), dim)
+    return _parse(_line_blocks(iter(source)), dim)
+
+
+def load_libsvm(path, dim: int | None = None) -> Dataset:
+    """Parse the LIBSVM file at `path` as `parse_libsvm` does.  The file is
+    UTF-8, read as bytes; only a block that is not ASCII is decoded, an
+    undecodable byte becoming a lone surrogate, which the parser reports with
+    its line number.  As in a file opened as text, a line ends at ``"\\n"``,
+    ``"\\r\\n"`` or a lone ``"\\r"``."""
+    with open(path, "rb") as fh:
+        return _parse(_code_blocks(_file_chunks(fh), universal=True), dim)
+
+
+def _parse(blocks: Iterable[tuple[np.ndarray, np.ndarray]], dim: int | None) -> Dataset:
+    """The Dataset of `blocks`: the code points of some lines and the end of
+    each line (see `_parse_block`)."""
     # entries per row, 0-based indices, values and labels of every block
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
     too_large = 0  # the largest index beyond _INDEX_MAX, once one is seen
     line_no = 1
-    while block := list(itertools.islice(lines, PARSE_BLOCK)):
-        arrays = None if too_large else _parse_block(block)
+    for codes, bounds in blocks:
+        arrays = None if too_large else _parse_block(codes, bounds)
         if arrays is None:
-            peak = _check_lines(block, line_no)
+            peak = _check_lines(_lines(codes, bounds), line_no)
             if peak <= _INDEX_MAX and not too_large:
                 raise AssertionError(f"lines {line_no}+: the block checks reject well-formed lines")
             too_large = max(too_large, peak)
         else:
             for column, array in zip(columns, arrays):
                 column.append(array)
-        line_no += len(block)
+        line_no += bounds.size
     if too_large:
         raise DataError(f"feature index {too_large} is too large")
     joined = []
@@ -280,85 +341,219 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     return Dataset(indptr, indices, values, labels, final_dim)
 
 
-def _parse_block(lines: list[str]):
-    """(entries per row, 0-based indices, values, labels) of the rows in
-    `lines`, or None if a line is malformed or holds an index beyond
-    _INDEX_MAX."""
-    text = "\0 " + " \0 ".join(lines)
-    if not text.isascii():  # a lone surrogate, comments included, is not UTF-8
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
-    if "#" in text:
-        text = "\0 " + " \0 ".join(line.partition("#")[0] for line in lines)
-    if text.count("\0") != len(lines):
-        return None  # a NUL outside a comment: no label or value holds one
-    # one space between tokens, and a "\0" token before each line
-    text = " ".join(text.split())
-    wide = not text.isascii()
-    codes = np.frombuffer(
-        text.encode("utf-32-le") if wide else text.encode("ascii"), np.uint32 if wide else np.uint8
-    )
-    gaps = np.flatnonzero(codes == 32)
-    starts = np.concatenate(([0], gaps + 1))
-    ends = np.concatenate((gaps, [codes.size]))
-    marker = codes[starts] == 0
-    after_marker = np.concatenate(([False], marker[:-1]))
-    label = after_marker & ~marker
-    feature = ~(marker | after_marker)
-    first = np.concatenate(([False], label[:-1]))[feature]  # a row's first feature
-    fs, fe = starts[feature], ends[feature]
+def _text_chunks(text: str) -> Iterator[str]:
+    """`text` in pieces of about _READ_SIZE characters, each ending at a
+    ``"\\n"`` or at the end of the text."""
+    i = 0
+    while i < len(text):
+        j = text.rfind("\n", i, i + _READ_SIZE) + 1 or text.find("\n", i + _READ_SIZE) + 1 or len(text)
+        yield text[i:j]
+        i = j
 
-    # <index>:<value>: a well-formed block has one colon per feature token,
-    # the k-th in the k-th token, with a value after it; none holds another
-    colon = np.flatnonzero(codes == 58)
-    if colon.size != fs.size:
+
+def _file_chunks(fh) -> Iterator[bytes]:
+    """The bytes of binary file `fh` in pieces, each ending at a ``"\\n"``
+    or ``"\\r"`` or at the end of the file.  Each read is searched on its own
+    for its last ``"\\n"``, or ``"\\r"`` that is not its last byte (that one
+    may precede a ``"\\n"``); the reads since the last cut are joined once,
+    at the next, so a long line costs no more than its length."""
+    pieces: list[bytes] = []
+    while chunk := fh.read(_READ_SIZE):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if rest := b"".join(pieces):
+        yield rest
+
+
+def _codes(text: str | bytes) -> np.ndarray:
+    """Code points of `text`, one byte each if it is ASCII.  Bytes are
+    UTF-8, an undecodable byte becoming a lone surrogate."""
+    if isinstance(text, bytes):
+        if text.isascii():
+            return np.frombuffer(text, np.uint8)
+        text = text.decode("utf-8", "surrogateescape")
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
+def _code_blocks(chunks: Iterable[str | bytes], universal: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(code points, line ends) of the lines of `chunks`, which end at line
+    ends, PARSE_BLOCK lines at a time.  A line ends after a ``"\\n"``; if
+    `universal`, also after a ``"\\r"`` that no ``"\\n"`` follows."""
+    for chunk in chunks:
+        codes = _codes(chunk)
+        ends = np.flatnonzero(codes == 10)
+        if universal:
+            cr = np.flatnonzero(codes == 13)
+            lone = cr[(cr + 1 == codes.size) | (codes[np.minimum(cr + 1, codes.size - 1)] != 10)]
+            if lone.size:
+                ends = np.union1d(ends, lone)
+        bounds = ends + 1
+        if not bounds.size or bounds[-1] < codes.size:
+            bounds = np.append(bounds, codes.size)
+        for lo in range(0, bounds.size, PARSE_BLOCK):
+            base = int(bounds[lo - 1]) if lo else 0
+            block = bounds[lo : lo + PARSE_BLOCK]
+            yield codes[base : block[-1]], block - base
+
+
+def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(code points, line ends) of `lines`, PARSE_BLOCK items at a time, each
+    item one line.  A space follows each, so no token runs into the next."""
+    while block := list(itertools.islice(lines, PARSE_BLOCK)):
+        bounds = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
+        yield _codes(" ".join([*block, ""])), bounds
+
+
+def _text(codes: np.ndarray, lo: int = 0, hi: int | None = None) -> str:
+    return codes[lo:hi].tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le", "surrogatepass")
+
+
+def _lines(codes: np.ndarray, bounds: np.ndarray) -> list[str]:
+    text, bounds = _text(codes), bounds.tolist()
+    return [text[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+
+
+def _symbols(codes: np.ndarray) -> np.ndarray | None:
+    """The converter's symbol of every code point and then a space, so that
+    a non-digit follows every token; or None if a code point is a lone
+    surrogate: such text is not UTF-8."""
+    if codes.itemsize == 1:
+        sym = bytearray(codes.tobytes().translate(_SYMBOL_TABLE))
+        sym.append(_SPACE)
+        return np.frombuffer(sym, np.uint8)
+    if ((codes >= 0xD800) & (codes < 0xE000)).any():
         return None
-    width = colon - fs
-    if not ((width >= 1) & (colon < fe - 1)).all():
+    sym = np.append(_WIDE_SYMBOLS[np.minimum(codes, 128)], np.uint8(_SPACE))
+    sym[:-1][np.isin(codes, _wide_spaces())] = _SPACE
+    return sym
+
+
+def _parse_block(codes: np.ndarray, bounds: np.ndarray):
+    """(entries per row, 0-based indices, values, labels) of the lines whose
+    code points are `codes`, line i ending before position bounds[i], or None
+    if a line is malformed or holds an index beyond _INDEX_MAX."""
+    sym = _symbols(codes)
+    if sym is None:
         return None
-    # labels and values: each marker and each index with its colon blanked
-    numbers = codes.copy()
-    numbers[starts[marker]] = 32
-    numbers[colon] = 32
-    # indices of 1.._INDEX_DIGITS ASCII digits, summed digit by digit
-    plain = width <= _INDEX_DIGITS
-    width = np.where(plain, width, 0)
-    index = np.zeros(fs.size, dtype=np.int64)
-    for k in range(int(width.max(initial=0))):
-        more = k < width
-        at = np.where(more, fs + k, colon)
-        digit = codes[at] - 48  # unsigned: a non-digit wraps above 9
-        plain &= ~more | (digit <= 9)
-        index = np.where(more, index * 10 + digit, index)
-        numbers[at] = 32
-    # other tokens (long, signed or non-ASCII digits, or malformed) one at a time
-    for k in np.flatnonzero(~plain).tolist():
-        m = _FEATURE_RE.fullmatch(text, int(fs[k]), int(fe[k]))
-        if m is None:
-            return None
+    size = codes.size
+    body = sym[:size]
+    hashes = np.flatnonzero(body == _HASH)
+    if hashes.size:
+        # a comment runs from the first "#" of its line to the line's end
+        line = np.searchsorted(bounds, hashes, side="right")
+        opens = np.ones(hashes.size, dtype=bool)
+        np.not_equal(line[1:], line[:-1], out=opens[1:])
+        depth = np.zeros(size + 1, dtype=np.int8)
+        depth[hashes[opens]] = 1
+        depth[bounds[line[opens]]] -= 1
+        body[np.cumsum(depth[:size], dtype=np.int8) > 0] = _SPACE
+    solid = np.zeros(size + 2, dtype=bool)
+    np.not_equal(body, _SPACE, out=solid[1:-1])
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    if not starts.size:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0)
+    # a line's first token is its label, the rest <index>:<value> features
+    heads = np.searchsorted(starts, bounds[:-1])  # the first token from each line end on
+    label = np.zeros(starts.size + 1, dtype=bool)
+    label[0] = True
+    label[heads] = True
+    label = label[:-1]
+    feature = ~label
+    fs, fe = starts[feature], stops[feature]
+    # a well-formed block has one colon per feature token, the k-th in the
+    # k-th token, with an index before it and a value after it
+    colon = np.flatnonzero(body == _COLON)
+    if colon.size != fs.size or not ((colon > fs) & (colon < fe - 1)).all():
+        return None
+    index = _indices(codes, sym, fs, colon)
+    if index is None or (index < 1).any():
+        return None
+    nnz = np.diff(np.flatnonzero(label), append=starts.size) - 1
+    rising = index[1:] > index[:-1]
+    firsts = (np.cumsum(nnz) - nnz)[nnz > 0]  # each row's first feature
+    rising[firsts[1:] - 1] = True
+    if not rising.all():
+        return None
+    numbers = _numbers(codes, sym, np.concatenate((starts[label], colon + 1)), np.concatenate((stops[label], fe)))
+    if numbers is None:
+        return None
+    return nnz, index - 1, numbers[nnz.size :], numbers[: nnz.size]
+
+
+def _integers(sym: np.ndarray, starts: np.ndarray, stops: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray]:
+    """(whether each span sym[starts[i]:stops[i]] is 1 to `most` ASCII digits,
+    the int64 it spells if so).  Every span reads its k-th symbol at once;
+    a span stops at its first non-digit, which is at its end (a non-digit
+    follows every token) if the span is digits only."""
+    count = stops - starts
+    digit = np.take(sym, starts)
+    live = digit < 10
+    value = digit.astype(np.int64)
+    read = live.astype(np.intp)  # the digits before the first non-digit
+    for k in range(1, min(int(count.max(initial=0)), most)):
+        if not live.any():
+            break
+        digit = np.take(sym[k:], starts, mode="clip")
+        live &= digit < 10
+        value = np.where(live, value * 10 + digit, value)
+        read += live
+    return (read == count) & (count >= 1) & (count <= most), value
+
+
+def _numbers(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """`float` of each token codes[starts[i]:stops[i]], or None if one is not
+    a finite float."""
+    sign = np.take(sym, starts)
+    signed = (sign == _PLUS) | (sign == _MINUS)
+    fast, value = _integers(sym, starts + signed, stops, _VALUE_DIGITS)
+    numbers = value.astype(np.float64)  # exact: below 2**53 wherever `fast`
+    np.negative(numbers, out=numbers, where=sign == _MINUS)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # the other tokens, all at once and in the order of the text: the
+        # block's text with every other character a space, split and read by
+        # float(); bytes when the block is ASCII, which float() reads fastest
+        lo, hi = starts[slow], stops[slow]
+        order = np.argsort(lo, kind="stable")
+        slow, lo, hi = slow[order], lo[order], hi[order]
+        # runs of (space, token), then space
+        runs = np.diff(np.concatenate(([0], np.stack((lo, hi), axis=1).ravel(), [codes.size])))
+        keep = np.zeros(runs.size, dtype=np.uint8)
+        keep[1::2] = 1
+        keep = np.repeat(keep, runs)
+        text = codes * keep + (keep ^ 1) * 32
+        tokens = text.tobytes().split() if text.itemsize == 1 else _text(text).split()
         try:
-            idx = int(m.group(1))
+            values = np.fromiter(map(float, tokens), np.float64, slow.size)
         except ValueError:
             return None
-        if not 1 <= idx <= _INDEX_MAX:
+        if not np.isfinite(values).all():
             return None
-        index[k] = idx
-        numbers[fs[k]:colon[k]] = 32
-    if (index < 1).any() or not (first[1:] | (index[1:] > index[:-1])).all():
-        return None
-    tokens = numbers.tobytes().decode("utf-32-le").split() if wide else numbers.tobytes().split()
-    try:
-        numbers = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        return None
-    if not np.isfinite(numbers).all():
-        return None
-    is_label = label[~marker]  # which of the numbers are labels
-    rows = np.cumsum(label)[feature] - 1
-    nnz = np.bincount(rows, minlength=int(is_label.sum()))
-    return nnz, (index - 1).astype(np.intp), numbers[~is_label], numbers[is_label]
+        numbers[slow] = values
+    return numbers
+
+
+def _indices(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """`int` of each index codes[starts[i]:stops[i]], or None if one is not
+    ``\\d+`` or exceeds _INDEX_MAX."""
+    fast, index = _integers(sym, starts, stops, _INDEX_DIGITS)
+    for k in np.flatnonzero(~fast).tolist():
+        text = _text(codes, starts[k], stops[k])
+        if not text.isdecimal():
+            return None
+        try:
+            index[k] = int(text)
+        except (ValueError, OverflowError):  # more digits than int() reads, or beyond int64
+            return None
+    return index.astype(np.intp, copy=False)
 
 
 def _check_lines(lines: Iterable[str], line_no: int) -> int:
@@ -402,13 +597,6 @@ def _check_lines(lines: Iterable[str], line_no: int) -> int:
             prev = idx
         top = max(top, prev)
     return top
-
-
-def load_libsvm(path, dim: int | None = None) -> Dataset:
-    # undecodable bytes arrive as lone surrogates, which the parser reports
-    # with their line number
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_libsvm(fh, dim=dim)
 
 
 def serialize_libsvm(d: Dataset) -> str:

@@ -26,9 +26,10 @@ grow with n and its risks are bit for bit the mean over all n losses.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +43,8 @@ LOSS_KINDS = ("logistic", "squared")
 # task takes at a time, and its thread count: one per CPU this process may run
 # on.  A tile of RISK_ROWS x RISK_COLUMNS margins is 512 KB, so a task's
 # temporaries stay near the cache and do not grow with n; 128-row bands were
-# slower, as each band costs a slice and a dozen numpy calls under the GIL.
+# slower when each band cost a scipy slice, and each still costs a dozen
+# numpy calls under the GIL.
 # numpy and scipy release the GIL in the matrix product and the loss ufuncs,
 # so the blocks run in parallel.
 RISK_COLUMNS = 256
@@ -147,6 +149,35 @@ def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _bands(matrix, rows: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """`matrix` (CSR) in bands of `rows` rows, each a function of a
+    C-contiguous dense `wt` that returns the band's product with it, with
+    the bits of `matrix @ wt`.  A band runs `csr_matvecs`, the routine
+    scipy's CSR @ dense product runs, on slices of the matrix's own arrays,
+    so only its row pointers are new.  A scipy row slice copies the band's
+    entries and checks them again, about 40 us with the GIL held, and so
+    does a CSR matrix built over the slices: scipy copies a view that small
+    of a larger array into its own.  `csr_matvecs` is private to scipy;
+    where it is missing, the bands are scipy's own slices."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        return [matrix[r : r + rows].__matmul__ for r in range(0, matrix.shape[0], rows)]
+    bands = []
+    for r in range(0, matrix.shape[0], rows):
+        ptr = matrix.indptr[r : r + rows + 1]
+        lo, hi = ptr[0], ptr[-1]
+        band = (ptr - lo, matrix.indices[lo:hi], matrix.data[lo:hi])
+        bands.append(functools.partial(_band_product, csr_matvecs, *band))
+    return bands
+
+
+def _band_product(matvecs, ptr: np.ndarray, indices: np.ndarray, values: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    out = np.zeros((ptr.size - 1, wt.shape[1]))
+    matvecs(ptr.size - 1, wt.shape[0], wt.shape[1], ptr, indices, values, wt.ravel(), out.ravel())
+    return out
+
+
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
     """Empirical risk of each weight row, bit for bit
     `losses(d.matrix @ w_rows.T, d.labels[:, None], kind).mean(axis=0)`.
@@ -168,6 +199,8 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
     # resolved here: the workers touch no Dataset attribute
     matrix, labels, n = d.matrix, d.labels[:, None], d.n
+    # the bands, cut once and shared by every block
+    bands = _bands(matrix, RISK_ROWS) if n > RISK_ROWS and w_rows.shape[0] > 1 else []
 
     def block(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
@@ -177,8 +210,8 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
             # a lone row, or data of one band, which a slice would only copy
             return losses(matrix @ wt, labels, kind).mean(axis=0)
         acc = None
-        for r in range(0, n, RISK_ROWS):
-            tile = losses(matrix[r : r + RISK_ROWS] @ wt, labels[r : r + RISK_ROWS], kind)
+        for r, band in zip(range(0, n, RISK_ROWS), bands):
+            tile = losses(band(wt), labels[r : r + RISK_ROWS], kind)
             if acc is not None:
                 # in place of the band's first row: the sum so far plus that row,
                 # the addition numpy's row-order sum makes next

@@ -1,10 +1,12 @@
+import math
+import struct
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import parse_libsvm_per_token
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgdm_stability import dataset
@@ -129,8 +131,23 @@ def outcome(parse, source, dim=None):
     return d.dim, *((a.dtype.str, a.tobytes()) for a in (d.indptr, d.indices, d.values, d.labels))
 
 
-LABELS = ["1", "-1", "+1", "2", "0", "1.5e3", "-0.25", "1_0", "\u0661"]
-VALUES = ["1", "-0.5", "1e-3", "+2", ".5", "5.", "1_0", "-0", "1E+2", "007", "0.1000000000000000055511151231257827"]
+# Labels and values of every class: integers the block conversion sums
+# (signed, leading zeros, -0, 15 digits), integers it leaves to float() (16
+# digits, 2**53 + 1, over 15 digits once leading zeros count), and what only
+# float() reads: "1.", ".5", exponents at and beyond 10**+-22, 22 and 23
+# digits after the point, subnormal and underflowing decimals, "_" and
+# Arabic-Indic digits.
+LABELS = [
+    "1", "-1", "+1", "2", "0", "1.5e3", "-0.25", "1_0", "\u0661", "-0", "1.", "+.5e-3", "1e22", "1e-23",
+    "9007199254740993", "4.9e-324", "\u0661.\u0665",
+]
+VALUES = [
+    "1", "-0.5", "1e-3", "+2", ".5", "5.", "1_0", "-0", "1E+2", "007", "0.1000000000000000055511151231257827",
+    "-007", "123456789012345", "-000000000000000123", "1234567890123456", "9007199254740993",
+    "0.9999999999999999", "+.5e-3", "1.e5",
+    "1e22", "-1e-22", "1e23", "1e-23", "2.5E-0023", "12345e-26", "4.9e-324", "2.2250738585072014e-308", "1e-400",
+    "-0.0", "0" * 40 + "1.5", "\u0661.\u0665", "1_000.5", "0." + "0" * 21 + "1", "0." + "0" * 22 + "1",
+]
 INDEX_ZEROS = ["", "", "", "0", "000", "0" * 20]
 COMMENTS = ["# note", "#1 2:3", "# a:b # c", "#", "# caf\u00e9 \x00"]
 SEPARATORS = [" ", "  ", "\t", " \t ", "\x1c", "\u3000"]
@@ -145,6 +162,9 @@ BAD_LINES = [
     "1 2:1 2:3", "1 3:1 2:1", "1 5:1 00005:2", "1 99999999999999999999:1 3:1",  # order
     "1 1:abc", "1 2:1:2", "1 1:1,5", "1 1:0x10", "1 1:1\x00",  # value
     "1 1:inf", "1 1:nan", "1 2:-infinity",  # non-finite value
+    "1 1:1e400", "1e309 1:1", "1 2:-1.8e308", "1 1:+nan",  # overflowing decimals
+    "1 1:1e", "1 1:.", "1 1:1..2", "1 1:1e5.5", "1 1:--1", "1 1:1e+", "1 1:e5",  # malformed numbers
+    "+. 1:1", "- 1:1", "1 1:+",  # a sign without digits
     "1 99999999999999999999:1", "1 1:1 9223372036854775808:2",  # beyond the index dtype
     "1 9223372036854775807:1",  # the largest index, well formed
 ]
@@ -287,6 +307,160 @@ class TestBlockParse:
         d = parse_libsvm(text)
         assert d == parse_libsvm_per_token(text)
         assert d.nnz.tolist() == [4, 1]
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def decimal_tokens(draw):
+    """Number tokens of every class: integers, 15 and 16 significant digits,
+    points at either end, exponents around 10**+-22 and at the float range's
+    ends, and what only float() reads or rejects."""
+    sign = draw(st.sampled_from(["", "", "+", "-"]))
+    kind = draw(st.sampled_from(["integer", "digits", "decimal", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from([
+            "1_0", "1_000.5", "\u0661\u0662", "\u0661.\u0665", "inf", "-inf", "nan", "Infinity", "+nan",
+            "1e400", "-1e400", "4.9e-324", "2.4e-324", "1e-400", "1.7976931348623157e308", "1.8e308",
+            "0x10", "1e", ".", "+.", "1.2.3", "--1", "1e+", "e5", "0" * 40 + "1", "1" * 40,
+        ]))
+    if kind == "integer":
+        return sign + "0" * draw(st.integers(0, 3)) + str(draw(st.integers(0, 10**20)))
+    if kind == "digits":  # 15 or 16 significant digits, the point anywhere
+        digits = str(draw(st.integers(10**14, 10**16 - 1)))
+        at = draw(st.integers(0, len(digits)))
+        mantissa = digits[:at] + "." + digits[at:]
+    else:
+        whole = draw(st.sampled_from(["", "0", "1", "12", "007", "9999999"]))
+        frac = draw(st.sampled_from([
+            "", "5", "25", "000001", "1234567", "0" * 21 + "1", "0" * 22 + "1", "0" * 22 + "15",
+        ]))
+        mantissa = whole + "." + frac if whole + frac else "1."
+    if draw(st.booleans()):
+        powers = st.sampled_from([0, 1, 21, 22, 23, -21, -22, -23, -24, 300, 308, 309, -320, -330])
+        power = draw(powers | st.integers(-30, 30))
+        esign = "-" if power < 0 else draw(st.sampled_from(["", "+"]))
+        mantissa += draw(st.sampled_from("eE")) + esign + "0" * draw(st.integers(0, 2)) + str(abs(power))
+    return sign + mantissa
+
+
+class TestNumberConversion:
+    """Labels and values hold float(token), bit for bit (so -0 stays -0.0),
+    whichever way the token is converted."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(token=decimal_tokens())
+    @example(token="9007199254740993")  # 2**53 + 1: beyond the exact integers
+    @example(token="-0")
+    @example(token="1e-22")
+    @example(token="+.5e-3")
+    def test_token_reads_as_float_reads_it(self, token):
+        try:
+            want = float(token)
+        except ValueError:
+            want = math.nan
+        text = f"{token} 1:{token}\n"
+        if not math.isfinite(want):
+            with pytest.raises(ParseError, match="^line 1: (malformed|non-finite) label"):
+                parse_libsvm(text)
+            return
+        d = parse_libsvm(text)
+        assert float_bits(d.labels[0]) == float_bits(want)
+        assert float_bits(d.values[0]) == float_bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tokens=st.lists(decimal_tokens(), min_size=1, max_size=40))
+    def test_a_block_of_tokens_reads_as_float_reads_them(self, tokens):
+        wanted = {}
+        for token in tokens:
+            try:
+                wanted[token] = float(token)
+            except ValueError:
+                pass
+        tokens = [t for t, v in wanted.items() if math.isfinite(v)]
+        assume(tokens)
+        d = parse_libsvm("".join(f"{t} " + " ".join(f"{j}:{t}" for j in range(1, 4)) + "\n" for t in tokens))
+        assert [float_bits(v) for v in d.labels] == [float_bits(wanted[t]) for t in tokens]
+        assert [float_bits(v) for v in d.values] == [float_bits(wanted[t]) for t in tokens for _ in range(3)]
+
+
+def dataset_outcome(d):
+    return d.dim, d.indptr.tolist(), d.indices.tolist(), d.values.tolist(), d.labels.tolist()
+
+
+class TestFileReader:
+    """`load_libsvm` reads bytes; these outcomes are those of a file opened as
+    UTF-8 text (errors="surrogateescape") and read a line at a time."""
+
+    CASES = {
+        "crlf": (b"1 1:0.5 3:-2\r\n-1 2:1e-3\r\n", (3, [0, 2, 3], [0, 2, 1], [0.5, -2.0, 0.001], [1.0, -1.0])),
+        "crlf_error": (b"1 1:1\r\n-1 2:1\r\nx 1:1\r\n", (ParseError, "line 3: malformed label 'x'")),
+        # a lone "\r" ends a line in a file, unlike in a str
+        "lone_cr": (b"1 1:1\r2:1\n", (ParseError, "line 2: malformed label '2:1'")),
+        "lone_cr_rows": (b"1 1:1\r-1 2:2\r\n+1\r", (2, [0, 1, 2, 2], [0, 1], [1.0, 2.0], [1.0, -1.0, 1.0])),
+        "cr_ends_comment": (b"1 1:1 # note\r-1 2:1\n", (2, [0, 1, 2], [0, 1], [1.0, 1.0], [1.0, -1.0])),
+        "info_separators": (b"1\x1c1:1\x1d2:2\x1e3:3\x1f4:4\n", (4, [0, 4], [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0], [1.0])),
+        # U+0085 and U+2028 separate tokens but end no line
+        "nel_and_line_separator": (
+            "1 1:1\x852:2\u20283:3\n-1 1:4\n".encode(),
+            (3, [0, 3, 4], [0, 1, 2, 0], [1.0, 2.0, 3.0, 4.0], [1.0, -1.0]),
+        ),
+        "arabic_indic": (
+            "\u0661 \u0661:\u0662.\u0665 \u0661\u0660:\u0663\n".encode(), (10, [0, 2], [0, 9], [2.5, 3.0], [1.0])
+        ),
+        "undecodable": (b"1 1:1\n1 2:1 # \xff\n", (ParseError, "line 2: not UTF-8 text")),
+        "truncated_utf8": (b"1 1:1\n-1 1:\xe2\x80\n", (ParseError, "line 2: not UTF-8 text")),
+        "nul": (b"1 1:1\n1 2:1\x00\n", (ParseError, "line 2: malformed feature value '1\\x00'")),
+        "nul_in_comment": (b"1 1:1 #\x00\n-1 2:1\n", (2, [0, 1, 2], [0, 1], [1.0, 1.0], [1.0, -1.0])),
+        "comment": (b"# header\n1 1:1 # 2:5\n\n-1 2:1#x\n", (2, [0, 1, 2], [0, 1], [1.0, 1.0], [1.0, -1.0])),
+        "no_final_newline": (b"1 1:1\n-1 2:-0", (2, [0, 1, 2], [0, 1], [1.0, -0.0], [1.0, -1.0])),
+    }
+
+    @pytest.mark.parametrize("read_size", [1, 2, 3, 65536])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_pinned_outcome(self, tmp_path, name, read_size):
+        data, want = self.CASES[name]
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        with mock.patch.object(dataset, "_READ_SIZE", read_size):
+            if isinstance(want[0], type):
+                with pytest.raises(want[0]) as exc:
+                    load_libsvm(path)
+                got = (type(exc.value), str(exc.value))
+            else:
+                got = dataset_outcome(load_libsvm(path))
+        assert got == want
+        if name == "no_final_newline":
+            assert math.copysign(1.0, load_libsvm(path).values[1]) == -1.0
+
+    @pytest.mark.parametrize("read_size", [1, 7, 64])
+    def test_a_line_many_reads_long(self, tmp_path, read_size):
+        # lines far longer than a read, a lone "\r" and a "\r\n" split by
+        # every read size: the pieces are the file, cut only at line ends
+        long = "1 " + " ".join(f"{j}:{j % 7 - 3}" for j in range(1, 300))
+        data = f"{long}\r-1 2:1\r\n{long} # {long}\n+1 {long[2:]}".encode()
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        with mock.patch.object(dataset, "_READ_SIZE", read_size):
+            with open(path, "rb") as fh:
+                pieces = list(dataset._file_chunks(fh))
+            got = dataset_outcome(load_libsvm(path))
+        assert b"".join(pieces) == data
+        for piece, following in zip(pieces, pieces[1:]):
+            assert piece[-1:] == b"\n" or (piece[-1:] == b"\r" and following[:1] != b"\n")
+        with open(path, encoding="utf-8", newline=None) as fh:  # a text-mode file
+            assert got == dataset_outcome(parse_libsvm(fh))
+        assert len(got[4]) == 4
+
+    def test_only_a_file_ends_a_line_at_a_lone_cr(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"1 1:1\r2:1\n")
+        assert dataset_outcome(parse_libsvm("1 1:1\r2:1\n")) == (2, [0, 2], [0, 1], [1.0, 1.0], [1.0])
+        with open(path, encoding="utf-8", newline=None) as fh:  # a text-mode file, one item per line
+            with pytest.raises(ParseError, match="^line 2: malformed label '2:1'$"):
+                parse_libsvm(fh)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

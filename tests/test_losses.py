@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -294,6 +296,20 @@ class TestBlockedRisk:
                 got = empirical_risk_many(W, d, kind)
         assert np.isinf(want).any() and np.isnan(want).any() and np.isfinite(want).any()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_scipy_slices_where_csr_matvecs_is_missing(self, kind, monkeypatch):
+        # the bands' private scipy routine gone (scipy's own product keeps
+        # the module it imported): scipy's own slices, same bits
+        d = self.TALL
+        W = np.random.default_rng(5).standard_normal((RISK_COLUMNS + 5, d.dim))
+        d.matrix  # scipy imported before the routine goes
+        monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", types.ModuleType("_sparsetools"))
+        # each band a scipy slice's own product
+        assert all(hasattr(band, "__self__") for band in losses_module._bands(d.matrix, 7))
+        with mock.patch.object(losses_module, "RISK_ROWS", 7):
+            got = empirical_risk_many(W, d, kind)
+        assert got.tobytes() == self.unblocked(W, d, kind).tobytes()
 
     def test_memory_does_not_grow_with_n(self):
         # one block of weight rows, walked over bands: the tiles, not the

@@ -2,9 +2,10 @@
 
 A dataset is one CSR record: `indptr`, 0-based feature `indices`, `values`,
 one real `labels` entry per row, and the feature count `dim`.  Every other
-module reads rows by position (`Dataset.row`), through the sparse matrix view
-(`Dataset.matrix`), or through the per-row summaries defined here, so this
-module is the only one that knows the layout.  Labels stay raw at parse time;
+module reads rows by position (`Dataset.row`), through the padded row table
+(`Dataset.padded`) or the per-row summaries defined here, so this module is
+the only one that knows the layout, apart from the risk sum's sparse product,
+which reads the CSR arrays as they are.  Labels stay raw at parse time;
 `binarize` maps them onto {-1, +1} for binary classification.
 """
 
@@ -17,12 +18,9 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 
 class ParseError(ValueError):
@@ -138,19 +136,6 @@ class Dataset:
         with np.errstate(over="ignore"):
             squares = self.values * self.values
         return np.bincount(rows, weights=squares, minlength=self.n)
-
-    @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """The rows as a scipy CSR matrix of shape (n, dim), sharing `values`
-        (scipy keeps its own int32 copy of the index arrays when they fit).
-
-        scipy.sparse is imported here, on first use: it takes about a third
-        of a second to import, and only the risk sum needs the matrix."""
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix(
-            (self.values, self.indices, self.indptr), shape=(self.n, self.dim), copy=False
-        )
 
     @cached_property
     def _row_bounds(self) -> tuple[list[int], list[float]]:
@@ -617,8 +602,13 @@ def binarize_labels(raw: Iterable[float]) -> list[float]:
     distinct labels are sorted ascending and the first ceil(k/2) classes
     map to +1, the rest to -1.  Fewer than two distinct labels is an error.
     """
-    raw = np.fromiter(raw, dtype=np.float64)
-    distinct = np.unique(raw)
+    raw = raw if isinstance(raw, np.ndarray) and raw.dtype == np.float64 else np.fromiter(raw, np.float64)
+    # the sorted labels where they change: np.unique's result without its
+    # first-call import of numpy.ma (about 12 ms)
+    ordered = np.sort(raw)
+    changes = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=changes[1:])
+    distinct = ordered[changes]
     if distinct.size < 2:
         raise DataError(f"need at least two distinct labels, got {distinct.tolist()}")
     if distinct.tolist() == [-1.0, 1.0]:

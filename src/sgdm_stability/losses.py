@@ -18,15 +18,18 @@ that is exactly what `scipy.special.expit` computes, bit for bit, without
 importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
 differ from the C library in the last bit on some inputs, and the coupled
 runs amplify a one-ulp change in a gradient.  Only `empirical_risk_many`
-needs scipy, for the sparse product of `Dataset.matrix`.  It takes that
-product in tiles of RISK_ROWS data rows by RISK_COLUMNS weight rows and sums
-each tile's losses into a running total in row order, so its memory does not
+needs scipy: it loads the CSR product routine from its extension file, in
+1 ms against 0.26 s to import `scipy.sparse`.  It takes that product in
+tiles of RISK_ROWS data rows by RISK_COLUMNS weight rows and sums each
+tile's losses into a running total in row order, so its memory does not
 grow with n and its risks are bit for bit the mean over all n losses.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
 from collections.abc import Callable, Iterator
@@ -42,11 +45,9 @@ LOSS_KINDS = ("logistic", "squared")
 # Weight rows `empirical_risk_many` evaluates per task, the data rows each
 # task takes at a time, and its thread count: one per CPU this process may run
 # on.  A tile of RISK_ROWS x RISK_COLUMNS margins is 512 KB, so a task's
-# temporaries stay near the cache and do not grow with n; 128-row bands were
-# slower when each band cost a scipy slice, and each still costs a dozen
-# numpy calls under the GIL.
-# numpy and scipy release the GIL in the matrix product and the loss ufuncs,
-# so the blocks run in parallel.
+# temporaries stay near the cache and do not grow with n; each band costs a
+# dozen numpy calls under the GIL.  The matrix product and the loss ufuncs
+# release the GIL, so the blocks run in parallel.
 RISK_COLUMNS = 256
 RISK_ROWS = 256
 RISK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -149,38 +150,47 @@ def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _bands(matrix, rows: int) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """`matrix` (CSR) in bands of `rows` rows, each a function of a
-    C-contiguous dense `wt` that returns the band's product with it, with
-    the bits of `matrix @ wt`.  A band runs `csr_matvecs`, the routine
-    scipy's CSR @ dense product runs, on slices of the matrix's own arrays,
-    so only its row pointers are new.  A scipy row slice copies the band's
-    entries and checks them again, about 40 us with the GIL held, and so
-    does a CSR matrix built over the slices: scipy copies a view that small
-    of a larger array into its own.  `csr_matvecs` is private to scipy;
-    where it is missing, the bands are scipy's own slices."""
+@functools.cache
+def _csr_matvecs() -> Callable | None:
+    """scipy's private `csr_matvecs`, the routine its CSR @ dense product
+    runs, loaded from the `sparse/_sparsetools` extension file alone: no
+    scipy package module runs.  None where that fails."""
     try:
-        from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:
-        return [matrix[r : r + rows].__matmul__ for r in range(0, matrix.shape[0], rows)]
-    bands = []
-    for r in range(0, matrix.shape[0], rows):
-        ptr = matrix.indptr[r : r + rows + 1]
-        lo, hi = ptr[0], ptr[-1]
-        band = (ptr - lo, matrix.indices[lo:hi], matrix.data[lo:hi])
-        bands.append(functools.partial(_band_product, csr_matvecs, *band))
-    return bands
+        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+        loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(folder, loaders).find_spec("scipy.sparse._sparsetools")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.csr_matvecs
+    except (AttributeError, ImportError, TypeError, ValueError):
+        return None
 
 
-def _band_product(matvecs, ptr: np.ndarray, indices: np.ndarray, values: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    out = np.zeros((ptr.size - 1, wt.shape[1]))
-    matvecs(ptr.size - 1, wt.shape[0], wt.shape[1], ptr, indices, values, wt.ravel(), out.ravel())
-    return out
+def _band_products(d: Dataset, height: int) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The product of rows r:r+height of `d` with a C-contiguous `wt`, as a
+    function of (r, wt), with the bits of scipy's CSR @ dense product.
+    `csr_matvecs` reads row i at ptr[i]:ptr[i+1] of `d`'s own index and value
+    arrays, so a band is a view of `indptr`.  Without it, scipy's slices."""
+    matvecs, indptr, indices, values = _csr_matvecs(), d.indptr, d.indices, d.values
+    if matvecs is None:
+        import scipy.sparse
+
+        matrix = scipy.sparse.csr_matrix((values, indices, indptr), shape=(d.n, d.dim), copy=False)
+        bands = [matrix[r : r + height] for r in range(0, d.n, height)]
+        return lambda r, wt: bands[r // height] @ wt
+
+    def product(r: int, wt: np.ndarray) -> np.ndarray:
+        ptr = indptr[r : r + height + 1]
+        out = np.zeros((ptr.size - 1, wt.shape[1]))
+        matvecs(ptr.size - 1, wt.shape[0], wt.shape[1], ptr, indices, values, wt.ravel(), out.ravel())
+        return out
+
+    return product
 
 
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
-    """Empirical risk of each weight row, bit for bit
-    `losses(d.matrix @ w_rows.T, d.labels[:, None], kind).mean(axis=0)`.
+    """Empirical risk of each weight row, bit for bit the mean over all n
+    losses of the margins scipy's CSR @ dense product gives.
 
     The rows go through the sparse matrix product in blocks of RISK_COLUMNS,
     one block per task on RISK_WORKERS threads.  A task walks the data in
@@ -191,27 +201,24 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
     running sum enters each band as the first term of that order.  So a row's
     risk depends neither on the thread count, the band height nor, within the
     blocks `risk_blocks` cuts, on the block it falls in.  A lone row, whose
-    column numpy sums pairwise, is evaluated over all n data rows at once, and
-    so is data of at most one band.
+    column numpy sums pairwise, is evaluated in one band of all n data rows,
+    and so is data of at most one band.
     """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
     # resolved here: the workers touch no Dataset attribute
-    matrix, labels, n = d.matrix, d.labels[:, None], d.n
-    # the bands, cut once and shared by every block
-    bands = _bands(matrix, RISK_ROWS) if n > RISK_ROWS and w_rows.shape[0] > 1 else []
+    labels, n = d.labels[:, None], d.n
+    height = RISK_ROWS if n > RISK_ROWS and w_rows.shape[0] > 1 else n
+    product = _band_products(d, height)
 
     def block(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
         # contiguous, so the product does not copy it once per band
         wt = np.ascontiguousarray(w_rows[lo:hi].T)
-        if hi - lo == 1 or n <= RISK_ROWS:
-            # a lone row, or data of one band, which a slice would only copy
-            return losses(matrix @ wt, labels, kind).mean(axis=0)
         acc = None
-        for r, band in zip(range(0, n, RISK_ROWS), bands):
-            tile = losses(band(wt), labels[r : r + RISK_ROWS], kind)
+        for r in range(0, n, height):
+            tile = losses(product(r, wt), labels[r : r + height], kind)
             if acc is not None:
                 # in place of the band's first row: the sum so far plus that row,
                 # the addition numpy's row-order sum makes next

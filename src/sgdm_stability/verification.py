@@ -56,9 +56,10 @@ def _skip(name, params, note) -> CheckOutcome:
 def _margins(data: Dataset, W: np.ndarray) -> np.ndarray:
     """The (rows, len(W)) margins <w, x> of every row under every weight row.
 
-    Each row's entries are added in CSR order from +0.0, which is how the
-    sparse product `data.matrix @ W.T` adds them, so the bits are the same
-    without importing scipy; the padding adds 0 * 0.
+    Each row's entries are added in CSR order from +0.0, which is how
+    scipy's CSR @ dense product (`csr_matvecs`, which the risk sum runs) adds
+    them, so the bits are the same without loading scipy; the padding adds
+    0 * 0.
     """
     indices, values = data.padded
     Wt = np.zeros((data.dim + 1, W.shape[0]))

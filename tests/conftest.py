@@ -6,8 +6,9 @@ report.  Also holds the references the library is tested against:
 `reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
 block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` (one
 `sgdm_step` or `lookahead_step` per step) for the two reference loops,
-`rep_draw` and `bound_check_draws` for the two `Draws` constructors, and
-`average_iterate` and `empirical_risk` for the optimization bound.
+`rep_draw` and `bound_check_draws` for the two `Draws` constructors,
+`average_iterate` and `empirical_risk` for the optimization bound, and
+`csr_matrix`, scipy's CSR matrix of a dataset, for the risk sum and margins.
 """
 
 import io
@@ -78,6 +79,15 @@ def lookahead_step(s, g, beta, gamma):
     if not np.isfinite(w_new).all():
         raise DivergenceError(s.step + 1)
     return LookaheadState(u_curr=u_new, w=w_new, step=s.step + 1)
+
+
+def csr_matrix(d):
+    """The rows of `d` as a scipy CSR matrix of shape (n, dim), sharing
+    `values`: its products are what the risk sum and the loss-lemma margins
+    must give bit for bit."""
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix((d.values, d.indices, d.indptr), shape=(d.n, d.dim), copy=False)
 
 
 def empirical_risk(w, d, kind):

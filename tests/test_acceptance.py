@@ -19,6 +19,7 @@ from conftest import (
     LookaheadState,
     SgdmState,
     average_iterate,
+    csr_matrix,
     empirical_risk,
     lookahead_step,
     reference_pair,
@@ -172,7 +173,7 @@ def test_c06_stability_bound_dominance():
 
 def full_gradient_reference(data, kind, steps=10_000):
     """Deterministic near-minimizer: full-batch gradient descent at step 1/alpha."""
-    X, y = data.matrix, data.labels
+    X, y = csr_matrix(data), data.labels
     alpha = smoothness(data, kind).alpha
     w = np.zeros(data.dim)
     for _ in range(steps):

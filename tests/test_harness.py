@@ -514,7 +514,6 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(100, 5, seed=14)
         pool = synthetic_binary_dataset(10, 5, seed=15)
         alpha = smoothness(train, "logistic").alpha
-        train.matrix  # built once, outside the traced runs
         peaks = {}
         for factor in (2, 20):
             grid = hb_grid(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
@@ -538,7 +537,6 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(100, 40, seed=14)
         pool = synthetic_binary_dataset(10, 40, seed=15)
         alpha = smoothness(train, "logistic").alpha
-        train.matrix  # built once, outside the traced runs
         samples = 8
         peaks = {}
         for t in (5 * 64, 5 * 64 - 2):

@@ -1,7 +1,6 @@
+import importlib.machinery
 import math
-import sys
 import tracemalloc
-import types
 import warnings
 from unittest import mock
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import empirical_risk
+from conftest import csr_matrix, empirical_risk
 from sgdm_stability import losses as losses_module
 from sgdm_stability.dataset import DataError, Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import (
@@ -254,7 +253,7 @@ class TestBlockedRisk:
 
     @staticmethod
     def unblocked(W, d, kind):
-        return losses(d.matrix @ W.T, d.labels[:, None], kind).mean(axis=0)
+        return losses(csr_matrix(d) @ W.T, d.labels[:, None], kind).mean(axis=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -299,17 +298,34 @@ class TestBlockedRisk:
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     def test_scipy_slices_where_csr_matvecs_is_missing(self, kind, monkeypatch):
-        # the bands' private scipy routine gone (scipy's own product keeps
-        # the module it imported): scipy's own slices, same bits
+        # the routine's extension file fails to load: scipy's own slices,
+        # same bits
         d = self.TALL
         W = np.random.default_rng(5).standard_normal((RISK_COLUMNS + 5, d.dim))
-        d.matrix  # scipy imported before the routine goes
-        monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", types.ModuleType("_sparsetools"))
-        # each band a scipy slice's own product
-        assert all(hasattr(band, "__self__") for band in losses_module._bands(d.matrix, 7))
-        with mock.patch.object(losses_module, "RISK_ROWS", 7):
-            got = empirical_risk_many(W, d, kind)
-        assert got.tobytes() == self.unblocked(W, d, kind).tobytes()
+        want = self.unblocked(W, d, kind)
+
+        class FailingLoader(importlib.machinery.ExtensionFileLoader):
+            def create_module(self, spec):
+                raise ImportError("cannot load")
+
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", FailingLoader)
+        losses_module._csr_matvecs.cache_clear()
+        try:
+            assert losses_module._csr_matvecs() is None
+            with mock.patch.object(losses_module, "RISK_ROWS", 7):
+                got = empirical_risk_many(W, d, kind)
+        finally:
+            losses_module._csr_matvecs.cache_clear()
+        assert got.tobytes() == want.tobytes()
+
+    def test_installed_scipy_takes_the_direct_path(self):
+        # a silent fallback to scipy's slices would pass every byte test and
+        # lose the speed: the routine loads, and no scipy matrix is built
+        assert losses_module._csr_matvecs().__name__ == "csr_matvecs"
+        W = np.random.default_rng(6).standard_normal((RISK_COLUMNS + 5, self.TALL.dim))
+        with mock.patch("scipy.sparse.csr_matrix", side_effect=AssertionError("scipy matrix built")):
+            got = empirical_risk_many(W, self.TALL, "logistic")
+        assert got.tobytes() == self.unblocked(W, self.TALL, "logistic").tobytes()
 
     def test_memory_does_not_grow_with_n(self):
         # one block of weight rows, walked over bands: the tiles, not the
@@ -318,7 +334,6 @@ class TestBlockedRisk:
         peaks = {}
         for n in (2_000, 20_000):
             d = synthetic_binary_dataset(n, 8, seed=11)
-            d.matrix  # built once, outside the traced call
             tracemalloc.start()
             try:
                 empirical_risk_many(W, d, "logistic")

@@ -3,6 +3,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from conftest import csr_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -317,7 +318,7 @@ def test_margins_equal_the_sparse_product_bit_for_bit(rows, dim, weights, seed):
     values = rng.standard_normal(indptr[-1]) * 10.0 ** rng.integers(-8, 9, indptr[-1])
     data = Dataset(indptr, indices, values, np.ones(len(rows)), dim)
     W = rng.standard_normal((weights, dim)) * 10.0 ** rng.integers(-8, 9, (weights, dim))
-    expected = data.matrix @ W.T
+    expected = csr_matrix(data) @ W.T
     assert verification._margins(data, W).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 

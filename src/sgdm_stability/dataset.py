@@ -11,7 +11,6 @@ which reads the CSR arrays as they are.  Labels stay raw at parse time;
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -212,8 +211,9 @@ _INDEX_MAX = int(np.iinfo(np.intp).max)
 
 _FEATURE_RE = re.compile(r"(-?\d+):(\S+)")
 
-# The block converter.  Each character maps to a symbol: a digit to its value,
-# the rest to one of these classes (a space is any str.isspace() character).
+# The block converter.  Each byte maps to a symbol: a digit to its value, the
+# rest to one of these classes (a space is an ASCII str.isspace() character;
+# every byte past ASCII is _OTHER).
 _PLUS, _MINUS, _SPACE, _COLON, _HASH, _OTHER = range(10, 16)
 # the most digits an integer token may have to be summed in int64: a label or
 # value of up to 15 is below 2**53, so exact in float64; an index of up to 18
@@ -234,14 +234,7 @@ def _symbol_table() -> bytes:
     return bytes(table)
 
 
-_SYMBOL_TABLE = _symbol_table()  # bytes.translate table of ASCII text
-_WIDE_SYMBOLS = np.frombuffer(_SYMBOL_TABLE[:129], np.uint8)  # by min(code point, 128)
-
-
-@functools.cache
-def _wide_spaces() -> np.ndarray:
-    """The str.isspace() characters beyond ASCII, all below U+3001."""
-    return np.array([c for c in range(128, 0x3001) if chr(c).isspace()])
+_SYMBOL_TABLE = _symbol_table()  # bytes.translate table of UTF-8 text
 
 
 def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
@@ -251,22 +244,24 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     increasing indices.  ``#`` starts a comment; empty lines are skipped.
     `dim` can force a feature count larger than the max observed index.
     Labels and values are read as Python's `float` reads them, indices as
-    `int` reads ``-?\\d+``.  A line holding a lone surrogate (how
-    `load_libsvm` passes an undecodable byte) is not UTF-8 text.  A `str`
+    `int` reads ``-?\\d+``.  A line that is not UTF-8 text (a lone
+    surrogate in a str, an undecodable byte in a file) is malformed.  A `str`
     source is read a block at a time, each line ending at its ``"\\n"``; any
     other source yields one line per item.
 
-    The lines are read PARSE_BLOCK at a time, and each block's numbers are
-    converted with whole-block numpy operations.  A label or value of the
-    form ``[+-]?digits`` with at most 15 ASCII digits is summed digit by
-    digit in int64; it is below 2**53, so exact in float64, and converting
-    it is what `float` returns.  A minus sign negates, so ``-0`` is -0.0.
-    Every other label or value (a point, an exponent, more digits, ``_``,
-    non-ASCII digits, ``inf``, ``nan``, malformed text) is read by `float`,
-    all of a block's such tokens from one split of its text.  An index of 1
-    to 18 ASCII digits is summed the same way, any other by `int`.  A block
-    that fails a bulk check is read again line by line, only to name its
-    first error.
+    The lines are read PARSE_BLOCK at a time as UTF-8 bytes, and each
+    block's numbers are converted with whole-block numpy operations.  A
+    label or value of the form ``[+-]?digits`` with at most 15 ASCII digits
+    is summed digit by digit in int64; it is below 2**53, so exact in
+    float64, and converting it is what `float` returns.  A minus sign
+    negates, so ``-0`` is -0.0.  Every other label or value (a point, an
+    exponent, more digits, ``_``, ``inf``, ``nan``) is read by `float`, all
+    of a block's such tokens from one split of its bytes.  An index of 1 to
+    18 ASCII digits is summed the same way.  A block that is not UTF-8,
+    holds a longer index, or fails any other check (a token with a byte past
+    ASCII, such as a non-ASCII digit or separator, fails one; a comment may
+    hold any) is read line by line as str instead, each number by `float`
+    or `int`: the same numbers, or the line's first error.
 
     Raises ParseError (with the offending 1-based line number) on malformed
     input, the first malformed line winning.  Once every line is well formed,
@@ -280,17 +275,18 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
 
 def load_libsvm(path, dim: int | None = None) -> Dataset:
     """Parse the LIBSVM file at `path` as `parse_libsvm` does.  The file is
-    UTF-8, read as bytes; only a block that is not ASCII is decoded, an
-    undecodable byte becoming a lone surrogate, which the parser reports with
-    its line number.  As in a file opened as text, a line ends at ``"\\n"``,
-    ``"\\r\\n"`` or a lone ``"\\r"``."""
+    UTF-8, read and converted as bytes; only a block that the bulk checks
+    refuse is decoded, a line at a time, and a line with an undecodable byte
+    is reported with its line number.  As in a file opened as text, a line
+    ends at ``"\\n"``, ``"\\r\\n"`` or a lone ``"\\r"``."""
     with open(path, "rb") as fh:
         return _parse(_code_blocks(_file_chunks(fh), universal=True), dim)
 
 
 def _parse(blocks: Iterable[tuple[np.ndarray, np.ndarray]], dim: int | None) -> Dataset:
-    """The Dataset of `blocks`: the code points of some lines and the end of
-    each line (see `_parse_block`)."""
+    """The Dataset of `blocks`: the UTF-8 bytes of some lines and the end of
+    each line (see `_parse_block`).  A block the bulk converter refuses goes
+    to `_parse_lines`, which converts it or names its first error."""
     # entries per row, 0-based indices, values and labels of every block
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
     too_large = 0  # the largest index beyond _INDEX_MAX, once one is seen
@@ -298,11 +294,10 @@ def _parse(blocks: Iterable[tuple[np.ndarray, np.ndarray]], dim: int | None) -> 
     for codes, bounds in blocks:
         arrays = None if too_large else _parse_block(codes, bounds)
         if arrays is None:
-            peak = _check_lines(_lines(codes, bounds), line_no)
-            if peak <= _INDEX_MAX and not too_large:
-                raise AssertionError(f"lines {line_no}+: the block checks reject well-formed lines")
-            too_large = max(too_large, peak)
-        else:
+            arrays, top = _parse_lines(codes, bounds, line_no)
+            if top > _INDEX_MAX:
+                too_large = max(too_large, top)
+        if not too_large:
             for column, array in zip(columns, arrays):
                 column.append(array)
         line_no += bounds.size
@@ -326,13 +321,14 @@ def _parse(blocks: Iterable[tuple[np.ndarray, np.ndarray]], dim: int | None) -> 
     return Dataset(indptr, indices, values, labels, final_dim)
 
 
-def _text_chunks(text: str) -> Iterator[str]:
+def _text_chunks(text: str) -> Iterator[bytes]:
     """`text` in pieces of about _READ_SIZE characters, each ending at a
-    ``"\\n"`` or at the end of the text."""
+    ``"\\n"`` or at the end of the text, as UTF-8 (a lone surrogate passed
+    through, for the parser to refuse)."""
     i = 0
     while i < len(text):
         j = text.rfind("\n", i, i + _READ_SIZE) + 1 or text.find("\n", i + _READ_SIZE) + 1 or len(text)
-        yield text[i:j]
+        yield text[i:j].encode("utf-8", "surrogatepass")
         i = j
 
 
@@ -355,24 +351,14 @@ def _file_chunks(fh) -> Iterator[bytes]:
         yield rest
 
 
-def _codes(text: str | bytes) -> np.ndarray:
-    """Code points of `text`, one byte each if it is ASCII.  Bytes are
-    UTF-8, an undecodable byte becoming a lone surrogate."""
-    if isinstance(text, bytes):
-        if text.isascii():
-            return np.frombuffer(text, np.uint8)
-        text = text.decode("utf-8", "surrogateescape")
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-
-
-def _code_blocks(chunks: Iterable[str | bytes], universal: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(code points, line ends) of the lines of `chunks`, which end at line
+def _code_blocks(chunks: Iterable[bytes], universal: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(UTF-8 bytes, line ends) of the lines of `chunks`, which end at line
     ends, PARSE_BLOCK lines at a time.  A line ends after a ``"\\n"``; if
-    `universal`, also after a ``"\\r"`` that no ``"\\n"`` follows."""
+    `universal`, also after a ``"\\r"`` that no ``"\\n"`` follows.  Neither
+    byte occurs inside a UTF-8 sequence, so these are the lines of the
+    decoded text."""
     for chunk in chunks:
-        codes = _codes(chunk)
+        codes = np.frombuffer(chunk, np.uint8)
         ends = np.flatnonzero(codes == 10)
         if universal:
             cr = np.flatnonzero(codes == 13)
@@ -389,41 +375,34 @@ def _code_blocks(chunks: Iterable[str | bytes], universal: bool) -> Iterator[tup
 
 
 def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(code points, line ends) of `lines`, PARSE_BLOCK items at a time, each
+    """(UTF-8 bytes, line ends) of `lines`, PARSE_BLOCK items at a time, each
     item one line.  A space follows each, so no token runs into the next."""
     while block := list(itertools.islice(lines, PARSE_BLOCK)):
-        bounds = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
-        yield _codes(" ".join([*block, ""])), bounds
-
-
-def _text(codes: np.ndarray, lo: int = 0, hi: int | None = None) -> str:
-    return codes[lo:hi].tobytes().decode("ascii" if codes.itemsize == 1 else "utf-32-le", "surrogatepass")
-
-
-def _lines(codes: np.ndarray, bounds: np.ndarray) -> list[str]:
-    text, bounds = _text(codes), bounds.tolist()
-    return [text[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+        encoded = [line.encode("utf-8", "surrogatepass") for line in block]
+        bounds = np.cumsum(np.fromiter(map(len, encoded), np.intp, len(encoded)) + 1)
+        yield np.frombuffer(b" ".join([*encoded, b""]), np.uint8), bounds
 
 
 def _symbols(codes: np.ndarray) -> np.ndarray | None:
-    """The converter's symbol of every code point and then a space, so that
-    a non-digit follows every token; or None if a code point is a lone
-    surrogate: such text is not UTF-8."""
-    if codes.itemsize == 1:
-        sym = bytearray(codes.tobytes().translate(_SYMBOL_TABLE))
-        sym.append(_SPACE)
-        return np.frombuffer(sym, np.uint8)
-    if ((codes >= 0xD800) & (codes < 0xE000)).any():
-        return None
-    sym = np.append(_WIDE_SYMBOLS[np.minimum(codes, 128)], np.uint8(_SPACE))
-    sym[:-1][np.isin(codes, _wide_spaces())] = _SPACE
-    return sym
+    """The converter's symbol of every byte and then a space, so that a
+    non-digit follows every token; or None if the bytes are not UTF-8."""
+    text = codes.tobytes()
+    if not text.isascii():
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    sym = bytearray(text.translate(_SYMBOL_TABLE))
+    sym.append(_SPACE)
+    return np.frombuffer(sym, np.uint8)
 
 
 def _parse_block(codes: np.ndarray, bounds: np.ndarray):
     """(entries per row, 0-based indices, values, labels) of the lines whose
-    code points are `codes`, line i ending before position bounds[i], or None
-    if a line is malformed or holds an index beyond _INDEX_MAX."""
+    UTF-8 bytes are `codes`, line i ending before position bounds[i], or
+    None if a bulk check fails: the bytes are not UTF-8, a line is
+    malformed, an index has more than 18 digits or a token holds a byte past
+    ASCII."""
     sym = _symbols(codes)
     if sym is None:
         return None
@@ -458,8 +437,8 @@ def _parse_block(codes: np.ndarray, bounds: np.ndarray):
     colon = np.flatnonzero(body == _COLON)
     if colon.size != fs.size or not ((colon > fs) & (colon < fe - 1)).all():
         return None
-    index = _indices(codes, sym, fs, colon)
-    if index is None or (index < 1).any():
+    fast, index = _integers(sym, fs, colon, _INDEX_DIGITS)
+    if not fast.all() or (index < 1).any():
         return None
     nnz = np.diff(np.flatnonzero(label), append=starts.size) - 1
     rising = index[1:] > index[:-1]
@@ -495,7 +474,7 @@ def _integers(sym: np.ndarray, starts: np.ndarray, stops: np.ndarray, most: int)
 
 def _numbers(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
     """`float` of each token codes[starts[i]:stops[i]], or None if one is not
-    a finite float."""
+    a finite float of ASCII bytes."""
     sign = np.take(sym, starts)
     signed = (sign == _PLUS) | (sign == _MINUS)
     fast, value = _integers(sym, starts + signed, stops, _VALUE_DIGITS)
@@ -504,8 +483,8 @@ def _numbers(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.n
     slow = np.flatnonzero(~fast)
     if slow.size:
         # the other tokens, all at once and in the order of the text: the
-        # block's text with every other character a space, split and read by
-        # float(); bytes when the block is ASCII, which float() reads fastest
+        # block's bytes with every other byte a space, split and read by
+        # float(), which reads no byte past ASCII
         lo, hi = starts[slow], stops[slow]
         order = np.argsort(lo, kind="stable")
         slow, lo, hi = slow[order], lo[order], hi[order]
@@ -514,8 +493,7 @@ def _numbers(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.n
         keep = np.zeros(runs.size, dtype=np.uint8)
         keep[1::2] = 1
         keep = np.repeat(keep, runs)
-        text = codes * keep + (keep ^ 1) * 32
-        tokens = text.tobytes().split() if text.itemsize == 1 else _text(text).split()
+        tokens = (codes * keep + (keep ^ 1) * 32).tobytes().split()
         try:
             values = np.fromiter(map(float, tokens), np.float64, slow.size)
         except ValueError:
@@ -526,29 +504,18 @@ def _numbers(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.n
     return numbers
 
 
-def _indices(codes: np.ndarray, sym: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """`int` of each index codes[starts[i]:stops[i]], or None if one is not
-    ``\\d+`` or exceeds _INDEX_MAX."""
-    fast, index = _integers(sym, starts, stops, _INDEX_DIGITS)
-    for k in np.flatnonzero(~fast).tolist():
-        text = _text(codes, starts[k], stops[k])
-        if not text.isdecimal():
-            return None
+def _parse_lines(codes: np.ndarray, bounds: np.ndarray, line_no: int) -> tuple[tuple | None, int]:
+    """What `_parse_block` returns for the same lines, and their largest
+    feature index; read a line at a time, decoded as UTF-8 and split as str,
+    each number by `float` or `int`.  Raise the ParseError of the first
+    malformed line, the first of which is line `line_no`.  The arrays are
+    None if the largest index exceeds _INDEX_MAX."""
+    text, ends = codes.tobytes(), bounds.tolist()
+    nnz, indices, values, labels = [], [], [], []
+    for line_no, lo, hi in zip(itertools.count(line_no), [0, *ends], ends):
         try:
-            index[k] = int(text)
-        except (ValueError, OverflowError):  # more digits than int() reads, or beyond int64
-            return None
-    return index.astype(np.intp, copy=False)
-
-
-def _check_lines(lines: Iterable[str], line_no: int) -> int:
-    """Raise the ParseError of the first malformed line of `lines`, the first
-    of which is line `line_no`; return the largest feature index if none is."""
-    top = 0
-    for line_no, line in enumerate(lines, start=line_no):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
+            line = text[lo:hi].decode("utf-8")
+        except UnicodeDecodeError:
             raise ParseError(line_no, "not UTF-8 text") from None
         tokens = line.split("#", 1)[0].split()
         if not tokens:
@@ -579,9 +546,16 @@ def _check_lines(lines: Iterable[str], line_no: int) -> int:
                 raise ParseError(line_no, f"malformed feature value {m.group(2)!r}") from None
             if not math.isfinite(val):
                 raise ParseError(line_no, f"non-finite feature value {m.group(2)!r}")
+            indices.append(idx)
+            values.append(val)
             prev = idx
-        top = max(top, prev)
-    return top
+        nnz.append(len(tokens) - 1)
+        labels.append(label)
+    top = max(indices, default=0)
+    if top > _INDEX_MAX:
+        return None, top
+    arrays = np.array(nnz, np.intp), np.array(indices, np.intp) - 1, np.array(values), np.array(labels)
+    return arrays, top
 
 
 def serialize_libsvm(d: Dataset) -> str:

@@ -208,6 +208,15 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
             f"{n_train} train rows), so no distance would be recorded"
         )
     grid = grid_points(cfg.variant, cfg.betas, [cfg.steps] * len(cfg.betas), iterations, "steps")
+    named: dict[str, GridPoint] = {}
+    for point in grid:
+        name = grid_point_filename(cfg, point)
+        first = named.setdefault(name, point)
+        if first is not point:
+            raise ConfigError(
+                f"keys 'betas' and 'steps': grid points beta={first.beta!r} step={first.step!r} and "
+                f"beta={point.beta!r} step={point.step!r} would both write {name}"
+            )
     batch = draws.run(data, cfg.loss, [point.hp for point in grid], stride)
 
     points: list[GridPointResult] = []

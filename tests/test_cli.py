@@ -210,6 +210,38 @@ class TestRunStability:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["repetitions"] == 3
 
+    @pytest.mark.parametrize(
+        "grid,name",
+        [
+            (["steps=0.1,0.1000001", "betas=0.5"], "hb_beta0.5_step0.1.csv"),
+            (["steps=0.1", "betas=0.9,0.9"], "hb_beta0.9_step0.1.csv"),
+        ],
+        ids=["steps", "betas"],
+    )
+    def test_grid_points_sharing_a_csv_name_are_refused(self, grid, name, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        overrides = ["dataset=synthetic", "synth_n=50", "synth_dim=3", "reps=2", "epochs=1", *grid, f"outdir={out}"]
+        calls = []
+        monkeypatch.setattr(harness, "coupled_distance_batch", lambda *a, **k: calls.append(1))
+        assert main(["run-stability", "--overrides", *overrides]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert f"would both write {name}" in err
+        assert not calls and not out.exists()
+
+    def test_grid_points_with_distinct_csv_names_keep_them(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        overrides = [
+            "dataset=synthetic", "synth_n=50", "synth_dim=3", "reps=2", "epochs=1",
+            "steps=0.1,0.100001", "betas=0.5", f"outdir={out}",
+        ]
+        assert main(["run-stability", "--overrides", *overrides]) == EXIT_OK
+        capsys.readouterr()
+        names = ["hb_beta0.5_step0.1.csv", "hb_beta0.5_step0.100001.csv"]
+        assert sorted(p.name for p in out.glob("*.csv")) == names
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["csv"] for entry in manifest["grid"]] == names
+
 
 class TestCheckBounds:
     BASE = [

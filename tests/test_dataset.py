@@ -79,6 +79,7 @@ class TestParse:
         with pytest.raises(DataError):
             parse_libsvm("1 5:1\n", dim=3)
 
+    @pytest.mark.parametrize("form", ["str", "lines", "file"], ids=[pytest.HIDDEN_PARAM, "lines", "file"])
     @pytest.mark.parametrize(
         "text,frag",
         [
@@ -95,10 +96,17 @@ class TestParse:
             ("1 1:1 # caf\udce9\n", "not UTF-8"),
         ],
     )
-    def test_malformed_rejected(self, text, frag):
-        with pytest.raises(ParseError) as exc:
-            parse_libsvm(text)
-        assert frag in str(exc.value)
+    def test_malformed_rejected(self, text, frag, form, tmp_path):
+        # the same error from a str, from its lines and from a file of its bytes
+        parse, source = parse_libsvm, text
+        if form == "lines":
+            source = text.splitlines(keepends=True)
+        elif form == "file":
+            parse, source = load_libsvm, tmp_path / "d.txt"
+            source.write_text(text, encoding="utf-8", errors="surrogateescape")
+        got = outcome(parse, source)
+        assert got[0] is ParseError and frag in got[1]
+        assert got == outcome(parse_libsvm, text)
 
     def test_error_reports_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -264,6 +272,29 @@ class TestBlockParse:
         )
         lines[-2] = "1 junk\n"  # a malformed line anywhere wins
         assert outcome(parse_libsvm, "".join(lines))[2] == len(lines) - 1
+
+    def test_only_refused_blocks_reach_the_per_line_parser(self, tmp_path):
+        # the shapes of real files stay on the bulk path, comments of any
+        # text included; a token with a non-ASCII separator or digit does not
+        lines = a9a_like_lines(2 * PARSE_BLOCK + 1)
+        comment = " # caf\u00e9 \u3000\u0661\n"
+        bulk = [
+            "".join(lines),
+            "".join(line.replace("\n", comment) if i % 500 == 0 else line for i, line in enumerate(lines)),
+            "".join(line.replace(":1 ", ":0.25 ").replace(":1\n", ":-1.5e-3\n") for line in lines),
+        ]
+        refused = ["1\u30001:1\n", "1 \u0661:1\n"]
+        path = tmp_path / "d.txt"
+        for text in bulk + refused:
+            path.write_text(text, encoding="utf-8")
+            want = outcome(parse_libsvm_per_token, text)
+            with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("per-line parser")):
+                for parse, source in ((parse_libsvm, text), (load_libsvm, path)):
+                    if text in bulk:
+                        assert outcome(parse, source) == want
+                    else:
+                        with pytest.raises(AssertionError, match="per-line parser"):
+                            parse(source)
 
     def test_memory_does_not_grow_beyond_the_output(self, tmp_path):
         # Parsing holds one block's text and tokens beside the output; joining

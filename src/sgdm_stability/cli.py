@@ -201,7 +201,6 @@ KEYS = {
                       lambda v: v and all(k in LOSS_KINDS for k in v)),
         "check_steps": _integer("1000", 1),
         "step_fraction": STEP_FRACTION,
-        "force_bug": Key(str, "", "empty or 'y_identity'", lambda v: v in ("", "y_identity")),
     },
     "recipe": {
         "n": _integer(_REQUIRED, 1),
@@ -296,7 +295,7 @@ def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
             raise ConfigError("key 'dataset': alpha = 0 (no row has a nonzero value), so there is no step cap")
     outcomes = run_invariant_suite(
         betas=cfg["betas"], kinds=kinds, steps=cfg["check_steps"], step_fraction=cfg["step_fraction"],
-        seed=cfg["seed"], data=data, force_bug=cfg["force_bug"],
+        seed=cfg["seed"], data=data,
     )
     report = [o.to_dict() for o in outcomes]
     out = Path(cfg["outdir"])

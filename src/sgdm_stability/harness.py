@@ -390,7 +390,7 @@ def run_bound_check(
     for point in grid:
         t = point.hp.iterations
         # one call per point: a call for the whole grid would buffer samples x
-        # points base iterates per risk block
+        # points base iterates per stream block
         batch = draws.run(data, kind, [point.hp], t, risk_data=train)
         censored = np.flatnonzero(batch.diverged_step[:, 0])
         if censored.size:

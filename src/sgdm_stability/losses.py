@@ -17,12 +17,13 @@ The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
 that is exactly what `scipy.special.expit` computes, bit for bit, without
 importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
 differ from the C library in the last bit on some inputs, and the coupled
-runs amplify a one-ulp change in a gradient.  Only `empirical_risk_many`
-needs scipy: it loads the CSR product routine from its extension file, in
-1 ms against 0.26 s to import `scipy.sparse`.  It takes that product in
-tiles of RISK_ROWS data rows by RISK_COLUMNS weight rows and sums each
-tile's losses into a running total in row order, so its memory does not
-grow with n and its risks are bit for bit the mean over all n losses.
+runs amplify a one-ulp change in a gradient.  Only `margins` and
+`empirical_risk_many` need scipy: they load the CSR product routine from its
+extension file, in 1 ms against 0.26 s to import `scipy.sparse`.  The risk
+sum takes that product in tiles of RISK_ROWS data rows by RISK_COLUMNS
+weight rows and adds each tile's losses to a running total in row order, so
+its memory does not grow with n and each risk is the n losses added in row
+order from the first, divided by n, whatever block the row is evaluated in.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -131,25 +132,6 @@ def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
     return g
 
 
-def risk_blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
-    """Bounds (lo, hi) of consecutive blocks of at most `width` weight rows
-    that cover rows 0..count, for `width` >= 3, one at a time.
-
-    numpy sums a lone column of losses pairwise but each column of a wider
-    block in row order, so no block holds exactly one row unless `count` is 1:
-    a block that would leave one row over ends a row early.  Evaluated block
-    by block over these bounds, `empirical_risk_many` gives the same bits as
-    one call on all `count` rows.
-    """
-    lo = 0
-    while lo < count:
-        hi = min(lo + width, count)
-        if count - hi == 1:
-            hi -= 1
-        yield lo, hi
-        lo = hi
-
-
 @functools.cache
 def _csr_matvecs() -> Callable | None:
     """scipy's private `csr_matvecs`, the routine its CSR @ dense product
@@ -188,9 +170,16 @@ def _band_products(d: Dataset, height: int) -> Callable[[int, np.ndarray], np.nd
     return product
 
 
+def margins(d: Dataset, W: np.ndarray) -> np.ndarray:
+    """The (n, len(W)) margins <w, x> of every row of `d` under every weight
+    row of `W`, with the bits of scipy's CSR @ dense product, in one band."""
+    return _band_products(d, d.n)(0, np.ascontiguousarray(W.T))
+
+
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
-    """Empirical risk of each weight row, bit for bit the mean over all n
-    losses of the margins scipy's CSR @ dense product gives.
+    """Empirical risk of each weight row: the n losses at the margins scipy's
+    CSR @ dense product gives, added in row order from the first, divided
+    by n.
 
     The rows go through the sparse matrix product in blocks of RISK_COLUMNS,
     one block per task on RISK_WORKERS threads.  A task walks the data in
@@ -198,24 +187,22 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
     (band, block) tile of margins and losses per thread is all that is held
     at once, whatever n is.  The product accumulates each column on its own,
     and numpy sums each column of a tile wider than one in row order; the
-    running sum enters each band as the first term of that order.  So a row's
-    risk depends neither on the thread count, the band height nor, within the
-    blocks `risk_blocks` cuts, on the block it falls in.  A lone row, whose
-    column numpy sums pairwise, is evaluated in one band of all n data rows,
-    and so is data of at most one band.
+    running sum enters each band as the first term of that order.  A block
+    of one row, whose lone column numpy would sum pairwise, is evaluated as
+    two identical columns and the first is kept.  So a row's risk depends
+    neither on the thread count, the band height nor the block it falls in.
     """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
     # resolved here: the workers touch no Dataset attribute
-    labels, n = d.labels[:, None], d.n
-    height = RISK_ROWS if n > RISK_ROWS and w_rows.shape[0] > 1 else n
+    labels, n, height, width = d.labels[:, None], d.n, RISK_ROWS, RISK_COLUMNS
     product = _band_products(d, height)
 
-    def block(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
+    def block(lo: int) -> np.ndarray:
+        rows = w_rows[lo : lo + width]
         # contiguous, so the product does not copy it once per band
-        wt = np.ascontiguousarray(w_rows[lo:hi].T)
+        wt = np.ascontiguousarray((rows if len(rows) > 1 else rows[[0, 0]]).T)
         acc = None
         for r in range(0, n, height):
             tile = losses(product(r, wt), labels[r : r + height], kind)
@@ -224,11 +211,11 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
                 # the addition numpy's row-order sum makes next
                 np.add(acc, tile[0], out=tile[0])
             acc = tile.sum(axis=0)
-        return acc / n
+        return acc[: len(rows)] / n
 
-    blocks = list(risk_blocks(w_rows.shape[0], RISK_COLUMNS))
-    with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(blocks))) as pool:
-        return np.concatenate(list(pool.map(block, blocks)))
+    starts = range(0, w_rows.shape[0], width)
+    with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(starts))) as pool:
+        return np.concatenate(list(pool.map(block, starts)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, _row_grad, empirical_risk_many, grad_scales, risk_blocks
+from .losses import LOSS_KINDS, _row_grad, empirical_risk_many, grad_scales
 
 
 class DivergenceError(RuntimeError):
@@ -110,7 +110,8 @@ class Trajectory:
 
 
 # Index-stream steps the batched kernel draws per repetition at a time, and
-# the width of its risk blocks, so neither grows with the number of iterations.
+# the base iterates per pair it buffers for one risk call, so neither grows
+# with the number of iterations.
 STREAM_CHUNK = 1024
 
 
@@ -226,10 +227,10 @@ def coupled_distance_batch(
     dropped.  Margins are checked every step, iterates and distances only at
     stride points, so a pair can be censored a step or more after the
     reference loop raises, on the same side.  With `risk_data`, the live
-    pairs' base iterates w_1..w_T are buffered per `risk_blocks` block, each
-    block is one `empirical_risk_many` call, and each pair adds its block's
-    risks to its running sum; block edges do not depend on the batch, so
-    neither does a pair's sum.
+    pairs' base iterates w_1..w_T are buffered per stream block, each block
+    is one `empirical_risk_many` call, and each pair adds its block's risks
+    to its running sum; block edges do not depend on the batch, so neither
+    does a pair's sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -286,9 +287,7 @@ def coupled_distance_batch(
     sum_risk = base_iterates = None
     if risk_data is not None:
         sum_risk = np.zeros(R * G)
-        blocks = risk_blocks(T, STREAM_CHUNK)
-        lo, hi = next(blocks)
-        base_iterates = np.empty((R * G, hi - lo, dim))
+        base_iterates = np.empty((R * G, min(T, STREAM_CHUNK), dim))
     W = np.zeros((R * G, dim + 1, 2))
     W[:, :dim] = w1[:, None]
     M = np.zeros_like(W)
@@ -306,9 +305,13 @@ def coupled_distance_batch(
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             live_labels = data.labels[live_rows]
+            if sum_risk is not None:
+                # a shorter block takes the front of the buffer, so its rows reshape without a copy
+                entries = pair.size * block.shape[1] * dim
+                base_iterates = base_iterates.reshape(-1)[:entries].reshape(pair.size, -1, dim)
             for j, hit_step in enumerate(hit.any(axis=0).tolist()):
                 if sum_risk is not None:
-                    base_iterates[:, k - lo] = W[:, :dim, 0]
+                    base_iterates[:, j] = W[:, :dim, 0]
                 # off a hit both sides read the base row, so its (P, 1, K)
                 # entries serve both
                 r = live_rows[j] if hit_step else live_rows[j, :, :1]
@@ -367,15 +370,11 @@ def coupled_distance_batch(
                     rep, row_offset, beta, zero_beta, eta, gamma = per_pair(pair)
                     if sum_risk is not None:
                         base_iterates = base_iterates[keep]
-                if sum_risk is not None and k == hi:
-                    rows = base_iterates.reshape(-1, dim)
-                    sum_risk[pair] += empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1).sum(axis=1)
-                    lo, hi = next(blocks, (T, T))
-                    # a shorter block takes the front of the buffer, so its rows reshape without a copy
-                    entries = pair.size * (hi - lo) * dim
-                    base_iterates = base_iterates.reshape(-1)[:entries].reshape(pair.size, hi - lo, dim)
             if not pair.size:
                 break
+            if sum_risk is not None:
+                rows = base_iterates.reshape(-1, dim)
+                sum_risk[pair] += empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1).sum(axis=1)
     distances[diverged_step > 0] = np.nan
     if sum_risk is not None:
         sum_risk[diverged_step > 0] = np.nan

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
-from .losses import LOSS_KINDS, RISK_WORKERS, grad_scales, loss_grad, loss_value, losses, smoothness
+from .losses import LOSS_KINDS, RISK_WORKERS, grad_scales, loss_grad, loss_value, losses, margins, smoothness
 from .harness import GridPoint, grid_points
 from .optimizer import DivergenceError, HyperParams, SampleStream, Trajectory, run, run_lookahead
 from .theory import max_eta_hb, max_gamma_nesterov
@@ -53,23 +53,6 @@ def _skip(name, params, note) -> CheckOutcome:
     return CheckOutcome(name, params, 0.0, 0.0, "skip", note)
 
 
-def _margins(data: Dataset, W: np.ndarray) -> np.ndarray:
-    """The (rows, len(W)) margins <w, x> of every row under every weight row.
-
-    Each row's entries are added in CSR order from +0.0, which is how
-    scipy's CSR @ dense product (`csr_matvecs`, which the risk sum runs) adds
-    them, so the bits are the same without loading scipy; the padding adds
-    0 * 0.
-    """
-    indices, values = data.padded
-    Wt = np.zeros((data.dim + 1, W.shape[0]))
-    Wt[: data.dim] = W.T
-    out = np.zeros((data.n, W.shape[0]))
-    for k in range(indices.shape[1]):
-        out += values[:, k, None] * Wt[indices[:, k]]
-    return out
-
-
 def _probe_pairs(kind: str, seed: int, probes: int):
     """Margins of a pool of sparse rows under two sets of random weight rows.
 
@@ -83,8 +66,8 @@ def _probe_pairs(kind: str, seed: int, probes: int):
     W1 = rng.standard_normal((side, 12)) * 3.0
     W2 = rng.standard_normal((side, 12)) * 3.0
     return (
-        _margins(data, W1),
-        _margins(data, W2),
+        margins(data, W1),
+        margins(data, W2),
         data.labels[:, None],
         data.norm_sq[:, None],
         smoothness(data, kind).per_example[:, None],
@@ -169,16 +152,10 @@ def auxiliary_sequence(traj: Trajectory) -> tuple[np.ndarray, float]:
     return y, g + traj.hp.eta / (1 - b)
 
 
-def check_y_identity(kind: str, traj: Trajectory, wrong_effective_step: bool = False) -> CheckOutcome:
+def check_y_identity(kind: str, traj: Trajectory) -> CheckOutcome:
     """Max norm of y_{k+1} - y_k + effective_step * g_k over the run, divided
-    by 1 + max_k ||y_k||; zero in exact arithmetic.
-
-    `wrong_effective_step` is a negative-control hook: it perturbs the
-    effective step by 0.1 percent, which must make the check fail.
-    """
+    by 1 + max_k ||y_k||; zero in exact arithmetic."""
     y, step = auxiliary_sequence(traj)
-    if wrong_effective_step:
-        step *= 1.001
     observed = float(np.linalg.norm(y[1:] - y[:-1] + step * traj.gradients, axis=1).max())
     scale = 1.0 + float(np.linalg.norm(y, axis=1).max())
     return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
@@ -312,8 +289,7 @@ def _loss_lemmas(kind: str) -> list[CheckOutcome]:
 
 
 def _beta_checks(
-    data: Dataset, kind: str, alpha: float, hb_point: GridPoint, nest_point: GridPoint, steps: int, seed: int,
-    force_bug: str,
+    data: Dataset, kind: str, alpha: float, hb_point: GridPoint, nest_point: GridPoint, steps: int, seed: int
 ) -> list[CheckOutcome]:
     """Every trajectory check of one (kind, beta), in report order; a run
     that leaves float range ends them with a failed `finite_runs` outcome."""
@@ -323,7 +299,7 @@ def _beta_checks(
         m_recursion = check_m_recursion(data, kind, hb_point.hp, seed)
         hb = run(data, kind, hb_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
         buffers = momentum_buffers(hb)
-        outcomes.append(check_y_identity(kind, hb, wrong_effective_step=force_bug == "y_identity"))
+        outcomes.append(check_y_identity(kind, hb))
         outcomes.extend(check_dist_identity(kind, hb, buffers))
         outcomes.append(m_recursion)
         outcomes.append(check_momentum_unrolling(kind, hb, buffers))
@@ -380,15 +356,12 @@ def run_invariant_suite(
     step_fraction: float = 0.5,
     seed: int = 3,
     data: Dataset | None = None,
-    force_bug: str = "",
 ) -> list[CheckOutcome]:
     """Run the full identity and inequality suite over a beta grid.
 
     Step sizes are `step_fraction` times each variant's admissible maximum
     for the dataset's smoothness, mapped by `grid_points`; a fraction that
-    makes any step 0 is a ConfigError before anything runs.  `force_bug` =
-    "y_identity" flips the negative-control hook so exactly that check must
-    fail.
+    makes any step 0 is a ConfigError before anything runs.
 
     The suite is a list of independent units, run by `_map_units`: per kind,
     one unit of the four loss-lemma checks, then one unit per beta.  In a
@@ -415,7 +388,7 @@ def run_invariant_suite(
         )
         units.append((_loss_lemmas, (kind,)))
         units.extend(
-            (_beta_checks, (data, kind, alpha, hb_point, nest_point, steps, seed, force_bug))
+            (_beta_checks, (data, kind, alpha, hb_point, nest_point, steps, seed))
             for hb_point, nest_point in zip(hb_grid, nesterov_grid)
         )
     return [outcome for unit in _map_units(units) for outcome in unit]

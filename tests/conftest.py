@@ -7,8 +7,9 @@ report.  Also holds the references the library is tested against:
 block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` (one
 `sgdm_step` or `lookahead_step` per step) for the two reference loops,
 `rep_draw` and `bound_check_draws` for the two `Draws` constructors,
-`average_iterate` and `empirical_risk` for the optimization bound, and
-`csr_matrix`, scipy's CSR matrix of a dataset, for the risk sum and margins.
+`average_iterate` and `empirical_risk` for the optimization bound,
+`csr_matrix`, scipy's CSR matrix of a dataset, for the risk sum and margins,
+and `wrong_effective_step`, the negative control of the identity suite.
 """
 
 import io
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from sgdm_stability import verification
 from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor, split_positions
 from sgdm_stability.losses import empirical_risk_many, loss_grad
 from sgdm_stability.optimizer import DivergenceError, SampleStream, Trajectory, run
@@ -83,11 +85,24 @@ def lookahead_step(s, g, beta, gamma):
 
 def csr_matrix(d):
     """The rows of `d` as a scipy CSR matrix of shape (n, dim), sharing
-    `values`: its products are what the risk sum and the loss-lemma margins
-    must give bit for bit."""
+    `values`: its products are what `losses.margins` must give bit for bit,
+    and its margins' losses, added in row order, the risk sum."""
     import scipy.sparse
 
     return scipy.sparse.csr_matrix((d.values, d.indices, d.indptr), shape=(d.n, d.dim), copy=False)
+
+
+def wrong_effective_step(monkeypatch):
+    """Make every check read the y identity's effective step 0.1 percent too
+    large, which must fail `y_identity` and no other check.  Suite units on
+    forked workers inherit the patch."""
+    auxiliary_sequence = verification.auxiliary_sequence
+
+    def wrong(traj):
+        y, step = auxiliary_sequence(traj)
+        return y, step * 1.001
+
+    monkeypatch.setattr(verification, "auxiliary_sequence", wrong)
 
 
 def empirical_risk(w, d, kind):

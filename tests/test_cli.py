@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import wrong_effective_step
 
 import sgdm_stability
 from sgdm_stability import harness
@@ -577,7 +578,8 @@ class TestVerifyInvariants:
         report = read_strict_json(out / "invariants.json")
         assert all(r["status"] in ("pass", "skip") for r in report)
 
-    def test_force_bug_fails_y_identity(self, tmp_path, capsys):
+    def test_force_bug_fails_y_identity(self, tmp_path, capsys, monkeypatch):
+        wrong_effective_step(monkeypatch)
         out = tmp_path / "inv2"
         rc = main(
             [
@@ -586,7 +588,6 @@ class TestVerifyInvariants:
                 "betas=0.5",
                 "losses=logistic",
                 "check_steps=200",
-                "force_bug=y_identity",
                 f"outdir={out}",
             ]
         )
@@ -639,9 +640,10 @@ class TestVerifyInvariants:
         assert not out.exists()
 
     def test_bad_force_bug_rejected(self, capsys):
-        rc = main(["verify-invariants", "--overrides", "force_bug=divide_by_zero"])
+        # the negative control is a test patch, not a key
+        rc = main(["verify-invariants", "--overrides", "force_bug=y_identity"])
         assert rc == EXIT_DATA
-        assert "force_bug" in capsys.readouterr().err
+        assert "key 'force_bug': not read by verify-invariants" in capsys.readouterr().err
 
 
 class TestRecipe:

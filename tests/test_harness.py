@@ -528,7 +528,7 @@ class TestBoundCheck:
         assert peaks[20] < 8 * train.n * t / 10
 
     def test_short_last_block_is_not_copied(self, monkeypatch):
-        # a horizon whose last risk block is 2 rows short of STREAM_CHUNK: its
+        # a horizon whose last stream block is 2 steps short of STREAM_CHUNK: its
         # base iterates are evaluated where they are buffered, so the peak is
         # that of a horizon of whole blocks, not one block buffer more
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)

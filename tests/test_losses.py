@@ -20,7 +20,6 @@ from sgdm_stability.losses import (
     loss_grad,
     loss_value,
     losses,
-    risk_blocks,
     smoothness,
 )
 from sgdm_stability.verification import (
@@ -253,7 +252,9 @@ class TestBlockedRisk:
 
     @staticmethod
     def unblocked(W, d, kind):
-        return losses(csr_matrix(d) @ W.T, d.labels[:, None], kind).mean(axis=0)
+        # the n losses added in row order from the first: the last running sum
+        L = losses(csr_matrix(d) @ W.T, d.labels[:, None], kind)
+        return np.cumsum(L, axis=0)[-1] / d.n
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -342,14 +343,26 @@ class TestBlockedRisk:
                 tracemalloc.stop()
         assert abs(peaks[20_000] - peaks[2_000]) < 8 * 20_000
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 255, 256, 257, 258, 512, 513, 1000])
-    def test_blocks_cover_rows_without_a_lone_row(self, count):
-        bounds = list(risk_blocks(count, 256))
-        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-        assert bounds[-1][1] == count
-        widths = [hi - lo for lo, hi in bounds]
-        assert max(widths) <= 256
-        assert min(widths) >= min(count, 2)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(1, 3 * RISK_COLUMNS + 3),
+        workers=st.sampled_from([1, 3]),
+        band=st.sampled_from([1, 7, 256]),
+        kind=st.sampled_from(["logistic", "squared"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=1, workers=1, band=256, kind="logistic", seed=0)
+    @example(rows=RISK_COLUMNS + 1, workers=3, band=7, kind="squared", seed=1)
+    def test_a_row_alone_gives_its_bits_in_the_batch(self, rows, workers, band, kind, seed):
+        # a lone row's column would be summed pairwise by numpy, a batch's
+        # columns in row order; the kernel evaluates either, so both must agree
+        W = np.random.default_rng(seed).standard_normal((rows, self.DATA.dim))
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers), \
+                mock.patch.object(losses_module, "RISK_ROWS", band):
+            batch = empirical_risk_many(W, self.DATA, kind)
+            for i in {0, rows // 2, rows - 1}:
+                alone = empirical_risk_many(W[i : i + 1], self.DATA, kind)
+                assert alone.tobytes() == batch[i : i + 1].tobytes()
 
 
 class TestSmoothness:

@@ -693,7 +693,7 @@ class TestCoupledBatch:
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     def test_risks_match_coupled_run_base_iterates(self, kind, monkeypatch):
-        # 10-step risk blocks cut T = 96 into uneven blocks; repetition 1's
+        # 10-step stream blocks cut T = 96 into uneven blocks; repetition 1's
         # neighbor takes a huge row, so its pairs are censored mid-run
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 10)
         examples, train_rows, perturbed, replacements, seeds = self._setup()

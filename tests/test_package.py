@@ -61,7 +61,8 @@ def scipy_modules_loaded(*argv):
 
 class TestScipyImportedOnFirstUse:
     """scipy costs about a third of a second to import, and no verb imports
-    it: the sparse risk sum loads one routine from its extension file."""
+    it: the sparse product of the risk sum and the loss lemmas loads one
+    routine from its extension file."""
 
     SYNTHETIC = ["dataset=synthetic", "synth_n=60", "synth_dim=5"]
 
@@ -89,11 +90,13 @@ class TestScipyImportedOnFirstUse:
         assert set(after_verb) <= {"scipy.sparse._sparsetools"}
 
     def test_verify_invariants_loads_no_scipy(self, tmp_path):
+        # the loss-lemma margins are the risk sum's product: on one CPU their
+        # units run in this process, which then loads the routine too
         after_import, after_verb = scipy_modules_loaded(
             "verify-invariants", "--overrides", "check_steps=50", f"outdir={tmp_path}"
         )
         assert after_import == []
-        assert after_verb == []
+        assert set(after_verb) <= {"scipy.sparse._sparsetools"}
 
 
 def test_import_loads_no_multiprocessing():

@@ -3,14 +3,14 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from conftest import csr_matrix
+from conftest import csr_matrix, wrong_effective_step
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgdm_stability import verification
 from sgdm_stability.cli import EXIT_OK, main
 from sgdm_stability.dataset import Dataset, synthetic_binary_dataset
-from sgdm_stability.losses import LOSS_KINDS, smoothness
+from sgdm_stability.losses import LOSS_KINDS, margins, smoothness
 from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
@@ -53,20 +53,20 @@ def with_gradient_row_scaled(traj, row, factor):
 
 
 class TestNegativeControl:
-    def test_wrong_effective_step_fails_y_identity(self, small_data):
+    def test_wrong_effective_step_fails_y_identity(self, small_data, monkeypatch):
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("hb", 0.5 * max_eta_hb(0.5, alpha), 0.5, 400)
         traj = fresh_run(small_data, "logistic", hp, seed=1)
         good = check_y_identity("logistic", traj)
-        bad = check_y_identity("logistic", traj, wrong_effective_step=True)
+        wrong_effective_step(monkeypatch)
+        bad = check_y_identity("logistic", traj)
         assert good.status == "pass"
         assert bad.status == "fail"
         assert bad.observed > good.observed * 1e3
 
-    def test_suite_hook_fails_only_y_identity(self):
-        outcomes = run_invariant_suite(
-            betas=(0.5,), kinds=("logistic",), steps=200, force_bug="y_identity"
-        )
+    def test_suite_hook_fails_only_y_identity(self, monkeypatch):
+        wrong_effective_step(monkeypatch)
+        outcomes = run_invariant_suite(betas=(0.5,), kinds=("logistic",), steps=200)
         failed = [o for o in outcomes if o.status == "fail"]
         assert failed
         assert {o.name for o in failed} == {"y_identity"}
@@ -287,7 +287,8 @@ class TestSuiteOnWorkers:
         assert [row for row in pooled if row["name"] == "finite_runs"]
 
     def test_force_bug(self, monkeypatch):
-        pooled, equal = self._both(monkeypatch, betas=(0.5,), steps=100, force_bug="y_identity")
+        wrong_effective_step(monkeypatch)
+        pooled, equal = self._both(monkeypatch, betas=(0.5,), steps=100)
         assert equal
         assert {row["name"] for row in pooled if row["status"] == "fail"} == {"y_identity"}
 
@@ -319,7 +320,7 @@ def test_margins_equal_the_sparse_product_bit_for_bit(rows, dim, weights, seed):
     data = Dataset(indptr, indices, values, np.ones(len(rows)), dim)
     W = rng.standard_normal((weights, dim)) * 10.0 ** rng.integers(-8, 9, (weights, dim))
     expected = csr_matrix(data) @ W.T
-    assert verification._margins(data, W).tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert margins(data, W).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestProperties:

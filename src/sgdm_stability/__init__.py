@@ -3,16 +3,12 @@
 from .dataset import (
     DataError,
     Dataset,
-    NeighborSpec,
     ParseError,
     binarize,
     binarize_labels,
     load_libsvm,
-    make_neighbor,
     parse_libsvm,
     serialize_libsvm,
-    split,
-    stack,
     synthetic_binary_dataset,
 )
 from .harness import (

@@ -26,6 +26,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     PreconditionError,
+    grid_points,
     json_text,
     run_bound_checks,
     run_stability_experiment,
@@ -314,7 +315,10 @@ def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
 
 
 def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
-    print(json_text(epr_recipe(**cfg).to_dict()))
+    recipe = epr_recipe(**cfg)
+    # a cap that maps to no update (alpha so large that it rounds to 0) is refused as a step is
+    grid_points(cfg["variant"], (cfg["beta"],), [(recipe.cap,)], recipe.t, "alpha")
+    print(json_text(recipe.to_dict()))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Sparse datasets in LIBSVM format: parsing, label binarization, splits, neighbors.
+"""Sparse datasets in LIBSVM format: parsing, label binarization, splits.
 
 A dataset is one CSR record: `indptr`, 0-based feature `indices`, `values`,
 one real `labels` entry per row, and the feature count `dim`.  Every other
@@ -6,7 +6,10 @@ module reads rows by position (`Dataset.row`), through the padded row table
 (`Dataset.padded`) or the per-row summaries defined here, so this module is
 the only one that knows the layout, apart from the risk sum's sparse product,
 which reads the CSR arrays as they are.  Labels stay raw at parse time;
-`binarize` maps them onto {-1, +1} for binary classification.
+`binarize` maps them onto {-1, +1} for binary classification.  A train set
+and its neighbor are row positions into one dataset: `split_positions`
+draws the train and held-out positions, a neighbor replaces one train
+position by another, and `Dataset.take` gathers the rows of any positions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, TextIO
@@ -172,30 +175,6 @@ class Dataset:
         indices[filled] = self.indices
         values[filled] = self.values
         return indices, values
-
-
-def stack(parts: Sequence[Dataset], dim: int) -> Dataset:
-    """The rows of every part, in order, as one dataset with `dim` features."""
-    ends = np.cumsum([p.indptr[-1] for p in parts])
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.intp)] + [p.indptr[1:] + end - p.indptr[-1] for p, end in zip(parts, ends)]
-    )
-    return Dataset(
-        indptr,
-        np.concatenate([p.indices for p in parts]),
-        np.concatenate([p.values for p in parts]),
-        np.concatenate([p.labels for p in parts]),
-        dim,
-    )
-
-
-@dataclass(frozen=True)
-class NeighborSpec:
-    """Replace the row at 1-based position `index` by row `row` (0-based) of `pool`."""
-
-    index: int
-    pool: Dataset
-    row: int
 
 
 # Lines per parse block: each block's tokens are checked and converted with a
@@ -609,22 +588,6 @@ def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.
         raise DataError(f"degenerate split: {n_train} train of {n} total")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """The partition of `split_positions` as (train, held) datasets, both in
-    the original row order."""
-    train_pos, held_pos = split_positions(d.n, fraction, seed)
-    return d.take(train_pos), d.take(held_pos)
-
-
-def make_neighbor(d: Dataset, spec: NeighborSpec) -> Dataset:
-    """Copy of `d` with row spec.index (1-based) replaced by row spec.row of spec.pool."""
-    if not 1 <= spec.index <= d.n:
-        raise DataError(f"neighbor index {spec.index} out of range 1..{d.n}")
-    order = np.arange(d.n)
-    order[spec.index - 1] = d.n
-    return stack([d, spec.pool.take([spec.row])], d.dim).take(order)
 
 
 def synthetic_binary_dataset(

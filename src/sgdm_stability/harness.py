@@ -15,9 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import (
-    DataError, Dataset, binarize, load_libsvm, split, split_positions, stack, synthetic_binary_dataset,
-)
+from .dataset import DataError, Dataset, binarize, load_libsvm, split_positions, synthetic_binary_dataset
 from .losses import smoothness
 from .optimizer import CoupledBatch, DivergenceError, HyperParams, SampleStream, coupled_distance_batch
 from .theory import (
@@ -105,7 +103,9 @@ class Draws:
     """Each repetition's randomness, as positions into the data the kernel
     runs on: repetition r trains on the rows train_rows[r] in the order of
     the stream seeded stream_seeds[r], and its neighbor puts the row
-    replacements[r] at 1-based train position perturbed[r]."""
+    replacements[r] at 1-based train position perturbed[r].  Both
+    constructors size the arrays before the first draw, so a size that
+    cannot be allocated fails at once."""
 
     train_rows: np.ndarray  # (R, n)
     perturbed: np.ndarray  # (R,)
@@ -118,35 +118,37 @@ class Draws:
         train rows, replaced from its held-out rows, all drawn in a fixed order
         from one generator keyed by (seed, repetition), so no result depends
         on grid traversal."""
-        rows, perturbed, replacements, stream_seeds = [], [], [], []
+        # every split has floor(fraction * n) train rows
+        n_train = math.floor(fraction * n) if max_train is None else min(math.floor(fraction * n), max_train)
+        draws = cls(
+            np.empty((reps, n_train), dtype=np.intp), np.empty(reps, dtype=np.int64),
+            np.empty(reps, dtype=np.intp), np.empty(reps, dtype=np.int64),
+        )
         for rep in range(reps):
             rng = np.random.default_rng([seed, rep])
             train, held = split_positions(n, fraction, int(rng.integers(2**63)))
-            if max_train is not None and train.size > max_train:
-                train = train[np.sort(rng.choice(train.size, size=max_train, replace=False))]
-            rows.append(train)
-            perturbed.append(rng.integers(1, train.size + 1))
-            replacements.append(held[rng.integers(0, held.size)])
-            stream_seeds.append(rng.integers(2**63))
-        return cls(np.stack(rows), np.array(perturbed), np.array(replacements), np.array(stream_seeds))
+            if train.size > n_train:
+                train = train[np.sort(rng.choice(train.size, size=n_train, replace=False))]
+            draws.train_rows[rep] = train
+            draws.perturbed[rep] = rng.integers(1, n_train + 1)
+            draws.replacements[rep] = held[rng.integers(0, held.size)]
+            draws.stream_seeds[rep] = rng.integers(2**63)
+        return draws
 
     @classmethod
-    def fixed_split(cls, n_train: int, n_pool: int, seed: int, samples: int) -> Draws:
-        """Every sample trains on all of the first n_train rows and draws its
-        replacement from the n_pool rows after them, from one generator keyed
-        by (seed, sample)."""
-        # sized by `samples` before the draw loop, so a size that cannot be
-        # allocated fails at once
+    def fixed_split(cls, train_rows: np.ndarray, pool_rows: np.ndarray, seed: int, samples: int) -> Draws:
+        """Every sample trains on all of the rows `train_rows` and draws its
+        replacement from the rows `pool_rows`, from one generator keyed by
+        (seed, sample)."""
         perturbed = np.empty(samples, dtype=np.int64)
         replacements = np.empty(samples, dtype=np.intp)
         stream_seeds = np.empty(samples, dtype=np.int64)
         for s in range(samples):
             rng = np.random.default_rng([seed, s])
-            perturbed[s] = rng.integers(1, n_train + 1)
-            replacements[s] = n_train + rng.integers(0, n_pool)
+            perturbed[s] = rng.integers(1, train_rows.size + 1)
+            replacements[s] = pool_rows[rng.integers(0, pool_rows.size)]
             stream_seeds[s] = rng.integers(2**63)
-        train_rows = np.broadcast_to(np.arange(n_train), (samples, n_train))
-        return cls(train_rows, perturbed, replacements, stream_seeds)
+        return cls(np.broadcast_to(train_rows, (samples, train_rows.size)), perturbed, replacements, stream_seeds)
 
     def run(
         self, data: Dataset, kind: str, points: list[HyperParams], stride: int, risk_data: Dataset | None = None
@@ -357,8 +359,9 @@ class BoundCheckResult:
 
 
 def run_bound_check(
-    train: Dataset,
-    replacement_pool: Dataset,
+    data: Dataset,
+    train_rows: np.ndarray,
+    pool_rows: np.ndarray,
     kind: str,
     grid: list[GridPoint],
     alpha: float,
@@ -366,13 +369,16 @@ def run_bound_check(
     seed: int,
 ) -> list[BoundCheckResult]:
     """Monte Carlo comparison of measured squared divergence with the bound
-    at each point of `grid`.
+    at each point of `grid`, for the train set S of the rows `train_rows` of
+    `data` and neighbors that replace one of them by one of the rows
+    `pool_rows`.
 
     Refuses (PreconditionError) before any point runs when the stability
     step-size condition fails at any point, since the bound does not apply
     there.  The bound's accumulated risk sum_k R_S(w_k) over the base iterates
-    w_1..w_t is estimated from the base runs of the same samples.  At every
-    point the same samples are the pairs of one `coupled_distance_batch` call
+    w_1..w_t is estimated from the base runs of the same samples, on
+    `data.take(train_rows)`, the one copy of rows made.  At every point the
+    same samples are the pairs of one `coupled_distance_batch` call on `data`
     with a running risk sum per sample, so memory does not grow with t; the
     lowest censored sample raises DivergenceError.
     """
@@ -382,10 +388,9 @@ def run_bound_check(
             raise PreconditionError(
                 f"stability condition violated at beta {point.beta:g}: lhs {cond.lhs} > rhs {cond.rhs}"
             )
-    draws = Draws.fixed_split(train.n, replacement_pool.n, seed, samples)
-    # every sample trains on all of `train`, in its own stream's order; the
-    # pool's rows follow the train rows in the stacked data
-    data = stack([train, replacement_pool], train.dim)
+    # every sample trains on all of the train rows, in its own stream's order
+    draws = Draws.fixed_split(train_rows, pool_rows, seed, samples)
+    train = data.take(train_rows)
     results = []
     for point in grid:
         t = point.hp.iterations
@@ -425,12 +430,13 @@ def run_bound_checks(
 
     `t` is (k, per_n): k steps, or k times the train size when per_n.  Each
     beta's step is `step`, or `step_fraction` times the largest step its
-    stability condition admits.
+    stability condition admits on the train rows.
     """
-    train, held = split(load_experiment_data(cfg), cfg.fraction, cfg.seed)
-    alpha = smoothness(train, cfg.loss).alpha
+    data = load_experiment_data(cfg)
+    train_rows, held_rows = split_positions(data.n, cfg.fraction, cfg.seed)
+    alpha = smoothness(data.take(train_rows), cfg.loss).alpha
     k, per_n = t
-    iterations = k * train.n if per_n else k
+    iterations = k * train_rows.size if per_n else k
     if not 1 <= iterations < 2**63:
         raise ConfigError(f"key 't': expected at least one step and fewer than 2**63, got {iterations!r} steps")
     if step is None and alpha == 0.0:
@@ -441,4 +447,4 @@ def run_bound_checks(
     steps = [(step if step is not None else step_fraction * max_step(cfg.variant, beta, alpha),) for beta in cfg.betas]
     key = "step" if step is not None else "step_fraction"
     grid = grid_points(cfg.variant, cfg.betas, steps, int(iterations), key)
-    return run_bound_check(train, held, cfg.loss, grid, alpha, samples, cfg.seed)
+    return run_bound_check(data, train_rows, held_rows, cfg.loss, grid, alpha, samples, cfg.seed)

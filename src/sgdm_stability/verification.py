@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NeighborSpec, make_neighbor, synthetic_binary_dataset
+from .dataset import Dataset, synthetic_binary_dataset
 from .losses import LOSS_KINDS, RISK_WORKERS, grad_scales, loss_grad, loss_value, losses, margins, smoothness
 from .harness import GridPoint, grid_points
 from .optimizer import DivergenceError, HyperParams, SampleStream, Trajectory, run, run_lookahead
@@ -127,13 +127,18 @@ def _run_params(kind: str, hp: HyperParams) -> dict:
     return {"kind": kind, "beta": hp.beta, "gamma": hp.gamma, "eta": hp.eta, "steps": hp.iterations}
 
 
+def _decayed_sums(decay: float, terms: np.ndarray) -> np.ndarray:
+    """s_0..s_T along the first axis of the T `terms`: s_0 = 0 and
+    s_k = decay * s_{k-1} + terms[k-1]."""
+    s = np.zeros((terms.shape[0] + 1, *terms.shape[1:]))
+    for k in range(1, s.shape[0]):
+        s[k] = decay * s[k - 1] + terms[k - 1]
+    return s
+
+
 def momentum_buffers(traj: Trajectory) -> np.ndarray:
     """Replayed momentum buffers m_0..m_T from the recorded gradients."""
-    T, d = traj.gradients.shape
-    m = np.zeros((T + 1, d))
-    for k in range(1, T + 1):
-        m[k] = traj.hp.beta * m[k - 1] + traj.gradients[k - 1]
-    return m
+    return _decayed_sums(traj.hp.beta, traj.gradients)
 
 
 def auxiliary_sequence(traj: Trajectory) -> tuple[np.ndarray, float]:
@@ -175,10 +180,7 @@ def check_dist_identity(kind: str, traj: Trajectory, buffers: np.ndarray) -> lis
     # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
     # squared as numpy scalars, so a huge step gives inf instead of OverflowError
     rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(buffers**2, axis=1)
-    grad_sq = np.sum(traj.gradients**2, axis=1)
-    geo = np.zeros(W.shape[0])
-    for k in range(1, W.shape[0]):
-        geo[k] = b * geo[k - 1] + grad_sq[k - 1]
+    geo = _decayed_sums(b, np.sum(traj.gradients**2, axis=1))
     bound = b**2 * np.float64(eta) ** 2 / (1 - b) ** 3 * geo
     residual = (np.abs(lhs - rhs) / (1.0 + np.maximum(lhs, rhs))).max()
     margin = ((bound - lhs) / (1.0 + np.abs(bound))).min()
@@ -208,12 +210,7 @@ def m_recursion_margins(base: Trajectory, neighbor: Trajectory) -> np.ndarray:
     delta = 0.5 * (1.0 / b - 1.0)
     lhs = np.sum((momentum_buffers(base)[1:] - momentum_buffers(neighbor)[1:]) ** 2, axis=1)
     gdiff_sq = np.sum((base.gradients - neighbor.gradients) ** 2, axis=1)
-    decay = (1 + delta) * b * b
-    acc = 0.0
-    rhs = np.empty_like(lhs)
-    for k in range(lhs.shape[0]):
-        acc = decay * acc + gdiff_sq[k]
-        rhs[k] = (1 + 1 / delta) * acc
+    rhs = (1 + 1 / delta) * _decayed_sums((1 + delta) * b * b, gdiff_sq)[1:]
     return (rhs - lhs) / (1.0 + np.abs(rhs))
 
 
@@ -222,11 +219,12 @@ def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> C
     if hp.beta == 0.0:
         return _skip("m_recursion", params, "requires beta > 0")
     rng = np.random.default_rng(seed)
-    idx = int(rng.integers(1, data.n + 1))
-    spec = NeighborSpec(idx, data, int(rng.integers(0, data.n)))
+    rows = np.arange(data.n)
+    perturbed = rng.integers(1, data.n + 1)
+    rows[perturbed - 1] = rng.integers(0, data.n)
     stream = SampleStream(seed + 1, data.n)
     base = run(data, kind, hp, np.zeros(data.dim), stream)
-    neighbor = run(make_neighbor(data, spec), kind, hp, np.zeros(data.dim), stream)
+    neighbor = run(data.take(rows), kind, hp, np.zeros(data.dim), stream)
     return _outcome_min("m_recursion", params, m_recursion_margins(base, neighbor).min(), -1e-10)
 
 

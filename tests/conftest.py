@@ -3,7 +3,8 @@
 Collects the acceptance tests' outcomes and prints one line per criterion at
 the end of the run, so a full-suite invocation doubles as the acceptance
 report.  Also holds the references the library is tested against:
-`reference_pair` for the batched kernel, `parse_libsvm_per_token` for the
+`reference_pair` for the batched kernel, `stack` and `joined` for data
+that holds a foreign replacement pool, `parse_libsvm_per_token` for the
 block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` (one
 `sgdm_step` or `lookahead_step` per step) for the two reference loops,
 `rep_draw` and `bound_check_draws` for the two `Draws` constructors,
@@ -21,7 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from sgdm_stability import verification
-from sgdm_stability.dataset import DataError, Dataset, ParseError, make_neighbor, split_positions
+from sgdm_stability.dataset import (
+    DataError, Dataset, ParseError, parse_libsvm, serialize_libsvm, split_positions,
+)
 from sgdm_stability.losses import empirical_risk_many, loss_grad
 from sgdm_stability.optimizer import DivergenceError, SampleStream, Trajectory, run
 
@@ -110,11 +113,27 @@ def empirical_risk(w, d, kind):
     return float(empirical_risk_many(w[None, :], d, kind)[0])
 
 
-def reference_pair(d, spec, kind, hp, w1, stream):
-    """The reference loop on `d` and on its neighbor under `spec`, with one
-    index stream: (base, neighbor, ||w_k - w'_k|| at every iterate)."""
-    base = run(d, kind, hp, w1, stream)
-    neighbor = run(make_neighbor(d, spec), kind, hp, w1, stream)
+def stack(parts, dim):
+    """The rows of every part, in order, as one dataset with `dim` features:
+    their `serialize_libsvm` texts joined and parsed, which round-trips
+    every row exactly."""
+    return parse_libsvm("".join(map(serialize_libsvm, parts)), dim=dim)
+
+
+def joined(train, pool):
+    """`stack` of `train` and `pool` with `train`'s features, and the positions of the rows of each."""
+    return stack([train, pool], train.dim), np.arange(train.n), np.arange(train.n, train.n + pool.n)
+
+
+def reference_pair(data, rows, perturbed, replacement, kind, hp, w1, stream):
+    """The reference loop on the rows `rows` of `data` and on its neighbor,
+    the same rows with the one at 1-based position `perturbed` replaced by
+    row `replacement`, with one index stream: (base, neighbor,
+    ||w_k - w'_k|| at every iterate)."""
+    neighbor_rows = np.array(rows)
+    neighbor_rows[perturbed - 1] = replacement
+    base = run(data.take(rows), kind, hp, w1, stream)
+    neighbor = run(data.take(neighbor_rows), kind, hp, w1, stream)
     return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
 
 
@@ -187,17 +206,16 @@ def rep_draw(cfg, n, rep):
     return RepDraw(train, perturbed, replacement, stream_seed)
 
 
-def bound_check_draws(n_train, n_pool, seed, samples):
-    """The bound check's perturbed indices, replacement positions (the pool's
-    rows follow the train rows) and index streams, one sample at a time."""
-    perturbed = np.empty(samples, dtype=np.int64)
-    replacements = np.empty(samples, dtype=np.intp)
-    streams = []
+def bound_check_draws(train_rows, pool_rows, seed, samples):
+    """The bound check's perturbed indices, replacement positions (drawn
+    from `pool_rows`) and index streams over the `train_rows`, one sample at
+    a time."""
+    perturbed, replacements, streams = [], [], []
     for s in range(samples):
         rng = np.random.default_rng([seed, s])
-        perturbed[s] = rng.integers(1, n_train + 1)
-        replacements[s] = n_train + rng.integers(0, n_pool)
-        streams.append(SampleStream(int(rng.integers(2**63)), n_train))
+        perturbed.append(int(rng.integers(1, len(train_rows) + 1)))
+        replacements.append(int(pool_rows[int(rng.integers(0, len(pool_rows)))]))
+        streams.append(SampleStream(int(rng.integers(2**63)), len(train_rows)))
     return perturbed, replacements, streams
 
 

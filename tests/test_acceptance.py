@@ -21,13 +21,13 @@ from conftest import (
     average_iterate,
     csr_matrix,
     empirical_risk,
+    joined,
     lookahead_step,
     reference_pair,
     sgdm_step,
 )
 from sgdm_stability.dataset import (
     KNOWN_DATASET_SHAPES,
-    NeighborSpec,
     binarize,
     load_libsvm,
     parse_libsvm,
@@ -143,13 +143,13 @@ def test_c04_loss_lemma_suite():
 
 
 def test_c05_momentum_recursion_inequality():
-    data = synthetic_binary_dataset(100, 8, seed=21)
-    alpha = smoothness(data, "logistic").alpha
-    pool = synthetic_binary_dataset(5, 8, seed=22)
+    train = synthetic_binary_dataset(100, 8, seed=21)
+    alpha = smoothness(train, "logistic").alpha
+    data, rows, pool_rows = joined(train, synthetic_binary_dataset(5, 8, seed=22))
     for beta in (0.5, 0.9):
         hp = variant_params("hb", 0.5 * max_eta_hb(beta, alpha), beta, 500)
         base, neighbor, _ = reference_pair(
-            data, NeighborSpec(7, pool, 0), "logistic", hp, np.zeros(8), SampleStream(23, 100)
+            data, rows, 7, pool_rows[0], "logistic", hp, np.zeros(8), SampleStream(23, 100)
         )
         margins = m_recursion_margins(base, neighbor)
         assert margins.shape == (500,)
@@ -164,7 +164,7 @@ def test_c06_stability_bound_dominance():
     for beta in (0.0, 0.5):
         eta = 0.5 * max_eta_hb(beta, alpha)
         grid = grid_points("hb", (beta,), [(eta,)], 5 * train.n, "step")
-        (res,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=50, seed=5)
+        (res,) = run_bound_check(*joined(train, pool), "logistic", grid, alpha, samples=50, seed=5)
         assert res.holds, f"beta={beta}: empirical {res.empirical:g} > bound {res.theoretical:g}"
         assert res.margin_ratio > 10.0, f"beta={beta}: margin ratio only {res.margin_ratio:g}"
     elapsed = time.perf_counter() - started

@@ -519,6 +519,10 @@ class TestNumericConfigErrors:
                 id="check-bounds-samples",
             ),
             pytest.param(
+                ["run-stability", "--overrides", "dataset=synthetic", "reps=99999999999999", "epochs=1"],
+                id="run-stability-reps",
+            ),
+            pytest.param(
                 ["verify-invariants", "--overrides", "check_steps=100000000000000"],
                 id="verify-invariants-check_steps",
             ),
@@ -533,13 +537,19 @@ class TestNumericConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "bad", ["n=0", "beta=1", "beta=-0.1", "l_star=-1", "alpha=0", "alpha=inf"],
-        ids=lambda item: item.replace("=", "-"),
+        # alpha=1e308: the cap's denominator, alpha (1+beta)(3-beta) for hb,
+        # overflows, so the cap, and with it the step, is 0
+        "bad", [
+            "n=0", "beta=1", "beta=-0.1", "l_star=-1", "alpha=0", "alpha=inf", "alpha=1e308",
+            "alpha=1e308 variant=nesterov",
+        ],
+        ids=lambda item: item.replace("=", "-").replace(" ", "-"),
     )
     def test_recipe(self, bad, capsys):
         good = {"n": "100", "beta": "0.5", "l_star": "0.1", "alpha": "1"}
-        key, value = bad.split("=")
-        overrides = [f"{k}={value if k == key else v}" for k, v in good.items()]
+        given = dict(item.split("=") for item in bad.split())
+        key = bad.split("=")[0]
+        overrides = [f"{k}={v}" for k, v in {**good, **given}.items()]
         assert main(["recipe", "--overrides", *overrides]) == EXIT_DATA
         out, err = capsys.readouterr()
         assert err.startswith(f"error: config: key {key!r}:")

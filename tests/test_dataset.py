@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import csr_matrix, parse_libsvm_per_token
+from conftest import csr_matrix, parse_libsvm_per_token, stack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +15,16 @@ from sgdm_stability.dataset import (
     PARSE_BLOCK,
     DataError,
     Dataset,
-    NeighborSpec,
     ParseError,
     binarize,
     binarize_labels,
     load_libsvm,
-    make_neighbor,
     parse_libsvm,
     serialize_libsvm,
-    split,
-    stack,
+    split_positions,
     synthetic_binary_dataset,
 )
+from sgdm_stability.optimizer import HyperParams, SampleStream, coupled_distance_batch
 
 
 def rows_dataset(rows, dim):
@@ -597,9 +595,9 @@ class TestSplit:
         return parse_libsvm("\n".join(f"{(-1) ** i} 1:{i + 1}" for i in range(n)) + "\n")
 
     def test_sizes(self):
-        train, held = split(self._data(10), 0.8, seed=0)
-        assert train.n == 8
-        assert held.n == 2
+        train, held = split_positions(10, 0.8, seed=0)
+        assert train.size == 8
+        assert held.size == 2
 
     def test_a9a_sized_split(self):
         # floor(0.8 * 32561) = 26048
@@ -608,39 +606,41 @@ class TestSplit:
         assert math.floor(0.8 * 32561) == 26048
 
     def test_partition_is_exact(self):
+        # sorted positions, so the rows keep their order in the data
         d = self._data(23)
-        train, held = split(d, 0.6, seed=5)
+        train, held = split_positions(d.n, 0.6, seed=5)
+        assert (np.diff(train) > 0).all() and (np.diff(held) > 0).all()
         merged = sorted(
-            [features(train, i)[1][0] for i in range(train.n)]
-            + [features(held, i)[1][0] for i in range(held.n)]
+            [features(d.take(train), i)[1][0] for i in range(train.size)]
+            + [features(d.take(held), i)[1][0] for i in range(held.size)]
         )
         assert merged == [features(d, i)[1][0] for i in range(d.n)]
 
     def test_deterministic(self):
-        d = self._data(40)
-        a = split(d, 0.8, seed=9)
-        b = split(d, 0.8, seed=9)
-        assert a[0] == b[0] and a[1] == b[1]
-        c = split(d, 0.8, seed=10)
-        assert c[0] != a[0]
+        a = split_positions(40, 0.8, seed=9)
+        b = split_positions(40, 0.8, seed=9)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        c = split_positions(40, 0.8, seed=10)
+        assert not np.array_equal(c[0], a[0])
 
     @pytest.mark.parametrize("fraction", [0.01, 0.3])
     def test_degenerate_split_rejected(self, fraction):
         # floor(fraction * 3) = 0 train examples in both cases
         with pytest.raises(DataError):
-            split(self._data(3), fraction, seed=0)
+            split_positions(3, fraction, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
     def test_fraction_out_of_range(self, fraction):
         with pytest.raises(DataError):
-            split(self._data(10), fraction, seed=0)
+            split_positions(10, fraction, seed=0)
 
 
 class TestNeighbor:
+    """A neighbor is the train positions with one of them replaced."""
+
     def test_replaces_exactly_one(self):
-        d = parse_libsvm("1 1:1\n-1 2:1\n1 3:1\n")
-        repl = rows_dataset([((1, 2), (9.0, 9.0), -1.0)], 3)
-        nb = make_neighbor(d, NeighborSpec(index=2, pool=repl, row=0))
+        d = stack([parse_libsvm("1 1:1\n-1 2:1\n1 3:1\n"), rows_dataset([((1, 2), (9.0, 9.0), -1.0)], 3)], 3)
+        nb = d.take([0, 3, 2])
         assert nb.take([0]) == d.take([0])
         assert nb.take([2]) == d.take([2])
         assert features(nb, 1)[1] == (9.0, 9.0)
@@ -648,14 +648,17 @@ class TestNeighbor:
 
     def test_identity_replacement(self):
         d = parse_libsvm("1 1:1\n-1 2:1\n")
-        nb = make_neighbor(d, NeighborSpec(index=1, pool=d, row=0))
-        assert nb == d
+        assert d.take([0, 1]) == d
 
     @pytest.mark.parametrize("index", [0, 4, -1])
     def test_bad_index(self, index):
+        # the kernel names the replaced train row by its 1-based position
         d = parse_libsvm("1 1:1\n-1 2:1\n1 1:2\n")
-        with pytest.raises(DataError):
-            make_neighbor(d, NeighborSpec(index=index, pool=d, row=0))
+        hp = HyperParams(beta=0.5, gamma=0.0, eta=0.1, iterations=2)
+        with pytest.raises(ValueError, match="neighbor index out of range 1..3"):
+            coupled_distance_batch(
+                d, np.arange(3)[None, :], [index], [0], [SampleStream(0, 3)], "logistic", [hp], np.zeros(2), 1
+            )
 
 
 class TestSparseVectorInvariants:
@@ -725,7 +728,7 @@ class TestSynthetic:
 
 
 class TestRowOperations:
-    """take, stack, make_neighbor, padded and norm_sq against per-row reads."""
+    """take, neighbors, the tests' stack, padded and norm_sq against per-row reads."""
 
     @settings(max_examples=40, deadline=None)
     @given(d=random_datasets(), data=st.data())
@@ -742,13 +745,11 @@ class TestRowOperations:
     def test_neighbor_replaces_one_row(self, d, pool, data):
         index = data.draw(st.integers(1, d.n))
         row = data.draw(st.integers(0, pool.n - 1))
-        spec = NeighborSpec(index, pool, row)
-        if features(pool, row)[0] and features(pool, row)[0][-1] > d.dim:
-            with pytest.raises(DataError):
-                make_neighbor(d, spec)
-            return
-        nb = make_neighbor(d, spec)
-        assert nb.n == d.n and nb.dim == d.dim
+        both = stack([d, pool], max(d.dim, pool.dim))
+        rows = np.arange(d.n)
+        rows[index - 1] = d.n + row
+        nb = both.take(rows)
+        assert nb.n == d.n
         for i in range(d.n):
             src, j = (pool, row) if i == index - 1 else (d, i)
             assert features(nb, i) == features(src, j)

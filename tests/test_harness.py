@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bound_check_draws, rep_draw, reference_pair
+from conftest import bound_check_draws, joined, rep_draw, reference_pair
 from sgdm_stability import losses, optimizer
-from sgdm_stability.dataset import NeighborSpec, parse_libsvm, stack, synthetic_binary_dataset
+from sgdm_stability.dataset import parse_libsvm, split_positions, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ConfigError,
     Draws,
@@ -107,9 +107,10 @@ class TestDraws:
     def test_fixed_split_equals_bound_check_draws(self, n, fraction, seed, samples):
         n_train = math.floor(fraction * n)
         assume(1 <= n_train < n)
-        perturbed, replacements, streams = bound_check_draws(n_train, n - n_train, seed, samples)
-        draws = Draws.fixed_split(n_train, n - n_train, seed, samples)
-        np.testing.assert_array_equal(draws.train_rows, np.tile(np.arange(n_train), (samples, 1)))
+        train_rows, pool_rows = split_positions(n, fraction, seed)
+        perturbed, replacements, streams = bound_check_draws(train_rows, pool_rows, seed, samples)
+        draws = Draws.fixed_split(train_rows, pool_rows, seed, samples)
+        np.testing.assert_array_equal(draws.train_rows, np.tile(train_rows, (samples, 1)))
         np.testing.assert_array_equal(draws.perturbed, perturbed)
         np.testing.assert_array_equal(draws.replacements, replacements)
         assert draws.stream_seeds.tolist() == [s.seed for s in streams]
@@ -129,25 +130,19 @@ class TestLoadExperimentData:
         assert sorted(set(data.labels.tolist())) == [-1.0, 1.0]
 
 
-def one_pair_batch(train, spec, kind, hp, stream, stride, risk_data=None):
-    """The batched kernel on the one pair (train, its neighbor under spec)."""
+def one_pair_batch(data, rows, perturbed, replacement, kind, hp, stream, stride, risk_data=None):
+    """The batched kernel on the one pair of the rows `rows` of `data` and its
+    neighbor, which puts row `replacement` at 1-based position `perturbed`."""
     return coupled_distance_batch(
-        stack([train, spec.pool.take([spec.row])], train.dim),
-        np.arange(train.n)[None, :],
-        [spec.index],
-        [train.n],
-        [stream],
-        kind,
-        [hp],
-        np.zeros(train.dim),
-        stride,
-        risk_data=risk_data,
+        data, np.asarray(rows)[None, :], [perturbed], [replacement], [stream], kind, [hp], np.zeros(data.dim),
+        stride, risk_data=risk_data,
     )
 
 
-def run_repetition(train, spec, kind, hp, stream_seed, stride):
+def run_repetition(data, rows, perturbed, replacement, kind, hp, stream_seed, stride):
     """Distance series of one repetition at one grid point, from a batched call."""
-    batch = one_pair_batch(train, spec, kind, hp, SampleStream(stream_seed, train.n), stride)
+    stream = SampleStream(stream_seed, len(rows))
+    batch = one_pair_batch(data, rows, perturbed, replacement, kind, hp, stream, stride)
     assert batch.diverged_step[0, 0] == 0
     return batch.distances[0, 0]
 
@@ -157,17 +152,17 @@ class TestRunRepetition:
 
     def test_identity_replacement_gives_zero_series(self):
         train = synthetic_binary_dataset(20, 4, seed=0)
-        spec = NeighborSpec(index=7, pool=train, row=6)
         hp = variant_params("hb", 0.05, 0.5, 100)
-        series = run_repetition(train, spec, "logistic", hp, stream_seed=3, stride=20)
+        series = run_repetition(train, np.arange(20), 7, 6, "logistic", hp, stream_seed=3, stride=20)
         assert series.shape == (5,)
         assert np.all(series == 0.0)
 
     def test_onset_matches_first_stream_hit(self):
-        train = synthetic_binary_dataset(25, 4, seed=1)
-        spec = NeighborSpec(index=11, pool=synthetic_binary_dataset(3, 4, seed=2), row=0)
+        data, rows, pool_rows = joined(
+            synthetic_binary_dataset(25, 4, seed=1), synthetic_binary_dataset(3, 4, seed=2)
+        )
         hp = variant_params("hb", 0.05, 0.5, 150)
-        series = run_repetition(train, spec, "logistic", hp, stream_seed=9, stride=1)
+        series = run_repetition(data, rows, 11, pool_rows[0], "logistic", hp, stream_seed=9, stride=1)
         idx = SampleStream(9, 25).prefix(150)
         hits = np.flatnonzero(idx == 11)
         assert hits.size > 0
@@ -248,10 +243,9 @@ class TestStabilityExperiment:
             hp = variant_params(cfg.variant, point.step, point.beta, cfg.epochs * result.n_train)
             expected, series = [], []
             for r, d in enumerate(draws):
-                train = data.take(d.train_rows)
-                spec = NeighborSpec(d.perturbed, data, d.replacement)
-                stream = SampleStream(d.stream_seed, train.n)
-                batch = one_pair_batch(train, spec, cfg.loss, hp, stream, result.stride)
+                stream = SampleStream(d.stream_seed, d.train_rows.size)
+                pair = (data, d.train_rows, d.perturbed, d.replacement, cfg.loss)
+                batch = one_pair_batch(*pair, hp, stream, result.stride)
                 step = int(batch.diverged_step[0, 0])
                 if step:
                     expected.append({"rep": r, "step": step, "which": str(batch.diverged_which[0, 0])})
@@ -344,7 +338,7 @@ class TestBoundCheck:
         pool = parse_libsvm("0 1:0.7\n0 1:1.2\n")
         alpha = smoothness(train, "squared").alpha
         grid = hb_grid(0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
-        (res,) = run_bound_check(train, pool, "squared", grid, alpha, samples=4, seed=0)
+        (res,) = run_bound_check(*joined(train, pool), "squared", grid, alpha, samples=4, seed=0)
         assert res.empirical == 0.0
         assert res.theoretical == 0.0
         assert res.holds
@@ -354,15 +348,16 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(30, 5, seed=0)
         alpha = smoothness(train, "logistic").alpha
         grid = hb_grid(1.5 * max_eta_hb(0.0, alpha), 0.0, 10)
+        rows = np.arange(train.n)
         with pytest.raises(PreconditionError):
-            run_bound_check(train, train, "logistic", grid, alpha, samples=2, seed=0)
+            run_bound_check(train, rows, rows, "logistic", grid, alpha, samples=2, seed=0)
 
     def test_bound_dominates_on_synthetic(self):
         train = synthetic_binary_dataset(60, 6, seed=3)
         pool = synthetic_binary_dataset(20, 6, seed=4)
         alpha = smoothness(train, "logistic").alpha
         grid = hb_grid(0.5 * max_eta_hb(0.5, alpha), 0.5, 120)
-        (res,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=8, seed=1)
+        (res,) = run_bound_check(*joined(train, pool), "logistic", grid, alpha, samples=8, seed=1)
         assert res.holds
         assert res.theoretical >= res.empirical
         assert res.samples == 8
@@ -372,8 +367,8 @@ class TestBoundCheck:
         pool = synthetic_binary_dataset(20, 6, seed=6)
         alpha = smoothness(train, "logistic").alpha
         eta = 0.4 * max_eta_hb(0.5, alpha)
-        (r0,) = run_bound_check(train, pool, "logistic", hb_grid(eta, 0.0, 60), alpha, 4, 2)
-        (r5,) = run_bound_check(train, pool, "logistic", hb_grid(eta, 0.5, 60), alpha, 4, 2)
+        (r0,) = run_bound_check(*joined(train, pool), "logistic", hb_grid(eta, 0.0, 60), alpha, 4, 2)
+        (r5,) = run_bound_check(*joined(train, pool), "logistic", hb_grid(eta, 0.5, 60), alpha, 4, 2)
         assert r5.theoretical > r0.theoretical
 
     def test_deterministic(self):
@@ -381,8 +376,8 @@ class TestBoundCheck:
         pool = synthetic_binary_dataset(10, 5, seed=9)
         alpha = smoothness(train, "logistic").alpha
         grid = hb_grid(0.3 * max_eta_hb(0.0, alpha), 0.0, 40)
-        (a,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=5, seed=11)
-        (b,) = run_bound_check(train, pool, "logistic", grid, alpha, samples=5, seed=11)
+        (a,) = run_bound_check(*joined(train, pool), "logistic", grid, alpha, samples=5, seed=11)
+        (b,) = run_bound_check(*joined(train, pool), "logistic", grid, alpha, samples=5, seed=11)
         assert a.empirical == b.empirical
         assert a.theoretical == b.theoretical
 
@@ -390,7 +385,8 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
         grid = hb_grid(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
-        d = run_bound_check(train, train, "logistic", grid, alpha, 2, 0)[0].to_dict()
+        rows = np.arange(train.n)
+        d = run_bound_check(train, rows, rows, "logistic", grid, alpha, 2, 0)[0].to_dict()
         assert "Monte Carlo" in d["estimator"]
         assert d["inputs"]["n"] == 30
 
@@ -409,15 +405,16 @@ class TestBoundCheck:
     @staticmethod
     def _oracle_setup(t, kind, beta):
         train = synthetic_binary_dataset(30, 5, seed=12)
-        pool = synthetic_binary_dataset(10, 5, seed=13)
+        data, rows, pool_rows = joined(train, synthetic_binary_dataset(10, 5, seed=13))
         alpha = smoothness(train, kind).alpha
         grid = hb_grid(0.5 * max_eta_hb(beta, alpha), beta, t)
-        specs = []
+        pairs = []
         for s in range(3):
             rng = np.random.default_rng([7, s])
-            spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
-            specs.append((spec, SampleStream(int(rng.integers(2**63)), train.n)))
-        return train, pool, alpha, grid, specs
+            perturbed = int(rng.integers(1, train.n + 1))
+            replacement = int(pool_rows[rng.integers(0, pool_rows.size)])
+            pairs.append((perturbed, replacement, SampleStream(int(rng.integers(2**63)), train.n)))
+        return train, (data, rows, pool_rows), alpha, grid, pairs
 
     @staticmethod
     def _assert_result(res, final_sq, sum_risks, hp, alpha, n):
@@ -431,15 +428,15 @@ class TestBoundCheck:
     def test_equals_one_pair_kernel_calls(self, t, kind, beta):
         # a pair does not depend on its batch: the samples batched together
         # give the bits of one kernel call per sample with the same draws
-        train, pool, alpha, grid, specs = self._oracle_setup(t, kind, beta)
+        train, (data, rows, pool_rows), alpha, grid, pairs = self._oracle_setup(t, kind, beta)
         hp = grid[0].hp
         final_sq, sum_risks = np.empty(3), np.empty(3)
-        for s, (spec, stream) in enumerate(specs):
-            batch = one_pair_batch(train, spec, kind, hp, stream, t, risk_data=train)
+        for s, (perturbed, replacement, stream) in enumerate(pairs):
+            batch = one_pair_batch(data, rows, perturbed, replacement, kind, hp, stream, t, risk_data=train)
             assert batch.diverged_step[0, 0] == 0
             final_sq[s] = batch.distances[0, 0, 0] ** 2
             sum_risks[s] = batch.sum_risk[0, 0]
-        (res,) = run_bound_check(train, pool, kind, grid, alpha, 3, seed=7)
+        (res,) = run_bound_check(data, rows, pool_rows, kind, grid, alpha, 3, seed=7)
         self._assert_result(res, final_sq, sum_risks, hp, alpha, train.n)
 
     @pytest.mark.parametrize("t, kind, beta", ORACLE_CASES)
@@ -448,15 +445,17 @@ class TestBoundCheck:
         # trajectories, the risks of all base iterates w_1..w_t in one call,
         # the last distance; the kernel holds to it at the tolerance of
         # TestCoupledBatch
-        train, pool, alpha, grid, specs = self._oracle_setup(t, kind, beta)
+        train, (data, rows, pool_rows), alpha, grid, pairs = self._oracle_setup(t, kind, beta)
         hp = grid[0].hp
         final_sq, sum_risks = np.empty(3), np.empty(3)
-        for s, (spec, stream) in enumerate(specs):
-            base, _, distances = reference_pair(train, spec, kind, hp, np.zeros(train.dim), stream)
+        for s, (perturbed, replacement, stream) in enumerate(pairs):
+            base, _, distances = reference_pair(
+                data, rows, perturbed, replacement, kind, hp, np.zeros(train.dim), stream
+            )
             final_sq[s] = distances[-1] ** 2
             sum_risks[s] = empirical_risk_many(base.iterates[:t], train, kind).sum()
         for samples in (1, 3):
-            (res,) = run_bound_check(train, pool, kind, grid, alpha, samples, seed=7)
+            (res,) = run_bound_check(data, rows, pool_rows, kind, grid, alpha, samples, seed=7)
             sum_risk = float(sum_risks[:samples].mean())
             close = dict(rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(res.empirical, final_sq[:samples].mean(), **close)
@@ -474,20 +473,21 @@ class TestBoundCheck:
         # squared loss: the pool row's 1e155 feature blows up the neighbor run
         # of any sample whose stream hits its perturbed index
         train = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n-1 1:0.5\n")
-        pool = parse_libsvm("1 1:1e155\n")
+        data, rows, pool_rows = joined(train, parse_libsvm("1 1:1e155\n"))
         alpha = smoothness(train, "squared").alpha
         grid = hb_grid(0.5 * max_eta_hb(0.5, alpha), 0.5, 200)
         hp = grid[0].hp
         with pytest.raises(DivergenceError) as exc:
-            run_bound_check(train, pool, "squared", grid, alpha, samples=2, seed=0)
+            run_bound_check(data, rows, pool_rows, "squared", grid, alpha, samples=2, seed=0)
         assert exc.value.which == "neighbor"
         # the lowest censored sample's step, as its one-pair kernel call reports it
         first = None
         for s in range(2):
             rng = np.random.default_rng([0, s])
-            spec = NeighborSpec(int(rng.integers(1, train.n + 1)), pool, int(rng.integers(0, pool.n)))
+            perturbed = int(rng.integers(1, train.n + 1))
+            replacement = int(pool_rows[rng.integers(0, pool_rows.size)])
             stream = SampleStream(int(rng.integers(2**63)), train.n)
-            batch = one_pair_batch(train, spec, "squared", hp, stream, 200)
+            batch = one_pair_batch(data, rows, perturbed, replacement, "squared", hp, stream, 200)
             if batch.diverged_step[0, 0] and first is None:
                 first = int(batch.diverged_step[0, 0])
         assert exc.value.step == first
@@ -496,10 +496,11 @@ class TestBoundCheck:
         train = synthetic_binary_dataset(30, 4, seed=10)
         alpha = smoothness(train, "logistic").alpha
         grid = hb_grid(0.2 * max_eta_hb(0.0, alpha), 0.0, 10)
-        one = run_bound_check(train, train, "logistic", grid, alpha, 1, 0)[0].to_dict()
+        rows = np.arange(train.n)
+        one = run_bound_check(train, rows, rows, "logistic", grid, alpha, 1, 0)[0].to_dict()
         assert one["empirical_se"] is None and one["sum_risk_se"] is None
         assert one["sum_risk"] == one["inputs"]["sum_risk"] > 0
-        four = run_bound_check(train, train, "logistic", grid, alpha, 4, 0)[0].to_dict()
+        four = run_bound_check(train, rows, rows, "logistic", grid, alpha, 4, 0)[0].to_dict()
         assert four["empirical_se"] >= 0 and four["sum_risk_se"] > 0
         json.dumps(four, allow_nan=False)
 
@@ -517,9 +518,10 @@ class TestBoundCheck:
         peaks = {}
         for factor in (2, 20):
             grid = hb_grid(0.5 * max_eta_hb(0.9, alpha), 0.9, factor * train.n)
+            data = joined(train, pool)  # fresh, so each run builds its own row table
             tracemalloc.start()
             try:
-                run_bound_check(train, pool, "logistic", grid, alpha, 3, 0)
+                run_bound_check(*data, "logistic", grid, alpha, 3, 0)
                 peaks[factor] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -541,9 +543,10 @@ class TestBoundCheck:
         peaks = {}
         for t in (5 * 64, 5 * 64 - 2):
             grid = hb_grid(0.5 * max_eta_hb(0.9, alpha), 0.9, t)
+            data = joined(train, pool)  # fresh, so each run builds its own row table
             tracemalloc.start()
             try:
-                run_bound_check(train, pool, "logistic", grid, alpha, samples, 0)
+                run_bound_check(*data, "logistic", grid, alpha, samples, 0)
                 peaks[t] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -559,8 +562,8 @@ class TestBoundCheck:
         betas = (0.0, 0.5, 0.9)
         steps = [(0.5 * max_step(variant, beta, alpha),) for beta in betas]
         grid = grid_points(variant, betas, steps, 300, "step_fraction")
-        whole = run_bound_check(train, pool, kind, grid, alpha, 3, seed=7)
-        alone = [run_bound_check(train, pool, kind, [point], alpha, 3, seed=7)[0] for point in grid]
+        whole = run_bound_check(*joined(train, pool), kind, grid, alpha, 3, seed=7)
+        alone = [run_bound_check(*joined(train, pool), kind, [point], alpha, 3, seed=7)[0] for point in grid]
         assert [(r.beta, r.step) for r in whole] == [(p.beta, p.step) for p in grid]
         assert json_text([r.to_dict() for r in whole]) == json_text([r.to_dict() for r in alone])
 

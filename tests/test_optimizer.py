@@ -11,21 +11,16 @@ from conftest import (
     SgdmState,
     average_iterate,
     empirical_risk,
+    joined,
     lookahead_step,
     reference_pair,
     run_lookahead_per_step,
     run_per_step,
     sgdm_step,
+    stack,
 )
 from sgdm_stability import optimizer
-from sgdm_stability.dataset import (
-    Dataset,
-    NeighborSpec,
-    make_neighbor,
-    parse_libsvm,
-    stack,
-    synthetic_binary_dataset,
-)
+from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import empirical_risk_many, loss_grad, smoothness
 from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
@@ -396,54 +391,52 @@ class TestCoupledRun:
     """The reference pair: `run` on a dataset and on its neighbor, one stream."""
 
     def _setup(self, seed=0, n=30, dim=5, steps=400):
-        data = synthetic_binary_dataset(n, dim, seed=seed)
+        """(data, train rows, perturbed, replacement, hp): the first n rows
+        train, and the neighbor takes the first row of a second dataset."""
         rng = np.random.default_rng(seed + 100)
         idx = int(rng.integers(1, n + 1))
-        repl_src = synthetic_binary_dataset(n, dim, seed=seed + 1)
-        spec = NeighborSpec(index=idx, pool=repl_src, row=0)
+        data, rows, pool_rows = joined(
+            synthetic_binary_dataset(n, dim, seed=seed), synthetic_binary_dataset(n, dim, seed=seed + 1)
+        )
         hp = HyperParams(beta=0.5, gamma=0.01, eta=0.02, iterations=steps)
-        return data, spec, hp
+        return data, rows, idx, pool_rows[0], hp
 
     def test_initial_distance_zero(self):
-        data, spec, hp = self._setup()
-        _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(1, 30))
+        data, rows, idx, row, hp = self._setup()
+        _, _, distances = reference_pair(data, rows, idx, row, "logistic", hp, np.zeros(5), SampleStream(1, 30))
         assert distances[0] == 0.0
         assert distances.shape == (401,)
 
     def test_exact_zero_until_first_hit(self):
-        data, spec, hp = self._setup(seed=3)
-        _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(7, 30))
-        idx = SampleStream(7, 30).prefix(400)
-        hits = np.flatnonzero(idx == spec.index)
+        data, rows, idx, row, hp = self._setup(seed=3)
+        _, _, distances = reference_pair(data, rows, idx, row, "logistic", hp, np.zeros(5), SampleStream(7, 30))
+        hits = np.flatnonzero(SampleStream(7, 30).prefix(400) == idx)
         assert hits.size > 0, "perturbed index never sampled; pick another seed"
         first = hits[0]  # 0-based step position
         assert np.all(distances[: first + 1] == 0.0)
         assert distances[first + 1] > 0.0
 
     def test_identical_replacement_keeps_distance_zero(self):
-        data, spec, hp = self._setup(seed=5)
-        same = NeighborSpec(index=spec.index, pool=data, row=spec.index - 1)
-        _, _, distances = reference_pair(data, same, "logistic", hp, np.zeros(5), SampleStream(2, 30))
+        data, rows, idx, _, hp = self._setup(seed=5)
+        _, _, distances = reference_pair(data, rows, idx, idx - 1, "logistic", hp, np.zeros(5), SampleStream(2, 30))
         assert np.all(distances == 0.0)
 
     def test_both_runs_share_index_sequence(self):
-        data, spec, hp = self._setup(seed=8)
-        base, neighbor, _ = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(4, 30))
+        data, rows, idx, row, hp = self._setup(seed=8)
+        base, neighbor, _ = reference_pair(data, rows, idx, row, "logistic", hp, np.zeros(5), SampleStream(4, 30))
         np.testing.assert_array_equal(base.indices, neighbor.indices)
         np.testing.assert_array_equal(base.indices, SampleStream(4, 30).prefix(400))
 
     def test_neighbor_divergence_is_labeled(self):
         # squared loss with an enormous replacement feature blows up only
         # the neighbor run; the kernel censors the pair on that side
-        data = parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n")
-        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
+        data, rows, (big,) = joined(parse_libsvm("1 1:1\n-1 1:1\n1 1:1\n"), parse_libsvm("1 1:1e155\n"))
         hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=500)
         with pytest.raises(DivergenceError):
-            reference_pair(data, spec, "squared", hp, np.zeros(1), SampleStream(0, 3))
-        assert np.isfinite(run(data, "squared", hp, np.zeros(1), SampleStream(0, 3)).iterates).all()
+            reference_pair(data, rows, 1, big, "squared", hp, np.zeros(1), SampleStream(0, 3))
+        assert np.isfinite(run(data.take(rows), "squared", hp, np.zeros(1), SampleStream(0, 3)).iterates).all()
         batch = coupled_distance_batch(
-            stack([data, spec.pool.take([spec.row])], 1), np.arange(3)[None, :], [1], [3],
-            [SampleStream(0, 3)], "squared", [hp], np.zeros(1), 1,
+            data, rows[None, :], [1], [big], [SampleStream(0, 3)], "squared", [hp], np.zeros(1), 1,
         )
         assert batch.diverged_which[0, 0] == "neighbor"
 
@@ -456,11 +449,13 @@ class TestCoupledRunDivergence:
     ROWS = "1 1:1\n-1 1:1\n1 1:1\n"
     HP = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=5000)
 
-    def _censored(self, data, spec, hp=HP, seed=0):
-        """(step, side) at which the one-pair kernel censors the pair."""
+    def _censored(self, data, rows, perturbed, replacement, hp=HP, seed=0):
+        """(step, side) at which the one-pair kernel censors the pair of the
+        rows `rows` of `data` and its neighbor, which puts row `replacement`
+        at 1-based position `perturbed`."""
         batch = coupled_distance_batch(
-            stack([data, spec.pool.take([spec.row])], data.dim), np.arange(data.n)[None, :], [spec.index],
-            [data.n], [SampleStream(seed, data.n)], "squared", [hp], np.zeros(1), 1,
+            data, np.asarray(rows)[None, :], [perturbed], [replacement], [SampleStream(seed, len(rows))],
+            "squared", [hp], np.zeros(1), 1,
         )
         assert np.isnan(batch.distances[0, 0]).all()
         return int(batch.diverged_step[0, 0]), str(batch.diverged_which[0, 0])
@@ -473,19 +468,17 @@ class TestCoupledRunDivergence:
     def test_side_that_diverges_first_is_labeled(self):
         # the neighbor's 1e155 feature overflows at its first hit, long before
         # the base leaves float range; the base with that row, the other way round
-        data = parse_libsvm(self.ROWS)
-        spec = NeighborSpec(index=1, pool=parse_libsvm("1 1:1e155\n"), row=0)
-        step, which = self._censored(data, spec)
+        data, rows, (big,) = joined(parse_libsvm(self.ROWS), parse_libsvm("1 1:1e155\n"))
+        step, which = self._censored(data, rows, 1, big)
         assert which == "neighbor"
-        assert self._run_raises_at(make_neighbor(data, spec)) <= step < 100
-        swapped = parse_libsvm("1 1:1e155\n" + self.ROWS.split("\n", 1)[1])
-        assert self._censored(swapped, NeighborSpec(index=1, pool=parse_libsvm("1 1:1\n"), row=0)) == (step, "base")
-        assert self._run_raises_at(swapped) <= step
+        swapped = [big, 1, 2]
+        assert self._run_raises_at(data.take(swapped)) <= step < 100
+        assert self._censored(data, swapped, 1, 0) == (step, "base")
 
     def test_tie_is_labeled_both(self):
         # with an identical replacement both sides leave float range together
         data = parse_libsvm(self.ROWS)
-        step, which = self._censored(data, NeighborSpec(index=1, pool=data, row=0))
+        step, which = self._censored(data, np.arange(3), 1, 0)
         assert which == "both"
         assert self._run_raises_at(data) <= step
 
@@ -493,21 +486,20 @@ class TestCoupledRunDivergence:
         # w stays 0 on the zero-label rows; one step at eta = 1 on row 2 lands
         # on its label, so the sides reach +-1e308: both finite, their gap not
         hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=50)
-        data = parse_libsvm("0 1:1\n1e308 1:1\n0 1:1\n")
-        spec = NeighborSpec(index=2, pool=parse_libsvm("-1e308 1:1\n"), row=0)
+        data, rows, (low,) = joined(parse_libsvm("0 1:1\n1e308 1:1\n0 1:1\n"), parse_libsvm("-1e308 1:1\n"))
         first_hit = int(np.flatnonzero(SampleStream(4, 3).prefix(50) == 2)[0]) + 1
-        assert self._censored(data, spec, hp, seed=4) == (first_hit, "both")
+        assert self._censored(data, rows, 2, low, hp, seed=4) == (first_hit, "both")
         # the reference loop raises on neither side
-        for side in (data, make_neighbor(data, spec)):
-            assert np.isfinite(run(side, "squared", hp, np.zeros(1), SampleStream(4, 3)).iterates).all()
+        for side in (rows, [0, low, 2]):
+            assert np.isfinite(run(data.take(side), "squared", hp, np.zeros(1), SampleStream(4, 3)).iterates).all()
 
 
-def one_pair_series(d, spec, kind, hp, w1, stream, stride):
-    """Distance series of the one pair (d, its neighbor under spec) from the
-    batched kernel; the pair must not be censored."""
+def one_pair_series(data, rows, perturbed, replacement, kind, hp, w1, stream, stride):
+    """Distance series of the one pair of the rows `rows` of `data` and its
+    neighbor, which puts row `replacement` at 1-based position `perturbed`,
+    from the batched kernel; the pair must not be censored."""
     batch = coupled_distance_batch(
-        stack([d, spec.pool.take([spec.row])], d.dim), np.arange(d.n)[None, :], [spec.index], [d.n],
-        [stream], kind, [hp], w1, stride,
+        data, np.asarray(rows)[None, :], [perturbed], [replacement], [stream], kind, [hp], w1, stride,
     )
     assert batch.diverged_step[0, 0] == 0
     return batch.distances[0, 0]
@@ -517,30 +509,31 @@ class TestCoupledDistanceSeries:
     """The batched kernel on a single pair."""
 
     def test_matches_full_coupled_run(self):
-        data = synthetic_binary_dataset(40, 6, seed=11)
-        spec = NeighborSpec(index=5, pool=synthetic_binary_dataset(4, 6, seed=12), row=0)
+        data, rows, pool_rows = joined(
+            synthetic_binary_dataset(40, 6, seed=11), synthetic_binary_dataset(4, 6, seed=12)
+        )
+        pair = (data, rows, 5, pool_rows[0], "logistic")
         for beta, gamma, eta in [(0.0, 0.02, 0.03), (0.9, 0.0, 0.01), (0.5, 0.04, 0.02)]:
             hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=200)
-            _, _, distances = reference_pair(data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40))
-            fast = one_pair_series(
-                data, spec, "logistic", hp, np.zeros(6), SampleStream(6, 40), stride=1
-            )
+            _, _, distances = reference_pair(*pair, hp, np.zeros(6), SampleStream(6, 40))
+            fast = one_pair_series(*pair, hp, np.zeros(6), SampleStream(6, 40), stride=1)
             # fast[j] is the distance after step j+1 = distances[j+1]
             np.testing.assert_allclose(fast, distances[1:], rtol=1e-9, atol=1e-12)
 
     def test_stride_subsamples(self):
-        data = synthetic_binary_dataset(40, 6, seed=13)
-        spec = NeighborSpec(index=2, pool=data, row=10)
+        pair = (synthetic_binary_dataset(40, 6, seed=13), np.arange(40), 2, 10, "logistic")
         hp = HyperParams(beta=0.5, gamma=0.0, eta=0.05, iterations=100)
-        full = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=1)
-        strided = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(1, 40), stride=25)
+        full = one_pair_series(*pair, hp, np.zeros(6), SampleStream(1, 40), stride=1)
+        strided = one_pair_series(*pair, hp, np.zeros(6), SampleStream(1, 40), stride=25)
         np.testing.assert_allclose(strided, full[24::25], rtol=0, atol=0)
 
     def test_pre_hit_zero_is_exact(self):
-        data = synthetic_binary_dataset(40, 6, seed=14)
-        spec = NeighborSpec(index=9, pool=synthetic_binary_dataset(4, 6, seed=15), row=1)
+        data, rows, pool_rows = joined(
+            synthetic_binary_dataset(40, 6, seed=14), synthetic_binary_dataset(4, 6, seed=15)
+        )
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=300)
-        series = one_pair_series(data, spec, "logistic", hp, np.zeros(6), SampleStream(21, 40), stride=1)
+        pair = (data, rows, 9, pool_rows[1], "logistic")
+        series = one_pair_series(*pair, hp, np.zeros(6), SampleStream(21, 40), stride=1)
         idx = SampleStream(21, 40).prefix(300)
         hits = np.flatnonzero(idx == 9)
         assert hits.size > 0
@@ -594,10 +587,9 @@ class TestCoupledBatch:
         examples, train_rows, perturbed, replacements, seeds = inputs
         assert not batch.diverged_step.any()
         for r in range(3):
-            train = examples.take(train_rows[r])
-            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
+            pair = (examples, train_rows[r], int(perturbed[r]), int(replacements[r]), kind)
             for g, hp in enumerate(points):
-                _, _, distances = reference_pair(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+                _, _, distances = reference_pair(*pair, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
                 np.testing.assert_allclose(batch.distances[r, g], distances[stride::stride], rtol=1e-9, atol=1e-12)
             assert batch.distances[r, :, -1].min() > 0.0, "perturbed index never sampled"
 
@@ -808,9 +800,8 @@ class TestCoupledBatch:
             kind, [hp], w1, 1,
         )
         for r in range(3):
-            train = examples.take(train_rows[r])
-            spec = NeighborSpec(int(perturbed[r]), examples, int(replacements[r]))
-            _, _, distances = reference_pair(train, spec, kind, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
+            pair = (examples, train_rows[r], int(perturbed[r]), int(replacements[r]), kind)
+            _, _, distances = reference_pair(*pair, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
             np.testing.assert_allclose(batch.distances[r, 0], distances[1:], rtol=1e-9, atol=1e-12)
 
 

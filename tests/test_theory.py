@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_pair
-from sgdm_stability.dataset import NeighborSpec, synthetic_binary_dataset
+from conftest import joined, reference_pair
+from sgdm_stability.dataset import synthetic_binary_dataset
 from sgdm_stability.optimizer import (
     HyperParams,
     SampleStream,
@@ -351,10 +351,13 @@ class TestDistIdentity:
 
 class TestMomentumRecursionBound:
     def _runs(self, beta, steps=200, seed=4):
-        data = synthetic_binary_dataset(30, 5, seed=seed)
-        spec = NeighborSpec(index=3, pool=synthetic_binary_dataset(5, 5, seed=seed + 1), row=0)
+        data, rows, pool_rows = joined(
+            synthetic_binary_dataset(30, 5, seed=seed), synthetic_binary_dataset(5, 5, seed=seed + 1)
+        )
         hp = HyperParams(beta=beta, gamma=0.01, eta=0.02, iterations=steps)
-        base, neighbor, _ = reference_pair(data, spec, "logistic", hp, np.zeros(5), SampleStream(seed, 30))
+        base, neighbor, _ = reference_pair(
+            data, rows, 3, pool_rows[0], "logistic", hp, np.zeros(5), SampleStream(seed, 30)
+        )
         return base, neighbor
 
     def test_margins_nonnegative(self):

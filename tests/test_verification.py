@@ -105,6 +105,19 @@ class TestNegativeControl:
         monkeypatch.setattr(verification, "run_lookahead", shifted)
         assert check_nesterov_equivalence(small_data, "logistic", traj, seed=2).status == "fail"
 
+    def test_m_recursion_neighbor_replaces_the_drawn_row(self, small_data, monkeypatch):
+        # its margin is 0 before the first hit, so the outcome cannot show
+        # which neighbor ran: the row at 1-based position integers(1, n + 1),
+        # replaced by row integers(0, n), drawn in that order
+        ran = []
+        monkeypatch.setattr(verification, "run", lambda d, *args: ran.append(d) or run(d, *args))
+        check_m_recursion(small_data, "logistic", variant_params("hb", 0.01, 0.5, 10), seed=2)
+        rng = np.random.default_rng(2)
+        rows = np.arange(small_data.n)
+        perturbed = rng.integers(1, small_data.n + 1)
+        rows[perturbed - 1] = rng.integers(0, small_data.n)
+        assert ran[0] == small_data and ran[1] == small_data.take(rows) != small_data
+
     def test_lookahead_on_another_stream_fails_nesterov_equivalence(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("nesterov", 0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)

@@ -316,8 +316,10 @@ def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
 
 def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
     recipe = epr_recipe(**cfg)
-    # a cap that maps to no update (alpha so large that it rounds to 0) is refused as a step is
+    # a cap or step that maps to no update is refused as a step is: alpha so
+    # large that the cap rounds to 0, or n * l_star so large that rho overflows
     grid_points(cfg["variant"], (cfg["beta"],), [(recipe.cap,)], recipe.t, "alpha")
+    grid_points(cfg["variant"], (cfg["beta"],), [(recipe.step,)], recipe.t, "l_star")
     print(json_text(recipe.to_dict()))
     return EXIT_OK
 

@@ -17,10 +17,11 @@ The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
 that is exactly what `scipy.special.expit` computes, bit for bit, without
 importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
 differ from the C library in the last bit on some inputs, and the coupled
-runs amplify a one-ulp change in a gradient.  Only `margins` and
-`empirical_risk_many` need scipy: they load the CSR product routine from its
-extension file, in 1 ms against 0.26 s to import `scipy.sparse`.  The risk
-sum takes that product in tiles of RISK_ROWS data rows by RISK_COLUMNS
+runs amplify a one-ulp change in a gradient.  Only `margins`,
+`empirical_risk_many` and the batched kernel's writes need scipy: they call
+routines of its `_sparsetools` extension, which `_sparsetools` loads from
+the extension file, in 1 ms against 0.26 s to import `scipy.sparse`.  The
+risk sum takes the CSR product in tiles of RISK_ROWS data rows by RISK_COLUMNS
 weight rows and adds each tile's losses to a running total in row order, so
 its memory does not grow with n and each risk is the n losses added in row
 order from the first, divided by n, whatever block the row is evaluated in.
@@ -133,33 +134,29 @@ def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
 
 
 @functools.cache
-def _csr_matvecs() -> Callable | None:
-    """scipy's private `csr_matvecs`, the routine its CSR @ dense product
-    runs, loaded from the `sparse/_sparsetools` extension file alone: no
-    scipy package module runs.  None where that fails."""
+def _sparsetools():
+    """scipy's private `_sparsetools` extension, whose routines its sparse
+    products run, loaded from the `sparse/_sparsetools` extension file alone:
+    no scipy package module runs.  Where that fails, imported the plain way,
+    which imports `scipy.sparse`."""
     try:
         folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
         loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
         spec = importlib.machinery.FileFinder(folder, loaders).find_spec("scipy.sparse._sparsetools")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.csr_matvecs
+        return module
     except (AttributeError, ImportError, TypeError, ValueError):
-        return None
+        return importlib.import_module("scipy.sparse._sparsetools")
 
 
 def _band_products(d: Dataset, height: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """The product of rows r:r+height of `d` with a C-contiguous `wt`, as a
-    function of (r, wt), with the bits of scipy's CSR @ dense product.
-    `csr_matvecs` reads row i at ptr[i]:ptr[i+1] of `d`'s own index and value
-    arrays, so a band is a view of `indptr`.  Without it, scipy's slices."""
-    matvecs, indptr, indices, values = _csr_matvecs(), d.indptr, d.indices, d.values
-    if matvecs is None:
-        import scipy.sparse
-
-        matrix = scipy.sparse.csr_matrix((values, indices, indptr), shape=(d.n, d.dim), copy=False)
-        bands = [matrix[r : r + height] for r in range(0, d.n, height)]
-        return lambda r, wt: bands[r // height] @ wt
+    function of (r, wt), with the bits of scipy's CSR @ dense product:
+    `csr_matvecs`, the routine that product runs, reads row i at
+    ptr[i]:ptr[i+1] of `d`'s own index and value arrays, so a band is a view
+    of `indptr`."""
+    matvecs, indptr, indices, values = _sparsetools().csr_matvecs, d.indptr, d.indices, d.values
 
     def product(r: int, wt: np.ndarray) -> np.ndarray:
         ptr = indptr[r : r + height + 1]

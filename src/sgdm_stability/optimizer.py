@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, _row_grad, empirical_risk_many, grad_scales
+from .losses import LOSS_KINDS, _row_grad, _sparsetools, empirical_risk_many, grad_scales
 
 
 class DivergenceError(RuntimeError):
@@ -113,6 +113,36 @@ class Trajectory:
 # the base iterates per pair it buffers for one risk call, so neither grows
 # with the number of iterations.
 STREAM_CHUNK = 1024
+
+
+def _gather_steps(width: int) -> int:
+    """Steps of a stream block whose rows, `width` entries wide, the batched
+    kernel gathers at once: a quarter of the block's entries per side."""
+    return max(1, STREAM_CHUNK // (4 * width))
+
+
+def _add_rows(target: np.ndarray, flat: np.ndarray, values: np.ndarray, colptr: np.ndarray, scales: np.ndarray):
+    """target.reshape(-1)[flat] += scales[:, :, None] * values in one call to
+    scipy's compiled `csc_matvec`.  `target` is C-contiguous, `flat` and
+    `values` are (P, 2, K), `scales` is (P, 2), and colptr is arange(0, 2PK
+    + 1, K): each (pair, side) row is a column of K entries, to each of which
+    the routine adds value * scale, one multiply and one add, as numpy does.
+    A row may repeat a position only where its value is 0: numpy's scatter
+    adds that signed zero (or NaN) once, the routine once per entry, with the
+    same result.  So the bits are numpy's, except that a NaN entry stays NaN
+    of perhaps another sign or payload; the kernel censors its pair."""
+    _sparsetools().csc_matvec(target.size, scales.size, colptr, flat, values, scales, target)
+
+
+_MAIN_DIAGONAL = np.zeros(1, dtype=np.intp)
+
+
+def _add_product(target: np.ndarray, factor: np.ndarray, source: np.ndarray):
+    """target += factor * source for C-contiguous arrays of one shape, in one
+    call to scipy's compiled `dia_matvec` with `factor` as the one diagonal:
+    with factor = -eta, the bits of target -= eta * source, up to the NaN
+    kept where a target entry is already NaN, as in `_add_rows`."""
+    _sparsetools().dia_matvec(target.size, target.size, 1, target.size, _MAIN_DIAGONAL, factor, source, target)
 
 
 def _reference_loop(d, kind, w1, stream, T, update, state, *coeffs):
@@ -220,7 +250,12 @@ def coupled_distance_batch(
     All P = R*G pairs advance together on a stacked (P, dim+1, 2) state whose
     last axis is (base, neighbor) and whose column `dim`, which the padding of
     `Dataset.padded` points at, stays zero.  Each side reads its own row every
-    step, through the flat positions of the row's entries in the state.
+    step, through the flat positions of the row's entries in the state; the
+    positions and values of a few steps' rows are gathered at once, and
+    rebuilt when pairs are dropped.  The margins are numpy products; the
+    gradient writes into the momentum (and, with gamma > 0, the iterate) and
+    the step w -= eta * m are each one call to a compiled scipy routine
+    (`_add_rows`, `_add_product`), with the bits of numpy's updates.
     Each step repeats the arithmetic of a lone pair operation for
     operation, so a pair's series does not depend on what it is batched with.
     A pair that hits a non-finite margin, iterate or distance is censored and
@@ -262,24 +297,30 @@ def coupled_distance_batch(
     etas = np.array([hp.eta for hp in points])
     gammas = np.array([hp.gamma for hp in points])
 
+    width = indices.shape[1]
+    sub = _gather_steps(width)
+
     def per_pair(pair):
         """Arrays of the live pairs, recomputed whenever pairs are dropped:
-        repetition, the row of column 0 of each pair in the (P * (dim+1), 2)
-        view of the state, beta and eta at every state entry (a full-size
-        operand multiplies faster than a broadcast one), and gamma."""
+        repetition, the flat state position of column 0 of each (pair, side)
+        at each of a row's `width` entries, beta and -eta at every state
+        entry (a full-size operand multiplies faster than a broadcast one),
+        -gamma, and the column pointers of `_add_rows`."""
         g = pair % G
         zero_beta = betas[g] == 0.0
         full = (pair.size, dim + 1, 2)
+        offsets = 2 * (dim + 1) * np.arange(pair.size)[:, None, None] + side
         return (
-            pair // G, ((dim + 1) * np.arange(pair.size))[:, None, None],
+            pair // G, np.broadcast_to(offsets, (pair.size, 2, width)).copy(),
             np.broadcast_to(betas[g][:, None, None], full).copy(), zero_beta if zero_beta.any() else None,
-            np.broadcast_to(etas[g][:, None, None], full).copy(), gammas[g][:, None],
+            np.broadcast_to(-etas[g][:, None, None], full).copy(), -gammas[g][:, None],
+            np.arange(0, 2 * pair.size * width + 1, width, dtype=np.intp),
         )
 
     # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
     pair = np.arange(R * G)
-    rep, row_offset, beta, zero_beta, eta, gamma = per_pair(pair)
     side = np.arange(2)[:, None]
+    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr = per_pair(pair)
     L = T // stride
     distances = np.full((R * G, L), np.nan)
     diverged_step = np.zeros(R * G, dtype=np.int64)
@@ -304,27 +345,34 @@ def coupled_distance_batch(
             # wherever its stream hits the perturbed index
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
+            del base_rows, neighbor_rows
             live_labels = data.labels[live_rows]
             if sum_risk is not None:
                 # a shorter block takes the front of the buffer, so its rows reshape without a copy
                 entries = pair.size * block.shape[1] * dim
                 base_iterates = base_iterates.reshape(-1)[:entries].reshape(pair.size, -1, dim)
-            for j, hit_step in enumerate(hit.any(axis=0).tolist()):
+            hit_steps = hit.any(axis=0).tolist()
+            gathered = 0
+            for j, hit_step in enumerate(hit_steps):
+                if j == gathered:
+                    # the rows of the next `sub` steps at once: the (P * (dim+1),
+                    # 2) view of the state holds the (base, neighbor) entries of
+                    # pair p at column i in row p * (dim+1) + i, so side s's
+                    # entry is at flat 2 * row + s, and a base entry's row is
+                    # half its flat position
+                    first, gathered = j, min(j + sub, len(hit_steps))
+                    flats = indices.take(live_rows[first:gathered], axis=0)
+                    flats *= 2
+                    flats += offsets
+                    base_cells = flats[:, :, 0] >> 1
+                    row_values = values.take(live_rows[first:gathered], axis=0)
                 if sum_risk is not None:
                     base_iterates[:, j] = W[:, :dim, 0]
-                # off a hit both sides read the base row, so its (P, 1, K)
-                # entries serve both
-                r = live_rows[j] if hit_step else live_rows[j, :, :1]
-                ix = indices.take(r, axis=0)
-                vx = values.take(r, axis=0)
-                # the (P * (dim+1), 2) view of the state holds the (base,
-                # neighbor) entries of pair p at column i in row
-                # p * (dim+1) + i, so side s's entry is at flat 2 * row + s
-                cells = ix + row_offset
-                flat = 2 * cells + side
-                # off a hit one product per pair gives both margins
+                flat, vx, cells = flats[j - first], row_values[j - first], base_cells[j - first]
+                # off a hit both sides read the base row, so one product per
+                # pair gives both margins
                 x = vx[:, 0, :, None]
-                margins = np.matmul(W.reshape(-1, 2).take(cells[:, 0], axis=0).transpose(0, 2, 1), x)[:, :, 0]
+                margins = np.matmul(W.reshape(-1, 2).take(cells, axis=0).transpose(0, 2, 1), x)[:, :, 0]
                 if hit_step:
                     # on a hit the sides read different rows: one dot per side
                     a = np.flatnonzero(hit[rep, j])
@@ -336,10 +384,11 @@ def coupled_distance_batch(
                 M *= beta
                 if zero_beta is not None:
                     M[zero_beta] = 0.0
-                M.reshape(-1)[flat] += scales[:, :, None] * vx
-                W -= eta * M
+                _add_rows(M, flat, vx, colptr, scales)
+                _add_product(W, neg_eta, M)
                 if any_gamma:
-                    W.reshape(-1)[flat] -= (gamma * scales)[:, :, None] * vx
+                    # (-gamma) * scale is -(gamma * scale), the sign of a NaN included
+                    _add_rows(W, flat, vx, colptr, neg_gamma * scales)
                 k += 1
                 if k % stride == 0:
                     diff = W[:, :dim, 0] - W[:, :dim, 1]
@@ -367,7 +416,9 @@ def coupled_distance_batch(
                     live_rows, live_labels = live_rows[:, keep], live_labels[:, keep]
                     if not pair.size:
                         break
-                    rep, row_offset, beta, zero_beta, eta, gamma = per_pair(pair)
+                    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr = per_pair(pair)
+                    # the gathered positions moved with the state
+                    gathered = j + 1
                     if sum_risk is not None:
                         base_iterates = base_iterates[keep]
             if not pair.size:

@@ -22,6 +22,7 @@ from sgdm_stability.losses import (
     losses,
     smoothness,
 )
+from sgdm_stability.optimizer import HyperParams, SampleStream, coupled_distance_batch
 from sgdm_stability.verification import (
     check_co_coercivity,
     check_convexity,
@@ -297,35 +298,57 @@ class TestBlockedRisk:
         assert np.isinf(want).any() and np.isnan(want).any() and np.isfinite(want).any()
         assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def kernel_bytes(kind):
+        """The bytes of a small batched-kernel run: hits, a pair with gamma > 0
+        and a risk sum, so every compiled routine the kernel calls runs."""
+        d = synthetic_binary_dataset(30, 6, seed=16)
+        rows = np.stack([np.arange(24), np.arange(6, 30)])
+        points = [HyperParams(0.9, 0.0, 0.05, 120), HyperParams(0.5, 0.03, 0.03, 120)]
+        batch = coupled_distance_batch(
+            d, rows, [3, 17], [26, 2], [SampleStream(s, 24) for s in (1, 2)], kind, points,
+            np.linspace(-0.5, 0.5, 6), 7, risk_data=d.take(rows[0]),
+        )
+        assert not batch.diverged_step.any()
+        return batch.distances.tobytes() + batch.sum_risk.tobytes()
+
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
-    def test_scipy_slices_where_csr_matvecs_is_missing(self, kind, monkeypatch):
-        # the routine's extension file fails to load: scipy's own slices,
-        # same bits
+    def test_plain_import_where_the_extension_file_fails(self, kind, monkeypatch):
+        # the routines' extension file fails to load: the module comes from
+        # scipy.sparse's own import, and the risk sum and the kernel keep
+        # their bits
         d = self.TALL
         W = np.random.default_rng(5).standard_normal((RISK_COLUMNS + 5, d.dim))
-        want = self.unblocked(W, d, kind)
+        want, want_kernel = self.unblocked(W, d, kind), self.kernel_bytes(kind)
 
         class FailingLoader(importlib.machinery.ExtensionFileLoader):
             def create_module(self, spec):
                 raise ImportError("cannot load")
 
+        imported = []
+        import_module = importlib.import_module
         monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", FailingLoader)
-        losses_module._csr_matvecs.cache_clear()
+        monkeypatch.setattr(importlib, "import_module", lambda name: imported.append(name) or import_module(name))
+        losses_module._sparsetools.cache_clear()
         try:
-            assert losses_module._csr_matvecs() is None
             with mock.patch.object(losses_module, "RISK_ROWS", 7):
                 got = empirical_risk_many(W, d, kind)
+            got_kernel = self.kernel_bytes(kind)
         finally:
-            losses_module._csr_matvecs.cache_clear()
+            losses_module._sparsetools.cache_clear()
+        assert imported == ["scipy.sparse._sparsetools"]
         assert got.tobytes() == want.tobytes()
+        assert got_kernel == want_kernel
 
     def test_installed_scipy_takes_the_direct_path(self):
-        # a silent fallback to scipy's slices would pass every byte test and
-        # lose the speed: the routine loads, and no scipy matrix is built
-        assert losses_module._csr_matvecs().__name__ == "csr_matvecs"
+        # a silent fallback to the plain import would pass every byte test and
+        # cost the import of scipy.sparse: the extension file loads alone
+        losses_module._sparsetools.cache_clear()
+        with mock.patch.object(importlib, "import_module", side_effect=AssertionError("plain import")):
+            module = losses_module._sparsetools()
+        assert {"csr_matvecs", "csc_matvec", "dia_matvec"} <= set(dir(module))
         W = np.random.default_rng(6).standard_normal((RISK_COLUMNS + 5, self.TALL.dim))
-        with mock.patch("scipy.sparse.csr_matrix", side_effect=AssertionError("scipy matrix built")):
-            got = empirical_risk_many(W, self.TALL, "logistic")
+        got = empirical_risk_many(W, self.TALL, "logistic")
         assert got.tobytes() == self.unblocked(W, self.TALL, "logistic").tobytes()
 
     def test_memory_does_not_grow_with_n(self):

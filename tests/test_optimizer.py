@@ -683,6 +683,65 @@ class TestCoupledBatch:
                 assert batch.diverged_step[r, g] == alone.diverged_step[0, 0]
                 assert batch.diverged_which[r, g] == alone.diverged_which[0, 0]
 
+    @staticmethod
+    def _plain_step_loop(monkeypatch):
+        """The kernel with rows gathered one step at a time and numpy's updates
+        in place of the compiled writes: the arithmetic of a plain step loop."""
+
+        def add_rows(target, flat, values, colptr, scales):
+            target.reshape(-1)[flat] += scales[:, :, None] * values
+
+        def add_product(target, factor, source):
+            target -= -factor * source
+
+        monkeypatch.setattr(optimizer, "_add_rows", add_rows)
+        monkeypatch.setattr(optimizer, "_add_product", add_product)
+        monkeypatch.setattr(optimizer, "_gather_steps", lambda width: 1)
+
+    @pytest.mark.parametrize("case", ["drop_mid_sub_block", "chunk_not_a_multiple"])
+    def test_sub_blocks_and_compiled_writes_keep_the_plain_loop_bytes(self, case, monkeypatch):
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        if case == "drop_mid_sub_block":
+            # the huge row censors repetition 1's pairs at its first hit, and
+            # the far-too-large steps censor theirs later, inside 5-step
+            # sub-blocks of 16-step stream blocks
+            chunk, sub, kind, stride = 16, 5, "squared", 1
+            examples = stack([examples, parse_libsvm("1 1:1e155\n")], self.DIM)
+            replacements = np.array([replacements[0], examples.n - 1, replacements[2]])
+            points = [
+                HyperParams(beta=0.0, gamma=0.0, eta=0.05, iterations=self.T),
+                variant_params("hb", 1e4, 0.9, self.T),
+                HyperParams(beta=0.0, gamma=3e3, eta=2e3, iterations=self.T),
+                variant_params("nesterov", 0.05, 0.5, self.T),
+            ]
+        else:
+            # 3-step sub-blocks of 7-step stream blocks: every block ends in a
+            # one-step sub-block
+            chunk, sub, kind, stride = 7, 3, "logistic", 3
+            points = self._grid()
+        args = (
+            examples, train_rows, perturbed, replacements, [SampleStream(s, self.N_TRAIN) for s in seeds],
+            kind, points, w1, stride,
+        )
+        risk_data = examples.take(train_rows[0])
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", chunk)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_gather_steps", lambda width: sub)
+            batch = coupled_distance_batch(*args, risk_data=risk_data)
+        self._plain_step_loop(monkeypatch)
+        plain = coupled_distance_batch(*args, risk_data=risk_data)
+        if case == "drop_mid_sub_block":
+            # block-local 0-based step of each drop; the first drop of a block
+            # falls inside its sub-block when it is not the sub-block's last step
+            local = (batch.diverged_step[batch.diverged_step > 0] - 1) % chunk
+            assert ((local % sub != sub - 1) & (local != chunk - 1)).any()
+            assert not batch.diverged_step[[0, 2]][:, [0, 3]].any()
+        else:
+            assert not batch.diverged_step.any()
+        for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
+            assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
+
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     def test_risks_match_coupled_run_base_iterates(self, kind, monkeypatch):
         # 10-step stream blocks cut T = 96 into uneven blocks; repetition 1's
@@ -803,6 +862,68 @@ class TestCoupledBatch:
             pair = (examples, train_rows[r], int(perturbed[r]), int(replacements[r]), kind)
             _, _, distances = reference_pair(*pair, hp, w1, SampleStream(seeds[r], self.N_TRAIN))
             np.testing.assert_allclose(batch.distances[r, 0], distances[1:], rtol=1e-9, atol=1e-12)
+
+
+class TestCompiledWrites:
+    """The kernel's compiled writes against numpy's updates, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.integers(1, 6),
+        width=st.integers(1, 9),
+        dim=st.integers(1, 12),
+        gamma=st.floats(1e-5, 1e5),
+        magnitude=st.floats(-5.0, 5.0),
+        special=st.lists(st.sampled_from([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1e308, 5e-324]), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_numpy_updates(self, pairs, width, dim, gamma, magnitude, special, seed):
+        rng = np.random.default_rng(seed)
+        # padded (pair, side) rows of varying width: distinct columns first,
+        # then column `dim` with value 0 up to the width
+        cols = np.full((pairs, 2, width), dim)
+        vals = np.zeros((pairs, 2, width))
+        for p in range(pairs):
+            for side in range(2):
+                k = int(rng.integers(0, min(width, dim) + 1))
+                cols[p, side, :k] = np.sort(rng.choice(dim, k, replace=False))
+                vals[p, side, :k] = rng.standard_normal(k) * 10.0**magnitude
+        flat = 2 * ((dim + 1) * np.arange(pairs)[:, None, None] + cols) + np.arange(2)[:, None]
+        colptr = np.arange(0, 2 * pairs * width + 1, width, dtype=np.intp)
+        state = rng.standard_normal((pairs, dim + 1, 2)) * 10.0 ** rng.uniform(-5, 5)
+        momentum = rng.standard_normal(state.shape) * 10.0 ** rng.uniform(-5, 5)
+        scales = rng.standard_normal((pairs, 2)) * 10.0**magnitude
+        # non-finite scales and momenta; the state may be infinite but not NaN,
+        # since a NaN entry stays NaN but its sign and payload may differ
+        for value in special:
+            for a in (scales, momentum) if np.isnan(value) else (scales, state, momentum):
+                a.flat[rng.integers(a.size)] = value
+
+        def check(update, compiled):
+            want, got = state.copy(), state.copy()
+            # as in the kernel, which censors what overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                update(want)
+                compiled(got)
+            assert got.tobytes() == want.tobytes()
+
+        # the gradient write into the momentum, and into the iterate with gamma > 0
+        def momentum_write(w):
+            w.reshape(-1)[flat] += scales[:, :, None] * vals
+
+        def iterate_write(w):
+            w.reshape(-1)[flat] -= (gamma * scales)[:, :, None] * vals
+
+        check(momentum_write, lambda w: optimizer._add_rows(w, flat, vals, colptr, scales))
+        neg_gamma = -np.full((pairs, 1), gamma)
+        check(iterate_write, lambda w: optimizer._add_rows(w, flat, vals, colptr, neg_gamma * scales))
+        # the step w -= eta * m
+        eta = np.broadcast_to(10.0 ** rng.uniform(-5, 5, (pairs, 1, 1)), state.shape).copy()
+
+        def step(w):
+            w -= eta * momentum
+
+        check(step, lambda w: optimizer._add_product(w, -eta, momentum))
 
 
 class TestAverageIterate:

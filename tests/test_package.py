@@ -61,8 +61,8 @@ def scipy_modules_loaded(*argv):
 
 class TestScipyImportedOnFirstUse:
     """scipy costs about a third of a second to import, and no verb imports
-    it: the sparse product of the risk sum and the loss lemmas loads one
-    routine from its extension file."""
+    it: the coupled kernel's writes, the risk sum's sparse product and the
+    loss lemmas load their routines from one extension file."""
 
     SYNTHETIC = ["dataset=synthetic", "synth_n=60", "synth_dim=5"]
 
@@ -71,8 +71,9 @@ class TestScipyImportedOnFirstUse:
             "run-stability", "--overrides", *self.SYNTHETIC, "reps=2", "epochs=1", "steps=0.01,0.1",
             f"outdir={tmp_path}",
         )
+        # the kernel's compiled writes load the extension at its first call
         assert after_import == []
-        assert after_verb == []
+        assert set(after_verb) <= {"scipy.sparse._sparsetools"}
 
     @pytest.mark.parametrize("source", ["synthetic", "libsvm"])
     def test_check_bounds_loads_only_the_sparse_routine(self, tmp_path, source):

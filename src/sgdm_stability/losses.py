@@ -13,11 +13,17 @@ two formulas as functions of the margin <w, x> and the label; every other
 loss computation in the package goes through them.
 
 The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
-1 / (1 + exp(-z)), and its exp is the C library's, through `math.exp`:
-that is exactly what `scipy.special.expit` computes, bit for bit, without
-importing scipy.  numpy's `np.exp` is not used there, because its SIMD loops
-differ from the C library in the last bit on some inputs, and the coupled
-runs amplify a one-ulp change in a gradient.  Only `margins`,
+1 / (1 + exp(-z)), and its exp is the C library's: that is exactly what
+`scipy.special.expit` computes, bit for bit, without importing scipy.
+numpy's float `np.exp` is not used there, because its SIMD loops differ from
+the C library in the last bit on some inputs, and the coupled runs amplify a
+one-ulp change in a gradient.  A Python float goes through `math.exp`.  An
+array goes through numpy's complex `np.exp` at imaginary part 0, one compiled
+call into the C library's `cexp`, whose real part glibc computes as exp(t) * 1
+up to t = EXP_EXACT_MAX = 709; above that it rescales, as exp(709) *
+exp(t - 709), which can differ in the last bit (at t = 709.0000362545957, for
+one).  So the entries above 709, and NaN, still take `math.exp` one at a
+time.  Only `margins`,
 `empirical_risk_many` and the batched kernel's writes need scipy: they call
 routines of its `_sparsetools` extension, which `_sparsetools` loads from
 the extension file, in 1 ms against 0.26 s to import `scipy.sparse`.  The
@@ -35,7 +41,6 @@ import importlib.util
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,24 +86,65 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def grad_scales(margins, y, kind: str):
-    """Scalar s with gradient s * x at margin <w, x> and label y, elementwise."""
+# The largest t at which the real part of glibc's cexp(t + 0i) is exp(t) with
+# the bits of `math.exp`: above it cexp computes exp(709) * exp(t - 709).
+EXP_EXACT_MAX = 709.0
+
+
+class ScaleBuffers:
+    """The arrays `grad_scales` writes for margins of one shape, for a caller
+    that repeats the call at that shape.  After each call, `bounded` tells
+    whether every |y m| was at most EXP_EXACT_MAX, which implies that every
+    margin was finite; it is always False for the squared loss."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.t = np.empty(shape)
+        # t + 0i and its exp; the imaginary part of `z` stays 0
+        self.z = np.zeros(shape, dtype=np.complex128)
+        self.exp = np.empty(shape, dtype=np.complex128)
+        self.scales = np.empty(shape)
+        self.bounded = False
+
+
+def grad_scales(margins, y, kind: str, ny=None, buffers: ScaleBuffers | None = None):
+    """Scalar s with gradient s * x at margin <w, x> and label y, elementwise.
+
+    Python floats take `math.exp`.  Arrays take one complex `np.exp` call,
+    the C library's `cexp`, where every |y m| is at most EXP_EXACT_MAX, and
+    `math.exp` entry by entry above it and at NaN: the bits of the scalar
+    path either way.  A caller may pass `ny` = -y when it has it, and
+    `buffers` for the arrays to write; the result is then `buffers.scales`.
+    """
     if _check_kind(kind) == "logistic":
         # ny * expit(ny m), with expit(z) = 1 / (1 + exp(-z)) spelled out
-        ny = -y
-        t = -(ny * margins)
-        if isinstance(t, float):
-            return ny * (1.0 / (1.0 + _exp(t)))
-        flat = t.ravel().tolist()
-        try:
-            e = np.fromiter(map(math.exp, flat), np.float64, len(flat))
-        except OverflowError:
-            e = np.fromiter(map(_exp, flat), np.float64, len(flat))
-        e = e.reshape(t.shape)
-        np.add(e, 1.0, out=e)
-        np.divide(1.0, e, out=e)
-        return np.multiply(ny, e, out=e)
-    return margins - y
+        if ny is None:
+            ny = -y
+        if isinstance(margins, float) and isinstance(ny, float):
+            return ny * (1.0 / (1.0 + _exp(-(ny * margins))))
+        b = buffers or ScaleBuffers(np.broadcast_shapes(np.shape(margins), np.shape(y)))
+        # y m is -((-y) m), bit for bit up to the sign of a NaN
+        t, e, s = np.multiply(y, margins, out=b.t), b.exp.real, b.scales
+        # `s` holds |t| until the scales overwrite it
+        b.bounded = not t.size or np.maximum.reduce(np.abs(t, out=s), None) <= EXP_EXACT_MAX
+        b.z.real = t
+        if b.bounded:
+            np.exp(b.z, out=b.exp)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(b.z, out=b.exp)
+                # above EXP_EXACT_MAX, and at NaN, math.exp of -((-y) m): the
+                # bits of the scalar path, NaN signs included
+                over = ~(t <= EXP_EXACT_MAX)
+                if over.any():
+                    e[over] = list(map(_exp, np.negative(ny * margins)[over].tolist()))
+        s[...] = e
+        np.add(s, 1.0, out=s)
+        np.divide(1.0, s, out=s)
+        return np.multiply(ny, s, out=s)
+    if buffers is None:
+        return margins - y
+    buffers.bounded = False
+    return np.subtract(margins, y, out=buffers.scales)
 
 
 def _row_margin(w: np.ndarray, d: Dataset, i: int):
@@ -209,6 +255,10 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
                 np.add(acc, tile[0], out=tile[0])
             acc = tile.sum(axis=0)
         return acc[: len(rows)] / n
+
+    # imported here: only the risk sum runs threads, and concurrent.futures
+    # would load logging and queue into every verb
+    from concurrent.futures import ThreadPoolExecutor
 
     starts = range(0, w_rows.shape[0], width)
     with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(starts))) as pool:

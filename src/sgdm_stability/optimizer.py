@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, _row_grad, _sparsetools, empirical_risk_many, grad_scales
+from .losses import LOSS_KINDS, ScaleBuffers, _row_grad, _sparsetools, empirical_risk_many, grad_scales
 
 
 class DivergenceError(RuntimeError):
@@ -252,17 +252,23 @@ def coupled_distance_batch(
     `Dataset.padded` points at, stays zero.  Each side reads its own row every
     step, through the flat positions of the row's entries in the state; the
     positions and values of a few steps' rows are gathered at once, and
-    rebuilt when pairs are dropped.  The margins are numpy products; the
-    gradient writes into the momentum (and, with gamma > 0, the iterate) and
-    the step w -= eta * m are each one call to a compiled scipy routine
-    (`_add_rows`, `_add_product`), with the bits of numpy's updates.
-    Each step repeats the arithmetic of a lone pair operation for
-    operation, so a pair's series does not depend on what it is batched with.
-    A pair that hits a non-finite margin, iterate or distance is censored and
-    dropped.  Margins are checked every step, iterates and distances only at
-    stride points, so a pair can be censored a step or more after the
-    reference loop raises, on the same side.  With `risk_data`, the live
-    pairs' base iterates w_1..w_T are buffered per stream block, each block
+    rebuilt when pairs are dropped.  The margins are numpy products into
+    buffers kept until pairs are dropped, and the gradient scales come from
+    `grad_scales` with the labels negated once per gather and its buffers
+    kept too: one complex exp call while every |y m| is at most 709, the C
+    library's exp entry by entry past it.  The gradient writes into the
+    momentum (and, with gamma > 0, the iterate) and the step w -= eta * m
+    are each one call to a compiled scipy routine (`_add_rows`,
+    `_add_product`), with the bits of numpy's updates.  Each step repeats
+    the arithmetic of a lone pair operation for operation, so a pair's
+    series does not depend on what it is batched with.  A pair that hits a
+    non-finite margin, iterate or distance is censored and dropped.  Margins
+    are checked every step: every |y m| at most 709 implies they are all
+    finite, and only past that are they tested one by one.  Iterates and
+    distances are checked only at stride points, so a pair can be censored a
+    step or more after the reference loop raises, on the same side.  A row
+    position outside 0..data.n - 1 raises ValueError.  With `risk_data`, the
+    live pairs' base iterates w_1..w_T are buffered per stream block, each block
     is one `empirical_risk_many` call, and each pair adds its block's risks
     to its running sum; block edges do not depend on the batch, so neither
     does a pair's sum.
@@ -284,6 +290,9 @@ def coupled_distance_batch(
         raise ValueError(f"every stream must cover 1..{n}")
     if ((perturbed < 1) | (perturbed > n)).any():
         raise ValueError(f"neighbor index out of range 1..{n}")
+    for name, rows in (("train", train_rows), ("replacement", replacements)):
+        if rows.min() < 0 or rows.max() >= data.n:
+            raise ValueError(f"{name} row positions must be in 0..{data.n - 1}")
     T = points[0].iterations
     if any(hp.iterations != T for hp in points):
         raise ValueError("grid points must share the number of iterations")
@@ -305,7 +314,9 @@ def coupled_distance_batch(
         repetition, the flat state position of column 0 of each (pair, side)
         at each of a row's `width` entries, beta and -eta at every state
         entry (a full-size operand multiplies faster than a broadcast one),
-        -gamma, and the column pointers of `_add_rows`."""
+        -gamma, the column pointers of `_add_rows`, and the buffers each step
+        writes: the base-side rows' state entries, the margins and
+        `grad_scales`' arrays."""
         g = pair % G
         zero_beta = betas[g] == 0.0
         full = (pair.size, dim + 1, 2)
@@ -315,12 +326,13 @@ def coupled_distance_batch(
             np.broadcast_to(betas[g][:, None, None], full).copy(), zero_beta if zero_beta.any() else None,
             np.broadcast_to(-etas[g][:, None, None], full).copy(), -gammas[g][:, None],
             np.arange(0, 2 * pair.size * width + 1, width, dtype=np.intp),
+            np.empty((pair.size, width, 2)), np.empty((pair.size, 2, 1)), ScaleBuffers((pair.size, 2)),
         )
 
     # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
     pair = np.arange(R * G)
     side = np.arange(2)[:, None]
-    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr = per_pair(pair)
+    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr, cell_buf, margin_buf, scale_buf = per_pair(pair)
     L = T // stride
     distances = np.full((R * G, L), np.nan)
     diverged_step = np.zeros(R * G, dtype=np.int64)
@@ -366,21 +378,30 @@ def coupled_distance_batch(
                     flats += offsets
                     base_cells = flats[:, :, 0] >> 1
                     row_values = values.take(live_rows[first:gathered], axis=0)
+                    labels = live_labels[first:gathered]
+                    # views the steps below read, made again after a drop
+                    state_rows, margins = W.reshape(-1, 2), margin_buf[:, :, 0]
+                    base_x, rows_t = row_values[:, :, 0, :, None], cell_buf.transpose(0, 2, 1)
+                    steps = zip(flats, row_values, base_cells, base_x, labels, -labels)
+                flat, vx, cells, x, y, ny = next(steps)
                 if sum_risk is not None:
                     base_iterates[:, j] = W[:, :dim, 0]
-                flat, vx, cells = flats[j - first], row_values[j - first], base_cells[j - first]
                 # off a hit both sides read the base row, so one product per
-                # pair gives both margins
-                x = vx[:, 0, :, None]
-                margins = np.matmul(W.reshape(-1, 2).take(cells, axis=0).transpose(0, 2, 1), x)[:, :, 0]
+                # pair gives both margins; the cells are in range, so `take`
+                # writes its buffer directly
+                state_rows.take(cells, axis=0, out=cell_buf, mode="clip")
+                np.matmul(rows_t, x, out=margin_buf)
                 if hit_step:
                     # on a hit the sides read different rows: one dot per side
                     a = np.flatnonzero(hit[rep, j])
                     wa = W.reshape(-1).take(flat[a])[:, :, None, :]
                     margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
-                finite = np.isfinite(margins)
-                bad = None if finite.all() else ~finite  # (P, 2) non-finite sides
-                scales = grad_scales(margins, live_labels[j], kind)
+                scales = grad_scales(margins, y, kind, ny, scale_buf)
+                bad = None
+                if not scale_buf.bounded:
+                    finite = np.isfinite(margins)
+                    if not finite.all():
+                        bad = ~finite  # (P, 2) non-finite sides
                 M *= beta
                 if zero_beta is not None:
                     M[zero_beta] = 0.0
@@ -416,7 +437,9 @@ def coupled_distance_batch(
                     live_rows, live_labels = live_rows[:, keep], live_labels[:, keep]
                     if not pair.size:
                         break
-                    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr = per_pair(pair)
+                    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr, cell_buf, margin_buf, scale_buf = (
+                        per_pair(pair)
+                    )
                     # the gathered positions moved with the state
                     gathered = j + 1
                     if sum_risk is not None:

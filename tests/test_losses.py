@@ -219,6 +219,34 @@ class TestSigmoidMatchesExpit:
         assert_same_bits(grad_scales(m, 1.0, "logistic"), expit_scales(m, 1.0))
         assert_same_bits(grad_scales(t, 1.0, "logistic"), expit_scales(np.float64(t), 1.0))
 
+    # the band above 709 where glibc's cexp rescales, near and past overflow,
+    # the edges, and any float
+    SCALE_MARGINS = st.one_of(
+        st.floats(709.0, LOG_MAX + 0.01),
+        st.floats(-LOG_MAX - 0.01, -709.0),
+        st.sampled_from([*EDGE_MARGINS, 745.0, -745.0, 709.0000362545957]),
+        st.floats(-40.0, 40.0),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(SCALE_MARGINS, st.sampled_from([1.0, -1.0, 0.5, -3.0, 0.0])), min_size=1, max_size=40),
+        kind=st.sampled_from(["logistic", "squared"]),
+    )
+    @example(entries=[(709.0000362545957, 1.0), (-709.0000362545957, -1.0)], kind="logistic")
+    def test_array_path_is_the_scalar_path(self, entries, kind):
+        # entry by entry, bit for bit, a NaN as a NaN of either sign: if a
+        # platform's complex exp differs from its exp below 709, this fails
+        m, y = np.array(entries).T
+        # a non-unit label overflows y m, or makes 0 * inf, as the kernel may
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = grad_scales(m, y, kind)
+        scalar = np.array([grad_scales(a, b, kind) for a, b in entries])
+        nan = np.isnan(scalar)
+        np.testing.assert_array_equal(np.isnan(array), nan)
+        np.testing.assert_array_equal(array[~nan].view(np.uint64), scalar[~nan].view(np.uint64))
+
 
 class TestEmpiricalRisk:
     def test_mean_of_losses(self):

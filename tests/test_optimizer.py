@@ -21,7 +21,7 @@ from conftest import (
 )
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
-from sgdm_stability.losses import empirical_risk_many, loss_grad, smoothness
+from sgdm_stability.losses import empirical_risk_many, grad_scales, loss_grad, smoothness
 from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
     DivergenceError,
@@ -685,8 +685,10 @@ class TestCoupledBatch:
 
     @staticmethod
     def _plain_step_loop(monkeypatch):
-        """The kernel with rows gathered one step at a time and numpy's updates
-        in place of the compiled writes: the arithmetic of a plain step loop."""
+        """The kernel with rows gathered one step at a time, numpy's updates in
+        place of the compiled writes, and each gradient scale from the scalar
+        path of `grad_scales`, with every margin tested for finiteness: the
+        arithmetic of a plain step loop."""
 
         def add_rows(target, flat, values, colptr, scales):
             target.reshape(-1)[flat] += scales[:, :, None] * values
@@ -694,11 +696,18 @@ class TestCoupledBatch:
         def add_product(target, factor, source):
             target -= -factor * source
 
+        def scalar_scales(margins, y, kind, ny, buffers):
+            scales = [grad_scales(m, label, kind) for m, label in zip(margins.ravel().tolist(), y.ravel().tolist())]
+            buffers.scales[...] = np.reshape(scales, margins.shape)
+            buffers.bounded = False
+            return buffers.scales
+
         monkeypatch.setattr(optimizer, "_add_rows", add_rows)
         monkeypatch.setattr(optimizer, "_add_product", add_product)
+        monkeypatch.setattr(optimizer, "grad_scales", scalar_scales)
         monkeypatch.setattr(optimizer, "_gather_steps", lambda width: 1)
 
-    @pytest.mark.parametrize("case", ["drop_mid_sub_block", "chunk_not_a_multiple"])
+    @pytest.mark.parametrize("case", ["drop_mid_sub_block", "chunk_not_a_multiple", "logistic_past_709"])
     def test_sub_blocks_and_compiled_writes_keep_the_plain_loop_bytes(self, case, monkeypatch):
         examples, train_rows, perturbed, replacements, seeds = self._setup()
         w1 = np.linspace(-0.5, 0.5, self.DIM)
@@ -715,19 +724,45 @@ class TestCoupledBatch:
                 HyperParams(beta=0.0, gamma=3e3, eta=2e3, iterations=self.T),
                 variant_params("nesterov", 0.05, 0.5, self.T),
             ]
-        else:
+        elif case == "chunk_not_a_multiple":
             # 3-step sub-blocks of 7-step stream blocks: every block ends in a
             # one-step sub-block
             chunk, sub, kind, stride = 7, 3, "logistic", 3
             points = self._grid()
+        else:
+            # repetition 0's neighbor reads, at its first step, a row whose
+            # margin is 709.0000362545957, where the complex exp differs from
+            # the C library's exp in the last bit; its feature of 1e308 carries
+            # that bit into the distance.  The other neighbors read the 1e155
+            # row, whose margins pass 709 and overflow, and the step of 1e4
+            # censors its pairs; the pairs left take the compiled exp
+            chunk, sub, kind, stride = 16, 5, "logistic", 1
+            examples = stack([examples, parse_libsvm("1 1:1e155\n1 7:1 8:1e308\n")], self.DIM + 2)
+            perturbed = np.array([SampleStream(seeds[0], self.N_TRAIN).prefix(1)[0], *perturbed[1:]])
+            replacements = np.array([examples.n - 1, examples.n - 2, examples.n - 2])
+            w1 = np.concatenate([w1, [709.0000362545957, 0.0]])
+            points = [
+                HyperParams(beta=0.0, gamma=0.0, eta=0.05, iterations=self.T),
+                variant_params("hb", 1e4, 0.9, self.T),
+                variant_params("nesterov", 0.05, 0.5, self.T),
+                HyperParams(beta=0.5, gamma=0.03, eta=0.03, iterations=self.T),
+            ]
         args = (
             examples, train_rows, perturbed, replacements, [SampleStream(s, self.N_TRAIN) for s in seeds],
             kind, points, w1, stride,
         )
         risk_data = examples.take(train_rows[0])
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", chunk)
+        bounded = []
+
+        def recorded_scales(margins, y, kind, ny, buffers):
+            scales = grad_scales(margins, y, kind, ny, buffers)
+            bounded.append(buffers.bounded)
+            return scales
+
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_gather_steps", lambda width: sub)
+            patch.setattr(optimizer, "grad_scales", recorded_scales)
             batch = coupled_distance_batch(*args, risk_data=risk_data)
         self._plain_step_loop(monkeypatch)
         plain = coupled_distance_batch(*args, risk_data=risk_data)
@@ -737,8 +772,13 @@ class TestCoupledBatch:
             local = (batch.diverged_step[batch.diverged_step > 0] - 1) % chunk
             assert ((local % sub != sub - 1) & (local != chunk - 1)).any()
             assert not batch.diverged_step[[0, 2]][:, [0, 3]].any()
-        else:
+        elif case == "chunk_not_a_multiple":
             assert not batch.diverged_step.any()
+        else:
+            # every step of the first takes the entry-by-entry exp, and both
+            # kinds of step occur; repetition 0 keeps three pairs to the end
+            assert not bounded[0] and any(bounded) and not all(bounded)
+            assert batch.diverged_step[1:].all() and (batch.diverged_step[0] > 0).sum() == 1
         for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
             assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
 
@@ -802,6 +842,18 @@ class TestCoupledBatch:
             coupled_distance_batch(examples, train_rows, perturbed, replacements, streams[:2], "logistic", [hp], w1, 1)
         with pytest.raises(ValueError, match="repetition"):
             coupled_distance_batch(examples, train_rows, perturbed, replacements, streams, "logistic", [], w1, 1)
+
+    @pytest.mark.parametrize(
+        "train, replacement", [(np.arange(-5, 5), 3), (np.arange(11, 21), 3), (np.arange(10), -1), (np.arange(10), 25)]
+    )
+    def test_rejects_row_positions_outside_the_data(self, train, replacement):
+        # numpy would wrap a negative position to the end of the data
+        data = synthetic_binary_dataset(20, 4, seed=1)
+        with pytest.raises(ValueError, match=r"row positions must be in 0\.\.19"):
+            coupled_distance_batch(
+                data, train[None], [1], [replacement], [SampleStream(0, 10)], "logistic",
+                [variant_params("hb", 0.01, 0.5, 10)], np.zeros(4), 1,
+            )
 
     def test_memory_does_not_grow_with_iterations(self, monkeypatch):
         # index draws come STREAM_CHUNK steps per repetition at a time, so the

@@ -47,16 +47,19 @@ if len(sys.argv) > 1:
 """
 
 
+def fresh_stdout(probe, *argv):
+    """The stdout of `probe` run with argv in a fresh interpreter that imports the package from SRC."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def scipy_modules_loaded(*argv):
     """The scipy modules loaded after `import sgdm_stability.cli` and, with
     argv, after that verb runs, in a fresh interpreter."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return [json.loads(line) for line in done.stdout.splitlines() if line.startswith("[")]
+    return [json.loads(line) for line in fresh_stdout(SCIPY_PROBE, *argv).splitlines() if line.startswith("[")]
 
 
 class TestScipyImportedOnFirstUse:
@@ -102,9 +105,19 @@ class TestScipyImportedOnFirstUse:
 
 def test_import_loads_no_multiprocessing():
     # verify-invariants imports its process pool only when it runs
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     probe = "import sys, sgdm_stability.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert fresh_stdout(probe) == "[]\n"
+
+
+def test_import_and_run_stability_load_no_thread_pool(tmp_path):
+    # only check-bounds' risk sum runs threads; concurrent.futures would
+    # also load logging and queue
+    probe = (
+        "import sys\nfrom sgdm_stability.cli import main\nassert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging', 'queue')))"
+    )
+    stdout = fresh_stdout(
+        probe, "run-stability", "--overrides", *TestScipyImportedOnFirstUse.SYNTHETIC, "reps=2", "epochs=1",
+        "steps=0.01,0.1", f"outdir={tmp_path}",
+    )
+    assert stdout.splitlines()[-1] == "[]"

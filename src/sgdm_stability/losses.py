@@ -242,6 +242,8 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
     labels, n, height, width = d.labels[:, None], d.n, RISK_ROWS, RISK_COLUMNS
     product = _band_products(d, height)
 
+    # pool threads start from numpy's default error state: each task enters the caller's
+    @np.errstate(**np.geterr())
     def block(lo: int) -> np.ndarray:
         rows = w_rows[lo : lo + width]
         # contiguous, so the product does not copy it once per band

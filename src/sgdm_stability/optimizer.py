@@ -51,16 +51,16 @@ class HyperParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def _sgdm_update(w, m, g, beta, gamma, eta, out=None):
-    """(w_new, m_new) of one momentum update; w_new is written to `out` if given."""
-    m_new = beta * m + g
-    return np.subtract(w - gamma * g, eta * m_new, out=out), m_new
+def _sgdm_update(w, m, g, beta, gamma, eta, w_out, m_out):
+    """(w_new, m_new) of one momentum update, written to `w_out` and `m_out`."""
+    m_new = np.add(beta * m, g, out=m_out)
+    return np.subtract(w - gamma * g, eta * m_new, out=w_out), m_new
 
 
-def _lookahead_update(w, u_curr, g, beta, gamma, out=None):
-    """(w_new, u_new) of one look-ahead step; w_new is written to `out` if given."""
-    u_new = w - gamma * g
-    return np.add(u_new, beta * (u_new - u_curr), out=out), u_new
+def _lookahead_update(w, u_curr, g, beta, gamma, w_out, u_out):
+    """(w_new, u_new) of one look-ahead step, written to `w_out` and `u_out`."""
+    u_new = np.subtract(w, gamma * g, out=u_out)
+    return np.add(u_new, beta * (u_new - u_curr), out=w_out), u_new
 
 
 class SampleStream:
@@ -95,18 +95,21 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: iterates w_1..w_{T+1}, gradients g_1..g_T, indices i_1..i_T."""
+    """Recorded run: iterates w_1..w_{T+1}, momenta m_0 = 0, m_1..m_T, gradients g_1..g_T, indices i_1..i_T."""
 
     iterates: np.ndarray
     gradients: np.ndarray
     indices: np.ndarray
     hp: HyperParams
+    momenta: np.ndarray
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.gradients.shape[0] + 1:
             raise ValueError("iterates must be one longer than gradients")
         if self.indices.shape[0] != self.gradients.shape[0]:
             raise ValueError("one sampled index per gradient")
+        if self.momenta.shape != self.iterates.shape:
+            raise ValueError("one momentum per iterate")
 
 
 # Index-stream steps the batched kernel draws per repetition at a time, and
@@ -145,10 +148,10 @@ def _add_product(target: np.ndarray, factor: np.ndarray, source: np.ndarray):
     _sparsetools().dia_matvec(target.size, target.size, 1, target.size, _MAIN_DIAGONAL, factor, source, target)
 
 
-def _reference_loop(d, kind, w1, stream, T, update, state, *coeffs):
-    """(indices, iterates, gradients) of T steps from w1, each step's gradient
-    and `update`'s next iterate written into their rows under one errstate;
-    the rows are checked for non-finite values once per STREAM_CHUNK steps."""
+def _reference_loop(d, kind, w1, stream, T, update, state0, *coeffs):
+    """(indices, iterates, gradients, states) of T steps from w1 and state0, each step's
+    gradient and `update`'s iterate and state written into their rows under one
+    errstate; gradients and iterates are checked once per STREAM_CHUNK steps."""
     if stream.n != d.n:
         raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
     w = np.asarray(w1, dtype=np.float64)
@@ -157,7 +160,9 @@ def _reference_loop(d, kind, w1, stream, T, update, state, *coeffs):
     indices = stream.prefix(T)
     iterates = np.empty((T + 1, d.dim))
     gradients = np.zeros((T, d.dim))
-    iterates[0] = w
+    states = np.empty((T + 1, d.dim))
+    iterates[0], states[0] = w, state0
+    state = states[0]
     rows = (indices - 1).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, STREAM_CHUNK):
@@ -165,26 +170,27 @@ def _reference_loop(d, kind, w1, stream, T, update, state, *coeffs):
             for k in range(lo, hi):
                 g = gradients[k]
                 _row_grad(g, w, d, rows[k], kind)
-                w, state = update(w, state, g, *coeffs, out=iterates[k + 1])
+                w, state = update(w, state, g, *coeffs, iterates[k + 1], states[k + 1])
             finite = np.isfinite(gradients[lo:hi]).all(axis=1) & np.isfinite(iterates[lo + 1 : hi + 1]).all(axis=1)
             if not finite.all():
                 raise DivergenceError(lo + int(finite.argmin()) + 1)
-    return indices, iterates, gradients
+    return indices, iterates, gradients, states
 
 
 def run(d: Dataset, kind: str, hp: HyperParams, w1: np.ndarray, stream: SampleStream) -> Trajectory:
     """Run T = hp.iterations steps of generalized momentum SGD on `d`.
 
     This is the reference update loop: each step takes the gradient of the
-    drawn row at the current iterate, then sets m_t = beta * m_{t-1} + g_t
-    and w_{t+1} = w_t - gamma * g_t - eta * m_t.
+    drawn row at the current iterate, then sets m_t = beta * m_{t-1} + g_t,
+    written straight into row t of `momenta`, and w_{t+1} = w_t - gamma * g_t
+    - eta * m_t.
     A non-finite gradient or iterate raises DivergenceError at its step, after
     at most one STREAM_CHUNK block of further steps.
     """
-    indices, iterates, gradients = _reference_loop(
-        d, kind, w1, stream, hp.iterations, _sgdm_update, np.zeros(d.dim), hp.beta, hp.gamma, hp.eta
+    indices, iterates, gradients, momenta = _reference_loop(
+        d, kind, w1, stream, hp.iterations, _sgdm_update, 0.0, hp.beta, hp.gamma, hp.eta
     )
-    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp)
+    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp, momenta=momenta)
 
 
 def run_lookahead(
@@ -204,8 +210,8 @@ def run_lookahead(
     w_{t+1} = u_t + beta * (u_t - u_{t-1}), with u_0 = w_1, which makes the
     first step match the momentum form.
     """
-    # u_0 = w_1; neither update writes into its inputs
-    return _reference_loop(d, kind, w1, stream, iterations, _lookahead_update, np.asarray(w1, float), beta, gamma)[1]
+    # u_0 = w_1
+    return _reference_loop(d, kind, w1, stream, iterations, _lookahead_update, w1, beta, gamma)[1]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Runnable numerical checks of the update-rule identities and loss lemmas.
 
 This is the one module that inspects a recorded `Trajectory`: the auxiliary
-sequence, the replayed momentum buffers and each identity's residual are
-computed here, once.  Each check returns a CheckOutcome with the worst
-observed residual or margin and the threshold it was held to, so the CLI can
-emit a machine-readable report and the test suite can assert on the same code
-path.
+sequence and each identity's residual are computed here, once, from the
+iterates, gradients and momenta the run recorded.  Each check returns a
+CheckOutcome with the worst observed residual or margin and the threshold it
+was held to, so the CLI can emit a machine-readable report and the test
+suite can assert on the same code path.
 """
 
 from __future__ import annotations
@@ -128,17 +128,11 @@ def _run_params(kind: str, hp: HyperParams) -> dict:
 
 
 def _decayed_sums(decay: float, terms: np.ndarray) -> np.ndarray:
-    """s_0..s_T along the first axis of the T `terms`: s_0 = 0 and
-    s_k = decay * s_{k-1} + terms[k-1]."""
+    """s_0..s_T of the T `terms`: s_0 = 0 and s_k = decay * s_{k-1} + terms[k-1]."""
     s = np.zeros((terms.shape[0] + 1, *terms.shape[1:]))
     for k in range(1, s.shape[0]):
         s[k] = decay * s[k - 1] + terms[k - 1]
     return s
-
-
-def momentum_buffers(traj: Trajectory) -> np.ndarray:
-    """Replayed momentum buffers m_0..m_T from the recorded gradients."""
-    return _decayed_sums(traj.hp.beta, traj.gradients)
 
 
 def auxiliary_sequence(traj: Trajectory) -> tuple[np.ndarray, float]:
@@ -166,20 +160,18 @@ def check_y_identity(kind: str, traj: Trajectory) -> CheckOutcome:
     return _outcome_max("y_identity", _run_params(kind, traj.hp), observed / scale, 1e-10)
 
 
-def check_dist_identity(kind: str, traj: Trajectory, buffers: np.ndarray) -> list[CheckOutcome]:
+def check_dist_identity(kind: str, traj: Trajectory) -> list[CheckOutcome]:
     """Exact distance identity and its geometric-sum upper bound: for every k,
     ||y_k - w_k||^2 equals b^2 eta^2 / (1-b)^2 * ||m_{k-1}||^2 exactly and is
     at most b^2 eta^2 / (1-b)^3 * sum_{j<k} b^(k-1-j) ||g_j||^2.  Residuals
-    and margins are normalized by 1 + the larger side.  `buffers` are
-    `momentum_buffers(traj)`.
-    """
+    and margins are normalized by 1 + the larger side."""
     b, eta = traj.hp.beta, traj.hp.eta
     W = traj.iterates
     y, _ = auxiliary_sequence(traj)
     lhs = np.sum((y - W) ** 2, axis=1)
-    # Row i of W is iterate w_{i+1}; the identity pairs it with buffer m_i.
+    # Row i of W is iterate w_{i+1}; the identity pairs it with momentum m_i.
     # squared as numpy scalars, so a huge step gives inf instead of OverflowError
-    rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(buffers**2, axis=1)
+    rhs = np.float64(b * eta / (1 - b)) ** 2 * np.sum(traj.momenta**2, axis=1)
     geo = _decayed_sums(b, np.sum(traj.gradients**2, axis=1))
     bound = b**2 * np.float64(eta) ** 2 / (1 - b) ** 3 * geo
     residual = (np.abs(lhs - rhs) / (1.0 + np.maximum(lhs, rhs))).max()
@@ -208,43 +200,45 @@ def m_recursion_margins(base: Trajectory, neighbor: Trajectory) -> np.ndarray:
     if b <= 0.0:
         raise ValueError("momentum recursion bound requires beta > 0")
     delta = 0.5 * (1.0 / b - 1.0)
-    lhs = np.sum((momentum_buffers(base)[1:] - momentum_buffers(neighbor)[1:]) ** 2, axis=1)
+    lhs = np.sum((base.momenta[1:] - neighbor.momenta[1:]) ** 2, axis=1)
     gdiff_sq = np.sum((base.gradients - neighbor.gradients) ** 2, axis=1)
     rhs = (1 + 1 / delta) * _decayed_sums((1 + delta) * b * b, gdiff_sq)[1:]
     return (rhs - lhs) / (1.0 + np.abs(rhs))
 
 
-def check_m_recursion(data: Dataset, kind: str, hp: HyperParams, seed: int) -> CheckOutcome:
-    params = _run_params(kind, hp)
-    if hp.beta == 0.0:
+def check_m_recursion(data: Dataset, kind: str, base: Trajectory, seed: int) -> CheckOutcome:
+    """The smallest `m_recursion_margins` of `base`, a run on `data` on the
+    stream seeded `seed`, and its neighbor from the step the stream first
+    draws the perturbed position p (named in the note; before it both sides
+    are 0, and a stream that never draws it is a skip).  Apart from the stream,
+    with seed + 1: p = integers(1, n + 1), replaced by row (p + integers(0, n - 1)) % n."""
+    params = _run_params(kind, base.hp)
+    if base.hp.beta == 0.0:
         return _skip("m_recursion", params, "requires beta > 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 1)
     rows = np.arange(data.n)
     perturbed = rng.integers(1, data.n + 1)
-    rows[perturbed - 1] = rng.integers(0, data.n)
-    stream = SampleStream(seed + 1, data.n)
-    base = run(data, kind, hp, np.zeros(data.dim), stream)
-    neighbor = run(data.take(rows), kind, hp, np.zeros(data.dim), stream)
-    return _outcome_min("m_recursion", params, m_recursion_margins(base, neighbor).min(), -1e-10)
+    rows[perturbed - 1] = (perturbed + rng.integers(0, max(data.n - 1, 1))) % data.n
+    hits = np.flatnonzero(base.indices == perturbed)
+    if not hits.size:
+        return _skip("m_recursion", params, f"the stream never draws the perturbed index {perturbed}")
+    other = run(data.take(rows), kind, base.hp, base.iterates[0], SampleStream(seed, data.n))
+    observed = m_recursion_margins(base, other)[hits[0] :].min()
+    return _outcome_min("m_recursion", params, observed, -1e-10, f"first hit at step {hits[0] + 1}")
 
 
 def check_beta_zero_reduction(data: Dataset, kind: str, gamma: float, eta: float, steps: int, seed: int) -> CheckOutcome:
     """beta = 0 momentum run equals plain SGD with step gamma + eta."""
     hp = HyperParams(beta=0.0, gamma=gamma, eta=eta, iterations=steps)
     traj = run(data, kind, hp, np.zeros(data.dim), SampleStream(seed, data.n))
-    idx = SampleStream(seed, data.n).prefix(steps)
     w = np.zeros(data.dim)
     step_size = gamma + eta
     sgd = np.empty((steps, data.dim))
-    for k, i in enumerate((idx - 1).tolist()):
+    for k, i in enumerate((traj.indices - 1).tolist()):
         w = w - step_size * loss_grad(w, data, i, kind)
         sgd[k] = w
-    return _outcome_max(
-        "beta_zero_reduction",
-        {"kind": kind, "gamma": gamma, "eta": eta, "steps": steps},
-        np.abs(sgd - traj.iterates[1:]).max(),
-        1e-12,
-    )
+    params = {"kind": kind, "gamma": gamma, "eta": eta, "steps": steps}
+    return _outcome_max("beta_zero_reduction", params, np.abs(sgd - traj.iterates[1:]).max(), 1e-12)
 
 
 def _nesterov_params(kind: str, beta: float, gamma: float, steps: int) -> dict:
@@ -263,23 +257,19 @@ def check_nesterov_equivalence(data: Dataset, kind: str, traj: Trajectory, seed:
     return _outcome_max("nesterov_equivalence", params, worst, 1e-9)
 
 
-def check_momentum_unrolling(kind: str, traj: Trajectory, buffers: np.ndarray) -> CheckOutcome:
-    """m_t equals sum_j beta^(t-j) g_j up to 1e-10 relative.  `buffers` are
-    `momentum_buffers(traj)`."""
-    T, d = traj.gradients.shape
+def check_momentum_unrolling(kind: str, traj: Trajectory) -> CheckOutcome:
+    """The recorded m_t equals sum_{j<=t} beta^(t-j) g_j up to 1e-10 relative
+    to 1 + max ||m||, at t = 1, 2, 4, ..., 2^floor(log2 T) and T, O(T dim) in
+    all; every g_j enters m_T, so a gradient off the momenta fails at T."""
+    T = traj.gradients.shape[0]
+    points = sorted({*(2**i for i in range(T.bit_length())), T})
     # beta^(T-1), ..., beta^0: the last t of them weigh g_1..g_t
     powers = traj.hp.beta ** np.arange(T - 1, -1, -1.0)
-    unrolled = np.zeros((T + 1, d))
-    for t in range(1, T + 1):
-        unrolled[t] = powers[T - t :] @ traj.gradients[:t]
-    scale = 1.0 + float(np.linalg.norm(buffers, axis=1).max())
-    worst = float(np.linalg.norm(buffers - unrolled, axis=1).max()) / scale
-    return _outcome_max(
-        "momentum_unrolling",
-        {"kind": kind, "beta": traj.hp.beta, "steps": traj.hp.iterations},
-        worst,
-        1e-10,
-    )
+    unrolled = np.array([powers[T - t :] @ traj.gradients[:t] for t in points])
+    scale = 1.0 + float(np.linalg.norm(traj.momenta, axis=1).max())
+    worst = float(np.linalg.norm(traj.momenta[points] - unrolled, axis=1).max()) / scale
+    params = {"kind": kind, "beta": traj.hp.beta, "steps": traj.hp.iterations}
+    return _outcome_max("momentum_unrolling", params, worst, 1e-10)
 
 
 def _loss_lemmas(kind: str) -> list[CheckOutcome]:
@@ -294,19 +284,19 @@ def _beta_checks(
     beta = hb_point.beta
     outcomes: list[CheckOutcome] = []
     try:
-        m_recursion = check_m_recursion(data, kind, hb_point.hp, seed)
         hb = run(data, kind, hb_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
-        buffers = momentum_buffers(hb)
-        outcomes.append(check_y_identity(kind, hb))
-        outcomes.extend(check_dist_identity(kind, hb, buffers))
-        outcomes.append(m_recursion)
-        outcomes.append(check_momentum_unrolling(kind, hb, buffers))
-        del hb, buffers
+        # a list is added whole, so a run that diverges inside it leaves none of it
+        outcomes += [
+            check_y_identity(kind, hb), *check_dist_identity(kind, hb),
+            check_m_recursion(data, kind, hb, seed), check_momentum_unrolling(kind, hb),
+        ]
+        del hb
         if beta > 0.0:
             nest = run(data, kind, nest_point.hp, np.zeros(data.dim), SampleStream(seed, data.n))
-            outcomes.append(check_nesterov_equivalence(data, kind, nest, seed))
-            outcomes.append(check_y_identity(kind, nest))
-            outcomes.extend(check_dist_identity(kind, nest, momentum_buffers(nest)))
+            outcomes += [
+                check_nesterov_equivalence(data, kind, nest, seed), check_y_identity(kind, nest),
+                *check_dist_identity(kind, nest),
+            ]
         else:
             params = _nesterov_params(kind, beta, nest_point.step, steps)
             outcomes.append(_skip("nesterov_equivalence", params, "requires beta > 0"))
@@ -363,15 +353,16 @@ def run_invariant_suite(
 
     The suite is a list of independent units, run by `_map_units`: per kind,
     one unit of the four loss-lemma checks, then one unit per beta.  In a
-    beta's unit one heavy-ball run, its momentum buffers replayed once, feeds
-    the y, dist and unrolling checks, and for beta > 0 one Nesterov run feeds
-    the look-ahead equivalence, y and dist.  The two runs of m_recursion, the
-    look-ahead run and the beta = 0 reduction stay separate: their agreement
-    with these runs is what they check.  Apart from m_recursion's pair, no
-    two runs of a unit are held at once.  A run that leaves float range ends
-    its unit with a failed `finite_runs` outcome whose observed value is the
-    step it left at; a check whose residual overflows fails on it.  No
-    outcome depends on where its unit ran.
+    beta's unit one heavy-ball run, with the momenta it recorded, feeds the
+    y, dist and unrolling checks and is m_recursion's base, so m_recursion
+    runs at most its neighbor; for beta > 0 one Nesterov run feeds the
+    look-ahead equivalence, y and dist.  The look-ahead run and the beta = 0
+    reduction stay separate: their agreement with these runs is what they
+    check.  Apart from m_recursion's pair, no two runs of a unit are held at
+    once.  A run that leaves float range ends its unit with a failed
+    `finite_runs` outcome whose observed value is the step it left at; a
+    check whose residual overflows fails on it.  No outcome depends on where
+    its unit ran.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)

@@ -7,6 +7,8 @@ report.  Also holds the references the library is tested against:
 that holds a foreign replacement pool, `parse_libsvm_per_token` for the
 block-wise LIBSVM parser, `run_per_step` and `run_lookahead_per_step` (one
 `sgdm_step` or `lookahead_step` per step) for the two reference loops,
+`momentum_buffers`, the momenta replayed from a run's gradients, for the
+momenta `run` records,
 `rep_draw` and `bound_check_draws` for the two `Draws` constructors,
 `average_iterate` and `empirical_risk` for the optimization bound,
 `csr_matrix`, scipy's CSR matrix of a dataset, for the risk sum and margins,
@@ -137,6 +139,15 @@ def reference_pair(data, rows, perturbed, replacement, kind, hp, w1, stream):
     return base, neighbor, np.linalg.norm(base.iterates - neighbor.iterates, axis=1)
 
 
+def momentum_buffers(traj):
+    """Momentum buffers m_0..m_T replayed from the recorded gradients:
+    m_0 = 0 and m_k = beta * m_{k-1} + g_k."""
+    m = np.zeros_like(traj.iterates)
+    for k in range(1, m.shape[0]):
+        m[k] = traj.hp.beta * m[k - 1] + traj.gradients[k - 1]
+    return m
+
+
 def run_per_step(d, kind, hp, w1, stream):
     """`run` as one `loss_grad` and one `sgdm_step` per step, each checking
     its own values: the same Trajectory bytes, or DivergenceError at the
@@ -150,13 +161,15 @@ def run_per_step(d, kind, hp, w1, stream):
     indices = stream.prefix(T)
     iterates = np.empty((T + 1, d.dim))
     gradients = np.empty((T, d.dim))
+    momenta = np.zeros((T + 1, d.dim))
     iterates[0] = w1
     state = SgdmState(w=w1.copy(), m=np.zeros(d.dim), step=0)
     for k, i in enumerate((indices - 1).tolist()):
         gradients[k] = loss_grad(state.w, d, i, kind)
         state = sgdm_step(state, gradients[k], hp)
         iterates[k + 1] = state.w
-    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp)
+        momenta[k + 1] = state.m
+    return Trajectory(iterates=iterates, gradients=gradients, indices=indices, hp=hp, momenta=momenta)
 
 
 def run_lookahead_per_step(d, kind, beta, gamma, iterations, w1, stream):

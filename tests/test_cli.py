@@ -347,7 +347,7 @@ PINNED_DIGESTS = {
     "nesterov_beta0.9_step0.01.csv": "92ebca0c6e9a62cef1e3f52f6c814fecd58e8bc926b90a30c685e2a40d9e2452",
     "nesterov_beta0.9_step0.5.csv": "4d1353b24a02c80f04b765e5991deb2c69bb6565daa49984364700f6b95b92c6",
     "bound_check.json": "0c1a9933b1ac015a4a57d68b0a758275d782608c71d8397061c0c2b8a8d39959",
-    "invariants.json": "92eb556c63b5552a81ac273612683bdee4f6c504735096708cda57f0a6c1199f",
+    "invariants.json": "2fef763f43dfb7982de57192bf96c916a6584fbee6cfe0dba84e13956da42453",
 }
 
 

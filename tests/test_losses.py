@@ -379,6 +379,29 @@ class TestBlockedRisk:
         got = empirical_risk_many(W, self.TALL, "logistic")
         assert got.tobytes() == self.unblocked(W, self.TALL, "logistic").tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_threads_enter_the_caller_errstate(self, workers):
+        # squared losses of margins past 1e154 overflow; the threads do what
+        # the caller's np.errstate says, under the suite's error filter too
+        W = np.full((RISK_COLUMNS + 5, self.DATA.dim), 1e200)
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers):
+            with np.errstate(over="ignore"):
+                assert np.isinf(empirical_risk_many(W, self.DATA, "squared")).all()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                empirical_risk_many(W, self.DATA, "squared")
+
+    def test_kernel_risk_sum_under_its_errstate(self):
+        # squared loss on the one row x = 1, y = 0 at beta = 0, eta = 3: w_k =
+        # (-2)^(k-1) 2^520 stays finite for the 10 steps, while its loss
+        # 2^1039 overflows; the kernel's errstate covers its risk sum
+        d = parse_libsvm("0 1:1\n0 1:1\n")
+        batch = coupled_distance_batch(
+            d, np.array([[0]]), [1], [1], [SampleStream(0, 1)], "squared", [HyperParams(0.0, 0.0, 3.0, 10)],
+            np.array([2.0**520]), 5, risk_data=d,
+        )
+        assert batch.diverged_step.tolist() == [[0]]
+        assert batch.sum_risk.tolist() == [[math.inf]]
+
     def test_memory_does_not_grow_with_n(self):
         # one block of weight rows, walked over bands: the tiles, not the
         # (n, block) margins, set the peak

@@ -13,6 +13,7 @@ from conftest import (
     empirical_risk,
     joined,
     lookahead_step,
+    momentum_buffers,
     reference_pair,
     run_lookahead_per_step,
     run_per_step,
@@ -32,7 +33,6 @@ from sgdm_stability.optimizer import (
     run,
     run_lookahead,
 )
-from sgdm_stability.verification import momentum_buffers
 
 
 class TestSgdmStep:
@@ -247,7 +247,7 @@ class TestRun:
         data = synthetic_binary_dataset(25, 5, seed=7)
         hp = HyperParams(beta=0.7, gamma=0.0, eta=0.05, iterations=100)
         traj = run(data, "logistic", hp, np.zeros(5), SampleStream(3, 25))
-        m = momentum_buffers(traj)
+        m = traj.momenta
         for t in (1, 7, 50, 100):
             powers = 0.7 ** np.arange(t - 1, -1, -1.0)
             expected = powers @ traj.gradients[:t]
@@ -311,7 +311,7 @@ class TestReferenceLoops:
         if isinstance(slow, int):
             assert fast == slow
         else:
-            for name in ("iterates", "gradients", "indices"):
+            for name in ("iterates", "gradients", "indices", "momenta"):
                 a, b = getattr(fast, name), getattr(slow, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         slow_la = _outcome(run_lookahead_per_step, d, kind, beta, gamma, steps, w1, SampleStream(seed, d.n))
@@ -319,6 +319,31 @@ class TestReferenceLoops:
             assert la == slow_la
         else:
             assert la.shape == slow_la.shape and la.tobytes() == slow_la.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=small_datasets(),
+        kind=st.sampled_from(["logistic", "squared"]),
+        beta=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+        gamma=st.just(0.0) | st.floats(0.0, 0.5),
+        eta=st.floats(1e-6, 0.5),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+    )
+    def test_momenta_equal_the_replay_byte_for_byte(self, d, kind, beta, gamma, eta, steps, seed):
+        # the momenta a run records are the ones a replay of its gradients gives
+        hp = HyperParams(beta=beta, gamma=gamma, eta=eta, iterations=steps)
+        traj = _outcome(run, d, kind, hp, np.full(d.dim, 0.25), SampleStream(seed, d.n))
+        assume(not isinstance(traj, int))
+        assert traj.momenta.shape == traj.iterates.shape
+        assert traj.momenta.tobytes() == momentum_buffers(traj).tobytes()
+
+    def test_trajectory_needs_one_momentum_per_iterate(self):
+        with pytest.raises(ValueError, match="one momentum per iterate"):
+            Trajectory(
+                iterates=np.zeros((3, 2)), gradients=np.zeros((2, 2)), indices=np.ones(2, dtype=np.int64),
+                hp=HyperParams(beta=0.5, gamma=0.0, eta=0.1, iterations=2), momenta=np.zeros((2, 2)),
+            )
 
     # the squared loss: its gradient grows with the iterate, so about a third
     # of these runs leave float range within their steps
@@ -993,6 +1018,7 @@ class TestAverageIterate:
             gradients=np.zeros((2, 1)),
             indices=np.ones(2, dtype=np.int64),
             hp=HyperParams(beta=0.0, gamma=0.0, eta=0.1, iterations=2),
+            momenta=np.zeros((3, 1)),
         )
         np.testing.assert_allclose(average_iterate(traj, 2), [1.0])
         np.testing.assert_allclose(average_iterate(traj, 3), [2.0])
@@ -1003,6 +1029,7 @@ class TestAverageIterate:
             gradients=np.zeros((2, 1)),
             indices=np.ones(2, dtype=np.int64),
             hp=HyperParams(beta=0.0, gamma=0.0, eta=0.1, iterations=2),
+            momenta=np.zeros((3, 1)),
         )
         with pytest.raises(ValueError):
             average_iterate(traj, 0)

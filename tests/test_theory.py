@@ -29,18 +29,19 @@ from sgdm_stability.verification import (
     check_dist_identity,
     check_y_identity,
     m_recursion_margins,
-    momentum_buffers,
 )
 
 
 def hand_trajectory():
-    """Two hand-worked steps at beta=0.5, gamma=0.1, eta=0.2 from w_1=(1,0)."""
+    """Two hand-worked steps at beta=0.5, gamma=0.1, eta=0.2 from w_1=(1,0),
+    with their momenta m_0 = 0, m_1 = g_1 and m_2 = 0.5 m_1 + g_2."""
     hp = HyperParams(beta=0.5, gamma=0.1, eta=0.2, iterations=2)
     return Trajectory(
         iterates=np.array([[1.0, 0.0], [0.4, 0.3], [-0.1, 0.1]]),
         gradients=np.array([[2.0, -1.0], [1.0, 1.0]]),
         indices=np.ones(2, dtype=np.int64),
         hp=hp,
+        momenta=np.array([[0.0, 0.0], [2.0, -1.0], [2.0, 0.5]]),
     )
 
 
@@ -336,7 +337,7 @@ class TestDistIdentity:
         y, _ = auxiliary_sequence(traj)
         lhs_2 = float(np.sum((y[1] - traj.iterates[1]) ** 2))
         assert lhs_2 == pytest.approx(0.2, rel=1e-14)
-        identity, margin = check_dist_identity("logistic", traj, momentum_buffers(traj))
+        identity, margin = check_dist_identity("logistic", traj)
         assert identity.observed <= 1e-14
         assert margin.observed >= -1e-14
 
@@ -344,7 +345,7 @@ class TestDistIdentity:
         data = synthetic_binary_dataset(40, 6, seed=2)
         hp = HyperParams(beta=0.9, gamma=0.01, eta=0.009, iterations=400)
         traj = run(data, "logistic", hp, np.zeros(6), SampleStream(7, 40))
-        identity, margin = check_dist_identity("logistic", traj, momentum_buffers(traj))
+        identity, margin = check_dist_identity("logistic", traj)
         assert identity.observed <= 1e-10
         assert margin.observed >= -1e-10
 

@@ -1,10 +1,11 @@
 import json
 import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import csr_matrix, wrong_effective_step
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgdm_stability import verification
@@ -31,7 +32,7 @@ from sgdm_stability.verification import (
     check_nesterov_equivalence,
     check_self_bounding,
     check_y_identity,
-    momentum_buffers,
+    m_recursion_margins,
     run_invariant_suite,
 )
 
@@ -49,7 +50,24 @@ def fresh_run(data, kind, hp, seed):
 def with_gradient_row_scaled(traj, row, factor):
     gradients = traj.gradients.copy()
     gradients[row] *= factor
-    return Trajectory(traj.iterates, gradients, traj.indices, traj.hp)
+    return Trajectory(traj.iterates, gradients, traj.indices, traj.hp, traj.momenta)
+
+
+def with_momentum_row_scaled(traj, row, factor):
+    momenta = traj.momenta.copy()
+    momenta[row] *= factor
+    return Trajectory(traj.iterates, traj.gradients, traj.indices, traj.hp, momenta)
+
+
+def neighbor_rows(data, seed):
+    """check_m_recursion's perturbed index and its neighbor's rows, drawn as
+    it draws them: the replacement is the row 1 + integers(0, n - 1) places
+    after the perturbed one, cyclically, so never the perturbed row itself."""
+    rng = np.random.default_rng(seed + 1)
+    rows = np.arange(data.n)
+    perturbed = int(rng.integers(1, data.n + 1))
+    rows[perturbed - 1] = (perturbed - 1 + 1 + int(rng.integers(0, data.n - 1))) % data.n
+    return perturbed, rows
 
 
 class TestNegativeControl:
@@ -72,15 +90,27 @@ class TestNegativeControl:
         assert {o.name for o in failed} == {"y_identity"}
 
     def test_scaled_gradient_row_fails_momentum_unrolling(self, small_data):
-        # Both sides of the check read the trajectory's gradients, so the
-        # buffers are replayed from a copy with g_k scaled by 1.001 while the
-        # unrolled sums (the beta-power slices) read the true gradients.
+        # g_151 scaled by 1.001 against the momenta the run recorded; step 151
+        # is not one of the unrolled points, but m_256 and m_300 hold g_151
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
         traj = fresh_run(small_data, "logistic", hp, seed=4)
-        assert check_momentum_unrolling("logistic", traj, momentum_buffers(traj)).status == "pass"
+        assert check_momentum_unrolling("logistic", traj).status == "pass"
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
-        assert check_momentum_unrolling("logistic", traj, momentum_buffers(scaled)).status == "fail"
+        assert check_momentum_unrolling("logistic", scaled).status == "fail"
+
+    @pytest.mark.parametrize("row", [1, 256, 300])
+    def test_scaled_momentum_row_fails_unrolling_and_dist_identity(self, small_data, row):
+        # m_row scaled by 1.001, at unrolled points 1, 256 and T = 300; the
+        # distance identity reads every momentum
+        alpha = smoothness(small_data, "logistic").alpha
+        hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 300)
+        traj = fresh_run(small_data, "logistic", hp, seed=4)
+        scaled = with_momentum_row_scaled(traj, row, 1.001)
+        assert check_momentum_unrolling("logistic", traj).status == "pass"
+        assert check_dist_identity("logistic", traj)[0].status == "pass"
+        assert check_momentum_unrolling("logistic", scaled).status == "fail"
+        assert check_dist_identity("logistic", scaled)[0].status == "fail"
 
     def test_scaled_gradient_row_fails_the_identities(self, small_data):
         # the checks read the trajectory they are handed, not a rerun
@@ -90,7 +120,7 @@ class TestNegativeControl:
         scaled = with_gradient_row_scaled(traj, 150, 1.001)
         assert check_y_identity("squared", traj).status == "pass"
         assert check_y_identity("squared", scaled).status == "fail"
-        assert check_dist_identity("squared", scaled, momentum_buffers(scaled))[0].status == "fail"
+        assert check_dist_identity("squared", with_momentum_row_scaled(traj, 150, 1.001))[0].status == "fail"
 
     def test_shifted_lookahead_fails_nesterov_equivalence(self, small_data, monkeypatch):
         alpha = smoothness(small_data, "logistic").alpha
@@ -105,18 +135,32 @@ class TestNegativeControl:
         monkeypatch.setattr(verification, "run_lookahead", shifted)
         assert check_nesterov_equivalence(small_data, "logistic", traj, seed=2).status == "fail"
 
-    def test_m_recursion_neighbor_replaces_the_drawn_row(self, small_data, monkeypatch):
-        # its margin is 0 before the first hit, so the outcome cannot show
-        # which neighbor ran: the row at 1-based position integers(1, n + 1),
-        # replaced by row integers(0, n), drawn in that order
+    def test_m_recursion_runs_only_the_neighbor_of_the_drawn_row(self, small_data, monkeypatch):
+        # the neighbor replays the base's stream on the rows `neighbor_rows`
+        # draws, apart from the stream
+        base = fresh_run(small_data, "logistic", variant_params("hb", 0.01, 0.5, 200), seed=2)
         ran = []
-        monkeypatch.setattr(verification, "run", lambda d, *args: ran.append(d) or run(d, *args))
-        check_m_recursion(small_data, "logistic", variant_params("hb", 0.01, 0.5, 10), seed=2)
-        rng = np.random.default_rng(2)
-        rows = np.arange(small_data.n)
-        perturbed = rng.integers(1, small_data.n + 1)
-        rows[perturbed - 1] = rng.integers(0, small_data.n)
-        assert ran[0] == small_data and ran[1] == small_data.take(rows) != small_data
+        monkeypatch.setattr(verification, "run", lambda d, *args: ran.append((d, args[-1].seed)) or run(d, *args))
+        out = check_m_recursion(small_data, "logistic", base, seed=2)
+        _, rows = neighbor_rows(small_data, 2)
+        assert ran == [(small_data.take(rows), 2)] and small_data.take(rows) != small_data
+        assert out.status == "pass" and out.observed > 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**16))
+    @example(n=60, seed=67)
+    def test_m_recursion_neighbor_replaces_the_perturbed_row_by_another(self, n, seed):
+        # at seed 67 on 60 rows a draw of the replacement from all n rows
+        # picks the perturbed row itself, and the neighbor is the data; dense
+        # rows, since two rows of one nonzero can be equal
+        data = synthetic_binary_dataset(n, 3, seed=seed, density=1.0, flip=0.15)
+        base = fresh_run(data, "squared", variant_params("hb", 0.01, 0.5, 400), seed)
+        perturbed, rows = neighbor_rows(data, seed)
+        ran = []
+        with mock.patch.object(verification, "run", lambda d, *args: ran.append(d) or run(d, *args)):
+            out = check_m_recursion(data, "squared", base, seed)
+        assert rows[perturbed - 1] != perturbed - 1
+        assert ran == [data.take(rows)] and out.status == "pass" and out.observed > 0.0
 
     def test_lookahead_on_another_stream_fails_nesterov_equivalence(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
@@ -128,9 +172,21 @@ class TestNegativeControl:
 class TestSkips:
     def test_m_recursion_skips_at_beta_zero(self, small_data):
         hp = variant_params("hb", 0.01, 0.0, 100)
-        out = check_m_recursion(small_data, "logistic", hp, seed=2)
+        out = check_m_recursion(small_data, "logistic", fresh_run(small_data, "logistic", hp, 2), seed=2)
         assert out.status == "skip"
         assert "beta" in out.note
+
+    def test_m_recursion_skips_when_the_stream_never_draws_the_perturbed_index(self, small_data, monkeypatch):
+        perturbed, _ = neighbor_rows(small_data, 2)
+        hp = variant_params("hb", 0.01, 0.5, 30)
+        base = fresh_run(small_data, "logistic", hp, 2)
+        first = int(np.flatnonzero(base.indices == perturbed)[0])
+        short = fresh_run(small_data, "logistic", variant_params("hb", 0.01, 0.5, first), 2)
+        ran = []
+        monkeypatch.setattr(verification, "run", lambda *args: ran.append(args) or run(*args))
+        out = check_m_recursion(small_data, "logistic", short, seed=2)
+        assert (out.status, out.observed, ran) == ("skip", 0.0, [])
+        assert f"perturbed index {perturbed}" in out.note
 
     def test_nesterov_equivalence_skips_at_beta_zero(self, small_data):
         # there is no Nesterov run at beta = 0; the suite reports the skip
@@ -184,9 +240,26 @@ class TestExplicitChecks:
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("hb", 0.5 * max_eta_hb(0.9, alpha), 0.9, 500)
         traj = fresh_run(small_data, "logistic", hp, seed=6)
-        pair = check_dist_identity("logistic", traj, momentum_buffers(traj))
+        pair = check_dist_identity("logistic", traj)
         assert [o.name for o in pair] == ["dist_identity", "dist_bound_margin"]
         assert all(o.status == "pass" for o in pair)
+
+    def test_m_recursion_reports_the_margins_from_the_first_hit(self):
+        # on the suite's default data: before the first hit both sides of the
+        # bound are 0, from it on the smallest margin is positive
+        data = synthetic_binary_dataset(60, 8, 3, density=0.6, flip=0.15)
+        outcomes = [o for o in run_invariant_suite(steps=300) if o.name == "m_recursion" and o.status != "skip"]
+        assert len(outcomes) == 2 * 3
+        perturbed, rows = neighbor_rows(data, 3)
+        for out in outcomes:
+            p = out.params
+            hp = HyperParams(beta=p["beta"], gamma=p["gamma"], eta=p["eta"], iterations=p["steps"])
+            base = fresh_run(data, p["kind"], hp, 3)
+            neighbor = fresh_run(data.take(rows), p["kind"], hp, 3)
+            first_hit = int(np.flatnonzero(base.indices == perturbed)[0]) + 1
+            assert out.note == f"first hit at step {first_hit}"
+            assert out.observed == m_recursion_margins(base, neighbor)[first_hit - 1 :].min()
+            assert out.observed > 0.0
 
 
 def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
@@ -199,18 +272,15 @@ def oracle_suite(data, kinds, betas, steps, step_fraction, seed):
             eta_cap = max_eta_hb(beta, alpha)
             hb = variant_params("hb", step_fraction * eta_cap, beta, steps)
             outcomes.append(check_y_identity(kind, fresh_run(data, kind, hb, seed)))
-            traj = fresh_run(data, kind, hb, seed)
-            outcomes.extend(check_dist_identity(kind, traj, momentum_buffers(traj)))
-            outcomes.append(check_m_recursion(data, kind, hb, seed))
-            traj = fresh_run(data, kind, hb, seed)
-            outcomes.append(check_momentum_unrolling(kind, traj, momentum_buffers(traj)))
+            outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, hb, seed)))
+            outcomes.append(check_m_recursion(data, kind, fresh_run(data, kind, hb, seed), seed))
+            outcomes.append(check_momentum_unrolling(kind, fresh_run(data, kind, hb, seed)))
             gamma = step_fraction * max_gamma_nesterov(beta, alpha)
             if beta > 0:
                 nest = variant_params("nesterov", gamma, beta, steps)
                 outcomes.append(check_nesterov_equivalence(data, kind, fresh_run(data, kind, nest, seed), seed))
                 outcomes.append(check_y_identity(kind, fresh_run(data, kind, nest, seed)))
-                traj = fresh_run(data, kind, nest, seed)
-                outcomes.extend(check_dist_identity(kind, traj, momentum_buffers(traj)))
+                outcomes.extend(check_dist_identity(kind, fresh_run(data, kind, nest, seed)))
             else:
                 outcomes.append(CheckOutcome(
                     "nesterov_equivalence", {"kind": kind, "beta": beta, "gamma": gamma, "steps": steps},
@@ -240,14 +310,15 @@ class TestSharedTrajectories:
         return calls, steps
 
     def test_call_counts_at_the_default_grid(self, monkeypatch):
-        # the counts depend on the betas and losses only, so a short horizon
-        # stands in for the verb's check_steps
+        # the counts depend on the betas and losses only, once the stream has
+        # drawn m_recursion's perturbed index (at step 78 of seed 3), so a
+        # short horizon stands in for the verb's check_steps
         calls, steps = self._counted(monkeypatch)
-        run_invariant_suite(steps=20)
-        # m_recursion's pairs are 12 of the runs
-        assert calls == {"run": 28, "run_lookahead": 6}
-        # 68000 reference-loop steps at check_steps = 2000
-        assert steps["total"] == 34 * 20
+        run_invariant_suite(steps=100)
+        # m_recursion's neighbors are 6 of the runs; its base is the heavy-ball run
+        assert calls == {"run": 22, "run_lookahead": 6}
+        # 56000 reference-loop steps at check_steps = 2000
+        assert steps["total"] == 28 * 100
 
     def test_one_run_per_distinct_trajectory(self, monkeypatch):
         calls, _ = self._counted(monkeypatch)
@@ -255,16 +326,20 @@ class TestSharedTrajectories:
         # the heavy-ball run and the reduction's own beta = 0 run
         assert calls == {"run": 2, "run_lookahead": 0}
 
-    def test_momentum_buffers_replayed_once_per_trajectory(self, monkeypatch):
+    def test_suite_replays_no_momenta(self, monkeypatch):
+        # the checks read the momenta `run` recorded: the one recursion left,
+        # `_decayed_sums`, only ever sums the 1-D squared gradient norms
         monkeypatch.setattr(verification, "SUITE_WORKERS", 1)
-        replays = []
-        replay = verification.momentum_buffers
-        monkeypatch.setattr(verification, "momentum_buffers", lambda traj: replays.append(traj) or replay(traj))
-        run_invariant_suite(steps=20)
-        # per (kind, beta > 0): the heavy-ball run, m_recursion's two runs and
-        # the Nesterov run; per kind at beta = 0, the heavy-ball run alone
-        assert len(replays) == 2 * (3 * 4 + 1)
-        assert len({id(traj) for traj in replays}) == len(replays)
+        shapes = []
+        decayed_sums = verification._decayed_sums
+        monkeypatch.setattr(
+            verification, "_decayed_sums", lambda decay, terms: shapes.append(terms.shape) or decayed_sums(decay, terms)
+        )
+        run_invariant_suite(steps=100)
+        # per (kind, beta): the dist bound of the heavy-ball run, and for
+        # beta > 0 of the Nesterov run and m_recursion's rhs
+        assert shapes == [(100,)] * 2 * (3 * 3 + 1)
+        assert not hasattr(verification, "momentum_buffers")
 
     def test_suite_equals_checks_fed_fresh_runs(self):
         data = synthetic_binary_dataset(30, 5, seed=9, density=0.6, flip=0.15)
@@ -355,10 +430,8 @@ class TestProperties:
         )
         assume(check_stab_condition(hp, alpha).satisfied)
         traj = fresh_run(small_data, kind, hp, seed)
-        buffers = momentum_buffers(traj)
         outcomes = [
-            check_y_identity(kind, traj), *check_dist_identity(kind, traj, buffers),
-            check_momentum_unrolling(kind, traj, buffers),
+            check_y_identity(kind, traj), *check_dist_identity(kind, traj), check_momentum_unrolling(kind, traj),
         ]
         assert [o.status for o in outcomes] == ["pass"] * 4, [o.to_dict() for o in outcomes]
 

@@ -224,7 +224,8 @@ class CoupledBatch:
     names the side that did: "base", "neighbor" or "both" ("" when none).
     sum_risk[r, g] is the sum over k = 1..T of the risk on `risk_data` of the
     base side's w_k, NaN for a censored pair, or None when the call was given
-    no `risk_data`.
+    no `risk_data`.  The NaN hides what a censored pair computes after its
+    step, frozen at zero.
     """
 
     distances: np.ndarray
@@ -257,27 +258,31 @@ def coupled_distance_batch(
     last axis is (base, neighbor) and whose column `dim`, which the padding of
     `Dataset.padded` points at, stays zero.  Each side reads its own row every
     step, through the flat positions of the row's entries in the state; the
-    positions and values of a few steps' rows are gathered at once, and
-    rebuilt when pairs are dropped.  The margins are numpy products into
-    buffers kept until pairs are dropped, and the gradient scales come from
-    `grad_scales` with the labels negated once per gather and its buffers
-    kept too: one complex exp call while every |y m| is at most 709, the C
-    library's exp entry by entry past it.  The gradient writes into the
-    momentum (and, with gamma > 0, the iterate) and the step w -= eta * m
-    are each one call to a compiled scipy routine (`_add_rows`,
-    `_add_product`), with the bits of numpy's updates.  Each step repeats
-    the arithmetic of a lone pair operation for operation, so a pair's
-    series does not depend on what it is batched with.  A pair that hits a
-    non-finite margin, iterate or distance is censored and dropped.  Margins
+    positions and values of a few steps' rows are gathered at once.  The pair
+    set is fixed for the call, and so are its per-pair arrays and buffers.
+    The margins are numpy products, and the gradient scales come from
+    `grad_scales` with the labels negated once per gather: one complex exp
+    call while every |y m| is at most 709, the C library's exp entry by entry
+    past it.  The gradient writes into the momentum (and, with gamma > 0, the
+    iterate) and the step w -= eta * m are each one call to a compiled scipy
+    routine (`_add_rows`, `_add_product`), with the bits of numpy's updates.
+    Each step repeats the arithmetic of a lone pair operation for operation,
+    so a pair's series does not depend on what it is batched with.
+
+    A pair that hits a non-finite margin, iterate or distance is censored:
+    its step and side are recorded, and it is frozen at w = m = 0 with beta,
+    eta and gamma 0, so its margins stay 0 and later steps keep the one
+    complex exp call.  It costs a live pair's step until the call ends, at
+    the end of the stream block in which the last pair is censored.  Margins
     are checked every step: every |y m| at most 709 implies they are all
     finite, and only past that are they tested one by one.  Iterates and
     distances are checked only at stride points, so a pair can be censored a
-    step or more after the reference loop raises, on the same side.  A row
-    position outside 0..data.n - 1 raises ValueError.  With `risk_data`, the
-    live pairs' base iterates w_1..w_T are buffered per stream block, each block
-    is one `empirical_risk_many` call, and each pair adds its block's risks
-    to its running sum; block edges do not depend on the batch, so neither
-    does a pair's sum.
+    step or more after the reference loop raises, on the same side.  A row position outside
+    0..data.n - 1 raises ValueError.  With `risk_data`, every pair's base
+    iterates w_1..w_T are buffered per stream block, each block is one
+    `empirical_risk_many` call, and each pair adds its block's risks to its
+    running sum; block edges do not depend on the batch, so neither does a
+    pair's sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -308,48 +313,42 @@ def coupled_distance_batch(
         raise ValueError(f"w1 must have shape ({dim},), got {w1.shape}")
 
     indices, values = data.padded
-    betas = np.array([hp.beta for hp in points])
-    etas = np.array([hp.eta for hp in points])
-    gammas = np.array([hp.gamma for hp in points])
-
     width = indices.shape[1]
     sub = _gather_steps(width)
-
-    def per_pair(pair):
-        """Arrays of the live pairs, recomputed whenever pairs are dropped:
-        repetition, the flat state position of column 0 of each (pair, side)
-        at each of a row's `width` entries, beta and -eta at every state
-        entry (a full-size operand multiplies faster than a broadcast one),
-        -gamma, the column pointers of `_add_rows`, and the buffers each step
-        writes: the base-side rows' state entries, the margins and
-        `grad_scales`' arrays."""
-        g = pair % G
-        zero_beta = betas[g] == 0.0
-        full = (pair.size, dim + 1, 2)
-        offsets = 2 * (dim + 1) * np.arange(pair.size)[:, None, None] + side
-        return (
-            pair // G, np.broadcast_to(offsets, (pair.size, 2, width)).copy(),
-            np.broadcast_to(betas[g][:, None, None], full).copy(), zero_beta if zero_beta.any() else None,
-            np.broadcast_to(-etas[g][:, None, None], full).copy(), -gammas[g][:, None],
-            np.arange(0, 2 * pair.size * width + 1, width, dtype=np.intp),
-            np.empty((pair.size, width, 2)), np.empty((pair.size, 2, 1)), ScaleBuffers((pair.size, 2)),
-        )
-
-    # pair p is (repetition p // G, grid point p % G); `pair` lists the live ones
-    pair = np.arange(R * G)
-    side = np.arange(2)[:, None]
-    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr, cell_buf, margin_buf, scale_buf = per_pair(pair)
+    # pair p is (repetition p // G, grid point p % G).  Its arrays: the flat
+    # state position of column 0 of each (pair, side) at each of a row's
+    # `width` entries, beta and -eta at every state entry (a full-size operand
+    # multiplies faster than a broadcast one), -gamma, the column pointers of
+    # `_add_rows`, and the buffers each step writes: the base-side rows' state
+    # entries, the margins and `grad_scales`' arrays
+    P = R * G
+    rep, g = np.divmod(np.arange(P), G)
+    betas, etas, gammas = np.array([(hp.beta, hp.eta, hp.gamma) for hp in points])[g].T
+    full = (P, dim + 1, 2)
+    offsets = 2 * (dim + 1) * np.arange(P)[:, None, None] + np.arange(2)[:, None]
+    offsets = np.broadcast_to(offsets, (P, 2, width)).copy()
+    beta = np.broadcast_to(betas[:, None, None], full).copy()
+    zero_beta = betas == 0.0
+    zero_beta = zero_beta if zero_beta.any() else None
+    neg_eta = np.broadcast_to(-etas[:, None, None], full).copy()
+    neg_gamma = -gammas[:, None]
+    colptr = np.arange(0, 2 * P * width + 1, width, dtype=np.intp)
+    cell_buf, margin_buf, scale_buf = np.empty((P, width, 2)), np.empty((P, 2, 1)), ScaleBuffers((P, 2))
     L = T // stride
-    distances = np.full((R * G, L), np.nan)
-    diverged_step = np.zeros(R * G, dtype=np.int64)
-    diverged_which = np.full(R * G, "", dtype="<U8")
+    distances = np.full((P, L), np.nan)
+    diverged_step = np.zeros(P, dtype=np.int64)
+    diverged_which = np.full(P, "", dtype="<U8")
     sum_risk = base_iterates = None
     if risk_data is not None:
-        sum_risk = np.zeros(R * G)
-        base_iterates = np.empty((R * G, min(T, STREAM_CHUNK), dim))
-    W = np.zeros((R * G, dim + 1, 2))
+        sum_risk = np.zeros(P)
+        base_iterates = np.empty((P, min(T, STREAM_CHUNK), dim))
+    W = np.zeros(full)
     W[:, :dim] = w1[:, None]
     M = np.zeros_like(W)
+    # the (P * (dim+1), 2) view of the state holds the (base, neighbor)
+    # entries of pair p at column i in row p * (dim+1) + i, so side s's entry
+    # is at flat 2 * row + s, and a base entry's row is half its flat position
+    state_rows, margins, rows_t = W.reshape(-1, 2), margin_buf[:, :, 0], cell_buf.transpose(0, 2, 1)
     any_gamma = bool(gammas.any())
     k = pos = 0
     # overflow is expected on divergent runs; the margin and distance checks
@@ -362,99 +361,82 @@ def coupled_distance_batch(
             # (step, pair, side) rows: the neighbor reads the replacement
             # wherever its stream hits the perturbed index
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
-            live_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
+            step_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             del base_rows, neighbor_rows
-            live_labels = data.labels[live_rows]
+            step_labels = data.labels[step_rows]
             if sum_risk is not None:
                 # a shorter block takes the front of the buffer, so its rows reshape without a copy
-                entries = pair.size * block.shape[1] * dim
-                base_iterates = base_iterates.reshape(-1)[:entries].reshape(pair.size, -1, dim)
+                base_iterates = base_iterates.reshape(-1)[: P * block.shape[1] * dim].reshape(P, -1, dim)
             hit_steps = hit.any(axis=0).tolist()
-            gathered = 0
-            for j, hit_step in enumerate(hit_steps):
-                if j == gathered:
-                    # the rows of the next `sub` steps at once: the (P * (dim+1),
-                    # 2) view of the state holds the (base, neighbor) entries of
-                    # pair p at column i in row p * (dim+1) + i, so side s's
-                    # entry is at flat 2 * row + s, and a base entry's row is
-                    # half its flat position
-                    first, gathered = j, min(j + sub, len(hit_steps))
-                    flats = indices.take(live_rows[first:gathered], axis=0)
-                    flats *= 2
-                    flats += offsets
-                    base_cells = flats[:, :, 0] >> 1
-                    row_values = values.take(live_rows[first:gathered], axis=0)
-                    labels = live_labels[first:gathered]
-                    # views the steps below read, made again after a drop
-                    state_rows, margins = W.reshape(-1, 2), margin_buf[:, :, 0]
-                    base_x, rows_t = row_values[:, :, 0, :, None], cell_buf.transpose(0, 2, 1)
-                    steps = zip(flats, row_values, base_cells, base_x, labels, -labels)
-                flat, vx, cells, x, y, ny = next(steps)
-                if sum_risk is not None:
-                    base_iterates[:, j] = W[:, :dim, 0]
-                # off a hit both sides read the base row, so one product per
-                # pair gives both margins; the cells are in range, so `take`
-                # writes its buffer directly
-                state_rows.take(cells, axis=0, out=cell_buf, mode="clip")
-                np.matmul(rows_t, x, out=margin_buf)
-                if hit_step:
-                    # on a hit the sides read different rows: one dot per side
-                    a = np.flatnonzero(hit[rep, j])
-                    wa = W.reshape(-1).take(flat[a])[:, :, None, :]
-                    margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
-                scales = grad_scales(margins, y, kind, ny, scale_buf)
-                bad = None
-                if not scale_buf.bounded:
-                    finite = np.isfinite(margins)
-                    if not finite.all():
-                        bad = ~finite  # (P, 2) non-finite sides
-                M *= beta
-                if zero_beta is not None:
-                    M[zero_beta] = 0.0
-                _add_rows(M, flat, vx, colptr, scales)
-                _add_product(W, neg_eta, M)
-                if any_gamma:
-                    # (-gamma) * scale is -(gamma * scale), the sign of a NaN included
-                    _add_rows(W, flat, vx, colptr, neg_gamma * scales)
-                k += 1
-                if k % stride == 0:
-                    diff = W[:, :dim, 0] - W[:, :dim, 1]
-                    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-                    distances[pair, pos] = dist
-                    pos += 1
-                    # a non-finite distance with finite sides is a gap that
-                    # left float range; it counts against both
-                    side_bad = ~np.isfinite(W).all(axis=1)
-                    side_bad[~np.isfinite(dist) & ~side_bad.any(axis=1)] = True
-                    if side_bad.any():
-                        if bad is None:
-                            bad = side_bad
-                        else:
-                            fresh = ~bad.any(axis=1)
-                            bad[fresh] = side_bad[fresh]
-                if bad is not None:
-                    dead = bad.any(axis=1)
-                    diverged_step[pair[dead]] = k
-                    diverged_which[pair[dead]] = np.where(
-                        bad[dead].all(axis=1), "both", np.where(bad[dead, 0], "base", "neighbor")
-                    )
-                    keep = ~dead
-                    pair, W, M = pair[keep], W[keep], M[keep]
-                    live_rows, live_labels = live_rows[:, keep], live_labels[:, keep]
-                    if not pair.size:
-                        break
-                    rep, offsets, beta, zero_beta, neg_eta, neg_gamma, colptr, cell_buf, margin_buf, scale_buf = (
-                        per_pair(pair)
-                    )
-                    # the gathered positions moved with the state
-                    gathered = j + 1
+            for first in range(0, len(hit_steps), sub):
+                # the rows of the next `sub` steps at once
+                gathered = step_rows[first : first + sub]
+                flats = indices.take(gathered, axis=0)
+                flats *= 2
+                flats += offsets
+                row_values = values.take(gathered, axis=0)
+                labels = step_labels[first : first + sub]
+                steps = zip(flats, row_values, flats[:, :, 0] >> 1, row_values[:, :, 0, :, None], labels, -labels)
+                for j, (flat, vx, cells, x, y, ny) in enumerate(steps, first):
                     if sum_risk is not None:
-                        base_iterates = base_iterates[keep]
-            if not pair.size:
+                        base_iterates[:, j] = W[:, :dim, 0]
+                    # off a hit both sides read the base row, so one product per
+                    # pair gives both margins; the cells are in range, so `take`
+                    # writes its buffer directly
+                    state_rows.take(cells, axis=0, out=cell_buf, mode="clip")
+                    np.matmul(rows_t, x, out=margin_buf)
+                    if hit_steps[j]:
+                        # on a hit the sides read different rows: one dot per side
+                        a = np.flatnonzero(hit[rep, j])
+                        wa = W.reshape(-1).take(flat[a])[:, :, None, :]
+                        margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
+                    scales = grad_scales(margins, y, kind, ny, scale_buf)
+                    bad = None
+                    if not scale_buf.bounded:
+                        finite = np.isfinite(margins)
+                        if not finite.all():
+                            bad = ~finite  # (P, 2) non-finite sides
+                    M *= beta
+                    if zero_beta is not None:
+                        M[zero_beta] = 0.0
+                    _add_rows(M, flat, vx, colptr, scales)
+                    _add_product(W, neg_eta, M)
+                    if any_gamma:
+                        # (-gamma) * scale is -(gamma * scale), the sign of a NaN included
+                        _add_rows(W, flat, vx, colptr, neg_gamma * scales)
+                    k += 1
+                    if k % stride == 0:
+                        diff = W[:, :dim, 0] - W[:, :dim, 1]
+                        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+                        distances[:, pos] = dist
+                        pos += 1
+                        # a non-finite distance with finite sides is a gap that
+                        # left float range; it counts against both
+                        side_bad = ~np.isfinite(W).all(axis=1)
+                        side_bad[~np.isfinite(dist) & ~side_bad.any(axis=1)] = True
+                        if side_bad.any():
+                            if bad is None:
+                                bad = side_bad
+                            else:
+                                fresh = ~bad.any(axis=1)
+                                bad[fresh] = side_bad[fresh]
+                    if bad is not None:
+                        # a frozen pair stays finite unless a label times a
+                        # feature leaves float range; it keeps its first record
+                        dead = bad.any(axis=1) & (diverged_step == 0)
+                        diverged_step[dead] = k
+                        diverged_which[dead] = np.where(
+                            bad[dead].all(axis=1), "both", np.where(bad[dead, 0], "base", "neighbor")
+                        )
+                        # freeze the pair at w = m = 0 with no step: its margins
+                        # are 0 and its momentum one gradient at 0, so it stays
+                        # finite and keeps the steps on the bounded exp path
+                        W[dead] = M[dead] = beta[dead] = neg_eta[dead] = neg_gamma[dead] = 0.0
+            if diverged_step.all():
                 break
             if sum_risk is not None:
-                rows = base_iterates.reshape(-1, dim)
-                sum_risk[pair] += empirical_risk_many(rows, risk_data, kind).reshape(pair.size, -1).sum(axis=1)
+                risks = empirical_risk_many(base_iterates.reshape(-1, dim), risk_data, kind)
+                sum_risk += risks.reshape(P, -1).sum(axis=1)
     distances[diverged_step > 0] = np.nan
     if sum_risk is not None:
         sum_risk[diverged_step > 0] = np.nan

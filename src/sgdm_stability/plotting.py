@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,21 +67,27 @@ def read_series_csv(path) -> Series:
     return Series(label=Path(path).stem, x=x, mean=mean, std=std)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _span(lo: float, hi: float, axis: str) -> tuple[float, float]:
+    """(lo, hi) of an axis, widened to lo + 1 when the points span nothing;
+    PlotError when the span is still 0 (lo + 1 == lo), is too small for the
+    tick step to be a normal float, or is not finite."""
     if hi <= lo:
         hi = lo + 1.0
+    if not sys.float_info.min <= hi - lo < math.inf:
+        raise PlotError(f"the {axis} axis cannot span {lo:g}..{hi:g}")
+    return lo, hi
+
+
+def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    """Round values from lo to hi, `count` or so; each is a multiple of the
+    step, so a step below the spacing of floats near lo cannot stall them."""
     raw = (hi - lo) / count
     mag = 10 ** math.floor(math.log10(raw))
     for m in (1, 2, 2.5, 5, 10):
         if raw <= m * mag:
             stepv = m * mag
             break
-    start = math.ceil(lo / stepv) * stepv
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * stepv:
-        ticks.append(round(v, 12))
-        v += stepv
+    ticks = [round(i * stepv, 12) for i in range(math.ceil(lo / stepv), math.floor(hi / stepv + 1e-12) + 1)]
     return ticks or [lo, hi]
 
 
@@ -111,9 +118,7 @@ def emit_plot(spec: PlotSpec) -> str:
     pw, ph = width - ml - mr, height - mt - mb
 
     xs = [x for points in finite for x, _, _ in points]
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    x_lo, x_hi = _span(min(xs), max(xs), "x")
 
     if spec.logy:
         pos = [m for points in finite for _, m, _ in points if m > 0]
@@ -130,10 +135,7 @@ def emit_plot(spec: PlotSpec) -> str:
     else:
         tops = [m + sd for points in finite for _, m, sd in points]
         bots = [m - sd for points in finite for _, m, sd in points]
-        y_lo = min(0.0, min(bots))
-        y_hi = max(tops)
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
+        y_lo, y_hi = _span(min(0.0, min(bots)), max(tops), "y")
 
         def ymap(v: float) -> float:
             return v

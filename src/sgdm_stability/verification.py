@@ -211,14 +211,23 @@ def check_m_recursion(data: Dataset, kind: str, base: Trajectory, seed: int) -> 
     stream seeded `seed`, and its neighbor from the step the stream first
     draws the perturbed position p (named in the note; before it both sides
     are 0, and a stream that never draws it is a skip).  Apart from the stream,
-    with seed + 1: p = integers(1, n + 1), replaced by row (p + integers(0, n - 1)) % n."""
+    with seed + 1: p = integers(1, n + 1), replaced by row (p + integers(0, n - 1)) % n,
+    or by the first row cyclically after it whose indices, values or label differ
+    from row p's; a neighbor equal to the data would pass with every margin 0,
+    so when no row differs it is a skip."""
     params = _run_params(kind, base.hp)
     if base.hp.beta == 0.0:
         return _skip("m_recursion", params, "requires beta > 0")
     rng = np.random.default_rng(seed + 1)
     rows = np.arange(data.n)
     perturbed = rng.integers(1, data.n + 1)
-    rows[perturbed - 1] = (perturbed + rng.integers(0, max(data.n - 1, 1))) % data.n
+    drawn = perturbed + rng.integers(0, max(data.n - 1, 1))
+    old = data.row(perturbed - 1)
+    positions = (q % data.n for q in range(drawn, drawn + data.n))
+    replacement = next((q for q in positions if not all(map(np.array_equal, data.row(q), old))), None)
+    if replacement is None:
+        return _skip("m_recursion", params, f"no row differs from the perturbed row {perturbed}")
+    rows[perturbed - 1] = replacement
     hits = np.flatnonzero(base.indices == perturbed)
     if not hits.size:
         return _skip("m_recursion", params, f"the stream never draws the perturbed index {perturbed}")

@@ -667,12 +667,12 @@ class TestCoupledBatch:
                 )
                 np.testing.assert_array_equal(batch.distances[r, g], alone.distances[0, 0])
 
-    def test_pair_does_not_depend_on_pairs_dropped_mid_block(self, monkeypatch):
+    def test_pair_does_not_depend_on_pairs_censored_mid_block(self, monkeypatch):
         # squared loss: repetition 1's neighbor takes a huge row, so all its
         # pairs are censored at its first hit, and the two far-too-large
         # steps (one with beta > 0, one with gamma > 0 and beta = 0) censor
-        # their pairs later; every drop falls inside a 16-step stream chunk,
-        # and the pairs that outlive it must not notice it
+        # their pairs later; every censoring falls inside a 16-step stream
+        # chunk, and the pairs that outlive it must not notice it
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
         examples, train_rows, perturbed, replacements, seeds = self._setup()
         examples = stack([examples, parse_libsvm("1 1:1e155\n")], self.DIM)
@@ -695,8 +695,8 @@ class TestCoupledBatch:
         steps = batch.diverged_step
         assert steps[1].all() and steps[[0, 2]][:, [1, 3]].all()
         assert not steps[[0, 2]][:, [0, 2, 4, 5]].any()
-        dropped = steps[steps > 0]
-        assert len(set(dropped.tolist())) > 2 and (dropped % 16).all()
+        censored = steps[steps > 0]
+        assert len(set(censored.tolist())) > 2 and (censored % 16).all()
         for r in range(3):
             for g, hp in enumerate(points):
                 alone = coupled_distance_batch(
@@ -707,6 +707,85 @@ class TestCoupledBatch:
                 np.testing.assert_array_equal(batch.sum_risk[r, g], alone.sum_risk[0, 0])
                 assert batch.diverged_step[r, g] == alone.diverged_step[0, 0]
                 assert batch.diverged_which[r, g] == alone.diverged_which[0, 0]
+
+    def _censoring_inputs(self, censored_reps):
+        """The setup with the neighbors of `censored_reps` taking a row whose
+        feature of 1e155 sends their logistic margins out of float range."""
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        examples = stack([examples, parse_libsvm("1 1:1e155\n")], self.DIM)
+        replacements = replacements.copy()
+        replacements[censored_reps] = examples.n - 1
+        return examples, train_rows, perturbed, replacements, seeds
+
+    @staticmethod
+    def _recorded_scales(monkeypatch):
+        """`bounded` of each `grad_scales` call the kernel makes, in order."""
+        bounded = []
+
+        def recorded_scales(margins, y, kind, ny, buffers):
+            scales = grad_scales(margins, y, kind, ny, buffers)
+            bounded.append(buffers.bounded)
+            return scales
+
+        monkeypatch.setattr(optimizer, "grad_scales", recorded_scales)
+        return bounded
+
+    def test_censored_pair_is_frozen_finite(self, monkeypatch):
+        # repetition 1's margins pass 709 and leave float range, and its pairs
+        # are censored; frozen at w = m = 0, they hold no NaN, so every later
+        # step takes the bounded complex exp again
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
+        bounded = self._recorded_scales(monkeypatch)
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        batch, _ = self._batch("logistic", self._grid(), 1, w1, self._censoring_inputs([1]))
+        censored = batch.diverged_step[batch.diverged_step > 0]
+        assert censored.size == 4 and not batch.diverged_step[[0, 2]].any()
+        last = int(censored.max())
+        assert len(bounded) == self.T and last < self.T
+        assert not all(bounded[:last]) and all(bounded[last:])
+
+    def test_frozen_momentum_does_not_build_up(self, monkeypatch):
+        # the feature of 1e308 censors the pair within a few steps; frozen,
+        # it still reads that row about every other step, and at beta = 0.9
+        # the momentum of those gradients would leave float range, so the
+        # freeze sets beta to 0 too and every later step stays bounded
+        data = parse_libsvm("1 1:1e308\n-1 1:1\n")
+        bounded = self._recorded_scales(monkeypatch)
+        batch = coupled_distance_batch(
+            data, np.array([[0, 1]]), [2], [1], [SampleStream(0, 2)], "logistic",
+            [variant_params("hb", 0.1, 0.9, 50)], np.zeros(1), 1,
+        )
+        last = int(batch.diverged_step[0, 0])
+        assert 0 < last < 40 and len(bounded) == 50 and all(bounded[last:])
+
+    def test_all_censored_call_stops_at_the_end_of_its_block(self, monkeypatch):
+        # every neighbor takes the 1e155 row, so every pair is censored; the
+        # call steps on to the end of the stream block of the last censoring
+        chunk = 16
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", chunk)
+        bounded = self._recorded_scales(monkeypatch)
+        w1 = np.linspace(-0.5, 0.5, self.DIM)
+        batch, _ = self._batch("logistic", self._grid(), 1, w1, self._censoring_inputs([0, 1, 2]))
+        assert batch.diverged_step.all()
+        last = int(batch.diverged_step.max())
+        block_end = -(-last // chunk) * chunk
+        assert block_end < self.T
+        assert last <= len(bounded) <= block_end
+
+    def test_censored_pair_keeps_its_first_step(self):
+        # the third row's label times its feature leaves float range, so even
+        # frozen at zero the pair takes a non-finite gradient at each later
+        # draw of that row; its record stays the step of the first
+        data = parse_libsvm("1 1:1\n-1 1:0.5\n1e300 1:1e10\n")
+        hp = HyperParams(beta=0.5, gamma=0.0, eta=0.1, iterations=200)
+        assert (SampleStream(0, 3).prefix(200) == 3).sum() > 2
+        batch = coupled_distance_batch(
+            data, np.array([[0, 1, 2]]), [1], [1], [SampleStream(0, 3)], "squared", [hp], np.zeros(1), 1
+        )
+        with pytest.raises(DivergenceError) as raised:
+            run(data, "squared", hp, np.zeros(1), SampleStream(0, 3))
+        assert batch.diverged_step[0, 0] == raised.value.step == 1
+        assert batch.diverged_which[0, 0] == "both"
 
     @staticmethod
     def _plain_step_loop(monkeypatch):

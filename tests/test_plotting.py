@@ -70,6 +70,34 @@ class TestEmitPlot:
         emit_plot(PlotSpec(inputs=(str(p),), output=str(out), logy=True))
         ET.fromstring(out.read_text())
 
+    @pytest.mark.parametrize(
+        "axis, rows",
+        [
+            # 1e17 + 1 == 1e17: widening leaves the span 0
+            ("x", [(1e17, 0.5, 0.1)]),
+            # mean +- std are finite, their span is not
+            ("y", [(1, 0, 1e308), (2, 0, 1e308)]),
+            # a span so small that its tick step underflows
+            ("x", [(0, 0.5, 0.1), (2e-323, 0.5, 0.1)]),
+        ],
+    )
+    def test_axis_without_a_finite_nonzero_span_is_a_plot_error(self, tmp_path, axis, rows):
+        p = tmp_path / "edge.csv"
+        write_series(p, rows)
+        out = tmp_path / "never.svg"
+        with pytest.raises(PlotError, match=f"the {axis} axis cannot span"):
+            emit_plot(PlotSpec(inputs=(str(p),), output=str(out)))
+        assert not out.exists()
+
+    def test_span_of_a_few_floats_renders(self, tmp_path):
+        # the tick step is below the spacing of floats near 1, so adding it
+        # to a running tick would never pass the top of the axis
+        p = tmp_path / "narrow.csv"
+        write_series(p, [(1, 0.5, 0.1), (1.0000000000000004, 0.5, 0.1)])
+        out = tmp_path / "narrow.svg"
+        emit_plot(PlotSpec(inputs=(str(p),), output=str(out)))
+        ET.fromstring(out.read_text())
+
     def test_invalid_input_blocks_output_file(self, tmp_path):
         good = tmp_path / "good.csv"
         write_series(good, [(1, 0.5, 0.1)])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sgdm_stability import verification
 from sgdm_stability.cli import EXIT_OK, main
-from sgdm_stability.dataset import Dataset, synthetic_binary_dataset
+from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import LOSS_KINDS, margins, smoothness
 from sgdm_stability.optimizer import (
     HyperParams,
@@ -61,8 +61,9 @@ def with_momentum_row_scaled(traj, row, factor):
 
 def neighbor_rows(data, seed):
     """check_m_recursion's perturbed index and its neighbor's rows, drawn as
-    it draws them: the replacement is the row 1 + integers(0, n - 1) places
-    after the perturbed one, cyclically, so never the perturbed row itself."""
+    it draws them on data without a duplicate of the perturbed row: the
+    replacement is the row 1 + integers(0, n - 1) places after the perturbed
+    one, cyclically, so never the perturbed row itself."""
     rng = np.random.default_rng(seed + 1)
     rows = np.arange(data.n)
     perturbed = int(rng.integers(1, data.n + 1))
@@ -162,6 +163,19 @@ class TestNegativeControl:
         assert rows[perturbed - 1] != perturbed - 1
         assert ran == [data.take(rows)] and out.status == "pass" and out.observed > 0.0
 
+    def test_m_recursion_neighbor_steps_past_a_duplicate_of_the_perturbed_row(self, monkeypatch):
+        # rows 1 and 2 are both `1:1` with label 1, and the suite's draw
+        # replaces one by the other, a neighbor equal to the data whose
+        # margins are all 0; the replacement steps on to a row that differs
+        data = synthetic_binary_dataset(4, 3, seed=1068, density=0.6)
+        assert all(map(np.array_equal, data.row(1), data.row(2)))
+        ran = []
+        monkeypatch.setattr(verification, "run", lambda d, *args: ran.append(d) or run(d, *args))
+        outcomes = [o for o in run_invariant_suite(data=data, steps=200) if o.name == "m_recursion"]
+        momentum = [o for o in outcomes if o.params["beta"] > 0.0]
+        assert len(momentum) == 6 and all(o.status == "pass" and o.observed > 0.0 for o in momentum)
+        assert data not in ran
+
     def test_lookahead_on_another_stream_fails_nesterov_equivalence(self, small_data):
         alpha = smoothness(small_data, "logistic").alpha
         hp = variant_params("nesterov", 0.5 * max_gamma_nesterov(0.9, alpha), 0.9, 300)
@@ -187,6 +201,18 @@ class TestSkips:
         out = check_m_recursion(small_data, "logistic", short, seed=2)
         assert (out.status, out.observed, ran) == ("skip", 0.0, [])
         assert f"perturbed index {perturbed}" in out.note
+
+    @pytest.mark.parametrize(
+        "data", [synthetic_binary_dataset(1, 3, seed=1068, density=0.6), parse_libsvm("1 1:1\n" * 3)]
+    )
+    def test_m_recursion_skips_when_no_row_differs_from_the_perturbed_one(self, data, monkeypatch):
+        # one row, or rows all alike: every neighbor equals the data
+        base = fresh_run(data, "logistic", variant_params("hb", 0.01, 0.5, 50), 2)
+        ran = []
+        monkeypatch.setattr(verification, "run", lambda *args: ran.append(args) or run(*args))
+        out = check_m_recursion(data, "logistic", base, 2)
+        assert (out.status, out.observed, ran) == ("skip", 0.0, [])
+        assert out.note.startswith("no row differs from the perturbed row")
 
     def test_nesterov_equivalence_skips_at_beta_zero(self, small_data):
         # there is no Nesterov run at beta = 0; the suite reports the skip

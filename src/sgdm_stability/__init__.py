@@ -49,6 +49,14 @@ from .theory import (
     stability_bound,
     variant_params,
 )
-from .verification import CheckOutcome, run_invariant_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # verification is imported on first use, so the other verbs do not compile it
+    if name in ("CheckOutcome", "run_invariant_suite"):
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

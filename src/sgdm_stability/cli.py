@@ -13,6 +13,7 @@ failed verification.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -35,9 +36,7 @@ from .harness import (
 )
 from .losses import LOSS_KINDS, smoothness
 from .optimizer import DivergenceError
-from .plotting import PlotError, PlotSpec, emit_plot
 from .theory import VARIANTS, epr_recipe
-from .verification import run_invariant_suite
 
 OUTDIR_ENV = "SGDM_STABILITY_OUTDIR"
 
@@ -288,6 +287,8 @@ def _cmd_check_bounds(cfg: dict, overrides: list[str]) -> int:
 
 
 def _cmd_verify_invariants(cfg: dict, overrides: list[str]) -> int:
+    from .verification import run_invariant_suite
+
     kinds = cfg["losses"]
     data = None
     if cfg["dataset"] != "synthetic":
@@ -325,11 +326,17 @@ def _cmd_recipe(cfg: dict, overrides: list[str]) -> int:
 
 
 def _cmd_plot(cfg: dict, overrides: list[str]) -> int:
+    from .plotting import PlotError, PlotSpec, emit_plot
+
     output = cfg["output"] or str(Path(cfg["outdir"]) / "plot.svg")
-    emit_plot(PlotSpec(
-        inputs=cfg["inputs"], output=output, title=cfg["title"],
-        xlabel=cfg["xlabel"], ylabel=cfg["ylabel"], logy=cfg["logy"],
-    ))
+    try:
+        emit_plot(PlotSpec(
+            inputs=cfg["inputs"], output=output, title=cfg["title"],
+            xlabel=cfg["xlabel"], ylabel=cfg["ylabel"], logy=cfg["logy"],
+        ))
+    except PlotError as e:
+        print(f"error: plot: {e}", file=sys.stderr)
+        return EXIT_DATA
     print(f"wrote {output}")
     return EXIT_OK
 
@@ -382,9 +389,6 @@ def main(argv=None) -> int:
     except (ParseError, DataError, OSError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA
-    except PlotError as e:
-        print(f"error: plot: {e}", file=sys.stderr)
-        return EXIT_DATA
     except DivergenceError as e:
         print(f"error: divergence: {e}", file=sys.stderr)
         return EXIT_REFUSED
@@ -397,6 +401,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # the objects imports made live until exit: frozen, the exit-time
+    # collections and verify-invariants' forked workers do not walk them
+    gc.freeze()
     sys.exit(main())
 
 

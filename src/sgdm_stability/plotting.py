@@ -122,7 +122,8 @@ def emit_plot(spec: PlotSpec) -> str:
 
     if spec.logy:
         pos = [m for points in finite for _, m, _ in points if m > 0]
-        floor = (min(pos) / 10.0) if pos else 1e-12
+        # a tenth of a subnormal mean underflows to 0, which has no log
+        floor = max(min(pos) / 10.0, sys.float_info.min) if pos else 1e-12
         tops = [max(m + sd, floor) for points in finite for _, m, sd in points]
         y_lo = math.log10(floor)
         y_hi = math.log10(max(max(tops), floor * 10))
@@ -130,7 +131,10 @@ def emit_plot(spec: PlotSpec) -> str:
         def ymap(v: float) -> float:
             return math.log10(max(v, floor))
 
-        y_ticks = [10.0**p for p in range(math.floor(y_lo), math.ceil(y_hi) + 1)]
+        decades = range(math.floor(y_lo), math.ceil(y_hi) + 1)
+        # every k-th decade, so an axis spanning hundreds keeps at most 11 labels
+        k = math.ceil((len(decades) - 1) / 10)
+        y_ticks = [10.0**p for p in decades if p % k == 0]
         y_tick_pos = [math.log10(t) for t in y_ticks]
     else:
         tops = [m + sd for points in finite for _, m, sd in points]

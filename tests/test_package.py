@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sgdm_stability
+from sgdm_stability.cli import EXIT_OK, main
 from sgdm_stability.dataset import serialize_libsvm, synthetic_binary_dataset
 
 SRC = Path(sgdm_stability.__file__).resolve().parents[1]
@@ -31,19 +33,16 @@ def test_one_data_representation():
     )
 
 
-# Runs in a fresh interpreter: imports the CLI, prints the loaded scipy
+# Runs in a fresh interpreter: imports the CLI, prints the names of the loaded
 # modules as JSON, then runs the verb in argv (if any) and prints them again.
-SCIPY_PROBE = """
+MODULES_PROBE = """
 import json, sys
 from sgdm_stability.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-print(json.dumps(scipy_modules()))
+print(json.dumps(sorted(sys.modules)))
 if len(sys.argv) > 1:
     assert main(sys.argv[1:]) == 0
-    print(json.dumps(scipy_modules()))
+    print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -56,10 +55,14 @@ def fresh_stdout(probe, *argv):
     return done.stdout
 
 
+def modules_loaded(*argv):
+    """The modules loaded after `import sgdm_stability.cli` and, with argv,
+    after that verb runs, in a fresh interpreter."""
+    return [json.loads(line) for line in fresh_stdout(MODULES_PROBE, *argv).splitlines() if line.startswith("[")]
+
+
 def scipy_modules_loaded(*argv):
-    """The scipy modules loaded after `import sgdm_stability.cli` and, with
-    argv, after that verb runs, in a fresh interpreter."""
-    return [json.loads(line) for line in fresh_stdout(SCIPY_PROBE, *argv).splitlines() if line.startswith("[")]
+    return [[m for m in names if m.split(".")[0] == "scipy"] for names in modules_loaded(*argv)]
 
 
 class TestScipyImportedOnFirstUse:
@@ -121,3 +124,52 @@ def test_import_and_run_stability_load_no_thread_pool(tmp_path):
         "steps=0.01,0.1", f"outdir={tmp_path}",
     )
     assert stdout.splitlines()[-1] == "[]"
+
+
+class TestVerbModulesImportedAtDispatch:
+    """verification and plotting are compiled and imported only by the verbs
+    that run them."""
+
+    @pytest.mark.parametrize(
+        "verb, argv",
+        [
+            ("run-stability", ["reps=2", "epochs=1", "steps=0.01,0.1"]),
+            ("check-bounds", ["samples=2", "t=1n"]),
+        ],
+    )
+    def test_import_run_stability_and_check_bounds_load_neither(self, tmp_path, verb, argv):
+        loaded = modules_loaded(
+            verb, "--overrides", *TestScipyImportedOnFirstUse.SYNTHETIC, *argv, f"outdir={tmp_path}"
+        )
+        for names in loaded:
+            assert not {"sgdm_stability.verification", "sgdm_stability.plotting"} & set(names)
+        assert len(loaded) == 2
+
+    def test_package_resolves_them_on_first_use(self):
+        probe = (
+            "import sgdm_stability as p\n"
+            "from sgdm_stability import run_invariant_suite\n"
+            "print(run_invariant_suite is p.run_invariant_suite, p.CheckOutcome.__module__)"
+        )
+        assert fresh_stdout(probe) == "True sgdm_stability.verification\n"
+
+
+RECIPE = ["recipe", "--overrides", "n=100", "beta=0.5", "l_star=0.1", "alpha=1"]
+
+
+def test_entry_freezes_the_objects_imports_made():
+    # read at exit, after entry() has left through sys.exit
+    probe = (
+        "import atexit, gc\n"
+        "from sgdm_stability.cli import entry\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "entry()\n"
+    )
+    assert fresh_stdout(probe, *RECIPE).splitlines()[-1] == "frozen True"
+
+
+def test_main_does_not_freeze(capsys):
+    # tests and library callers keep the normal collection
+    before = gc.get_freeze_count()
+    assert main(RECIPE) == EXIT_OK
+    assert gc.get_freeze_count() == before

@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sgdm_stability.cli import EXIT_OK, main
 from sgdm_stability.plotting import PlotError, PlotSpec, emit_plot, read_series_csv
 
 HEADER = "epoch,mean_dist,std_dist,censored_count\n"
@@ -69,6 +70,18 @@ class TestEmitPlot:
         out = tmp_path / "log.svg"
         emit_plot(PlotSpec(inputs=(str(p),), output=str(out), logy=True))
         ET.fromstring(out.read_text())
+
+    @pytest.mark.parametrize("tiny", ["5e-324", "1e-300"])
+    def test_log_axis_down_to_a_tiny_mean_keeps_few_labels(self, tmp_path, tiny):
+        # a tenth of the subnormal 5e-324 underflows to 0, which has no log;
+        # 1e-300 puts 300 decades on the axis
+        p = tmp_path / "tiny.csv"
+        write_series(p, [(1, tiny, 0), (2, 1, 0)])
+        out = tmp_path / "tiny.svg"
+        assert main(["plot", "--overrides", f"inputs={p}", f"output={out}", "logy=true"]) == EXIT_OK
+        root = ET.fromstring(out.read_text())
+        y_labels = [t for t in root.iter() if t.tag.endswith("text") and t.get("text-anchor") == "end"]
+        assert 0 < len(y_labels) <= 11
 
     @pytest.mark.parametrize(
         "axis, rows",

@@ -263,7 +263,7 @@ def _cmd_run_stability(cfg: dict, overrides: list[str]) -> int:
     )
     for entry in manifest["grid"]:
         print(
-            f"  {entry['csv']}: beta={entry['beta']:g} step={entry['step']:g} "
+            f"  {entry['csv']}: beta={entry['beta']!r} step={entry['step']:g} "
             f"censored={entry['censored']}"
         )
     return EXIT_OK
@@ -274,7 +274,7 @@ def _cmd_check_bounds(cfg: dict, overrides: list[str]) -> int:
     checks = run_bound_checks(exp, cfg["samples"], cfg["t"], cfg["step"], cfg["step_fraction"])
     for result in checks:
         print(
-            f"beta={result.beta:g} step={result.step:g}: empirical={result.empirical:.6g} "
+            f"beta={result.beta!r} step={result.step:g}: empirical={result.empirical:.6g} "
             f"bound={result.theoretical:.6g} holds={result.holds} "
             f"ratio={result.margin_ratio:.3g}"
         )

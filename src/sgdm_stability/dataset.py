@@ -141,7 +141,8 @@ class Dataset:
 
     @cached_property
     def _row_bounds(self) -> tuple[list[int], list[float]]:
-        # plain lists: slicing with Python ints keeps per-step row access cheap
+        # plain lists: slicing with Python ints keeps `row` cheap where it is
+        # called row after row (`serialize_libsvm`), and its label a Python float
         return self.indptr.tolist(), self.labels.tolist()
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray, float]:

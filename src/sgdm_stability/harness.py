@@ -386,7 +386,7 @@ def run_bound_check(
         cond = check_stab_condition(point.hp, alpha)
         if not cond.satisfied:
             raise PreconditionError(
-                f"stability condition violated at beta {point.beta:g}: lhs {cond.lhs} > rhs {cond.rhs}"
+                f"stability condition violated at beta {point.beta!r}: lhs {cond.lhs} > rhs {cond.rhs}"
             )
     # every sample trains on all of the train rows, in its own stream's order
     draws = Draws.fixed_split(train_rows, pool_rows, seed, samples)
@@ -411,7 +411,7 @@ def run_bound_check(
         # risk is a coefficient that left float range, not a verdict
         if theoretical == 0.0 and alpha > 0.0 and sum_risk > 0.0:
             raise DataError(
-                f"the stability bound at beta {point.beta:g} underflows to 0 (alpha {alpha:g}); rescale the features"
+                f"the stability bound at beta {point.beta!r} underflows to 0 (alpha {alpha:g}); rescale the features"
             )
         results.append(BoundCheckResult(
             beta=point.beta, step=point.step, empirical=empirical, theoretical=theoretical,

@@ -149,7 +149,9 @@ def grad_scales(margins, y, kind: str, ny=None, buffers: ScaleBuffers | None = N
 
 def _row_margin(w: np.ndarray, d: Dataset, i: int):
     """(indices, values, label, <w, x>) of row i (0-based) of `d`.  A blown-up
-    w overflows here: callers ignore it in an errstate and check the result."""
+    w overflows here: `loss_value` and `loss_grad` call it in an errstate that
+    ignores it.  The reference loop (`optimizer._reference_loop`) does
+    `_row_grad`'s arithmetic inline, bit for bit, and checks its results."""
     if w.shape[-1] < d.dim:
         raise ValueError(f"weight vector of length {w.shape[-1]} cannot cover dataset dim {d.dim}")
     idx, vals, y = d.row(i)

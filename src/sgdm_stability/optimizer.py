@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, ScaleBuffers, _row_grad, _sparsetools, empirical_risk_many, grad_scales
+from .losses import LOSS_KINDS, ScaleBuffers, _sparsetools, empirical_risk_many, grad_scales
 
 
 class DivergenceError(RuntimeError):
@@ -149,9 +149,14 @@ def _add_product(target: np.ndarray, factor: np.ndarray, source: np.ndarray):
 
 
 def _reference_loop(d, kind, w1, stream, T, update, state0, *coeffs):
-    """(indices, iterates, gradients, states) of T steps from w1 and state0, each step's
-    gradient and `update`'s iterate and state written into their rows under one
-    errstate; gradients and iterates are checked once per STREAM_CHUNK steps."""
+    """(indices, iterates, gradients, states) of T steps from w1 and state0.
+
+    Each distinct row the stream draws is read once, by `Dataset.row`, into a
+    table of at most min(n, T) rows.  A step then does `_row_grad`'s arithmetic
+    inline, with no helper frame: the margin float(np.dot(w[idx], vals)), one
+    `grad_scales` call and g[idx] = s * vals; `update` writes the step's
+    iterate and state into their rows.  All steps run under one errstate;
+    gradients and iterates are checked once per STREAM_CHUNK steps."""
     if stream.n != d.n:
         raise ValueError(f"stream covers 1..{stream.n} but dataset has {d.n} examples")
     w = np.asarray(w1, dtype=np.float64)
@@ -163,14 +168,16 @@ def _reference_loop(d, kind, w1, stream, T, update, state0, *coeffs):
     states = np.empty((T + 1, d.dim))
     iterates[0], states[0] = w, state0
     state = states[0]
-    rows = (indices - 1).tolist()
+    positions = (indices - 1).tolist()
+    table = {i: d.row(i) for i in set(positions)}
+    rows = [table[i] for i in positions]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, STREAM_CHUNK):
             hi = min(lo + STREAM_CHUNK, T)
-            for k in range(lo, hi):
-                g = gradients[k]
-                _row_grad(g, w, d, rows[k], kind)
-                w, state = update(w, state, g, *coeffs, iterates[k + 1], states[k + 1])
+            steps = zip(gradients[lo:hi], rows[lo:hi], iterates[lo + 1 : hi + 1], states[lo + 1 : hi + 1])
+            for g, (idx, vals, y), w_out, state_out in steps:
+                g[idx] = grad_scales(float(np.dot(w[idx], vals)), y, kind) * vals
+                w, state = update(w, state, g, *coeffs, w_out, state_out)
             finite = np.isfinite(gradients[lo:hi]).all(axis=1) & np.isfinite(iterates[lo + 1 : hi + 1]).all(axis=1)
             if not finite.all():
                 raise DivergenceError(lo + int(finite.argmin()) + 1)

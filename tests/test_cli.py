@@ -338,6 +338,39 @@ class TestCheckBounds:
         assert not (out / "bound_check.json").exists()
 
 
+class TestBetaPrintedExactly:
+    """A beta just below 1 prints as given in summaries and messages, not
+    rounded to 1, a value every verb refuses; CSV names keep the short form."""
+
+    BETA = "0.99999999"
+
+    def test_run_stability_summary(self, tmp_path, capsys):
+        argv = ["dataset=synthetic", "synth_n=40", "synth_dim=5", f"betas={self.BETA}", "steps=0.01",
+                "reps=2", "epochs=1", f"outdir={tmp_path / 'rs'}"]
+        assert main(["run-stability", "--overrides", *argv]) == EXIT_OK
+        assert f"  hb_beta1_step0.01.csv: beta={self.BETA} step=0.01 " in capsys.readouterr().out
+
+    def test_check_bounds_summary(self, tmp_path, capsys):
+        argv = ["dataset=synthetic", "synth_n=40", "synth_dim=5", f"betas={self.BETA}", "samples=2",
+                "t=1n", "step_fraction=0.5", f"outdir={tmp_path / 'bc'}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"beta={self.BETA} step=")
+
+    def test_precondition_message(self, tmp_path, capsys):
+        argv = ["dataset=synthetic", "synth_n=40", f"betas={self.BETA}", "step=0.2", f"outdir={tmp_path / 'bc'}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_REFUSED
+        assert capsys.readouterr().err.startswith(
+            f"error: precondition: stability condition violated at beta {self.BETA}: "
+        )
+
+    def test_underflow_message(self, tmp_path, capsys):
+        big = tmp_path / "big.svm"
+        big.write_text(BIG_SVM)
+        argv = [f"dataset={big}", f"betas={self.BETA}", "samples=2", "t=4", f"outdir={tmp_path / 'bc'}"]
+        assert main(["check-bounds", "--overrides", *argv]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: data: the stability bound at beta {self.BETA} underflows")
+
+
 # SHA-256 of the artifacts of two small synthetic runs, as the code wrote them
 # when the sweep and the bound check came to share one draws record and one
 # grid builder.  A change to the numerics must re-record them and say so.

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -285,11 +285,26 @@ def _outcome(fn, *args):
         return e.step
 
 
+# two rows over three features, for runs far longer than the data
+FEW_ROWS = Dataset(
+    np.array([0, 2, 3]), np.array([0, 2, 1], dtype=np.intp), np.array([0.5, -1.5, 2.0]), np.array([1.0, -1.0]), 3
+)
+# the middle row is empty
+EMPTY_ROW = Dataset(
+    np.array([0, 2, 2, 3]), np.array([1, 3, 0], dtype=np.intp), np.array([1.0, -0.5, 2.0]),
+    np.array([-1.0, 1.0, 0.5]), 4,
+)
+
+
 class TestReferenceLoops:
     """`run` and `run_lookahead` against their per-step oracles in conftest:
     the same bytes, or DivergenceError at the same step."""
 
     @settings(max_examples=60, deadline=None)
+    @example(
+        d=FEW_ROWS, kind="logistic", beta=0.9, gamma=0.1, eta=0.3, w1_scale=0.5, steps=3000, chunk=7, seed=11
+    )
+    @example(d=EMPTY_ROW, kind="squared", beta=0.5, gamma=0.2, eta=0.1, w1_scale=-0.7, steps=40, chunk=3, seed=5)
     @given(
         d=small_datasets(),
         kind=st.sampled_from(["logistic", "squared"]),
@@ -394,8 +409,9 @@ class TestReferenceLoops:
         # the loops check the recorded rows once per STREAM_CHUNK steps, so
         # they take steps up to the end of the block the divergence falls in
         calls = []
-        row_grad = optimizer._row_grad
-        monkeypatch.setattr(optimizer, "_row_grad", lambda *args: calls.append(1) or row_grad(*args))
+        for name in ("_sgdm_update", "_lookahead_update"):
+            update = getattr(optimizer, name)
+            monkeypatch.setattr(optimizer, name, lambda *args, update=update: calls.append(1) or update(*args))
         data = parse_libsvm(self.ONE_ROW)
         hp = HyperParams(beta=0.0, gamma=0.0, eta=3.0, iterations=self.T)
         w1 = np.array([2.0 ** (1024 - k)])
@@ -410,6 +426,21 @@ class TestReferenceLoops:
             assert exc.value.step == k
             assert len(calls) == block_end
             assert len(calls) - k < optimizer.STREAM_CHUNK
+
+    @pytest.mark.parametrize("n,steps", [(60, 2000), (5, 300)])
+    def test_reads_each_drawn_row_once(self, n, steps):
+        # the loops read a drawn row once per call, not once per step
+        d = synthetic_binary_dataset(n, 8, seed=3)
+        hp = HyperParams(beta=0.5, gamma=0.1, eta=0.05, iterations=steps)
+        drawn = set((SampleStream(0, n).prefix(steps) - 1).tolist())
+        for loop in (
+            lambda: run(d, "logistic", hp, np.zeros(d.dim), SampleStream(0, n)),
+            lambda: run_lookahead(d, "logistic", 0.5, 0.1, steps, np.zeros(d.dim), SampleStream(0, n)),
+        ):
+            with mock.patch.object(Dataset, "row", autospec=True, side_effect=Dataset.row) as row:
+                loop()
+            read = [call.args[1] for call in row.call_args_list]
+            assert len(read) == len(set(read)) and set(read) <= drawn
 
 
 class TestCoupledRun:

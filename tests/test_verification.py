@@ -406,6 +406,18 @@ class TestSuiteOnWorkers:
         assert equal
         assert {row["name"] for row in pooled if row["status"] == "fail"} == {"y_identity"}
 
+    def test_units_start_longest_first_and_report_in_unit_order(self, monkeypatch):
+        started = []
+        run_units = verification._run_units
+        monkeypatch.setattr(verification, "_run_units", lambda units: started.extend(units) or run_units(units))
+        units = [(verification._loss_lemmas, ("logistic",)), (len, ("ab",)), (verification._loss_lemmas, ("squared",)),
+                 (len, ("abc",))]
+        outcomes = verification._map_units(units)
+        assert [fn for fn, _ in started] == [len, len, verification._loss_lemmas, verification._loss_lemmas]
+        assert outcomes[1::2] == [2, 3]
+        assert [o.params["kind"] for o in outcomes[0]] == ["logistic"] * len(outcomes[0])
+        assert [o.params["kind"] for o in outcomes[2]] == ["squared"] * len(outcomes[2])
+
     @pytest.mark.parametrize("workers", [2, 1])
     def test_an_error_in_a_unit_keeps_its_type(self, monkeypatch, workers):
         def broken(kind, probes=10_000, seed=13):

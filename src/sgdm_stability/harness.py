@@ -250,8 +250,14 @@ def run_stability_experiment(cfg: ExperimentConfig) -> StabilityResult:
     )
 
 
+def _short(x: float) -> str:
+    """x with `:g` where that reads back as x, else with `repr`."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def grid_point_filename(cfg: ExperimentConfig, point: GridPointResult) -> str:
-    return f"{cfg.variant}_beta{point.beta:g}_step{point.step:g}.csv"
+    return f"{cfg.variant}_beta{_short(point.beta)}_step{_short(point.step)}.csv"
 
 
 def save_stability_result(result: StabilityResult, outdir, extra: dict | None = None) -> dict:

@@ -13,20 +13,17 @@ two formulas as functions of the margin <w, x> and the label; every other
 loss computation in the package goes through them.
 
 The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
-1 / (1 + exp(-z)), and its exp is the C library's: that is exactly what
-`scipy.special.expit` computes, bit for bit, without importing scipy.
-numpy's float `np.exp` is not used there, because its SIMD loops differ from
-the C library in the last bit on some inputs, and the coupled runs amplify a
-one-ulp change in a gradient.  A Python float goes through `math.exp`.  An
-array goes through numpy's complex `np.exp` at imaginary part 0, one compiled
-call into the C library's `cexp`, whose real part glibc computes as exp(t) * 1
-up to t = EXP_EXACT_MAX = 709; above that it rescales, as exp(709) *
-exp(t - 709), which can differ in the last bit (at t = 709.0000362545957, for
-one).  So the entries above 709, and NaN, still take `math.exp` one at a
-time.  Only `margins`,
-`empirical_risk_many` and the batched kernel's writes need scipy: they call
-routines of its `_sparsetools` extension, which `_sparsetools` loads from
-the extension file, in 1 ms against 0.26 s to import `scipy.sparse`.  The
+1 / (1 + exp(-z)), and its exp is the C library's.  numpy's float `np.exp`
+is not used there, because its SIMD loops differ from the C library in the
+last bit on some inputs, and the coupled runs amplify a one-ulp change in a
+gradient.  A Python float goes through `math.exp`.  An array goes through
+scipy's `expit` ufunc, which computes 1 / (1 + exp(-z)) with the C library's
+exp: the scalar path's bits at every margin, in one compiled call.  `_expit`
+loads it from the `special/_special_ufuncs` extension file alone, and the
+CSR products of `margins`, `empirical_risk_many` and the batched kernel's
+writes call routines that `_sparsetools` loads from the `sparse/_sparsetools`
+extension file: a few milliseconds each, against about a quarter of a second
+to import `scipy.special` or `scipy.sparse`.  The
 risk sum takes the CSR product in tiles of RISK_ROWS data rows by RISK_COLUMNS
 weight rows and adds each tile's losses to a running total in row order, so
 its memory does not grow with n and each risk is the n losses added in row
@@ -86,65 +83,22 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-# The largest t at which the real part of glibc's cexp(t + 0i) is exp(t) with
-# the bits of `math.exp`: above it cexp computes exp(709) * exp(t - 709).
-EXP_EXACT_MAX = 709.0
-
-
-class ScaleBuffers:
-    """The arrays `grad_scales` writes for margins of one shape, for a caller
-    that repeats the call at that shape.  After each call, `bounded` tells
-    whether every |y m| was at most EXP_EXACT_MAX, which implies that every
-    margin was finite; it is always False for the squared loss."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.t = np.empty(shape)
-        # t + 0i and its exp; the imaginary part of `z` stays 0
-        self.z = np.zeros(shape, dtype=np.complex128)
-        self.exp = np.empty(shape, dtype=np.complex128)
-        self.scales = np.empty(shape)
-        self.bounded = False
-
-
-def grad_scales(margins, y, kind: str, ny=None, buffers: ScaleBuffers | None = None):
+def grad_scales(margins, y, kind: str, ny=None, out=None):
     """Scalar s with gradient s * x at margin <w, x> and label y, elementwise.
 
-    Python floats take `math.exp`.  Arrays take one complex `np.exp` call,
-    the C library's `cexp`, where every |y m| is at most EXP_EXACT_MAX, and
-    `math.exp` entry by entry above it and at NaN: the bits of the scalar
-    path either way.  A caller may pass `ny` = -y when it has it, and
-    `buffers` for the arrays to write; the result is then `buffers.scales`.
+    Python floats take `math.exp`; arrays take one `expit` call, with the
+    bits of the scalar path.  A caller may pass `ny` = -y when it has it, and
+    `out`, an array of the broadcast shape, for the result.
     """
     if _check_kind(kind) == "logistic":
-        # ny * expit(ny m), with expit(z) = 1 / (1 + exp(-z)) spelled out
+        # ny * expit(ny m), with expit(z) = 1 / (1 + exp(-z))
         if ny is None:
             ny = -y
         if isinstance(margins, float) and isinstance(ny, float):
             return ny * (1.0 / (1.0 + _exp(-(ny * margins))))
-        b = buffers or ScaleBuffers(np.broadcast_shapes(np.shape(margins), np.shape(y)))
-        # y m is -((-y) m), bit for bit up to the sign of a NaN
-        t, e, s = np.multiply(y, margins, out=b.t), b.exp.real, b.scales
-        # `s` holds |t| until the scales overwrite it
-        b.bounded = not t.size or np.maximum.reduce(np.abs(t, out=s), None) <= EXP_EXACT_MAX
-        b.z.real = t
-        if b.bounded:
-            np.exp(b.z, out=b.exp)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.exp(b.z, out=b.exp)
-                # above EXP_EXACT_MAX, and at NaN, math.exp of -((-y) m): the
-                # bits of the scalar path, NaN signs included
-                over = ~(t <= EXP_EXACT_MAX)
-                if over.any():
-                    e[over] = list(map(_exp, np.negative(ny * margins)[over].tolist()))
-        s[...] = e
-        np.add(s, 1.0, out=s)
-        np.divide(1.0, s, out=s)
-        return np.multiply(ny, s, out=s)
-    if buffers is None:
-        return margins - y
-    buffers.bounded = False
-    return np.subtract(margins, y, out=buffers.scales)
+        s = _expit()(np.multiply(ny, margins, out=out), out=out)
+        return np.multiply(ny, s, out=out)
+    return margins - y if out is None else np.subtract(margins, y, out=out)
 
 
 def _row_margin(w: np.ndarray, d: Dataset, i: int):
@@ -181,21 +135,36 @@ def loss_grad(w: np.ndarray, d: Dataset, i: int, kind: str) -> np.ndarray:
     return g
 
 
-@functools.cache
-def _sparsetools():
-    """scipy's private `_sparsetools` extension, whose routines its sparse
-    products run, loaded from the `sparse/_sparsetools` extension file alone:
-    no scipy package module runs.  Where that fails, imported the plain way,
-    which imports `scipy.sparse`."""
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's private extension module `scipy.<subpackage>.<name>`, loaded
+    from its extension file alone: no scipy package module runs.  None where
+    the file is missing or fails to load."""
     try:
-        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], subpackage)
         loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-        spec = importlib.machinery.FileFinder(folder, loaders).find_spec("scipy.sparse._sparsetools")
+        spec = importlib.machinery.FileFinder(folder, loaders).find_spec(f"scipy.{subpackage}.{name}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
     except (AttributeError, ImportError, TypeError, ValueError):
-        return importlib.import_module("scipy.sparse._sparsetools")
+        return None
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's `_sparsetools` extension, whose routines its sparse products
+    run; where its file does not load, imported the plain way, which imports
+    `scipy.sparse`."""
+    return _scipy_extension("sparse", "_sparsetools") or importlib.import_module("scipy.sparse._sparsetools")
+
+
+@functools.cache
+def _expit():
+    """scipy's `expit` ufunc from its `_special_ufuncs` extension; where that
+    file is missing (an older scipy) or does not load, `scipy.special.expit`,
+    which imports `scipy.special`."""
+    expit = getattr(_scipy_extension("special", "_special_ufuncs"), "expit", None)
+    return expit or importlib.import_module("scipy.special").expit
 
 
 def _band_products(d: Dataset, height: int) -> Callable[[int, np.ndarray], np.ndarray]:

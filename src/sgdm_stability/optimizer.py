@@ -15,13 +15,14 @@ with beta in [0, 1), gamma >= 0, eta > 0.  Special cases:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, ScaleBuffers, _sparsetools, empirical_risk_many, grad_scales
+from .losses import LOSS_KINDS, _sparsetools, empirical_risk_many, grad_scales
 
 
 class DivergenceError(RuntimeError):
@@ -268,9 +269,8 @@ def coupled_distance_batch(
     positions and values of a few steps' rows are gathered at once.  The pair
     set is fixed for the call, and so are its per-pair arrays and buffers.
     The margins are numpy products, and the gradient scales come from
-    `grad_scales` with the labels negated once per gather: one complex exp
-    call while every |y m| is at most 709, the C library's exp entry by entry
-    past it.  The gradient writes into the momentum (and, with gamma > 0, the
+    `grad_scales` with the labels negated once per gather: one `expit` call
+    per step.  The gradient writes into the momentum (and, with gamma > 0, the
     iterate) and the step w -= eta * m are each one call to a compiled scipy
     routine (`_add_rows`, `_add_product`), with the bits of numpy's updates.
     Each step repeats the arithmetic of a lone pair operation for operation,
@@ -278,18 +278,17 @@ def coupled_distance_batch(
 
     A pair that hits a non-finite margin, iterate or distance is censored:
     its step and side are recorded, and it is frozen at w = m = 0 with beta,
-    eta and gamma 0, so its margins stay 0 and later steps keep the one
-    complex exp call.  It costs a live pair's step until the call ends, at
-    the end of the stream block in which the last pair is censored.  Margins
-    are checked every step: every |y m| at most 709 implies they are all
-    finite, and only past that are they tested one by one.  Iterates and
-    distances are checked only at stride points, so a pair can be censored a
-    step or more after the reference loop raises, on the same side.  A row position outside
-    0..data.n - 1 raises ValueError.  With `risk_data`, every pair's base
-    iterates w_1..w_T are buffered per stream block, each block is one
-    `empirical_risk_many` call, and each pair adds its block's risks to its
-    running sum; block edges do not depend on the batch, so neither does a
-    pair's sum.
+    eta and gamma 0, so its margins stay 0.  It costs a live pair's step
+    until the call ends, at the end of the stream block in which the last
+    pair is censored.  Margins are checked every step: a finite sum implies
+    that they are all finite, and only where it is not are they tested one by
+    one.  Iterates and distances are checked only at stride points, so a pair
+    can be censored a step or more after the reference loop raises, on the
+    same side.  A row position outside 0..data.n - 1 raises ValueError.
+    With `risk_data`, every pair's base iterates w_1..w_T are buffered per
+    stream block, each block is one `empirical_risk_many` call, and each pair
+    adds its block's risks to its running sum; block edges do not depend on
+    the batch, so neither does a pair's sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -327,7 +326,7 @@ def coupled_distance_batch(
     # `width` entries, beta and -eta at every state entry (a full-size operand
     # multiplies faster than a broadcast one), -gamma, the column pointers of
     # `_add_rows`, and the buffers each step writes: the base-side rows' state
-    # entries, the margins and `grad_scales`' arrays
+    # entries, the margins and their gradient scales
     P = R * G
     rep, g = np.divmod(np.arange(P), G)
     betas, etas, gammas = np.array([(hp.beta, hp.eta, hp.gamma) for hp in points])[g].T
@@ -340,7 +339,7 @@ def coupled_distance_batch(
     neg_eta = np.broadcast_to(-etas[:, None, None], full).copy()
     neg_gamma = -gammas[:, None]
     colptr = np.arange(0, 2 * P * width + 1, width, dtype=np.intp)
-    cell_buf, margin_buf, scale_buf = np.empty((P, width, 2)), np.empty((P, 2, 1)), ScaleBuffers((P, 2))
+    cell_buf, margin_buf, scale_buf = np.empty((P, width, 2)), np.empty((P, 2, 1)), np.empty((P, 2))
     L = T // stride
     distances = np.full((P, L), np.nan)
     diverged_step = np.zeros(P, dtype=np.int64)
@@ -399,7 +398,7 @@ def coupled_distance_batch(
                         margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
                     scales = grad_scales(margins, y, kind, ny, scale_buf)
                     bad = None
-                    if not scale_buf.bounded:
+                    if not math.isfinite(np.add.reduce(margins, None)):
                         finite = np.isfinite(margins)
                         if not finite.all():
                             bad = ~finite  # (P, 2) non-finite sides
@@ -437,7 +436,7 @@ def coupled_distance_batch(
                         )
                         # freeze the pair at w = m = 0 with no step: its margins
                         # are 0 and its momentum one gradient at 0, so it stays
-                        # finite and keeps the steps on the bounded exp path
+                        # finite
                         W[dead] = M[dead] = beta[dead] = neg_eta[dead] = neg_gamma[dead] = 0.0
             if diverged_step.all():
                 break

@@ -214,7 +214,7 @@ class TestRunStability:
     @pytest.mark.parametrize(
         "grid,name",
         [
-            (["steps=0.1,0.1000001", "betas=0.5"], "hb_beta0.5_step0.1.csv"),
+            (["steps=0.1,0.1", "betas=0.5"], "hb_beta0.5_step0.1.csv"),
             (["steps=0.1", "betas=0.9,0.9"], "hb_beta0.9_step0.1.csv"),
         ],
         ids=["steps", "betas"],
@@ -339,8 +339,8 @@ class TestCheckBounds:
 
 
 class TestBetaPrintedExactly:
-    """A beta just below 1 prints as given in summaries and messages, not
-    rounded to 1, a value every verb refuses; CSV names keep the short form."""
+    """A beta just below 1 prints as given in summaries, messages and CSV
+    names, not rounded to 1, a value every verb refuses."""
 
     BETA = "0.99999999"
 
@@ -348,7 +348,8 @@ class TestBetaPrintedExactly:
         argv = ["dataset=synthetic", "synth_n=40", "synth_dim=5", f"betas={self.BETA}", "steps=0.01",
                 "reps=2", "epochs=1", f"outdir={tmp_path / 'rs'}"]
         assert main(["run-stability", "--overrides", *argv]) == EXIT_OK
-        assert f"  hb_beta1_step0.01.csv: beta={self.BETA} step=0.01 " in capsys.readouterr().out
+        assert f"  hb_beta{self.BETA}_step0.01.csv: beta={self.BETA} step=0.01 " in capsys.readouterr().out
+        assert [p.name for p in (tmp_path / "rs").glob("*.csv")] == [f"hb_beta{self.BETA}_step0.01.csv"]
 
     def test_check_bounds_summary(self, tmp_path, capsys):
         argv = ["dataset=synthetic", "synth_n=40", "synth_dim=5", f"betas={self.BETA}", "samples=2",

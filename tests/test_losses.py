@@ -439,6 +439,61 @@ class TestBlockedRisk:
                 assert alone.tobytes() == batch[i : i + 1].tobytes()
 
 
+class TestExpitLoaded:
+    """The array logistic scale calls scipy's `expit` ufunc, loaded from the
+    `special/_special_ufuncs` extension file alone where it can be."""
+
+    # margins across +-800, the edges and 709.0000362545957
+    MARGINS = np.concatenate([np.linspace(-800.0, 800.0, 41), EDGE_MARGINS, [709.0000362545957]])
+
+    @pytest.mark.parametrize("cause", ["failing_loader", "missing_file"])
+    def test_plain_import_where_the_extension_file_does_not_load(self, cause, monkeypatch):
+        # the ufunc's extension file fails to load, or an older scipy has
+        # none: expit comes from scipy.special's own import, and the scales
+        # and the kernel keep their bits
+        want_kernel = TestBlockedRisk.kernel_bytes("logistic")
+        # loaded before the patches, so only expit's plain import is recorded
+        losses_module._sparsetools()
+        if cause == "failing_loader":
+
+            class FailingLoader(importlib.machinery.ExtensionFileLoader):
+                def create_module(self, spec):
+                    raise ImportError("cannot load")
+
+            monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", FailingLoader)
+        else:
+
+            class FinderWithoutIt(importlib.machinery.FileFinder):
+                def find_spec(self, fullname, target=None):
+                    return None if fullname == "scipy.special._special_ufuncs" else super().find_spec(fullname, target)
+
+            monkeypatch.setattr(importlib.machinery, "FileFinder", FinderWithoutIt)
+        imported = []
+        import_module = importlib.import_module
+        monkeypatch.setattr(importlib, "import_module", lambda name: imported.append(name) or import_module(name))
+        losses_module._expit.cache_clear()
+        try:
+            got_kernel = TestBlockedRisk.kernel_bytes("logistic")
+            got = grad_scales(self.MARGINS, -1.0, "logistic")
+            expit = losses_module._expit()
+        finally:
+            losses_module._expit.cache_clear()
+        from scipy.special import expit as plain
+
+        assert imported == ["scipy.special"] and expit is plain
+        assert_same_bits(got, expit_scales(self.MARGINS, -1.0))
+        assert got_kernel == want_kernel
+
+    def test_installed_scipy_takes_the_direct_path(self):
+        # a silent fallback to the plain import would pass every byte test and
+        # cost the import of scipy.special: the extension file loads alone
+        losses_module._expit.cache_clear()
+        with mock.patch.object(importlib, "import_module", side_effect=AssertionError("plain import")):
+            expit = losses_module._expit()
+        assert isinstance(expit, np.ufunc) and expit.__name__ == "expit"
+        assert_same_bits(grad_scales(self.MARGINS, 1.0, "logistic"), expit_scales(self.MARGINS, 1.0))
+
+
 class TestSmoothness:
     def test_logistic_quarter_norm(self):
         d = parse_libsvm("1 1:3 2:4\n-1 1:1\n")

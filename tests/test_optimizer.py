@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -749,59 +750,63 @@ class TestCoupledBatch:
         return examples, train_rows, perturbed, replacements, seeds
 
     @staticmethod
-    def _recorded_scales(monkeypatch):
-        """`bounded` of each `grad_scales` call the kernel makes, in order."""
-        bounded = []
+    def _recorded_margins(monkeypatch):
+        """A copy of the margins of each `grad_scales` call the kernel makes,
+        in order."""
+        recorded = []
 
-        def recorded_scales(margins, y, kind, ny, buffers):
-            scales = grad_scales(margins, y, kind, ny, buffers)
-            bounded.append(buffers.bounded)
-            return scales
+        def recorded_scales(margins, y, kind, ny, out):
+            recorded.append(margins.copy())
+            return grad_scales(margins, y, kind, ny, out)
 
         monkeypatch.setattr(optimizer, "grad_scales", recorded_scales)
-        return bounded
+        return recorded
 
     def test_censored_pair_is_frozen_finite(self, monkeypatch):
         # repetition 1's margins pass 709 and leave float range, and its pairs
         # are censored; frozen at w = m = 0, they hold no NaN, so every later
-        # step takes the bounded complex exp again
+        # step's margins are finite again
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
-        bounded = self._recorded_scales(monkeypatch)
+        recorded = self._recorded_margins(monkeypatch)
         w1 = np.linspace(-0.5, 0.5, self.DIM)
         batch, _ = self._batch("logistic", self._grid(), 1, w1, self._censoring_inputs([1]))
         censored = batch.diverged_step[batch.diverged_step > 0]
         assert censored.size == 4 and not batch.diverged_step[[0, 2]].any()
         last = int(censored.max())
-        assert len(bounded) == self.T and last < self.T
-        assert not all(bounded[:last]) and all(bounded[last:])
+        finite = [np.isfinite(m).all() for m in recorded]
+        assert len(recorded) == self.T and last < self.T
+        assert any(((np.abs(m) > 709.0) & np.isfinite(m)).any() for m in recorded[:last])
+        assert not all(finite[:last]) and all(finite[last:])
 
     def test_frozen_momentum_does_not_build_up(self, monkeypatch):
         # the feature of 1e308 censors the pair within a few steps; frozen,
         # it still reads that row about every other step, and at beta = 0.9
         # the momentum of those gradients would leave float range, so the
-        # freeze sets beta to 0 too and every later step stays bounded
+        # freeze sets beta to 0 too and every later margin is 0
         data = parse_libsvm("1 1:1e308\n-1 1:1\n")
-        bounded = self._recorded_scales(monkeypatch)
+        recorded = self._recorded_margins(monkeypatch)
         batch = coupled_distance_batch(
             data, np.array([[0, 1]]), [2], [1], [SampleStream(0, 2)], "logistic",
             [variant_params("hb", 0.1, 0.9, 50)], np.zeros(1), 1,
         )
         last = int(batch.diverged_step[0, 0])
-        assert 0 < last < 40 and len(bounded) == 50 and all(bounded[last:])
+        assert 0 < last < 40 and len(recorded) == 50
+        assert not all(np.isfinite(m).all() for m in recorded[:last])
+        assert not np.any(recorded[last:])
 
     def test_all_censored_call_stops_at_the_end_of_its_block(self, monkeypatch):
         # every neighbor takes the 1e155 row, so every pair is censored; the
         # call steps on to the end of the stream block of the last censoring
         chunk = 16
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", chunk)
-        bounded = self._recorded_scales(monkeypatch)
+        recorded = self._recorded_margins(monkeypatch)
         w1 = np.linspace(-0.5, 0.5, self.DIM)
         batch, _ = self._batch("logistic", self._grid(), 1, w1, self._censoring_inputs([0, 1, 2]))
         assert batch.diverged_step.all()
         last = int(batch.diverged_step.max())
         block_end = -(-last // chunk) * chunk
         assert block_end < self.T
-        assert last <= len(bounded) <= block_end
+        assert last <= len(recorded) <= block_end
 
     def test_censored_pair_keeps_its_first_step(self):
         # the third row's label times its feature leaves float range, so even
@@ -821,9 +826,9 @@ class TestCoupledBatch:
     @staticmethod
     def _plain_step_loop(monkeypatch):
         """The kernel with rows gathered one step at a time, numpy's updates in
-        place of the compiled writes, and each gradient scale from the scalar
-        path of `grad_scales`, with every margin tested for finiteness: the
-        arithmetic of a plain step loop."""
+        place of the compiled writes, each gradient scale from the scalar path
+        of `grad_scales`, and every margin tested for finiteness, not their
+        sum: the arithmetic of a plain step loop."""
 
         def add_rows(target, flat, values, colptr, scales):
             target.reshape(-1)[flat] += scales[:, :, None] * values
@@ -831,15 +836,17 @@ class TestCoupledBatch:
         def add_product(target, factor, source):
             target -= -factor * source
 
-        def scalar_scales(margins, y, kind, ny, buffers):
+        def scalar_scales(margins, y, kind, ny, out):
             scales = [grad_scales(m, label, kind) for m, label in zip(margins.ravel().tolist(), y.ravel().tolist())]
-            buffers.scales[...] = np.reshape(scales, margins.shape)
-            buffers.bounded = False
-            return buffers.scales
+            out[...] = np.reshape(scales, margins.shape)
+            return out
 
         monkeypatch.setattr(optimizer, "_add_rows", add_rows)
         monkeypatch.setattr(optimizer, "_add_product", add_product)
         monkeypatch.setattr(optimizer, "grad_scales", scalar_scales)
+        # the kernel's `math` only tests the margins' sum: as never finite,
+        # every step tests its margins one by one
+        monkeypatch.setattr(optimizer, "math", SimpleNamespace(isfinite=lambda total: False))
         monkeypatch.setattr(optimizer, "_gather_steps", lambda width: 1)
 
     @pytest.mark.parametrize("case", ["drop_mid_sub_block", "chunk_not_a_multiple", "logistic_past_709"])
@@ -866,11 +873,11 @@ class TestCoupledBatch:
             points = self._grid()
         else:
             # repetition 0's neighbor reads, at its first step, a row whose
-            # margin is 709.0000362545957, where the complex exp differs from
-            # the C library's exp in the last bit; its feature of 1e308 carries
-            # that bit into the distance.  The other neighbors read the 1e155
-            # row, whose margins pass 709 and overflow, and the step of 1e4
-            # censors its pairs; the pairs left take the compiled exp
+            # margin is 709.0000362545957, where glibc's complex exp differs
+            # from its exp in the last bit; its feature of 1e308 carries that
+            # bit into the distance.  The other neighbors read the 1e155 row,
+            # whose margins pass 709 and overflow, and the step of 1e4 censors
+            # its pairs; the pairs left run to the end
             chunk, sub, kind, stride = 16, 5, "logistic", 1
             examples = stack([examples, parse_libsvm("1 1:1e155\n1 7:1 8:1e308\n")], self.DIM + 2)
             perturbed = np.array([SampleStream(seeds[0], self.N_TRAIN).prefix(1)[0], *perturbed[1:]])
@@ -888,16 +895,9 @@ class TestCoupledBatch:
         )
         risk_data = examples.take(train_rows[0])
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", chunk)
-        bounded = []
-
-        def recorded_scales(margins, y, kind, ny, buffers):
-            scales = grad_scales(margins, y, kind, ny, buffers)
-            bounded.append(buffers.bounded)
-            return scales
-
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "_gather_steps", lambda width: sub)
-            patch.setattr(optimizer, "grad_scales", recorded_scales)
+            recorded = self._recorded_margins(patch)
             batch = coupled_distance_batch(*args, risk_data=risk_data)
         self._plain_step_loop(monkeypatch)
         plain = coupled_distance_batch(*args, risk_data=risk_data)
@@ -910,9 +910,13 @@ class TestCoupledBatch:
         elif case == "chunk_not_a_multiple":
             assert not batch.diverged_step.any()
         else:
-            # every step of the first takes the entry-by-entry exp, and both
-            # kinds of step occur; repetition 0 keeps three pairs to the end
-            assert not bounded[0] and any(bounded) and not all(bounded)
+            # the first step's margins reach 709.0000362545957, margins past
+            # 709 and non-finite ones occur later too, and so do steps whose
+            # margins are all finite; repetition 0 keeps three pairs to the end
+            assert 709.0000362545957 in recorded[0]
+            assert any(((np.abs(m) > 709.0) & np.isfinite(m)).any() for m in recorded[1:])
+            finite = [np.isfinite(m).all() for m in recorded]
+            assert any(finite) and not all(finite)
             assert batch.diverged_step[1:].all() and (batch.diverged_step[0] > 0).sum() == 1
         for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
             assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name

@@ -65,10 +65,21 @@ def scipy_modules_loaded(*argv):
     return [[m for m in names if m.split(".")[0] == "scipy"] for names in modules_loaded(*argv)]
 
 
+# the two scipy extension files the package loads on their own
+SCIPY_EXTENSIONS = {"scipy.sparse._sparsetools", "scipy.special._special_ufuncs"}
+
+
+def assert_only_extensions(loaded):
+    # importing scipy.special or scipy.sparse costs about a quarter of a second,
+    # so neither package module may load
+    assert set(loaded) <= SCIPY_EXTENSIONS
+    assert not {"scipy", "scipy.sparse", "scipy.special"} & set(loaded)
+
+
 class TestScipyImportedOnFirstUse:
     """scipy costs about a third of a second to import, and no verb imports
     it: the coupled kernel's writes, the risk sum's sparse product and the
-    loss lemmas load their routines from one extension file."""
+    logistic gradient scale load their routines from two extension files."""
 
     SYNTHETIC = ["dataset=synthetic", "synth_n=60", "synth_dim=5"]
 
@@ -77,14 +88,17 @@ class TestScipyImportedOnFirstUse:
             "run-stability", "--overrides", *self.SYNTHETIC, "reps=2", "epochs=1", "steps=0.01,0.1",
             f"outdir={tmp_path}",
         )
-        # the kernel's compiled writes load the extension at its first call
+        # the kernel's compiled writes and its logistic scales load the
+        # extensions at their first call
         assert after_import == []
-        assert set(after_verb) <= {"scipy.sparse._sparsetools"}
+        assert_only_extensions(after_verb)
+        assert SCIPY_EXTENSIONS <= set(after_verb)
 
     @pytest.mark.parametrize("source", ["synthetic", "libsvm"])
     def test_check_bounds_loads_only_the_sparse_routine(self, tmp_path, source):
         # the risk sum loads scipy's CSR product routine from its extension
-        # file; neither the scipy package nor scipy.sparse is imported
+        # file, and the kernel's logistic scale the expit ufunc from its
+        # own; neither the scipy package nor its subpackages are imported
         data = self.SYNTHETIC
         if source == "libsvm":
             path = tmp_path / "data.libsvm"
@@ -94,7 +108,7 @@ class TestScipyImportedOnFirstUse:
             "check-bounds", "--overrides", *data, "samples=2", "t=1n", f"outdir={tmp_path / 'out'}"
         )
         assert after_import == []
-        assert set(after_verb) <= {"scipy.sparse._sparsetools"}
+        assert_only_extensions(after_verb)
 
     def test_verify_invariants_loads_no_scipy(self, tmp_path):
         # the loss-lemma margins are the risk sum's product: on one CPU their
@@ -103,7 +117,7 @@ class TestScipyImportedOnFirstUse:
             "verify-invariants", "--overrides", "check_steps=50", f"outdir={tmp_path}"
         )
         assert after_import == []
-        assert set(after_verb) <= {"scipy.sparse._sparsetools"}
+        assert_only_extensions(after_verb)
 
 
 def test_import_loads_no_multiprocessing():

@@ -401,8 +401,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # the objects imports made live until exit: frozen, the exit-time
-    # collections and verify-invariants' forked workers do not walk them
+    # the objects imports made live until exit: frozen, neither the exit-time
+    # collections nor the collections in verify-invariants' forked workers
+    # (which leave by os._exit) walk them, so a worker's collections do not
+    # copy the pages it shares with this process
     gc.freeze()
     sys.exit(main())
 

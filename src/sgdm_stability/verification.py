@@ -11,6 +11,8 @@ suite can assert on the same code path.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +26,10 @@ from .theory import max_eta_hb, max_gamma_nesterov
 # Processes `run_invariant_suite` runs its units on at most: one per CPU this
 # process may run on, counted as the risk sum counts its threads.
 SUITE_WORKERS = RISK_WORKERS
+# the bytes of one unit number in the pipe the workers share, and the most
+# written to it at once: POSIX's least PIPE_BUF, which a pipe takes whole
+_UNIT_BYTES = 4
+_QUEUE_WRITE = 512
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,15 @@ def _run_params(kind: str, hp: HyperParams) -> dict:
 
 
 def _decayed_sums(decay: float, terms: np.ndarray) -> np.ndarray:
-    """s_0..s_T of the T `terms`: s_0 = 0 and s_k = decay * s_{k-1} + terms[k-1]."""
-    s = np.zeros((terms.shape[0] + 1, *terms.shape[1:]))
-    for k in range(1, s.shape[0]):
-        s[k] = decay * s[k - 1] + terms[k - 1]
-    return s
+    """s_0..s_T of the T 1-D `terms`: s_0 = 0 and s_k = decay * s_{k-1} + terms[k-1].
+
+    Summed in Python floats: the IEEE operations numpy scalars would make, a
+    third of the cost; an overflow gives inf, as it does in numpy."""
+    sums = [acc := 0.0]
+    for t in terms.tolist():
+        acc = decay * acc + t
+        sums.append(acc)
+    return np.array(sums)
 
 
 def auxiliary_sequence(traj: Trajectory) -> tuple[np.ndarray, float]:
@@ -325,33 +335,129 @@ def _run_unit(unit) -> list[CheckOutcome]:
         return fn(*args)
 
 
+def _serve(units: list, tasks: int, results: int) -> None:
+    """A forked worker: run the units whose numbers it reads from the shared
+    `tasks` pipe until that ends, then write one pickled (unit, ok, outcomes
+    or exception) record per unit it ran to its own `results` pipe.  The
+    first unit that raises is the last one it runs."""
+    records = []
+    while number := os.read(tasks, _UNIT_BYTES):
+        u = int.from_bytes(number, "little")
+        try:
+            records.append(pickle.dumps((u, True, _run_unit(units[u]))))
+        except Exception as error:
+            records.append(_error_record(u, error))
+            break
+    with open(results, "wb") as out:
+        out.write(b"".join(records))
+
+
+def _error_record(u: int, error: Exception) -> bytes:
+    """The pickled failure of unit `u`: `error`, with the worker's traceback
+    as a note where Python has notes (3.11 on), or a RuntimeError carrying
+    its repr where `error` does not survive pickling."""
+    # imported only in a worker whose unit raised
+    import traceback
+
+    if hasattr(error, "add_note"):
+        error.add_note(f"in suite unit {u} on worker {os.getpid()}:\n{''.join(traceback.format_exception(error))}")
+    try:
+        record = pickle.dumps((u, False, error))
+        pickle.loads(record)
+    except Exception:
+        record = pickle.dumps((u, False, RuntimeError(f"suite unit {u} raised {error!r}, which cannot be pickled")))
+    return record
+
+
 def _run_units(units: list) -> list[list[CheckOutcome]]:
     """Each unit's outcomes, in the order given.
 
-    The units share nothing, so they run on min(units, SUITE_WORKERS) forked
-    processes, which take them in that order.  With one worker, or where fork
-    is not available, they run here, one after another.  An exception a unit
-    raises reaches the caller with its own type either way.
+    The units share nothing, so they run on min(units, SUITE_WORKERS)
+    children started by `os.fork`.  This process writes the unit numbers,
+    in the order given, to one pipe the children share, and runs no unit
+    itself; each child takes the numbers one at a time, and when the pipe
+    ends sends back what it ran through a pipe of its own and leaves by
+    `os._exit`.  This process reads every child's records, reaps every
+    child whatever happened, and joins the outcomes in unit order.  With one
+    worker, or where `fork` is not available, the units run here, one after
+    another.  Either way the first unit in the order given that raised
+    reaches the caller as its exception, with its own type, and a unit that
+    no child sent back, since its child died, as a RuntimeError naming the
+    children that did not exit normally.
     """
     workers = min(len(units), SUITE_WORKERS)
-    if workers > 1:
-        # imported here: `import sgdm_stability.cli` does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, context) as pool:
-                return list(pool.map(_run_unit, units))
-    return list(map(_run_unit, units))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return list(map(_run_unit, units))
+    tasks_r, tasks_w = os.pipe()
+    pids: list[int] = []
+    pipes: dict[int, int] = {}  # child pid -> read end of its results pipe
+    received: dict[int, tuple] = {}  # unit -> (ok, outcomes or exception)
+    try:
+        for _ in range(workers):
+            results_r, results_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # only this process keeps the other ends, so a child sees
+                    # the units' pipe end, and a broken results pipe once this
+                    # process stops reading
+                    for fd in (tasks_w, results_r, *pipes.values()):
+                        os.close(fd)
+                    _serve(units, tasks_r, results_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(results_w)
+            pipes[pid] = results_r
+        os.close(tasks_r)
+        tasks_r = None
+        numbers = b"".join(u.to_bytes(_UNIT_BYTES, "little") for u in range(len(units)))
+        try:
+            # writes of at most PIPE_BUF bytes land whole, so no child reads
+            # part of a number
+            for lo in range(0, len(numbers), _QUEUE_WRITE):
+                os.write(tasks_w, numbers[lo : lo + _QUEUE_WRITE])
+        except BrokenPipeError:
+            pass  # every child has stopped; their records say why
+        os.close(tasks_w)
+        tasks_w = None
+        for pid in list(pipes):
+            with open(pipes.pop(pid), "rb") as stream:
+                try:
+                    while True:
+                        u, ok, value = pickle.load(stream)
+                        received[u] = (ok, value)
+                except (EOFError, pickle.UnpicklingError):
+                    pass  # the end of its records, or of a child that died writing them
+    finally:
+        for fd in (tasks_r, tasks_w, *pipes.values()):
+            if fd is not None:
+                os.close(fd)
+        # with the numbers' pipe closed, and their results pipes too if this
+        # process stopped early, every child exits
+        statuses = [(pid, os.waitpid(pid, 0)[1]) for pid in pids]
+    # a negative code is the signal that killed the worker
+    lost = "; ".join(f"worker {pid} exited with code {os.waitstatus_to_exitcode(s)}" for pid, s in statuses if s)
+    outcomes = []
+    for u in range(len(units)):
+        if u not in received:
+            raise RuntimeError(f"no suite worker sent back unit {u}: {lost or 'every worker exited normally'}")
+        ok, value = received[u]
+        if not ok:
+            raise value
+        outcomes.append(value)
+    return outcomes
 
 
 def _map_units(units: list) -> list[list[CheckOutcome]]:
-    """Each unit's outcomes, in unit order, from `_run_units` started longest
-    first: the beta units, whose runs grow with the steps (about 30 ms each at
-    the default 1000 steps on the default data, 55 ms at 2000), before the
-    loss-lemma units, whose cost is fixed (10-25 ms), so that no worker starts
-    a long unit last."""
+    """Each unit's outcomes, in unit order, from `_run_units` given them
+    longest first: the beta units, whose runs grow with the steps (about 30 ms
+    each at the default 1000 steps on the default data, 55 ms at 2000), before
+    the loss-lemma units, whose cost is fixed (10-25 ms).  The workers take
+    the units one at a time in that order, so that none starts a long unit
+    last."""
     order = sorted(range(len(units)), key=lambda u: units[u][0] is _loss_lemmas)
     outcomes = dict(zip(order, _run_units([units[u] for u in order])))
     return [outcomes[u] for u in range(len(units))]
@@ -371,8 +477,9 @@ def run_invariant_suite(
     for the dataset's smoothness, mapped by `grid_points`; a fraction that
     makes any step 0 is a ConfigError before anything runs.
 
-    The suite is a list of independent units, run by `_map_units`: per kind,
-    one unit of the four loss-lemma checks, then one unit per beta.  In a
+    The suite is a list of independent units, run by `_map_units` on forked
+    workers, or in this process on one CPU: per kind, one unit of the four
+    loss-lemma checks, then one unit per beta.  In a
     beta's unit one heavy-ball run, with the momenta it recorded, feeds the
     y, dist and unrolling checks and is m_recursion's base, so m_recursion
     runs at most its neighbor; for beta > 0 one Nesterov run feeds the
@@ -382,7 +489,8 @@ def run_invariant_suite(
     once.  A run that leaves float range ends its unit with a failed
     `finite_runs` outcome whose observed value is the step it left at; a
     check whose residual overflows fails on it.  No outcome depends on where
-    its unit ran.
+    its unit ran, and no worker outlives the call, whether the suite passes,
+    fails or raises.
     """
     if data is None:
         data = synthetic_binary_dataset(60, 8, seed, density=0.6, flip=0.15)

@@ -120,10 +120,16 @@ class TestScipyImportedOnFirstUse:
         assert_only_extensions(after_verb)
 
 
-def test_import_loads_no_multiprocessing():
-    # verify-invariants imports its process pool only when it runs
-    probe = "import sys, sgdm_stability.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
-    assert fresh_stdout(probe) == "[]\n"
+def test_import_loads_no_multiprocessing(tmp_path):
+    # verify-invariants forks its workers with os.fork and talks to them
+    # through pipes and pickle: neither the import nor the verb loads a
+    # process pool, which would also load logging and queue
+    pool = ("concurrent", "multiprocessing", "logging", "queue")
+    after_import, after_verb = (
+        [m for m in names if m.split(".")[0] in pool]
+        for names in modules_loaded("verify-invariants", "--overrides", "check_steps=50", f"outdir={tmp_path}")
+    )
+    assert (after_import, after_verb) == ([], [])
 
 
 def test_import_and_run_stability_load_no_thread_pool(tmp_path):

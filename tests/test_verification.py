@@ -1,5 +1,9 @@
 import json
-import multiprocessing
+import math
+import os
+import signal
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -374,37 +378,44 @@ class TestSharedTrajectories:
         assert suite == oracle_suite(data, **kwargs)
 
 
+def assert_no_child_left():
+    # the workers are forked with os.fork, which multiprocessing does not see:
+    # ChildProcessError says that this process has no child, running or not reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSuiteOnWorkers:
     """The suite's units on forked workers give the report they give when
     they run in this process, one after another."""
 
     def _both(self, monkeypatch, **kwargs):
-        """The to_dict() reports of a pooled and of an in-process run, and
-        whether their reprs are equal: repr spells every float exactly, and
-        unlike == it finds a NaN equal to itself."""
+        """The to_dict() reports of a two-worker and of an in-process run,
+        and whether their reprs are equal: repr spells every float exactly,
+        and unlike == it finds a NaN equal to itself."""
         reports = []
         for workers in (2, 1):
             monkeypatch.setattr(verification, "SUITE_WORKERS", workers)
             reports.append([o.to_dict() for o in run_invariant_suite(**kwargs)])
-            assert multiprocessing.active_children() == []
-        pooled, in_process = reports
-        return pooled, repr(pooled) == repr(in_process)
+            assert_no_child_left()
+        forked, in_process = reports
+        return forked, repr(forked) == repr(in_process)
 
     def test_both_losses_over_betas(self, monkeypatch):
-        pooled, equal = self._both(monkeypatch, betas=(0.0, 0.5, 0.9), steps=150)
+        forked, equal = self._both(monkeypatch, betas=(0.0, 0.5, 0.9), steps=150)
         assert equal
-        assert {row["params"]["kind"] for row in pooled} == set(LOSS_KINDS)
+        assert {row["params"]["kind"] for row in forked} == set(LOSS_KINDS)
 
     def test_diverging_config(self, monkeypatch):
-        pooled, equal = self._both(monkeypatch, betas=(0.0, 0.9), steps=100, step_fraction=1e6)
+        forked, equal = self._both(monkeypatch, betas=(0.0, 0.9), steps=100, step_fraction=1e6)
         assert equal
-        assert [row for row in pooled if row["name"] == "finite_runs"]
+        assert [row for row in forked if row["name"] == "finite_runs"]
 
     def test_force_bug(self, monkeypatch):
         wrong_effective_step(monkeypatch)
-        pooled, equal = self._both(monkeypatch, betas=(0.5,), steps=100)
+        forked, equal = self._both(monkeypatch, betas=(0.5,), steps=100)
         assert equal
-        assert {row["name"] for row in pooled if row["status"] == "fail"} == {"y_identity"}
+        assert {row["name"] for row in forked if row["status"] == "fail"} == {"y_identity"}
 
     def test_units_start_longest_first_and_report_in_unit_order(self, monkeypatch):
         started = []
@@ -427,7 +438,112 @@ class TestSuiteOnWorkers:
         monkeypatch.setattr(verification, "check_convexity", broken)
         with pytest.raises(ValueError, match="broken convexity check"):
             run_invariant_suite(betas=(0.5,), steps=50)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+def no_pickle(*args):
+    # raised in a worker: the lock it holds cannot be pickled
+    raise ValueError(threading.Lock())
+
+
+class NoUnpickle(Exception):
+    # pickles, but its class cannot be rebuilt from the args it pickles with
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def no_unpickle(*args):
+    raise NoUnpickle(1, 2)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def slow_failure(message):
+    time.sleep(0.2)
+    raise ValueError(message)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("_run_units did not return within 60 s")
+
+
+class TestWorkerQueue:
+    """`_run_units` on two forked workers: every unit number the queue took
+    comes back once, in order, and every failure reaches the caller."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # a hang fails the test: the alarm interrupts this process, which
+        # then closes its pipes and reaps the workers
+        monkeypatch.setattr(verification, "SUITE_WORKERS", 2)
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_many_cheap_units_come_back_complete_and_in_order(self, monkeypatch, workers):
+        # 20 000 numbers of 4 bytes fill more than a 64 KiB pipe buffer, and
+        # most of them are more than one byte long; 5 workers outnumber the
+        # cores of a small host
+        monkeypatch.setattr(verification, "SUITE_WORKERS", workers)
+        words = ["", "a", "ab", "abc", "abcd", "abcde", "abcdef"]
+        units = [(len, (words[u % 7],)) for u in range(20_000)]
+        assert verification._run_units(units) == [u % 7 for u in range(20_000)]
+
+    @pytest.mark.parametrize("death, code", [((os._exit, (1,)), 1), ((kill_self, ()), -signal.SIGKILL)])
+    def test_a_worker_that_dies_is_named(self, death, code):
+        units = [(len, ("ab",))] * 6 + [death] + [(len, ("abc",))] * 6
+        with pytest.raises(RuntimeError, match=rf"no suite worker sent back unit \d+: worker \d+ exited with code {code}$"):
+            verification._run_units(units)
+
+    @pytest.mark.parametrize("raiser, name", [(no_pickle, "ValueError"), (no_unpickle, "NoUnpickle")])
+    def test_an_error_that_cannot_be_pickled_arrives_as_its_repr(self, raiser, name):
+        with pytest.raises(RuntimeError, match=rf"suite unit 1 raised {name}\(.*\), which cannot be pickled"):
+            verification._run_units([(len, ("ab",)), (raiser, ())])
+
+    @pytest.mark.parametrize("first", [(int, ("one",)), (slow_failure, ("'one'",))])
+    def test_the_first_failure_in_the_order_given_is_raised(self, first):
+        # both workers stop on an error, and the later units never run; the
+        # slow one fails after the unit behind it has
+        units = [(len, ("ab",)), first, (float, ("two",)), (len, ("abc",)), (int, ("three",))]
+        with pytest.raises(ValueError, match="'one'") as caught:
+            verification._run_units(units)
+        # Python 3.11 on: the note carries the worker's traceback
+        if hasattr(caught.value, "add_note"):
+            assert caught.value.__notes__[0].startswith("in suite unit 1 on worker ")
+
+
+def numpy_decayed_sums(decay, terms):
+    """`_decayed_sums` as a recursion over numpy scalars."""
+    s = np.zeros(terms.shape[0] + 1)
+    for k in range(1, s.shape[0]):
+        s[k] = decay * s[k - 1] + terms[k - 1]
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    decay=st.floats(0.0, 1.5),
+    terms=st.lists(st.floats(0.0, allow_infinity=True) | st.sampled_from([1e308, 1.7e308]), max_size=40),
+)
+@example(decay=0.99, terms=[1e308] * 4)
+@example(decay=0.0, terms=[math.inf, 1.0, 1.0])
+def test_decayed_sums_equal_the_numpy_recursion_bit_for_bit(decay, terms):
+    # the suite's terms are squared norms of finite runs, so >= 0 or inf;
+    # Python floats take the same IEEE steps, also where a sum overflows to
+    # inf and 0 * inf makes a NaN.  (Where a NaN meets a NaN term, the sign
+    # of the NaN they give may differ between the two.)
+    terms = np.array(terms, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        expected = numpy_decayed_sums(decay, terms)
+    assert verification._decayed_sums(decay, terms).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

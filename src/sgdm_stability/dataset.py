@@ -2,10 +2,11 @@
 
 A dataset is one CSR record: `indptr`, 0-based feature `indices`, `values`,
 one real `labels` entry per row, and the feature count `dim`.  Every other
-module reads rows by position (`Dataset.row`), through the padded row table
-(`Dataset.padded`) or the per-row summaries defined here, so this module is
-the only one that knows the layout, apart from the risk sum's sparse product,
-which reads the CSR arrays as they are.  Labels stay raw at parse time;
+module reads rows by position (`Dataset.row`), through the padded row tables
+(`Dataset.padded`, `Dataset.signed_padded`) or the per-row summaries defined
+here, so this module is the only one that knows the layout, apart from the
+risk sum's sparse product, which reads the CSR arrays (and
+`Dataset.signed_values`) as they are.  Labels stay raw at parse time;
 `binarize` maps them onto {-1, +1} for binary classification.  A train set
 and its neighbor are row positions into one dataset: `split_positions`
 draws the train and held-out positions, a neighbor replaces one train
@@ -176,6 +177,28 @@ class Dataset:
         indices[filled] = self.indices
         values[filled] = self.values
         return indices, values
+
+    @cached_property
+    def _negated_labels(self) -> np.ndarray | None:
+        """-label of every row if every label is +-1, else None."""
+        return -self.labels if (np.abs(self.labels) == 1.0).all() else None
+
+    @cached_property
+    def signed_values(self) -> np.ndarray | None:
+        """`values` with each row's entries times its -label: the rows -y x,
+        whose products <w, -y x> are z = -y <w, x> bit for bit (up to the sign
+        of a zero), since negating is exact and rounding to nearest is
+        symmetric.  None unless every label is +-1: times another label a
+        value may round."""
+        signs = self._negated_labels
+        return None if signs is None else self.values * np.repeat(signs, self.nnz)
+
+    @cached_property
+    def signed_padded(self) -> np.ndarray | None:
+        """The values table of `padded` with each row times its -label, or
+        None, as `signed_values`."""
+        signs = self._negated_labels
+        return None if signs is None else self.padded[1] * signs[:, None]
 
 
 # Lines per parse block: each block's tokens are checked and converted with a
@@ -591,6 +614,27 @@ def split_positions(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
+def available_memory() -> int | None:
+    """Bytes this process can still take: `MemAvailable` of /proc/meminfo,
+    or the cgroup's `memory.max` less its `memory.current` where those are
+    readable and that is less; None where neither can be read."""
+    figures = []
+    try:
+        with open("/proc/meminfo") as fh:
+            figures += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            limit = fh.read().strip()
+        if limit != "max":
+            with open("/sys/fs/cgroup/memory.current") as fh:
+                figures.append(int(limit) - int(fh.read()))
+    except (OSError, ValueError):
+        pass
+    return min(figures, default=None)
+
+
 def synthetic_binary_dataset(
     n: int,
     dim: int,
@@ -604,10 +648,23 @@ def synthetic_binary_dataset(
 
     Features have about `density * dim` nonzeros with norm close to `scale`;
     labels follow sign(<u, x>) for a hidden u, with a `flip` fraction of
-    label noise so the problem is not separable.
+    label noise so the problem is not separable.  Raises DataError, before
+    the first draw, where the rows' estimated size exceeds
+    `available_memory()`.
     """
     if n < 1 or dim < 1:
         raise DataError(f"need n >= 1 and dim >= 1, got n = {n}, dim = {dim}")
+    # 16 bytes (an index and a value) per expected entry, at least one per
+    # row, and one row's draw: a permutation of dim int64s, and k <= dim
+    # sorted indices and values.  The rows are built in Python lists, so no
+    # single allocation would fail at a size the host cannot hold
+    estimate = 16 * n * max(1.0, density * dim) + 24 * dim
+    available = available_memory()
+    if available is not None and estimate > available:
+        raise DataError(
+            f"synthetic data of synth_n = {n} rows by synth_dim = {dim} features at density {density:g}"
+            f" needs about {estimate / 2**20:.0f} MiB, more than the {available / 2**20:.0f} MiB available"
+        )
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)

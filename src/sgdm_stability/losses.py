@@ -9,8 +9,17 @@ Two loss kinds are supported:
 
 Both gradients are a scalar multiple of the feature vector, which the
 optimizer exploits for sparse updates.  `losses` and `grad_scales` hold the
-two formulas as functions of the margin <w, x> and the label; every other
-loss computation in the package goes through them.
+two formulas as functions of the margin <w, x> and the label, and
+`signed_losses` and `signed_scales` the logistic ones as functions of the
+signed margin z = -y <w, x>; `losses` and `grad_scales` go through them, the
+squared loss goes through `_squared_losses`, and every other loss
+computation in the package goes through these.  For a
+label of +-1, z is the margin of the signed row -y x bit for bit (negating
+is exact and rounding to nearest is symmetric), up to the sign of a zero
+margin, which neither formula reads: `Dataset.signed_values` and
+`Dataset.signed_padded` hold those rows, and the risk sum and the coupled
+kernel take z straight from their products.  The logistic gradient of a
+signed row is expit(z) * (-y x), the bits of (-y expit(z)) * x.
 
 The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
 1 / (1 + exp(-z)), and its exp is the C library's.  numpy's float `np.exp`
@@ -20,14 +29,15 @@ gradient.  A Python float goes through `math.exp`.  An array goes through
 scipy's `expit` ufunc, which computes 1 / (1 + exp(-z)) with the C library's
 exp: the scalar path's bits at every margin, in one compiled call.  `_expit`
 loads it from the `special/_special_ufuncs` extension file alone, and the
-CSR products of `margins`, `empirical_risk_many` and the batched kernel's
+CSR products of `margins` and `empirical_risk_many` and the batched kernel's
 writes call routines that `_sparsetools` loads from the `sparse/_sparsetools`
 extension file: a few milliseconds each, against about a quarter of a second
-to import `scipy.special` or `scipy.sparse`.  The
-risk sum takes the CSR product in tiles of RISK_ROWS data rows by RISK_COLUMNS
-weight rows and adds each tile's losses to a running total in row order, so
-its memory does not grow with n and each risk is the n losses added in row
-order from the first, divided by n, whatever block the row is evaluated in.
+to import `scipy.special` or `scipy.sparse`.  The risk sum takes the CSR
+product in tiles of RISK_ROWS data rows by RISK_COLUMNS weight rows, computed
+in place in two buffers per thread, and adds each tile's losses to a running
+total in row order, so its memory does not grow with n and each risk is the
+n losses added in row order from the first, divided by n, whatever block the
+row is evaluated in.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from collections.abc import Callable
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +56,12 @@ from .dataset import DataError, Dataset
 
 LOSS_KINDS = ("logistic", "squared")
 
-# Weight rows `empirical_risk_many` evaluates per task, the data rows each
-# task takes at a time, and its thread count: one per CPU this process may run
-# on.  A tile of RISK_ROWS x RISK_COLUMNS margins is 512 KB, so a task's
-# temporaries stay near the cache and do not grow with n; each band costs a
-# dozen numpy calls under the GIL.  The matrix product and the loss ufuncs
-# release the GIL, so the blocks run in parallel.
+# Weight rows `empirical_risk_many` evaluates per block, the data rows a
+# block takes at a time, and its thread count: one per CPU this process may
+# run on.  A tile of RISK_ROWS x RISK_COLUMNS margins is 512 KB, so a
+# thread's two tile buffers stay near the cache and do not grow with n; each
+# band costs about ten numpy calls under the GIL.  The matrix product and the
+# loss ufuncs release the GIL, so the blocks run in parallel.
 RISK_COLUMNS = 256
 RISK_ROWS = 256
 RISK_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -63,16 +73,39 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
+# the sign bit of a float64, as an int64
+_SIGN_BIT = np.int64(-(2**63))
+
+
+def signed_losses(z, t):
+    """Logistic loss log(1 + exp(z)) at signed margins z = -y <w, x>, written
+    into z; `t` is a float64 buffer of z's shape.  Computed as
+    log1p(exp(-|z|)) + max(z, 0), it cannot overflow.  -|z| is z with its
+    sign bit set, NaN and zeros included: one integer pass, where numpy's
+    `copysign` loop costs about three and `negative(abs(z))` two."""
+    np.bitwise_or(z.view(np.int64), _SIGN_BIT, out=t.view(np.int64))
+    np.log1p(np.exp(t, out=t), out=t)
+    return np.add(np.maximum(z, 0.0, out=z), t, out=z)
+
+
+def signed_scales(z, out=None):
+    """Scalar s with gradient s * (-y x) at signed margins z = -y <w, x>:
+    expit(z), in one compiled call, written into `out` if given."""
+    return _expit()(z, out=out)
+
+
+def _squared_losses(r):
+    """Squared loss r^2 / 2 at residuals r = <w, x> - y, written into r."""
+    return np.multiply(np.square(r, out=r), 0.5, out=r)
+
+
 def losses(margins, y, kind: str):
     """Loss at margin <w, x> and label y, elementwise."""
     if _check_kind(kind) == "logistic":
-        # log(1 + exp(z)), z = -y m, as log1p(exp(-|z|)) + max(z, 0): it cannot
-        # overflow, and is computed in z and t in place (`out=` keeps 0-d arrays)
+        # `out=` keeps 0-d arrays
         z = np.asarray(-y * margins, dtype=np.float64)
-        t = np.empty_like(z)
-        np.log1p(np.exp(np.negative(np.abs(z, out=t), out=t), out=t), out=t)
-        return np.add(np.maximum(z, 0.0, out=z), t, out=z)
-    return 0.5 * (margins - y) ** 2
+        return signed_losses(z, np.empty_like(z))
+    return _squared_losses(np.asarray(margins - y, dtype=np.float64))
 
 
 def _exp(t: float) -> float:
@@ -86,7 +119,7 @@ def _exp(t: float) -> float:
 def grad_scales(margins, y, kind: str, ny=None, out=None):
     """Scalar s with gradient s * x at margin <w, x> and label y, elementwise.
 
-    Python floats take `math.exp`; arrays take one `expit` call, with the
+    Python floats take `math.exp`; arrays take `signed_scales`, with the
     bits of the scalar path.  A caller may pass `ny` = -y when it has it, and
     `out`, an array of the broadcast shape, for the result.
     """
@@ -96,7 +129,7 @@ def grad_scales(margins, y, kind: str, ny=None, out=None):
             ny = -y
         if isinstance(margins, float) and isinstance(ny, float):
             return ny * (1.0 / (1.0 + _exp(-(ny * margins))))
-        s = _expit()(np.multiply(ny, margins, out=out), out=out)
+        s = signed_scales(np.multiply(ny, margins, out=out), out=out)
         return np.multiply(ny, s, out=out)
     return margins - y if out is None else np.subtract(margins, y, out=out)
 
@@ -167,27 +200,14 @@ def _expit():
     return expit or importlib.import_module("scipy.special").expit
 
 
-def _band_products(d: Dataset, height: int) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The product of rows r:r+height of `d` with a C-contiguous `wt`, as a
-    function of (r, wt), with the bits of scipy's CSR @ dense product:
-    `csr_matvecs`, the routine that product runs, reads row i at
-    ptr[i]:ptr[i+1] of `d`'s own index and value arrays, so a band is a view
-    of `indptr`."""
-    matvecs, indptr, indices, values = _sparsetools().csr_matvecs, d.indptr, d.indices, d.values
-
-    def product(r: int, wt: np.ndarray) -> np.ndarray:
-        ptr = indptr[r : r + height + 1]
-        out = np.zeros((ptr.size - 1, wt.shape[1]))
-        matvecs(ptr.size - 1, wt.shape[0], wt.shape[1], ptr, indices, values, wt.ravel(), out.ravel())
-        return out
-
-    return product
-
-
 def margins(d: Dataset, W: np.ndarray) -> np.ndarray:
     """The (n, len(W)) margins <w, x> of every row of `d` under every weight
-    row of `W`, with the bits of scipy's CSR @ dense product, in one band."""
-    return _band_products(d, d.n)(0, np.ascontiguousarray(W.T))
+    row of `W`, with the bits of scipy's CSR @ dense product: `csr_matvecs`,
+    the routine that product runs, on `d`'s own arrays."""
+    wt = np.ascontiguousarray(W.T)
+    out = np.zeros((d.n, wt.shape[1]))
+    _sparsetools().csr_matvecs(d.n, wt.shape[0], wt.shape[1], d.indptr, d.indices, d.values, wt.ravel(), out.ravel())
+    return out
 
 
 def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray:
@@ -195,47 +215,87 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
     CSR @ dense product gives, added in row order from the first, divided
     by n.
 
-    The rows go through the sparse matrix product in blocks of RISK_COLUMNS,
-    one block per task on RISK_WORKERS threads.  A task walks the data in
-    bands of RISK_ROWS rows and keeps a running sum per weight row, so one
-    (band, block) tile of margins and losses per thread is all that is held
-    at once, whatever n is.  The product accumulates each column on its own,
-    and numpy sums each column of a tile wider than one in row order; the
-    running sum enters each band as the first term of that order.  A block
-    of one row, whose lone column numpy would sum pairwise, is evaluated as
-    two identical columns and the first is kept.  So a row's risk depends
-    neither on the thread count, the band height nor the block it falls in.
+    The rows go through the sparse matrix product in blocks of RISK_COLUMNS.
+    RISK_WORKERS threads, the caller's among them, take the block numbers
+    from one shared iterator; a call of one block, or RISK_WORKERS = 1, runs
+    in the caller's thread alone, and the first exception a thread meets
+    reaches the caller.  A block walks the data in bands of RISK_ROWS rows
+    and keeps a running sum per weight row.  Each band's tile of margins and
+    losses is computed in place in two buffers its thread holds for the
+    whole call, so the memory does not grow with n.  For the logistic loss
+    on labels +-1, the product reads `Dataset.signed_values` and gives z =
+    -y <w, x> at once (`signed_losses`); other labels, and the squared loss,
+    take the product of the plain values.  The product accumulates each
+    column on its own, and numpy sums each column of a tile wider than one
+    in row order; the running sum enters each band as the first term of that
+    order.  A block of one row, whose lone column numpy would sum pairwise,
+    is evaluated as two identical columns and the first is kept.  So a row's
+    risk depends neither on the thread count, the band height nor the block
+    it falls in.
     """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
-    # resolved here: the workers touch no Dataset attribute
-    labels, n, height, width = d.labels[:, None], d.n, RISK_ROWS, RISK_COLUMNS
-    product = _band_products(d, height)
+    logistic = _check_kind(kind) == "logistic"
+    # resolved here: the threads touch no Dataset attribute
+    signed = d.signed_values if logistic else None
+    values = d.values if signed is None else signed
+    labels, negated = d.labels[:, None], -d.labels[:, None]
+    matvecs, indptr, indices = _sparsetools().csr_matvecs, d.indptr, d.indices
+    n, height, width = d.n, RISK_ROWS, RISK_COLUMNS
+    risks = np.empty(w_rows.shape[0])
 
-    # pool threads start from numpy's default error state: each task enters the caller's
-    @np.errstate(**np.geterr())
-    def block(lo: int) -> np.ndarray:
+    def block(lo: int, z: np.ndarray, t: np.ndarray) -> None:
         rows = w_rows[lo : lo + width]
         # contiguous, so the product does not copy it once per band
         wt = np.ascontiguousarray((rows if len(rows) > 1 else rows[[0, 0]]).T)
+        dim, cols = wt.shape
         acc = None
         for r in range(0, n, height):
-            tile = losses(product(r, wt), labels[r : r + height], kind)
+            ptr = indptr[r : r + height + 1]
+            h = ptr.size - 1
+            out = z[: h * cols]
+            out.fill(0.0)
+            matvecs(h, dim, cols, ptr, indices, values, wt.ravel(), out)
+            tile, scratch = out.reshape(h, cols), t[: h * cols].reshape(h, cols)
+            if signed is not None:
+                signed_losses(tile, scratch)
+            elif logistic:
+                signed_losses(np.multiply(negated[r : r + h], tile, out=tile), scratch)
+            else:
+                _squared_losses(np.subtract(tile, labels[r : r + h], out=tile))
             if acc is not None:
                 # in place of the band's first row: the sum so far plus that row,
                 # the addition numpy's row-order sum makes next
                 np.add(acc, tile[0], out=tile[0])
             acc = tile.sum(axis=0)
-        return acc[: len(rows)] / n
+        risks[lo : lo + len(rows)] = acc[: len(rows)] / n
 
-    # imported here: only the risk sum runs threads, and concurrent.futures
-    # would load logging and queue into every verb
-    from concurrent.futures import ThreadPoolExecutor
+    errors = []
+
+    def work(starts) -> None:
+        z, t = np.empty(height * width), np.empty(height * width)
+        try:
+            for lo in starts:
+                block(lo, z, t)
+        except BaseException as e:  # re-raised in the caller's thread
+            errors.append(e)
 
     starts = range(0, w_rows.shape[0], width)
-    with ThreadPoolExecutor(max_workers=min(RISK_WORKERS, len(starts))) as pool:
-        return np.concatenate(list(pool.map(block, starts)))
+    shared = iter(starts)
+    # new threads start from numpy's default error state: each enters the caller's
+    threads = [
+        threading.Thread(target=np.errstate(**np.geterr())(work), args=(shared,))
+        for _ in range(min(RISK_WORKERS, len(starts)) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    work(shared)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return risks
 
 
 @dataclass(frozen=True)

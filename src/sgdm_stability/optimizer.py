@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LOSS_KINDS, _sparsetools, empirical_risk_many, grad_scales
+from .losses import LOSS_KINDS, _sparsetools, empirical_risk_many, grad_scales, signed_scales
 
 
 class DivergenceError(RuntimeError):
@@ -268,9 +268,14 @@ def coupled_distance_batch(
     step, through the flat positions of the row's entries in the state; the
     positions and values of a few steps' rows are gathered at once.  The pair
     set is fixed for the call, and so are its per-pair arrays and buffers.
-    The margins are numpy products, and the gradient scales come from
-    `grad_scales` with the labels negated once per gather: one `expit` call
-    per step.  The gradient writes into the momentum (and, with gamma > 0, the
+    The margins are numpy products.  For the logistic loss on labels +-1
+    the rows are read from `Dataset.signed_padded`, so the products are the
+    signed margins z = -y <w, x> and the scales are `signed_scales(z)`, one
+    `expit` call per step, with the bits of the unsigned arithmetic: a
+    logistic step makes 7 numpy and scipy calls, 9 with gamma > 0.  Other
+    labels, and the squared loss, take the rows of `Dataset.padded` and the
+    scales of `grad_scales`, with the labels negated once per gather.  The
+    gradient writes into the momentum (and, with gamma > 0, the
     iterate) and the step w -= eta * m are each one call to a compiled scipy
     routine (`_add_rows`, `_add_product`), with the bits of numpy's updates.
     Each step repeats the arithmetic of a lone pair operation for operation,
@@ -318,7 +323,12 @@ def coupled_distance_batch(
     if w1.shape != (dim,):
         raise ValueError(f"w1 must have shape ({dim},), got {w1.shape}")
 
+    # for the logistic loss on labels +-1 the rows are signed by -y: their
+    # margins are z = -y <w, x> and their scales expit(z)
+    signed = data.signed_padded if kind == "logistic" else None
     indices, values = data.padded
+    if signed is not None:
+        values = signed
     width = indices.shape[1]
     sub = _gather_steps(width)
     # pair p is (repetition p // G, grid point p % G).  Its arrays: the flat
@@ -396,7 +406,10 @@ def coupled_distance_batch(
                         a = np.flatnonzero(hit[rep, j])
                         wa = W.reshape(-1).take(flat[a])[:, :, None, :]
                         margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
-                    scales = grad_scales(margins, y, kind, ny, scale_buf)
+                    if signed is not None:
+                        scales = signed_scales(margins, scale_buf)
+                    else:
+                        scales = grad_scales(margins, y, kind, ny, scale_buf)
                     bad = None
                     if not math.isfinite(np.add.reduce(margins, None)):
                         finite = np.isfinite(margins)

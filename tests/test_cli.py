@@ -230,6 +230,21 @@ class TestRunStability:
         assert f"would both write {name}" in err
         assert not calls and not out.exists()
 
+    def test_synthetic_data_beyond_the_available_memory_is_refused(self, tmp_path, capsys, monkeypatch):
+        # about 9.7 GiB of rows and a row draw against 1 GiB available: exit 2 before the
+        # first draw, which the patched generator would refuse
+        monkeypatch.setattr(sgdm_stability.dataset, "available_memory", lambda: 2**30)
+        monkeypatch.setattr(
+            sgdm_stability.dataset.np.random, "default_rng", lambda seed: pytest.fail("drew the rows")
+        )
+        out = tmp_path / "o"
+        overrides = ["dataset=synthetic", "synth_dim=100000000", "synth_n=10", "reps=1", "epochs=1", f"outdir={out}"]
+        assert main(["run-stability", "--overrides", *overrides]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: synthetic data of synth_n = 10 rows by synth_dim = 100000000 features")
+        assert "needs about 9918 MiB, more than the 1024 MiB available" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_points_with_distinct_csv_names_keep_them(self, tmp_path, capsys):
         out = tmp_path / "o"
         overrides = [

@@ -726,6 +726,32 @@ class TestSynthetic:
     def test_deterministic(self):
         assert synthetic_binary_dataset(20, 5, seed=3) == synthetic_binary_dataset(20, 5, seed=3)
 
+    @pytest.mark.parametrize(
+        "n, dim, density, fits", [(10, 100_000_000, 0.5, False), (1000, 20, 0.5, True), (10**8, 1, 0.0, False)]
+    )
+    def test_refused_before_the_first_draw_beyond_the_available_memory(self, n, dim, density, fits, monkeypatch):
+        # 16 bytes per expected entry, at least one per row, and 24 * dim for
+        # a row's draw, against 1 GiB said to be available; the generator is
+        # never seeded on a refusal, so nothing is drawn at the refused size
+        monkeypatch.setattr(dataset, "available_memory", lambda: 2**30)
+        if fits:
+            assert synthetic_binary_dataset(n, dim, seed=0, density=density).n == n
+            return
+        monkeypatch.setattr(dataset.np.random, "default_rng", mock.Mock(side_effect=AssertionError("drew")))
+        estimate = 16 * n * max(1.0, density * dim) + 24 * dim
+        message = (
+            rf"synth_n = {n} rows by synth_dim = {dim} features at density {density:g} needs"
+            rf" about {estimate / 2**20:.0f} MiB, more than the 1024 MiB available"
+        )
+        with pytest.raises(DataError, match=message):
+            synthetic_binary_dataset(n, dim, seed=0, density=density)
+
+    def test_the_available_memory_is_read(self):
+        available = dataset.available_memory()
+        if available is None:
+            pytest.skip("neither /proc/meminfo nor the cgroup's memory files can be read")
+        assert available > 0
+
 
 class TestRowOperations:
     """take, neighbors, the tests' stack, padded and norm_sq against per-row reads."""

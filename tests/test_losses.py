@@ -1,5 +1,9 @@
 import importlib.machinery
+import itertools
 import math
+import signal
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -29,6 +33,10 @@ from sgdm_stability.verification import (
     check_gradient_fd,
     check_self_bounding,
 )
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the risk sum's threads did not finish")
 
 
 def ex(indices, values, label, dim=None):
@@ -409,6 +417,8 @@ class TestBlockedRisk:
         peaks = {}
         for n in (2_000, 20_000):
             d = synthetic_binary_dataset(n, 8, seed=11)
+            # the signed row values are built once per dataset, before the measured call
+            d.signed_values
             tracemalloc.start()
             try:
                 empirical_risk_many(W, d, "logistic")
@@ -416,6 +426,74 @@ class TestBlockedRisk:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[20_000] - peaks[2_000]) < 8 * 20_000
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_weight_rows_give_no_risks(self, workers):
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers):
+            for kind in ("logistic", "squared"):
+                got = empirical_risk_many(np.zeros((0, self.DATA.dim)), self.DATA, kind)
+                assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_labels_other_than_unit_keep_the_unsigned_bits(self, kind, workers):
+        # no signed values for such labels (0.1 * x would round): the product
+        # reads the plain values and the losses negate the labels, as `losses`
+        # does
+        d = self.TALL
+        d = Dataset(d.indptr, d.indices, d.values, np.resize([2.0, -0.5, 0.0, -0.0, 0.1], d.n), d.dim)
+        assert d.signed_values is None and d.signed_padded is None
+        W = np.random.default_rng(7).standard_normal((2 * RISK_COLUMNS + 3, d.dim))
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers), \
+                mock.patch.object(losses_module, "RISK_ROWS", 7):
+            got = empirical_risk_many(W, d, kind)
+        assert got.tobytes() == self.unblocked(W, d, kind).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_error_reaches_the_caller_once_every_thread_is_done(self, workers, monkeypatch):
+        # the block that raises runs on whichever thread takes it; the caller
+        # gets its exception after the other threads have finished
+        W = np.random.default_rng(8).standard_normal((4 * RISK_COLUMNS, self.DATA.dim))
+        # the tile numbers come from one atomic counter, so exactly one raises
+        tiles = itertools.count()
+        signed_losses = losses_module.signed_losses
+
+        def failing(z, t):
+            if next(tiles) == 1:
+                raise KeyError("band")
+            return signed_losses(z, t)
+
+        monkeypatch.setattr(losses_module, "signed_losses", failing)
+        threads = threading.active_count()
+        with mock.patch.object(losses_module, "RISK_WORKERS", workers), pytest.raises(KeyError, match="band"):
+            empirical_risk_many(W, self.DATA, "logistic")
+        assert threading.active_count() == threads
+
+    def test_threads_take_every_block_once_under_fast_switching(self, monkeypatch):
+        # more threads than cores pull 64 two-row blocks from the shared
+        # iterator while the interpreter switches threads every microsecond:
+        # each (block, band) tile is computed exactly once, and every risk is
+        # written; SIGALRM bounds a hang
+        d, width, band = self.DATA, 2, 7
+        W = np.random.default_rng(9).standard_normal((64 * width, d.dim))
+        want = self.unblocked(W, d, "logistic")
+        tiles = []
+        signed_losses = losses_module.signed_losses
+        monkeypatch.setattr(losses_module, "signed_losses", lambda z, t: tiles.append(None) or signed_losses(z, t))
+        previous = (sys.getswitchinterval(), signal.signal(signal.SIGALRM, _timed_out))
+        signal.alarm(60)
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(losses_module, "RISK_WORKERS", 8), \
+                    mock.patch.object(losses_module, "RISK_COLUMNS", width), \
+                    mock.patch.object(losses_module, "RISK_ROWS", band):
+                got = empirical_risk_many(W, d, "logistic")
+        finally:
+            sys.setswitchinterval(previous[0])
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous[1])
+        assert len(tiles) == 64 * -(-d.n // band)
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -437,6 +515,59 @@ class TestBlockedRisk:
             for i in {0, rows // 2, rows - 1}:
                 alone = empirical_risk_many(W[i : i + 1], self.DATA, kind)
                 assert alone.tobytes() == batch[i : i + 1].tobytes()
+
+
+class TestSignedRows:
+    """Rows times -y give z = -y <w, x> from the products themselves."""
+
+    @staticmethod
+    def kernel_products(W, values, indices):
+        """The coupled kernel's margins of every row under the two rows of W,
+        read at the row's padded positions, as its `matmul` takes them."""
+        cells = np.concatenate([W, np.zeros((2, 1))], axis=1)[:, indices].transpose(1, 0, 2)
+        return np.matmul(cells, values[:, :, None])[:, :, 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        dim=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        weights=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan]),
+            min_size=12,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signed_margins_are_the_negated_unsigned_ones(self, rows, dim, density, weights, seed):
+        # byte for byte, infs and NaNs included, up to the sign of a zero: a
+        # sum that cancels or has no terms is +0 either way, which -y turns
+        # into -0 for y = 1; neither the loss nor the scale at z = 0 reads it
+        rng = np.random.default_rng(seed)
+        mask = rng.random((rows, dim)) < density
+        values = np.where(mask, rng.choice([1.0, -3.5, 1e-300, 1e300, 2.0**-1074], (rows, dim)), 0.0)
+        indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        labels = rng.choice([-1.0, 1.0], rows)
+        d = Dataset(indptr, np.nonzero(mask)[1], values[mask], labels, dim)
+        W = np.resize(np.array(weights), (2, dim))
+        signed = Dataset(d.indptr, d.indices, d.signed_values, d.labels, d.dim)
+        indices, plain = d.padded
+        with np.errstate(all="ignore"):
+            pairs = [
+                (losses_module.margins(signed, W), losses_module.margins(d, W)),
+                (self.kernel_products(W, d.signed_padded, indices), self.kernel_products(W, plain, indices)),
+            ]
+            for z, m in pairs:
+                assert (z + 0.0).tobytes() == (-labels[:, None] * m + 0.0).tobytes()
+
+    def test_only_unit_labels_are_signed(self):
+        d = parse_libsvm("1 1:2 3:-1\n-1 2:0.5\n1\n")
+        assert d.signed_values.tolist() == [-2.0, 1.0, 0.5]
+        assert d.signed_padded.tolist() == [[-2.0, 1.0], [0.5, 0.0], [-0.0, -0.0]]
+        for label in (2.0, -0.5, 0.0, -0.0):
+            other = parse_libsvm(f"1 1:2\n{label!r} 2:0.5\n")
+            assert other.signed_values is None and other.signed_padded is None
 
 
 class TestExpitLoaded:

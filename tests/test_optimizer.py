@@ -23,7 +23,7 @@ from conftest import (
 )
 from sgdm_stability import optimizer
 from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
-from sgdm_stability.losses import empirical_risk_many, grad_scales, loss_grad, smoothness
+from sgdm_stability.losses import empirical_risk_many, grad_scales, loss_grad, signed_scales, smoothness
 from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
     DivergenceError,
@@ -751,14 +751,20 @@ class TestCoupledBatch:
 
     @staticmethod
     def _recorded_margins(monkeypatch):
-        """A copy of the margins of each `grad_scales` call the kernel makes,
-        in order."""
+        """A copy of the margins of each scale call the kernel makes, in
+        order: z = -y <w, x> of `signed_scales` (the logistic loss on labels
+        +-1), <w, x> of `grad_scales`."""
         recorded = []
+
+        def recorded_signed(z, out):
+            recorded.append(z.copy())
+            return signed_scales(z, out)
 
         def recorded_scales(margins, y, kind, ny, out):
             recorded.append(margins.copy())
             return grad_scales(margins, y, kind, ny, out)
 
+        monkeypatch.setattr(optimizer, "signed_scales", recorded_signed)
         monkeypatch.setattr(optimizer, "grad_scales", recorded_scales)
         return recorded
 
@@ -826,8 +832,9 @@ class TestCoupledBatch:
     @staticmethod
     def _plain_step_loop(monkeypatch):
         """The kernel with rows gathered one step at a time, numpy's updates in
-        place of the compiled writes, each gradient scale from the scalar path
-        of `grad_scales`, and every margin tested for finiteness, not their
+        place of the compiled writes, the rows and the risk sum's values
+        unsigned, each gradient scale from the scalar path of `grad_scales` at
+        the unsigned margin, and every margin tested for finiteness, not their
         sum: the arithmetic of a plain step loop."""
 
         def add_rows(target, flat, values, colptr, scales):
@@ -844,6 +851,10 @@ class TestCoupledBatch:
         monkeypatch.setattr(optimizer, "_add_rows", add_rows)
         monkeypatch.setattr(optimizer, "_add_product", add_product)
         monkeypatch.setattr(optimizer, "grad_scales", scalar_scales)
+        # as on labels other than +-1: the kernel and the risk sum take the
+        # unsigned values and formulas
+        for name in ("signed_padded", "signed_values"):
+            monkeypatch.setattr(Dataset, name, property(lambda self: None))
         # the kernel's `math` only tests the margins' sum: as never finite,
         # every step tests its margins one by one
         monkeypatch.setattr(optimizer, "math", SimpleNamespace(isfinite=lambda total: False))
@@ -910,14 +921,40 @@ class TestCoupledBatch:
         elif case == "chunk_not_a_multiple":
             assert not batch.diverged_step.any()
         else:
-            # the first step's margins reach 709.0000362545957, margins past
-            # 709 and non-finite ones occur later too, and so do steps whose
-            # margins are all finite; repetition 0 keeps three pairs to the end
-            assert 709.0000362545957 in recorded[0]
+            # the first step's signed margins reach z = -709.0000362545957 (the
+            # row's label is 1), margins past 709 and non-finite ones occur
+            # later too, and so do steps whose margins are all finite;
+            # repetition 0 keeps three pairs to the end
+            assert -709.0000362545957 in recorded[0]
             assert any(((np.abs(m) > 709.0) & np.isfinite(m)).any() for m in recorded[1:])
             finite = [np.isfinite(m).all() for m in recorded]
             assert any(finite) and not all(finite)
             assert batch.diverged_step[1:].all() and (batch.diverged_step[0] > 0).sum() == 1
+        for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
+            assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
+
+    def test_labels_other_than_unit_keep_the_plain_loop_bytes(self, monkeypatch):
+        # logistic data with labels 2, -0.5, 0, -0 and 0.1: no signed rows, so the
+        # kernel and its risk sum take the unsigned formulas, with the bits of
+        # the plain loop; 5-step sub-blocks of 16-step stream blocks, and a
+        # pair with gamma > 0
+        examples, train_rows, perturbed, replacements, seeds = self._setup()
+        labels = np.resize([2.0, -0.5, 0.0, -0.0, 0.1], examples.n)
+        examples = Dataset(examples.indptr, examples.indices, examples.values, labels, examples.dim)
+        assert examples.signed_padded is None
+        args = (
+            examples, train_rows, perturbed, replacements, [SampleStream(s, self.N_TRAIN) for s in seeds],
+            "logistic", self._grid(), np.linspace(-0.5, 0.5, self.DIM), 3,
+        )
+        risk_data = examples.take(train_rows[0])
+        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_gather_steps", lambda width: 5)
+            patch.setattr(optimizer, "signed_scales", mock.Mock(side_effect=AssertionError("signed scales")))
+            batch = coupled_distance_batch(*args, risk_data=risk_data)
+        self._plain_step_loop(monkeypatch)
+        plain = coupled_distance_batch(*args, risk_data=risk_data)
+        assert not batch.diverged_step.any() and np.isfinite(batch.sum_risk).all()
         for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
             assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
 
@@ -1000,8 +1037,8 @@ class TestCoupledBatch:
         # far below a single (reps, T) index array of the longer run
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         data = synthetic_binary_dataset(400, 5, seed=0)
-        # the row table is built once per dataset, before the measured calls
-        data.padded
+        # the row tables are built once per dataset, before the measured calls
+        data.padded, data.signed_padded
         rng = np.random.default_rng(1)
         R, n = 10, 320
         train_rows = np.stack([np.sort(rng.choice(400, n, replace=False)) for _ in range(R)])

@@ -146,6 +146,22 @@ def test_import_and_run_stability_load_no_thread_pool(tmp_path):
     assert stdout.splitlines()[-1] == "[]"
 
 
+def test_check_bounds_loads_no_thread_pool(tmp_path):
+    # the risk sum runs its blocks on plain threads, which numpy's import has
+    # loaded already; a thread pool would load concurrent.futures, logging
+    # and queue
+    pool = ("concurrent", "logging", "queue")
+    after_import, after_verb = (
+        [m for m in names if m.split(".")[0] in pool]
+        for names in modules_loaded(
+            # two samples of 3n = 144 steps: 288 base iterates, two blocks
+            "check-bounds", "--overrides", *TestScipyImportedOnFirstUse.SYNTHETIC, "samples=2", "t=3n",
+            f"outdir={tmp_path}",
+        )
+    )
+    assert (after_import, after_verb) == ([], [])
+
+
 class TestVerbModulesImportedAtDispatch:
     """verification and plotting are compiled and imported only by the verbs
     that run them."""

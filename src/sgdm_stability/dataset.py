@@ -2,15 +2,18 @@
 
 A dataset is one CSR record: `indptr`, 0-based feature `indices`, `values`,
 one real `labels` entry per row, and the feature count `dim`.  Every other
-module reads rows by position (`Dataset.row`), through the padded row tables
-(`Dataset.padded`, `Dataset.signed_padded`) or the per-row summaries defined
-here, so this module is the only one that knows the layout, apart from the
-risk sum's sparse product, which reads the CSR arrays (and
-`Dataset.signed_values`) as they are.  Labels stay raw at parse time;
-`binarize` maps them onto {-1, +1} for binary classification.  A train set
-and its neighbor are row positions into one dataset: `split_positions`
-draws the train and held-out positions, a neighbor replaces one train
-position by another, and `Dataset.take` gathers the rows of any positions.
+module reads rows by position (`Dataset.row`), through the padded row table
+(`Dataset.padded`) or the per-row summaries defined here, so this module is
+the only one that knows the layout, apart from the risk sum's sparse
+product, which reads the CSR arrays (with `Dataset.signed_values`) as they
+are.  The padded table and `signed_values` hold signed rows -y x, which the
+fast paths (the coupled kernel and the risk sum) read for both losses; they
+refuse labels other than +-1, while `Dataset.row`, which the reference loop
+reads, takes any label.  Labels stay raw at parse time; `binarize` maps them
+onto {-1, +1} for binary classification.  A train set and its neighbor are
+row positions into one dataset: `split_positions` draws the train and
+held-out positions, a neighbor replaces one train position by another, and
+`Dataset.take` gathers the rows of any positions.
 """
 
 from __future__ import annotations
@@ -165,40 +168,38 @@ class Dataset:
             indptr, self.indices[entries], self.values[entries], self.labels[positions], self.dim
         )
 
+    def _signs(self) -> np.ndarray:
+        """-label of every row, the factor of its signed row -y x; DataError
+        unless every label is +-1, since times another label a value may
+        round."""
+        other = self.labels[np.abs(self.labels) != 1.0]
+        if other.size:
+            raise DataError(f"signed rows need labels of +-1, got {float(other[0])!r}; binarize the data")
+        return -self.labels
+
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, width) tables of every row's indices and values, at the widest
-        row's width (at least 1): the row's entries first, then index `dim`
-        with value 0."""
+        """(n, width) tables of every row's indices and signed values -y x
+        (see `signed_values`), at the widest row's width (at least 1): the
+        row's entries first, then index `dim` with value 0 times -y.  Raises
+        DataError unless every label is +-1."""
+        signs = self._signs()
         width = max(int(self.nnz.max()), 1)
         filled = np.arange(width) < self.nnz[:, None]
         indices = np.full((self.n, width), self.dim, dtype=np.intp)
         values = np.zeros((self.n, width))
         indices[filled] = self.indices
         values[filled] = self.values
+        values *= signs[:, None]
         return indices, values
 
     @cached_property
-    def _negated_labels(self) -> np.ndarray | None:
-        """-label of every row if every label is +-1, else None."""
-        return -self.labels if (np.abs(self.labels) == 1.0).all() else None
-
-    @cached_property
-    def signed_values(self) -> np.ndarray | None:
+    def signed_values(self) -> np.ndarray:
         """`values` with each row's entries times its -label: the rows -y x,
         whose products <w, -y x> are z = -y <w, x> bit for bit (up to the sign
         of a zero), since negating is exact and rounding to nearest is
-        symmetric.  None unless every label is +-1: times another label a
-        value may round."""
-        signs = self._negated_labels
-        return None if signs is None else self.values * np.repeat(signs, self.nnz)
-
-    @cached_property
-    def signed_padded(self) -> np.ndarray | None:
-        """The values table of `padded` with each row times its -label, or
-        None, as `signed_values`."""
-        signs = self._negated_labels
-        return None if signs is None else self.padded[1] * signs[:, None]
+        symmetric.  Raises DataError unless every label is +-1."""
+        return self.values * np.repeat(self._signs(), self.nnz)
 
 
 # Lines per parse block: each block's tokens are checked and converted with a

@@ -9,17 +9,19 @@ Two loss kinds are supported:
 
 Both gradients are a scalar multiple of the feature vector, which the
 optimizer exploits for sparse updates.  `losses` and `grad_scales` hold the
-two formulas as functions of the margin <w, x> and the label, and
-`signed_losses` and `signed_scales` the logistic ones as functions of the
-signed margin z = -y <w, x>; `losses` and `grad_scales` go through them, the
-squared loss goes through `_squared_losses`, and every other loss
-computation in the package goes through these.  For a
-label of +-1, z is the margin of the signed row -y x bit for bit (negating
-is exact and rounding to nearest is symmetric), up to the sign of a zero
-margin, which neither formula reads: `Dataset.signed_values` and
-`Dataset.signed_padded` hold those rows, and the risk sum and the coupled
-kernel take z straight from their products.  The logistic gradient of a
-signed row is expit(z) * (-y x), the bits of (-y expit(z)) * x.
+two formulas as functions of the margin <w, x> and any real label y: they
+are the reference.  `signed_losses` and `signed_scales` hold them as
+functions of the signed margin z = -y <w, x> of a label +-1, for which the
+residual <w, x> - y is -y (z + 1): the logistic loss log(1 + exp(z)) with
+scale expit(z), and the squared loss (z + 1)^2 / 2 with scale z + 1.  The
+logistic `losses` and `grad_scales` go through them, and every other loss
+computation in the package goes through these.  For a label of +-1, z is the
+margin of the signed row -y x bit for bit (negating is exact and rounding to
+nearest is symmetric), up to the sign of a zero margin, which no formula
+reads, and a scale s at z times -y x is the reference scale times x, bit
+for bit.  `Dataset.signed_values` and `Dataset.padded` hold those rows and
+refuse labels other than +-1, so the risk sum and the coupled kernel, the
+fast paths, take z straight from their products for both losses.
 
 The logistic gradient scale is -y * sigmoid(-y m) with sigmoid(z) =
 1 / (1 + exp(-z)), and its exp is the C library's.  numpy's float `np.exp`
@@ -77,21 +79,25 @@ def _check_kind(kind: str) -> str:
 _SIGN_BIT = np.int64(-(2**63))
 
 
-def signed_losses(z, t):
-    """Logistic loss log(1 + exp(z)) at signed margins z = -y <w, x>, written
-    into z; `t` is a float64 buffer of z's shape.  Computed as
-    log1p(exp(-|z|)) + max(z, 0), it cannot overflow.  -|z| is z with its
-    sign bit set, NaN and zeros included: one integer pass, where numpy's
-    `copysign` loop costs about three and `negative(abs(z))` two."""
-    np.bitwise_or(z.view(np.int64), _SIGN_BIT, out=t.view(np.int64))
-    np.log1p(np.exp(t, out=t), out=t)
-    return np.add(np.maximum(z, 0.0, out=z), t, out=z)
+def signed_losses(z, t, kind: str):
+    """Loss at signed margins z = -y <w, x> of labels +-1, written into z;
+    `t` is a float64 buffer of z's shape.  The logistic loss log(1 + exp(z))
+    is computed as log1p(exp(-|z|)) + max(z, 0), so it cannot overflow; -|z|
+    is z with its sign bit set, NaN and zeros included: one integer pass,
+    where numpy's `copysign` loop costs about three and `negative(abs(z))`
+    two.  The squared loss is (z + 1)^2 / 2, z + 1 being -y (<w, x> - y)."""
+    if kind == "logistic":
+        np.bitwise_or(z.view(np.int64), _SIGN_BIT, out=t.view(np.int64))
+        np.log1p(np.exp(t, out=t), out=t)
+        return np.add(np.maximum(z, 0.0, out=z), t, out=z)
+    return _squared_losses(np.add(z, 1.0, out=z))
 
 
-def signed_scales(z, out=None):
-    """Scalar s with gradient s * (-y x) at signed margins z = -y <w, x>:
-    expit(z), in one compiled call, written into `out` if given."""
-    return _expit()(z, out=out)
+def signed_scales(z, kind: str, out=None):
+    """Scalar s with gradient s * (-y x) at signed margins z = -y <w, x> of
+    labels +-1, written into `out` if given: expit(z), in one compiled call,
+    for the logistic loss, and z + 1 for the squared loss."""
+    return _expit()(z, out=out) if kind == "logistic" else np.add(z, 1.0, out=out)
 
 
 def _squared_losses(r):
@@ -104,7 +110,7 @@ def losses(margins, y, kind: str):
     if _check_kind(kind) == "logistic":
         # `out=` keeps 0-d arrays
         z = np.asarray(-y * margins, dtype=np.float64)
-        return signed_losses(z, np.empty_like(z))
+        return signed_losses(z, np.empty_like(z), kind)
     return _squared_losses(np.asarray(margins - y, dtype=np.float64))
 
 
@@ -116,22 +122,19 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def grad_scales(margins, y, kind: str, ny=None, out=None):
+def grad_scales(margins, y, kind: str):
     """Scalar s with gradient s * x at margin <w, x> and label y, elementwise.
 
     Python floats take `math.exp`; arrays take `signed_scales`, with the
-    bits of the scalar path.  A caller may pass `ny` = -y when it has it, and
-    `out`, an array of the broadcast shape, for the result.
+    bits of the scalar path.
     """
     if _check_kind(kind) == "logistic":
-        # ny * expit(ny m), with expit(z) = 1 / (1 + exp(-z))
-        if ny is None:
-            ny = -y
+        # -y * expit(-y m), with expit(z) = 1 / (1 + exp(-z))
+        ny = -y
         if isinstance(margins, float) and isinstance(ny, float):
             return ny * (1.0 / (1.0 + _exp(-(ny * margins))))
-        s = signed_scales(np.multiply(ny, margins, out=out), out=out)
-        return np.multiply(ny, s, out=out)
-    return margins - y if out is None else np.subtract(margins, y, out=out)
+        return ny * signed_scales(ny * margins, kind)
+    return margins - y
 
 
 def _row_margin(w: np.ndarray, d: Dataset, i: int):
@@ -222,25 +225,22 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
     reaches the caller.  A block walks the data in bands of RISK_ROWS rows
     and keeps a running sum per weight row.  Each band's tile of margins and
     losses is computed in place in two buffers its thread holds for the
-    whole call, so the memory does not grow with n.  For the logistic loss
-    on labels +-1, the product reads `Dataset.signed_values` and gives z =
-    -y <w, x> at once (`signed_losses`); other labels, and the squared loss,
-    take the product of the plain values.  The product accumulates each
-    column on its own, and numpy sums each column of a tile wider than one
-    in row order; the running sum enters each band as the first term of that
-    order.  A block of one row, whose lone column numpy would sum pairwise,
-    is evaluated as two identical columns and the first is kept.  So a row's
-    risk depends neither on the thread count, the band height nor the block
-    it falls in.
+    whole call, so the memory does not grow with n.  The product reads
+    `Dataset.signed_values`, which raises DataError unless every label is
+    +-1, and gives the signed margins z = -y <w, x> of `signed_losses`.
+    The product accumulates each column on its own, and numpy sums each
+    column of a tile wider than one in row order; the running sum enters
+    each band as the first term of that order.  A block of one row, whose
+    lone column numpy would sum pairwise, is evaluated as two identical
+    columns and the first is kept.  So a row's risk depends neither on the
+    thread count, the band height nor the block it falls in.
     """
     w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.float64))
     if w_rows.shape[1] != d.dim:
         raise ValueError(f"weight rows have dim {w_rows.shape[1]}, dataset has {d.dim}")
-    logistic = _check_kind(kind) == "logistic"
+    _check_kind(kind)
     # resolved here: the threads touch no Dataset attribute
-    signed = d.signed_values if logistic else None
-    values = d.values if signed is None else signed
-    labels, negated = d.labels[:, None], -d.labels[:, None]
+    values = d.signed_values
     matvecs, indptr, indices = _sparsetools().csr_matvecs, d.indptr, d.indices
     n, height, width = d.n, RISK_ROWS, RISK_COLUMNS
     risks = np.empty(w_rows.shape[0])
@@ -258,12 +258,7 @@ def empirical_risk_many(w_rows: np.ndarray, d: Dataset, kind: str) -> np.ndarray
             out.fill(0.0)
             matvecs(h, dim, cols, ptr, indices, values, wt.ravel(), out)
             tile, scratch = out.reshape(h, cols), t[: h * cols].reshape(h, cols)
-            if signed is not None:
-                signed_losses(tile, scratch)
-            elif logistic:
-                signed_losses(np.multiply(negated[r : r + h], tile, out=tile), scratch)
-            else:
-                _squared_losses(np.subtract(tile, labels[r : r + h], out=tile))
+            signed_losses(tile, scratch, kind)
             if acc is not None:
                 # in place of the band's first row: the sum so far plus that row,
                 # the addition numpy's row-order sum makes next

@@ -268,32 +268,32 @@ def coupled_distance_batch(
     step, through the flat positions of the row's entries in the state; the
     positions and values of a few steps' rows are gathered at once.  The pair
     set is fixed for the call, and so are its per-pair arrays and buffers.
-    The margins are numpy products.  For the logistic loss on labels +-1
-    the rows are read from `Dataset.signed_padded`, so the products are the
-    signed margins z = -y <w, x> and the scales are `signed_scales(z)`, one
-    `expit` call per step, with the bits of the unsigned arithmetic: a
-    logistic step makes 7 numpy and scipy calls, 9 with gamma > 0.  Other
-    labels, and the squared loss, take the rows of `Dataset.padded` and the
-    scales of `grad_scales`, with the labels negated once per gather.  The
-    gradient writes into the momentum (and, with gamma > 0, the
-    iterate) and the step w -= eta * m are each one call to a compiled scipy
-    routine (`_add_rows`, `_add_product`), with the bits of numpy's updates.
+    The margins are numpy products.  The rows of `Dataset.padded` are the
+    signed rows -y x, so for both losses the products are the signed margins
+    z = -y <w, x> and the scales are one `signed_scales(z)` call per step
+    (`expit` or z + 1), with the bits of the unsigned arithmetic: a step
+    makes 7 numpy and scipy calls, 9 with gamma > 0.  Labels other than +-1
+    raise DataError before the first step.  The gradient writes into the
+    momentum (and, with gamma > 0, the iterate) and the step w -= eta * m
+    are each one call to a compiled scipy routine (`_add_rows`,
+    `_add_product`), with the bits of numpy's updates.
     Each step repeats the arithmetic of a lone pair operation for operation,
     so a pair's series does not depend on what it is batched with.
 
     A pair that hits a non-finite margin, iterate or distance is censored:
     its step and side are recorded, and it is frozen at w = m = 0 with beta,
-    eta and gamma 0, so its margins stay 0.  It costs a live pair's step
-    until the call ends, at the end of the stream block in which the last
-    pair is censored.  Margins are checked every step: a finite sum implies
-    that they are all finite, and only where it is not are they tested one by
-    one.  Iterates and distances are checked only at stride points, so a pair
-    can be censored a step or more after the reference loop raises, on the
-    same side.  A row position outside 0..data.n - 1 raises ValueError.
-    With `risk_data`, every pair's base iterates w_1..w_T are buffered per
-    stream block, each block is one `empirical_risk_many` call, and each pair
-    adds its block's risks to its running sum; block edges do not depend on
-    the batch, so neither does a pair's sum.
+    eta and gamma 0, so its margins stay 0 and it stays finite.  It costs a
+    live pair's step until the call ends, at the end of the stream block in
+    which the last pair is censored.  Margins are checked every step: a
+    finite sum implies that they are all finite, and only where it is not
+    are they tested one by one.  Iterates and distances are checked only at
+    stride points, so a pair can be censored a step or more after the
+    reference loop raises, on the same side.  A row position outside
+    0..data.n - 1 raises ValueError.  With `risk_data`, whose labels must be
+    +-1 too, every pair's base iterates w_1..w_T are buffered per stream
+    block, each block is one `empirical_risk_many` call, and each pair adds
+    its block's risks to its running sum; block edges do not depend on the
+    batch, so neither does a pair's sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -323,12 +323,8 @@ def coupled_distance_batch(
     if w1.shape != (dim,):
         raise ValueError(f"w1 must have shape ({dim},), got {w1.shape}")
 
-    # for the logistic loss on labels +-1 the rows are signed by -y: their
-    # margins are z = -y <w, x> and their scales expit(z)
-    signed = data.signed_padded if kind == "logistic" else None
+    # the rows are signed by -y: their margins are z = -y <w, x>
     indices, values = data.padded
-    if signed is not None:
-        values = signed
     width = indices.shape[1]
     sub = _gather_steps(width)
     # pair p is (repetition p // G, grid point p % G).  Its arrays: the flat
@@ -356,6 +352,7 @@ def coupled_distance_batch(
     diverged_which = np.full(P, "", dtype="<U8")
     sum_risk = base_iterates = None
     if risk_data is not None:
+        risk_data.signed_values  # refuses labels other than +-1 before the first step
         sum_risk = np.zeros(P)
         base_iterates = np.empty((P, min(T, STREAM_CHUNK), dim))
     W = np.zeros(full)
@@ -379,7 +376,6 @@ def coupled_distance_batch(
             neighbor_rows = np.where(hit, replacements[:, None], base_rows)
             step_rows = np.stack([base_rows, neighbor_rows], axis=2)[rep].transpose(1, 0, 2).copy()
             del base_rows, neighbor_rows
-            step_labels = data.labels[step_rows]
             if sum_risk is not None:
                 # a shorter block takes the front of the buffer, so its rows reshape without a copy
                 base_iterates = base_iterates.reshape(-1)[: P * block.shape[1] * dim].reshape(P, -1, dim)
@@ -391,9 +387,8 @@ def coupled_distance_batch(
                 flats *= 2
                 flats += offsets
                 row_values = values.take(gathered, axis=0)
-                labels = step_labels[first : first + sub]
-                steps = zip(flats, row_values, flats[:, :, 0] >> 1, row_values[:, :, 0, :, None], labels, -labels)
-                for j, (flat, vx, cells, x, y, ny) in enumerate(steps, first):
+                steps = zip(flats, row_values, flats[:, :, 0] >> 1, row_values[:, :, 0, :, None])
+                for j, (flat, vx, cells, x) in enumerate(steps, first):
                     if sum_risk is not None:
                         base_iterates[:, j] = W[:, :dim, 0]
                     # off a hit both sides read the base row, so one product per
@@ -406,10 +401,7 @@ def coupled_distance_batch(
                         a = np.flatnonzero(hit[rep, j])
                         wa = W.reshape(-1).take(flat[a])[:, :, None, :]
                         margins[a] = np.matmul(wa, vx[a][..., None])[..., 0, 0]
-                    if signed is not None:
-                        scales = signed_scales(margins, scale_buf)
-                    else:
-                        scales = grad_scales(margins, y, kind, ny, scale_buf)
+                    scales = signed_scales(margins, kind, scale_buf)
                     bad = None
                     if not math.isfinite(np.add.reduce(margins, None)):
                         finite = np.isfinite(margins)
@@ -440,16 +432,14 @@ def coupled_distance_batch(
                                 fresh = ~bad.any(axis=1)
                                 bad[fresh] = side_bad[fresh]
                     if bad is not None:
-                        # a frozen pair stays finite unless a label times a
-                        # feature leaves float range; it keeps its first record
-                        dead = bad.any(axis=1) & (diverged_step == 0)
+                        dead = bad.any(axis=1)
                         diverged_step[dead] = k
                         diverged_which[dead] = np.where(
                             bad[dead].all(axis=1), "both", np.where(bad[dead, 0], "base", "neighbor")
                         )
                         # freeze the pair at w = m = 0 with no step: its margins
-                        # are 0 and its momentum one gradient at 0, so it stays
-                        # finite
+                        # are 0, its scales 1/2 or 1 and its momentum one
+                        # gradient at 0, so it stays finite
                         W[dead] = M[dead] = beta[dead] = neg_eta[dead] = neg_gamma[dead] = 0.0
             if diverged_step.all():
                 break

@@ -4,10 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from conftest import wrong_effective_step
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sgdm_stability
 from sgdm_stability import harness
@@ -879,6 +882,66 @@ class TestUnreadKeys:
             keys = re.search(r"Keys: (.*?)(?:\.\s|\.?$)", body).group(1)
             listed[verb] = set(re.findall(r"`([a-z_]+)`", keys))
         assert listed == {verb: set(table) for verb, table in KEYS.items()}
+
+
+# Per key that run-stability, check-bounds or verify-invariants reads: values
+# in its range, capped so that a run takes milliseconds, and values out of it.
+# `dataset` is synthetic and `outdir` a fresh directory throughout.
+CONFIG_VALUES = {
+    "loss": (["logistic", "squared"], ["hinge", "Logistic"]),
+    "losses": (["logistic", "squared", "squared,logistic"], ["hinge", "logistic,hinge", ","]),
+    "variant": (["hb", "nesterov", "general"], ["adam"]),
+    "betas": (["0", "0.5", "0.9,0.99", "0.9999999999999999", "5e-324", "0,0"], ["1", "-0.1", "0.5,1", "nan", ","]),
+    "seed": (["0", "7", "99999999999999999999999"], ["-1", "1.5"]),
+    "fraction": (["0.5", "0.02", "0.999", "1e-300"], ["0", "1", "-0.5", "nan"]),
+    "synth_n": (["1", "2", "3", "13", "60"], ["0", "-4"]),
+    "synth_dim": (["1", "2", "8"], ["0", "-1"]),
+    "steps": (["0.01", "0.1,3", "1e-300,1e10", "5e-324", "1.7976931348623157e308", "0.1,0.1"], ["0", "-1", "inf", "nan"]),
+    "reps": (["1", "3"], ["0", "-2"]),
+    "epochs": (["1", "2"], ["0", "-1"]),
+    "stride": (["0", "1", "7", "1000"], ["-1"]),
+    "max_train": (["0", "1", "5"], ["-3"]),
+    "samples": (["1", "3"], ["0", "-1"]),
+    "t": (["1", "17", "n", "2n", "0.5n", "0.01n"], ["0", "-5", "1e-9n", "infn", "nann", "2.5", "1e20n"]),
+    "step": (["1e-3", "0.5", "5e-324", "1.7976931348623157e308"], ["0", "-1", "inf", "nan"]),
+    "step_fraction": (["0.1", "0.99", "3", "5e-324", "1.7976931348623157e308"], ["0", "-1", "inf"]),
+    "check_steps": (["1", "20", "200"], ["0", "-1"]),
+}
+# keys whose defaults are sizes far past the cap: always given
+SIZE_KEYS = {"synth_n", "synth_dim", "reps", "epochs", "samples", "t", "check_steps"}
+# text no key reads, none of it a digit, so no junk value is a large size
+JUNK = st.sampled_from(["", "x", "1,x", "0x10", "--", "1e999", "=", "None", "true", "+1", "1__0"]) | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), max_size=5
+)
+
+
+@st.composite
+def verb_configs(draw):
+    """(verb, overrides) for run-stability, check-bounds or verify-invariants
+    on synthetic data: each key it reads left out, in range, out of range
+    or junk."""
+    verb = draw(st.sampled_from(["run-stability", "check-bounds", "verify-invariants"]))
+    overrides = ["dataset=synthetic"]
+    for name in KEYS[verb]:
+        if name in ("dataset", "outdir"):
+            continue
+        valid, bad = CONFIG_VALUES[name]
+        how = draw(st.sampled_from(["valid", "valid", "bad", "junk"] + ([] if name in SIZE_KEYS else ["default"])))
+        if how != "default":
+            values = {"valid": st.sampled_from(valid), "bad": st.sampled_from(bad), "junk": JUNK}[how]
+            overrides.append(f"{name}={draw(values)}")
+    return verb, overrides
+
+
+class TestEveryConfigEndsInAnExitCode:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config=verb_configs())
+    def test_returns_a_documented_code_and_nothing_escapes(self, config):
+        verb, overrides = config
+        with tempfile.TemporaryDirectory() as out:
+            assert main([verb, "--overrides", *overrides, f"outdir={out}"]) in (
+                EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_REFUSED
+            )
 
 
 class TestModuleEntry:

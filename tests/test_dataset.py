@@ -792,14 +792,19 @@ class TestRowOperations:
     @settings(max_examples=40, deadline=None)
     @given(d=random_datasets())
     def test_padded_and_norms_match_rows(self, d):
-        indices, values = d.padded
+        if not (np.abs(d.labels) == 1.0).all():
+            with pytest.raises(DataError, match="labels of \\+-1"):
+                d.padded
+        # the padded values are the signed rows -y x, so labels of +-1
+        signed = Dataset(d.indptr, d.indices, d.values, np.copysign(1.0, d.labels), d.dim)
+        indices, values = signed.padded
         assert indices.shape == values.shape == (d.n, max(int(d.nnz.max()), 1))
         dense = csr_matrix(d).toarray()
         for i in range(d.n):
             idx, vals, _ = d.row(i)
             k = idx.size
             assert indices[i, :k].tolist() == idx.tolist()
-            assert values[i, :k].tolist() == vals.tolist()
+            assert values[i, :k].tobytes() == (-signed.labels[i] * vals).tobytes()
             assert (indices[i, k:] == d.dim).all() and (values[i, k:] == 0.0).all()
             assert dense[i, idx].tolist() == vals.tolist()
             with np.errstate(over="ignore"):

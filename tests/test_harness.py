@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import bound_check_draws, joined, rep_draw, reference_pair
 from sgdm_stability import losses, optimizer
-from sgdm_stability.dataset import parse_libsvm, split_positions, synthetic_binary_dataset
+from sgdm_stability.dataset import DataError, Dataset, parse_libsvm, split_positions, synthetic_binary_dataset
 from sgdm_stability.harness import (
     ConfigError,
     Draws,
@@ -330,19 +332,23 @@ class TestSaveResult:
 
 
 class TestBoundCheck:
-    def test_zero_loss_data_gives_zero_both_sides(self):
-        # squared loss, all labels zero, started at zero: gradients vanish so
-        # both the empirical divergence and the risk-driven bound are zero
-        text = "".join(f"0 1:{v}\n" for v in (1.0, 2.0, 0.5, 1.5))
-        train = parse_libsvm(text)
-        pool = parse_libsvm("0 1:0.7\n0 1:1.2\n")
-        alpha = smoothness(train, "squared").alpha
-        grid = hb_grid(0.1 * max_eta_hb(0.0, alpha), 0.0, 20)
-        (res,) = run_bound_check(*joined(train, pool), "squared", grid, alpha, samples=4, seed=0)
-        assert res.empirical == 0.0
-        assert res.theoretical == 0.0
-        assert res.holds
-        assert math.isinf(res.margin_ratio)
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_labels_other_than_unit_are_refused(self, kind, monkeypatch):
+        # the coupled kernel and the risk sum read signed rows only: one train
+        # row with another label is a DataError before the first step
+        no_step = mock.Mock(side_effect=AssertionError("a step ran"))
+        monkeypatch.setattr(optimizer, "signed_scales", no_step)
+        monkeypatch.setattr(losses, "signed_losses", no_step)
+        pool = synthetic_binary_dataset(10, 5, seed=1)
+        for label in (2.0, -0.5, 0.0, -0.0, 0.1):
+            train = synthetic_binary_dataset(30, 5, seed=0)
+            labels = train.labels.copy()
+            labels[7] = label
+            train = Dataset(train.indptr, train.indices, train.values, labels, train.dim)
+            alpha = smoothness(train, kind).alpha
+            grid = hb_grid(0.1 * max_eta_hb(0.5, alpha), 0.5, 40)
+            with pytest.raises(DataError, match=re.escape(f"labels of +-1, got {label!r}")):
+                run_bound_check(*joined(train, pool), kind, grid, alpha, 2, 0)
 
     def test_refuses_when_condition_fails(self):
         train = synthetic_binary_dataset(30, 5, seed=0)

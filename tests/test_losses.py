@@ -399,10 +399,11 @@ class TestBlockedRisk:
                 empirical_risk_many(W, self.DATA, "squared")
 
     def test_kernel_risk_sum_under_its_errstate(self):
-        # squared loss on the one row x = 1, y = 0 at beta = 0, eta = 3: w_k =
-        # (-2)^(k-1) 2^520 stays finite for the 10 steps, while its loss
-        # 2^1039 overflows; the kernel's errstate covers its risk sum
-        d = parse_libsvm("0 1:1\n0 1:1\n")
+        # squared loss on the one row x = 1, y = 1 at beta = 0, eta = 3: w_k =
+        # (-2)^(k-1) 2^520 stays finite for the 10 steps (the label is below
+        # its last bit), while its loss of about 2^1039 overflows; the
+        # kernel's errstate covers its risk sum
+        d = parse_libsvm("1 1:1\n1 1:1\n")
         batch = coupled_distance_batch(
             d, np.array([[0]]), [1], [1], [SampleStream(0, 1)], "squared", [HyperParams(0.0, 0.0, 3.0, 10)],
             np.array([2.0**520]), 5, risk_data=d,
@@ -436,18 +437,18 @@ class TestBlockedRisk:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
-    def test_labels_other_than_unit_keep_the_unsigned_bits(self, kind, workers):
-        # no signed values for such labels (0.1 * x would round): the product
-        # reads the plain values and the losses negate the labels, as `losses`
-        # does
+    def test_labels_other_than_unit_are_refused(self, kind, workers, monkeypatch):
+        # the product reads signed rows only (0.1 * x would round): another
+        # label is a DataError before any thread starts or any band is computed
         d = self.TALL
-        d = Dataset(d.indptr, d.indices, d.values, np.resize([2.0, -0.5, 0.0, -0.0, 0.1], d.n), d.dim)
-        assert d.signed_values is None and d.signed_padded is None
+        d = Dataset(d.indptr, d.indices, d.values, np.resize([1.0, -1.0, 0.1], d.n), d.dim)
+        monkeypatch.setattr(losses_module, "signed_losses", mock.Mock(side_effect=AssertionError("a band ran")))
         W = np.random.default_rng(7).standard_normal((2 * RISK_COLUMNS + 3, d.dim))
+        threads = threading.active_count()
         with mock.patch.object(losses_module, "RISK_WORKERS", workers), \
-                mock.patch.object(losses_module, "RISK_ROWS", 7):
-            got = empirical_risk_many(W, d, kind)
-        assert got.tobytes() == self.unblocked(W, d, kind).tobytes()
+                pytest.raises(DataError, match=r"labels of \+-1, got 0\.1"):
+            empirical_risk_many(W, d, kind)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_an_error_reaches_the_caller_once_every_thread_is_done(self, workers, monkeypatch):
@@ -458,10 +459,10 @@ class TestBlockedRisk:
         tiles = itertools.count()
         signed_losses = losses_module.signed_losses
 
-        def failing(z, t):
+        def failing(z, t, kind):
             if next(tiles) == 1:
                 raise KeyError("band")
-            return signed_losses(z, t)
+            return signed_losses(z, t, kind)
 
         monkeypatch.setattr(losses_module, "signed_losses", failing)
         threads = threading.active_count()
@@ -479,7 +480,9 @@ class TestBlockedRisk:
         want = self.unblocked(W, d, "logistic")
         tiles = []
         signed_losses = losses_module.signed_losses
-        monkeypatch.setattr(losses_module, "signed_losses", lambda z, t: tiles.append(None) or signed_losses(z, t))
+        monkeypatch.setattr(
+            losses_module, "signed_losses", lambda z, t, kind: tiles.append(None) or signed_losses(z, t, kind)
+        )
         previous = (sys.getswitchinterval(), signal.signal(signal.SIGALRM, _timed_out))
         signal.alarm(60)
         sys.setswitchinterval(1e-6)
@@ -552,22 +555,56 @@ class TestSignedRows:
         d = Dataset(indptr, np.nonzero(mask)[1], values[mask], labels, dim)
         W = np.resize(np.array(weights), (2, dim))
         signed = Dataset(d.indptr, d.indices, d.signed_values, d.labels, d.dim)
-        indices, plain = d.padded
+        indices, values = d.padded
+        # the signed rows of labels -1 are the plain rows
+        plain = Dataset(d.indptr, d.indices, d.values, -np.ones(rows), d.dim).padded[1]
         with np.errstate(all="ignore"):
             pairs = [
                 (losses_module.margins(signed, W), losses_module.margins(d, W)),
-                (self.kernel_products(W, d.signed_padded, indices), self.kernel_products(W, plain, indices)),
+                (self.kernel_products(W, values, indices), self.kernel_products(W, plain, indices)),
             ]
             for z, m in pairs:
                 assert (z + 0.0).tobytes() == (-labels[:, None] * m + 0.0).tobytes()
 
+    # margins and features of every magnitude: zeros, +-1, subnormals, the
+    # float range's ends, its overflow and any float
+    SIGNED_FLOATS = st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 1e308, -1e308, math.inf, -math.inf]
+    ) | st.floats(allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(SIGNED_FLOATS, SIGNED_FLOATS, st.sampled_from([1.0, -1.0])), min_size=1, max_size=8
+        )
+    )
+    @example(entries=[(1.0, 1e308, 1.0), (-1.0, 1e-320, -1.0), (1e308, -1e308, -1.0), (math.inf, 0.0, 1.0)])
+    def test_squared_scale_and_loss_at_z_are_the_unsigned_ones(self, entries):
+        # for y = +-1 and z = -y m, (z + 1) (-y x) is (m - y) x and (z + 1)^2 / 2
+        # is (m - y)^2 / 2, byte for byte up to the sign of a zero; a NaN
+        # (inf times 0) is a NaN either way
+        m, x, y = np.array(entries).T
+        with np.errstate(all="ignore"):
+            z = -y * m
+            gradient = losses_module.signed_scales(z, "squared") * (-y * x)
+            loss = losses_module.signed_losses(z.copy(), np.empty_like(z), "squared")
+            pairs = ((gradient, grad_scales(m, y, "squared") * x), (loss, losses(m, y, "squared")))
+        for got, want in pairs:
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert (got[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()
+
     def test_only_unit_labels_are_signed(self):
         d = parse_libsvm("1 1:2 3:-1\n-1 2:0.5\n1\n")
         assert d.signed_values.tolist() == [-2.0, 1.0, 0.5]
-        assert d.signed_padded.tolist() == [[-2.0, 1.0], [0.5, 0.0], [-0.0, -0.0]]
+        indices, values = d.padded
+        assert indices.tolist() == [[0, 2], [1, 3], [3, 3]]
+        assert values.tobytes() == np.array([[-2.0, 1.0], [0.5, 0.0], [-0.0, -0.0]]).tobytes()
         for label in (2.0, -0.5, 0.0, -0.0):
             other = parse_libsvm(f"1 1:2\n{label!r} 2:0.5\n")
-            assert other.signed_values is None and other.signed_padded is None
+            for name in ("signed_values", "padded"):
+                with pytest.raises(DataError, match=f"labels of \\+-1, got {label!r}"):
+                    getattr(other, name)
 
 
 class TestExpitLoaded:

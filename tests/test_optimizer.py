@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -22,7 +23,7 @@ from conftest import (
     stack,
 )
 from sgdm_stability import optimizer
-from sgdm_stability.dataset import Dataset, parse_libsvm, synthetic_binary_dataset
+from sgdm_stability.dataset import DataError, Dataset, parse_libsvm, synthetic_binary_dataset
 from sgdm_stability.losses import empirical_risk_many, grad_scales, loss_grad, signed_scales, smoothness
 from sgdm_stability.theory import check_stab_condition, variant_params
 from sgdm_stability.optimizer import (
@@ -354,6 +355,27 @@ class TestReferenceLoops:
         assert traj.momenta.shape == traj.iterates.shape
         assert traj.momenta.tobytes() == momentum_buffers(traj).tobytes()
 
+    @pytest.mark.parametrize("label", [2.0, -0.5, 0.0, -0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    def test_any_real_label_is_taken(self, kind, label):
+        # the reference loop and `loss_grad` read the unsigned rows: a label
+        # the fast paths refuse trains as any other, and each step's gradient
+        # is `loss_grad` at its iterate
+        d = synthetic_binary_dataset(12, 4, seed=3)
+        labels = d.labels.copy()
+        labels[5] = label
+        d = Dataset(d.indptr, d.indices, d.values, labels, d.dim)
+        hp = HyperParams(beta=0.5, gamma=0.05, eta=0.1, iterations=60)
+        traj = run(d, kind, hp, np.full(d.dim, 0.3), SampleStream(2, d.n))
+        steps = np.flatnonzero(traj.indices == 6)
+        assert steps.size and np.isfinite(traj.iterates).all()
+        for k in steps:
+            assert traj.gradients[k].tobytes() == loss_grad(traj.iterates[k], d, 5, kind).tobytes()
+        idx, vals, y = d.row(5)
+        w = traj.iterates[-1]
+        want = grad_scales(float(np.dot(w[idx], vals)), label, kind) * vals
+        assert y == label and loss_grad(w, d, 5, kind)[idx].tobytes() == want.tobytes()
+
     def test_trajectory_needs_one_momentum_per_iterate(self):
         with pytest.raises(ValueError, match="one momentum per iterate"):
             Trajectory(
@@ -540,15 +562,17 @@ class TestCoupledRunDivergence:
         assert self._run_raises_at(data) <= step
 
     def test_distance_leaving_float_range_censors_both_at_first_hit(self):
-        # w stays 0 on the zero-label rows; one step at eta = 1 on row 2 lands
-        # on its label, so the sides reach +-1e308: both finite, their gap not
-        hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=50)
-        data, rows, (low,) = joined(parse_libsvm("0 1:1\n1e308 1:1\n0 1:1\n"), parse_libsvm("-1e308 1:1\n"))
-        first_hit = int(np.flatnonzero(SampleStream(4, 3).prefix(50) == 2)[0]) + 1
-        assert self._censored(data, rows, 2, low, hp, seed=4) == (first_hit, "both")
+        # w stays 0 on the empty rows; the stream draws row 2 once, at step 4,
+        # and one step at eta = 1 on its feature of 1e308 takes the sides to
+        # +-1e308 by its label: both finite, their gap not
+        hp = HyperParams(beta=0.0, gamma=0.0, eta=1.0, iterations=8)
+        data, rows, (low,) = joined(parse_libsvm("1\n1 1:1e308\n1\n"), parse_libsvm("-1 1:1e308\n"))
+        assert np.flatnonzero(SampleStream(4, 3).prefix(8) == 2).tolist() == [3]
+        assert self._censored(data, rows, 2, low, hp, seed=4) == (4, "both")
         # the reference loop raises on neither side
-        for side in (rows, [0, low, 2]):
-            assert np.isfinite(run(data.take(side), "squared", hp, np.zeros(1), SampleStream(4, 3)).iterates).all()
+        for side, w in ((rows, 1e308), ([0, low, 2], -1e308)):
+            iterates = run(data.take(side), "squared", hp, np.zeros(1), SampleStream(4, 3)).iterates
+            assert iterates[-1].tolist() == [w]
 
 
 def one_pair_series(data, rows, perturbed, replacement, kind, hp, w1, stream, stride):
@@ -751,21 +775,15 @@ class TestCoupledBatch:
 
     @staticmethod
     def _recorded_margins(monkeypatch):
-        """A copy of the margins of each scale call the kernel makes, in
-        order: z = -y <w, x> of `signed_scales` (the logistic loss on labels
-        +-1), <w, x> of `grad_scales`."""
+        """A copy of the signed margins z = -y <w, x> of each scale call the
+        kernel makes, in order."""
         recorded = []
 
-        def recorded_signed(z, out):
+        def recorded_signed(z, kind, out):
             recorded.append(z.copy())
-            return signed_scales(z, out)
-
-        def recorded_scales(margins, y, kind, ny, out):
-            recorded.append(margins.copy())
-            return grad_scales(margins, y, kind, ny, out)
+            return signed_scales(z, kind, out)
 
         monkeypatch.setattr(optimizer, "signed_scales", recorded_signed)
-        monkeypatch.setattr(optimizer, "grad_scales", recorded_scales)
         return recorded
 
     def test_censored_pair_is_frozen_finite(self, monkeypatch):
@@ -814,27 +832,11 @@ class TestCoupledBatch:
         assert block_end < self.T
         assert last <= len(recorded) <= block_end
 
-    def test_censored_pair_keeps_its_first_step(self):
-        # the third row's label times its feature leaves float range, so even
-        # frozen at zero the pair takes a non-finite gradient at each later
-        # draw of that row; its record stays the step of the first
-        data = parse_libsvm("1 1:1\n-1 1:0.5\n1e300 1:1e10\n")
-        hp = HyperParams(beta=0.5, gamma=0.0, eta=0.1, iterations=200)
-        assert (SampleStream(0, 3).prefix(200) == 3).sum() > 2
-        batch = coupled_distance_batch(
-            data, np.array([[0, 1, 2]]), [1], [1], [SampleStream(0, 3)], "squared", [hp], np.zeros(1), 1
-        )
-        with pytest.raises(DivergenceError) as raised:
-            run(data, "squared", hp, np.zeros(1), SampleStream(0, 3))
-        assert batch.diverged_step[0, 0] == raised.value.step == 1
-        assert batch.diverged_which[0, 0] == "both"
-
     @staticmethod
     def _plain_step_loop(monkeypatch):
         """The kernel with rows gathered one step at a time, numpy's updates in
-        place of the compiled writes, the rows and the risk sum's values
-        unsigned, each gradient scale from the scalar path of `grad_scales` at
-        the unsigned margin, and every margin tested for finiteness, not their
+        place of the compiled writes, each gradient scale from the scalar path
+        of `grad_scales`, and every margin tested for finiteness, not their
         sum: the arithmetic of a plain step loop."""
 
         def add_rows(target, flat, values, colptr, scales):
@@ -843,18 +845,15 @@ class TestCoupledBatch:
         def add_product(target, factor, source):
             target -= -factor * source
 
-        def scalar_scales(margins, y, kind, ny, out):
-            scales = [grad_scales(m, label, kind) for m, label in zip(margins.ravel().tolist(), y.ravel().tolist())]
-            out[...] = np.reshape(scales, margins.shape)
+        def scalar_scales(z, kind, out):
+            # the signed row of a label -1 is the row itself, so the scale at
+            # z is the reference's at margin z and label -1
+            out[...] = np.reshape([grad_scales(m, -1.0, kind) for m in z.ravel().tolist()], z.shape)
             return out
 
         monkeypatch.setattr(optimizer, "_add_rows", add_rows)
         monkeypatch.setattr(optimizer, "_add_product", add_product)
-        monkeypatch.setattr(optimizer, "grad_scales", scalar_scales)
-        # as on labels other than +-1: the kernel and the risk sum take the
-        # unsigned values and formulas
-        for name in ("signed_padded", "signed_values"):
-            monkeypatch.setattr(Dataset, name, property(lambda self: None))
+        monkeypatch.setattr(optimizer, "signed_scales", scalar_scales)
         # the kernel's `math` only tests the margins' sum: as never finite,
         # every step tests its margins one by one
         monkeypatch.setattr(optimizer, "math", SimpleNamespace(isfinite=lambda total: False))
@@ -933,30 +932,24 @@ class TestCoupledBatch:
         for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
             assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
 
-    def test_labels_other_than_unit_keep_the_plain_loop_bytes(self, monkeypatch):
-        # logistic data with labels 2, -0.5, 0, -0 and 0.1: no signed rows, so the
-        # kernel and its risk sum take the unsigned formulas, with the bits of
-        # the plain loop; 5-step sub-blocks of 16-step stream blocks, and a
-        # pair with gamma > 0
+    def test_labels_other_than_unit_are_refused(self, monkeypatch):
+        # one row of the data, or of the risk data alone, takes another label;
+        # the kernel reads signed rows only, and raises before its first step
         examples, train_rows, perturbed, replacements, seeds = self._setup()
-        labels = np.resize([2.0, -0.5, 0.0, -0.0, 0.1], examples.n)
-        examples = Dataset(examples.indptr, examples.indices, examples.values, labels, examples.dim)
-        assert examples.signed_padded is None
-        args = (
-            examples, train_rows, perturbed, replacements, [SampleStream(s, self.N_TRAIN) for s in seeds],
-            "logistic", self._grid(), np.linspace(-0.5, 0.5, self.DIM), 3,
-        )
-        risk_data = examples.take(train_rows[0])
-        monkeypatch.setattr(optimizer, "STREAM_CHUNK", 16)
-        with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "_gather_steps", lambda width: 5)
-            patch.setattr(optimizer, "signed_scales", mock.Mock(side_effect=AssertionError("signed scales")))
-            batch = coupled_distance_batch(*args, risk_data=risk_data)
-        self._plain_step_loop(monkeypatch)
-        plain = coupled_distance_batch(*args, risk_data=risk_data)
-        assert not batch.diverged_step.any() and np.isfinite(batch.sum_risk).all()
-        for name in ("distances", "diverged_step", "diverged_which", "sum_risk"):
-            assert getattr(batch, name).tobytes() == getattr(plain, name).tobytes(), name
+        monkeypatch.setattr(optimizer, "signed_scales", mock.Mock(side_effect=AssertionError("a step ran")))
+        streams = [SampleStream(s, self.N_TRAIN) for s in seeds]
+        points, w1 = self._grid(), np.zeros(self.DIM)
+        for label in (2.0, -0.5, 0.0, -0.0, 0.1):
+            labels = examples.labels.copy()
+            labels[train_rows[0, 5]] = label
+            other = Dataset(examples.indptr, examples.indices, examples.values, labels, examples.dim)
+            for kind in ("logistic", "squared"):
+                for data, risk_data in ((other, None), (examples, other.take(train_rows[0]))):
+                    with pytest.raises(DataError, match=re.escape(f"labels of +-1, got {label!r}")):
+                        coupled_distance_batch(
+                            data, train_rows, perturbed, replacements, streams, kind, points, w1, 3,
+                            risk_data=risk_data,
+                        )
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     def test_risks_match_coupled_run_base_iterates(self, kind, monkeypatch):
@@ -1038,7 +1031,7 @@ class TestCoupledBatch:
         monkeypatch.setattr(optimizer, "STREAM_CHUNK", 64)
         data = synthetic_binary_dataset(400, 5, seed=0)
         # the row tables are built once per dataset, before the measured calls
-        data.padded, data.signed_padded
+        data.padded
         rng = np.random.default_rng(1)
         R, n = 10, 320
         train_rows = np.stack([np.sort(rng.choice(400, n, replace=False)) for _ in range(R)])
